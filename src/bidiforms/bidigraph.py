@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import InvalidInput
+from .errors import InvalidInput, json_int
 from .exact_linalg import IntMatrix, integer_kernel
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of
 
@@ -151,9 +151,11 @@ class BidirectedGraph:
     @staticmethod
     def from_json_dict(data: dict) -> "BidirectedGraph":
         try:
-            m = int(data["vertices"])
-            arrows = data["arrows"]
-            ends = [tuple(tuple(int(x) for x in p) for p in a["ends"]) for a in arrows]
+            m = json_int(data["vertices"])
+            ends = []
+            for a in data["arrows"]:
+                (u, e), (u2, e2) = a["ends"]
+                ends.append(((json_int(u), json_int(e)), (json_int(u2), json_int(e2))))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed graph JSON: {exc}") from exc
         return BidirectedGraph(m, ends)

@@ -1,9 +1,11 @@
 """Dynkin-type classification, Gabrielov calculus and incidence realizations.
 
 Covers the form-level Gabrielov transformation with its coefficient update,
-A/D/E typing of unit forms via positive cores and exact root counts, the
+A/D/E typing of unit forms by the Gram determinant of a positive core, the
 type-C test, realization of forms as incidence forms, the canonical
-(c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences.
+(c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. The
+exact root enumeration (`positive_roots_by_value`, `one_root_count`) is kept
+as an independent oracle for the determinant typing.
 """
 
 from __future__ import annotations
@@ -29,35 +31,56 @@ from .errors import (
     NotNonNegative,
     NotPositive,
     NotTypeC,
+    json_int,
 )
 from .exact_linalg import IntMatrix
 from .qform import FormAnalysis, IntegralQuadraticForm, analyze, zero_form
 
 
-# -- elementary transformations as matrices ---------------------------------
+# -- elementary transformations as column operations -----------------------
 
 
-def _gabrielov_matrix(q: IntegralQuadraticForm, i: int, j: int) -> IntMatrix:
-    n = q.n
+def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
+    """q_ij / q_i, or 0 when q_i = 0; NotCoxRegular if the quotient is not integral."""
     qi = q.coefficient(i, i)
-    T = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    if qi != 0:
-        qij = q.coefficient(i, j)
-        if qij % qi != 0:
-            raise NotCoxRegular(f"q_{i}{j} = {qij} is not divisible by q_{i} = {qi}")
-        T[i - 1][j - 1] = -(qij // qi)
-    return IntMatrix(T)
+    if qi == 0:
+        return 0
+    qij = q.coefficient(i, j)
+    if qij % qi != 0:
+        raise NotCoxRegular(f"q_{i}{j} = {qij} is not divisible by q_{i} = {qi}")
+    return qij // qi
 
 
-def _sign_matrix(n: int, i: int) -> IntMatrix:
-    return IntMatrix(
-        [[(-1 if a == b == i - 1 else 1 if a == b else 0) for b in range(n)] for a in range(n)]
-    )
+def _times_step(M: IntMatrix, q: IntegralQuadraticForm, step) -> IntMatrix:
+    """M times the matrix of one G-step on the current form q, in O(n^2).
+
+    Gabrielov (i, j): column j -= (q_ij / q_i) column i; sign i: column i is
+    negated; perm pi: column b becomes the old column pi(b).
+    """
+    rows = [list(r) for r in M.entries]
+    if step[0] == "gabrielov":
+        _, i, j = step
+        k = _gabrielov_ratio(q, i, j)
+        if k:
+            for r in rows:
+                r[j - 1] -= k * r[i - 1]
+    elif step[0] == "sign":
+        i = step[1]
+        if not 1 <= i <= M.cols:
+            raise InvalidInput(f"sign step index {i} out of range")
+        for r in rows:
+            r[i - 1] = -r[i - 1]
+    else:
+        pi = step[1]
+        if sorted(pi) != list(range(1, M.cols + 1)):
+            raise InvalidInput("not a permutation of 1..n")
+        rows = [[r[p - 1] for p in pi] for r in rows]
+    return IntMatrix(rows)
 
 
-def _perm_matrix(pi) -> IntMatrix:
-    n = len(pi)
-    return IntMatrix([[1 if pi[b] - 1 == a else 0 for b in range(n)] for a in range(n)])
+def _sign_update(q: IntegralQuadraticForm, i: int) -> IntegralQuadraticForm:
+    """q with x_i replaced by -x_i: the off-diagonal terms at i change sign."""
+    return IntegralQuadraticForm(q.diag, {k: -v if i in k else v for k, v in q.off.items()})
 
 
 class GTransform:
@@ -95,22 +118,20 @@ class GTransform:
     def identity(n: int) -> "GTransform":
         return GTransform(IntMatrix.identity(n))
 
+    def _then(self, q_current, step) -> "GTransform":
+        return GTransform(_times_step(self.matrix, q_current, step), self.steps + (step,))
+
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
-        M = _gabrielov_matrix(q_current, i, j)
-        T = GTransform(self.matrix @ M, self.steps + (("gabrielov", i, j),))
-        return T, gabrielov_update(q_current, i, j)
+        q_next = gabrielov_update(q_current, i, j)
+        return self._then(q_current, ("gabrielov", i, j)), q_next
 
     def then_sign(self, q_current, i):
-        M = _sign_matrix(self.n, i)
-        T = GTransform(self.matrix @ M, self.steps + (("sign", i),))
-        return T, q_current.compose(M)
+        return self._then(q_current, ("sign", i)), _sign_update(q_current, i)
 
     def then_perm(self, q_current, pi):
         pi = tuple(int(p) for p in pi)
-        M = _perm_matrix(pi)
-        T = GTransform(self.matrix @ M, self.steps + (("perm", pi),))
-        return T, q_current.permuted(pi)
+        return self._then(q_current, ("perm", pi)), q_current.permuted(pi)
 
     def apply_to(self, q: IntegralQuadraticForm) -> IntegralQuadraticForm:
         return q.compose(self.matrix)
@@ -129,15 +150,15 @@ class GTransform:
     @staticmethod
     def from_json_dict(data: dict) -> "GTransform":
         try:
-            matrix = IntMatrix(data["matrix"])
+            matrix = IntMatrix([[json_int(x) for x in row] for row in data["matrix"]])
             steps = []
             for s in data.get("steps", []):
                 if s["op"] == "gabrielov":
-                    steps.append(("gabrielov", int(s["i"]), int(s["j"])))
+                    steps.append(("gabrielov", json_int(s["i"]), json_int(s["j"])))
                 elif s["op"] == "sign":
-                    steps.append(("sign", int(s["i"])))
+                    steps.append(("sign", json_int(s["i"])))
                 elif s["op"] == "perm":
-                    steps.append(("perm", tuple(int(p) for p in s["pi"])))
+                    steps.append(("perm", tuple(json_int(p) for p in s["pi"])))
                 else:
                     raise InvalidInput(f"unknown step op {s['op']!r}")
         except (KeyError, TypeError, ValueError) as exc:
@@ -147,13 +168,10 @@ class GTransform:
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
-    qi = q.coefficient(i, i)
-    if qi == 0:
+    if q.coefficient(i, i) == 0:
         return q
     qij = q.coefficient(i, j)
-    if qij % qi != 0:
-        raise NotCoxRegular(f"q_{i}{j} = {qij} is not divisible by q_{i} = {qi}")
-    ratio = qij // qi
+    ratio = _gabrielov_ratio(q, i, j)
     off = dict(q.off)
     for k in range(1, q.n + 1):
         if k in (i, j):
@@ -360,10 +378,6 @@ def dynkin_unit_form(family: str, r: int) -> IntegralQuadraticForm:
     return IntegralQuadraticForm([1] * r, {(i, j): -1 for i, j in edges})
 
 
-_UNIT_ROOT_COUNTS = {"A": lambda r: r * (r + 1), "D": lambda r: 2 * r * (r - 1)}
-_E_ROOT_COUNTS = {6: 72, 7: 126, 8: 240}
-
-
 def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
     return (
         rep.non_negative
@@ -378,9 +392,13 @@ def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
 def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     """Dynkin type and corank of a connected non-negative form.
 
-    Unit forms are typed A/D/E through a positive core and its exact 1-root
-    count; non-unit forms must be irreducible Cox-regular and are typed C by
-    the direct coefficient conditions.
+    Unit forms are typed A/D/E by the Gram determinant of a positive core of
+    rank r: a connected positive unit form is Z-equivalent to exactly one
+    Dynkin form, and Z-equivalence keeps the determinant, which is r+1 for
+    A_r, 4 for D_r and 9-r for E_r (no two agree at one rank). Non-unit forms
+    must be irreducible Cox-regular and are typed C by the direct coefficient
+    conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
+    `one_root_count` give the same typing and serve as its test oracle.
     """
     rep = rep or analyze(q)
     if not rep.non_negative:
@@ -389,17 +407,17 @@ def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
         raise InvalidInput("dynkin_type needs a connected form")
     r, c = rep.rank, rep.corank
     if rep.unit:
-        core = q.restrict(positive_core(q, rep))
-        count = one_root_count(core)
-        if count == _UNIT_ROOT_COUNTS["A"](r):
+        det = q.restrict(positive_core(q, rep)).gram().det()
+        if det == r + 1:
             fam = "A"
-        elif r >= 4 and count == _UNIT_ROOT_COUNTS["D"](r):
+        elif r >= 4 and det == 4:
             fam = "D"
-        elif _E_ROOT_COUNTS.get(r) == count:
+        elif r in (6, 7, 8) and det == 9 - r:
             fam = "E"
         else:
             raise AssertionError(
-                f"unit-form classifier found no Dynkin graph with {count} roots in rank {r}"
+                f"unit-form classifier found no Dynkin graph with Gram determinant {det} "
+                f"in rank {r}"
             )
         return DynkinType(fam, r), c
     if not rep.irreducible or not rep.cox_regular:
@@ -892,22 +910,19 @@ def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
     state = {"M": T.matrix, "q": cur, "B": B}
 
     def push_gab(i, j):
-        Mstep = _gabrielov_matrix(state["q"], i, j)
+        state["M"] = _times_step(state["M"], state["q"], ("gabrielov", i, j))
         state["B"] = graph_gabrielov(state["B"], i, j)
         state["q"] = gabrielov_update(state["q"], i, j)
-        state["M"] = state["M"] @ Mstep
 
     def push_sign(i):
-        Mstep = _sign_matrix(q.n, i)
+        state["M"] = _times_step(state["M"], state["q"], ("sign", i))
         state["B"] = sign_flip(state["B"], i)
-        state["q"] = state["q"].compose(Mstep)
-        state["M"] = state["M"] @ Mstep
+        state["q"] = _sign_update(state["q"], i)
 
     def push_perm(pi):
-        Mstep = _perm_matrix(pi)
+        state["M"] = _times_step(state["M"], state["q"], ("perm", pi))
         state["B"] = arrow_permutation(state["B"], pi)
         state["q"] = state["q"].permuted(pi)
-        state["M"] = state["M"] @ Mstep
 
     def push_rewrite(i, j, eps):
         Mstep = rewrite_matrix(q.n, i, j, eps)

@@ -409,13 +409,15 @@ def _cmd_verify(args):
             raise _InputError(f"no verify check matches {args.only!r}")
     failures = 0
     for name, fn in checks.items():
+        reason = ""
         try:
             ok = fn()
         except _InputError:
             raise
-        except Exception:
+        except Exception as exc:
             ok = False
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
+            reason = f": {type(exc).__name__}: {exc}"
+        print(f"{'PASS' if ok else 'FAIL'}  {name}{reason}")
         failures += 0 if ok else 1
     return EXIT_OK if failures == 0 else EXIT_DOMAIN
 

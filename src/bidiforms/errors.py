@@ -9,6 +9,17 @@ class InvalidInput(BidiformsError):
     """Malformed or out-of-contract input (dimension mismatch, bad indices, ...)."""
 
 
+def json_int(value) -> int:
+    """`value` itself if it is a JSON integer; InvalidInput for bool, float, str and the rest.
+
+    Used where JSON is read, so that `1.9`, `true` or `"-1"` is refused instead
+    of being truncated or coerced by `int()`.
+    """
+    if type(value) is not int:
+        raise InvalidInput(f"expected an integer, got {value!r}")
+    return value
+
+
 class NotCoxRegular(BidiformsError):
     """A Gabrielov step would require a non-integral column update."""
 

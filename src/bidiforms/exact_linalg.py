@@ -138,19 +138,18 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
 
     Symmetric elimination with diagonal pivoting over the rationals: the matrix
     is PSD iff every pivot is >= 0 and any zero diagonal entry has an all-zero
-    residual row.
+    residual row. A PSD matrix has as rank its number of positive pivots; only
+    a matrix that is not PSD pays for a second elimination in `rank`.
     """
     if not G.is_symmetric():
         raise InvalidInput("psd_rank requires a symmetric matrix")
     n = G.rows
     a = [[Fraction(x) for x in row] for row in G.entries]
     active = list(range(n))
-    is_psd = True
-    while active and is_psd:
-        neg = next((i for i in active if a[i][i] < 0), None)
-        if neg is not None:
-            is_psd = False
-            break
+    pivots = 0
+    while active:
+        if any(a[i][i] < 0 for i in active):
+            return False, G.rank()
         piv = None
         for i in active:
             if a[i][i] > 0 and (piv is None or a[i][i] > a[piv][piv]):
@@ -158,7 +157,7 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
         if piv is None:
             # all remaining diagonal entries are zero; PSD iff residual is zero
             if any(a[i][j] != 0 for i in active for j in active):
-                is_psd = False
+                return False, G.rank()
             break
         d = a[piv][piv]
         rest = [i for i in active if i != piv]
@@ -172,7 +171,8 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
             a[i][piv] = Fraction(0)
             a[piv][i] = Fraction(0)
         active = rest
-    return is_psd, G.rank()
+        pivots += 1
+    return True, pivots
 
 
 def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:

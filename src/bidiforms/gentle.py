@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .bidigraph import BidirectedGraph
 from .classify import dynkin_type
@@ -20,6 +21,7 @@ from .errors import (
     InfiniteDimensional,
     InfiniteGlobalDimensionSuspected,
     InvalidInput,
+    json_int,
 )
 from .exact_linalg import IntMatrix
 from .qform import IntegralQuadraticForm, analyze, bigraph_of
@@ -89,8 +91,10 @@ class GentlePresentation:
     @staticmethod
     def from_json_dict(data: dict) -> "GentlePresentation":
         try:
-            m = int(data["vertices"])
-            arrows = [(a["name"], a["src"], a["tgt"]) for a in data["arrows"]]
+            m = json_int(data["vertices"])
+            arrows = [
+                (a["name"], json_int(a["src"]), json_int(a["tgt"])) for a in data["arrows"]
+            ]
             relations = [tuple(p) for p in data.get("relations", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed quiver JSON: {exc}") from exc
@@ -444,9 +448,9 @@ def _component_types(q: IntegralQuadraticForm):
             # one-vertex-graph components scale as q = a * qhat (loops only)
             content = 0
             for d in sub.diag:
-                content = _gcd(content, d)
+                content = gcd(content, d)
             for v in sub.off.values():
-                content = _gcd(content, v)
+                content = gcd(content, v)
             sub = IntegralQuadraticForm(
                 [d // content for d in sub.diag],
                 {k: v // content for k, v in sub.off.items()},
@@ -457,13 +461,6 @@ def _component_types(q: IntegralQuadraticForm):
         typ, crk = dynkin_type(sub, rep)
         out.append((tuple(comp), str(typ), crk))
     return tuple(out)
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _bigraph_components(q):

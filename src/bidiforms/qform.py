@@ -1,7 +1,7 @@
 """Integral quadratic forms and their bigraphs.
 
 A form q(x) = sum_i q_i x_i^2 + sum_{i<j} q_ij x_i x_j is stored by its diagonal
-coefficients and a sparse map of off-diagonal ones. Variable indices are 1-based
+coefficients and a sparse, read-only map of off-diagonal ones. Variable indices are 1-based
 throughout, matching the Gram-matrix convention G_ii = 2 q_i, G_ij = q_ij.
 """
 
@@ -10,8 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
-from .errors import InvalidInput
+from .errors import InvalidInput, json_int
 from .exact_linalg import IntMatrix, integer_kernel, psd_rank
 
 
@@ -37,7 +38,8 @@ class IntegralQuadraticForm:
         clean = {k: v for k, v in clean.items() if v != 0}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", clean)
+        # read-only, so that the hash and the `analyze` cache key cannot go stale
+        object.__setattr__(self, "off", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegralQuadraticForm is immutable")
@@ -150,9 +152,9 @@ class IntegralQuadraticForm:
     @staticmethod
     def from_json_dict(data: dict) -> "IntegralQuadraticForm":
         try:
-            n = int(data["n"])
-            diag = [int(x) for x in data["diag"]]
-            off_list = data.get("off", [])
+            n = json_int(data["n"])
+            diag = [json_int(x) for x in data["diag"]]
+            off_list = [[json_int(x) for x in item] for item in data.get("off", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed form JSON: {exc}") from exc
         if len(diag) != n:
@@ -161,7 +163,7 @@ class IntegralQuadraticForm:
         for item in off_list:
             if len(item) != 3:
                 raise InvalidInput("off entries must be [i, j, value]")
-            i, j, v = (int(x) for x in item)
+            i, j, v = item
             if not i < j:
                 raise InvalidInput("off entries must have i < j")
             off[(i, j)] = v

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph, canonical_d
+from bidiforms.bidigraph import (
+    BidirectedGraph,
+    balance,
+    canonical_a,
+    canonical_c as canonical_c_graph,
+    canonical_d,
+)
 from bidiforms.classify import (
     DynkinType,
     GTransform,
@@ -21,7 +27,13 @@ from bidiforms.classify import (
     techc_partition,
     star_realization,
 )
-from bidiforms.errors import InvalidInput, NotIncidenceForm, NotNonNegative, NotTypeC
+from bidiforms.errors import (
+    InvalidInput,
+    NotCoxRegular,
+    NotIncidenceForm,
+    NotNonNegative,
+    NotTypeC,
+)
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, analyze, zero_form
 from tests.test_qform import Q_ALGO, q_a
@@ -400,3 +412,138 @@ def test_dynkin_type_str():
     assert str(DynkinType("C", 3)) == "C3"
     with pytest.raises(InvalidInput):
         DynkinType("D", 3)
+
+
+# -- determinant typing against the root-count oracle -----------------------
+
+
+def _root_count_type(q):
+    """Dynkin type of a connected non-negative unit form from its 1-root count."""
+    rep = analyze(q)
+    r = rep.rank
+    count = one_root_count(q.restrict(positive_core(q, rep)))
+    if count == r * (r + 1):
+        fam = "A"
+    elif r >= 4 and count == 2 * r * (r - 1):
+        fam = "D"
+    else:
+        assert {6: 72, 7: 126, 8: 240}.get(r) == count
+        fam = "E"
+    return DynkinType(fam, r), rep.corank
+
+
+def _dynkin_forms(max_rank):
+    for r in range(1, max_rank + 1):
+        yield dynkin_unit_form("A", r)
+        if r >= 4:
+            yield dynkin_unit_form("D", r)
+        if r in (6, 7, 8):
+            yield dynkin_unit_form("E", r)
+
+
+def test_determinant_typing_matches_root_counts_on_dynkin_forms():
+    for q in _dynkin_forms(12):
+        assert dynkin_type(q) == _root_count_type(q)
+
+
+def test_determinant_typing_matches_root_counts_after_gabrielov_steps():
+    rng = random.Random(61)
+    for q in _dynkin_forms(8):
+        if q.n < 3:  # A1 has no step and A2 only flips its one sign
+            continue
+        cur = q
+        for _ in range(8):
+            # a step at a zero coefficient is the identity, so pick a bigraph edge
+            i, j = rng.sample(rng.choice(sorted(cur.off)), 2)
+            cur, _ = gabrielov(cur, i, j)
+        assert cur != q
+        assert dynkin_type(cur) == _root_count_type(cur) == dynkin_type(q)
+
+
+def _loopless_graph(rng, m, extra, balanced):
+    """Connected loop-less bidirected graph on m vertices: a switched quiver on
+    a random spanning tree plus `extra` arrows; unless `balanced`, one extra
+    arrow closes a negative cycle."""
+    switch = [rng.choice((1, -1)) for _ in range(m + 1)]
+
+    def arrow(u, v, directed=True):
+        return ((u, switch[u]), (v, -switch[v] if directed else switch[v]))
+
+    ends = [arrow(rng.randint(1, v - 1), v) for v in range(2, m + 1)]
+    for k in range(extra):
+        u, v = rng.sample(range(1, m + 1), 2)
+        ends.append(arrow(u, v, directed=balanced or k > 0))
+    return BidirectedGraph(m, ends)
+
+
+def test_determinant_typing_matches_root_counts_on_random_graphs():
+    rng = random.Random(67)
+    for balanced in (True, False):
+        for _ in range(12):
+            m = rng.randint(2 if balanced else 3, 7)
+            B = _loopless_graph(rng, m, rng.randint(0 if balanced else 1, 3), balanced)
+            assert balance(B).beta == (1 if balanced else 0)
+            q = B.incidence_form()
+            typ, crk = dynkin_type(q)
+            assert (typ, crk) == _root_count_type(q)
+            # Theorem: balanced graphs give A_{m-1}, unbalanced ones D_m (A_3 when m = 3)
+            fam = "A" if balanced or m == 3 else "D"
+            assert typ == DynkinType(fam, m - 1 if balanced else m)
+
+
+# -- G-steps as column operations equal the dense products ------------------
+
+
+def _dense_step(q, step):
+    n = q.n
+    T = [[int(a == b) for b in range(n)] for a in range(n)]
+    if step[0] == "gabrielov":
+        _, i, j = step
+        if q.coefficient(i, i):
+            T[i - 1][j - 1] = -(q.coefficient(i, j) // q.coefficient(i, i))
+    elif step[0] == "sign":
+        T[step[1] - 1][step[1] - 1] = -1
+    else:
+        T = [[int(step[1][b] - 1 == a) for b in range(n)] for a in range(n)]
+    return IntMatrix(T)
+
+
+def test_then_steps_equal_dense_products():
+    rng = random.Random(71)
+    for q in (Q_ALGO, canonical_c_graph(4, 2, 1).incidence_form(), dynkin_unit_form("D", 6)):
+        T, cur = GTransform.identity(q.n), q
+        for _ in range(40):
+            kind = rng.randrange(3)
+            if kind == 0:
+                step = ("gabrielov", *rng.sample(range(1, q.n + 1), 2))
+                try:
+                    T2, nxt = T.then_gabrielov(cur, step[1], step[2])
+                except NotCoxRegular:
+                    continue
+            elif kind == 1:
+                step = ("sign", rng.randint(1, q.n))
+                T2, nxt = T.then_sign(cur, step[1])
+            else:
+                pi = list(range(1, q.n + 1))
+                rng.shuffle(pi)
+                step = ("perm", tuple(pi))
+                T2, nxt = T.then_perm(cur, pi)
+            M = _dense_step(cur, step)
+            assert T2.matrix == T.matrix @ M
+            assert nxt == cur.compose(M)
+            assert T2.steps == T.steps + (step,)
+            T, cur = T2, nxt
+        assert cur == q.compose(T.matrix)
+
+
+def test_then_steps_reject_bad_input():
+    T = GTransform.identity(3)
+    q = IntegralQuadraticForm([2, 1, 1], {(1, 2): 1})
+    with pytest.raises(NotCoxRegular):
+        T.then_gabrielov(q, 1, 2)
+    with pytest.raises(InvalidInput):
+        T.then_perm(q, (1, 1, 2))
+    with pytest.raises(InvalidInput):
+        T.then_perm(q, (1, 2))
+    with pytest.raises(InvalidInput):
+        T.then_sign(q, 4)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bidiforms.cli import run
 
 FIX = "fixtures"
@@ -195,3 +197,59 @@ def test_json_round_trip_of_emitted_graph(capsys):
 
     payload = json.loads(out)
     assert BidirectedGraph.from_json_dict(payload).to_json_dict() == payload
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("qf-info", {"n": 2, "diag": [1.9, True], "off": [[1, 2, "-1"]]}),
+        ("qf-info", {"n": 2, "diag": [1, 1], "off": [[1, 2, "-1"]]}),
+        ("qf-info", {"n": 2.0, "diag": [1, 1]}),
+        ("bg-form", {"vertices": 2, "arrows": [{"ends": [[1, 1.0], [2, -1]]}]}),
+        ("bg-form", {"vertices": True, "arrows": [{"ends": [[1, 1], [2, -1]]}]}),
+        ("bg-form", {"vertices": 2, "arrows": [{"ends": [[1, 1], [2, -1], [2, 1]]}]}),
+        (
+            "gentle-euler",
+            {"vertices": 2, "arrows": [{"name": "a", "src": 1, "tgt": "2"}], "relations": []},
+        ),
+    ],
+)
+def test_non_integer_json_numbers_exit_2(capsys, tmp_path, command, payload):
+    # bool, float and str are refused, not truncated or coerced by int()
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert run([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_gtransform_json_rejects_non_integers():
+    from bidiforms.classify import GTransform
+    from bidiforms.errors import InvalidInput
+
+    with pytest.raises(InvalidInput):
+        GTransform.from_json_dict({"matrix": [[1, 0], [0, 1.0]], "steps": []})
+    with pytest.raises(InvalidInput):
+        GTransform.from_json_dict(
+            {"matrix": [[1, 0], [0, 1]], "steps": [{"op": "sign", "i": True}]}
+        )
+
+
+def test_verify_reports_why_a_check_failed(capsys, tmp_path):
+    # a well-formed unit form in place of the type-C fixture makes canonical_c refuse
+    (tmp_path / "typec_rank3_form.json").write_text(
+        json.dumps({"n": 2, "diag": [1, 1], "off": [[1, 2, -1]]})
+    )
+    code, out = run_capture(capsys, ["verify", str(tmp_path), "--only", "algo-pipeline"])
+    assert code == 1
+    assert out.startswith("FAIL  algo-pipeline: NotTypeC: ")
+
+
+@pytest.mark.parametrize("command", ["qf-realize", "qf-canonical-c"])
+@pytest.mark.parametrize("fixture", ["c4_form", "typec_rank3_form"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_output_is_byte_identical_to_golden(capsys, command, fixture, fmt):
+    code, out = run_capture(capsys, [command, f"{FIX}/{fixture}.json", "--format", fmt])
+    assert code == 0
+    with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
+        assert out == fh.read()

@@ -100,3 +100,27 @@ def test_matmul_and_transpose():
     assert (A @ B).to_lists() == [[2, 1], [4, 3]]
     assert A.transpose().to_lists() == [[1, 3], [2, 4]]
     assert A.matvec((1, 1)) == (3, 7)
+
+
+def test_psd_rank_pivot_count_equals_rank():
+    # the pivot count of a PSD matrix and the second elimination of an
+    # indefinite one must both agree with the plain rational rank
+    rng = random.Random(53)
+    psd_seen = indefinite_seen = 0
+    for _ in range(120):
+        n = rng.randint(1, 7)
+        if rng.random() < 0.5:
+            rows = rng.randint(1, n + 1)
+            A = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(rows)])
+            G = A.transpose() @ A
+        else:
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    G[i][j] = G[j][i] = rng.randint(-3, 3)
+            G = IntMatrix(G)
+        is_psd, rank = psd_rank(G)
+        assert rank == G.rank()
+        psd_seen += is_psd
+        indefinite_seen += not is_psd
+    assert psd_seen > 30 and indefinite_seen > 30

@@ -199,3 +199,15 @@ def test_permuted_is_trivial_equivalence():
         for k in range(4):
             y[pi[k] - 1] = x[k]
         assert qp.evaluate(x) == q.evaluate(y)
+
+
+def test_off_is_read_only():
+    q = IntegralQuadraticForm([1, 1], {(1, 2): -1})
+    h = hash(q)
+    analyze(q)
+    with pytest.raises(TypeError):
+        q.off[(1, 2)] = -3
+    with pytest.raises(TypeError):
+        del q.off[(1, 2)]
+    assert q.off == {(1, 2): -1} and hash(q) == h
+    assert analyze(q).rank == 2
