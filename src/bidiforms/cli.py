@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import bidigraph as bg
@@ -215,10 +214,7 @@ def _walk_seq_text(seq):
 def _cmd_bg_roots(args):
     B = _load_graph(args.graph)
     cap = args.max_len if args.max_len else 2 * (B.n + B.m)
-    if args.jobs > 1:
-        vectors = _roots_parallel(B, args.set, cap, args.jobs)
-    else:
-        vectors = walks.theorem_c_roots(B, args.set, cap).vectors
+    vectors = walks.theorem_c_roots(B, args.set, cap).vectors
     payload = {"set": args.set, "max_len": cap, "vectors": sorted(map(list, vectors))}
     _emit(
         payload,
@@ -226,33 +222,6 @@ def _cmd_bg_roots(args):
         lambda p: "\n".join(str(v) for v in p["vectors"]) or "(empty)",
     )
     return EXIT_OK
-
-
-def _roots_parallel(B, d, cap, jobs):
-    if not B.is_connected():
-        raise InvalidInput("theorem_c_roots needs a connected graph")
-
-    def per_start(start):
-        collected = set()
-        for (v, sign, x) in walks._walk_states(B, start, cap, cap):
-            closed = v == start
-            if d == 0 and closed and sign == 1:
-                collected.add(x)
-            elif d == 1 and not closed:
-                collected.add(x)
-            elif d == 2 and closed and sign == -1:
-                collected.add(x)
-        return collected
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        parts = pool.map(per_start, range(1, B.m + 1))
-    vectors = set()
-    for part in parts:
-        vectors |= part
-    vectors |= {tuple(-c for c in x) for x in vectors}
-    if d != 0:
-        vectors.discard((0,) * B.n)
-    return vectors
 
 
 def _cmd_bg_line(args):
@@ -434,10 +403,6 @@ def _build_parser():
 
     def common(sp):
         sp.add_argument("--format", choices=("json", "text"), default="json")
-        sp.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker threads for root enumeration (other commands ignore this)",
-        )
 
     sp = sub.add_parser("qf-info", help="analyze a quadratic form")
     sp.add_argument("form")

@@ -269,6 +269,7 @@ def form_of(delta: Bigraph) -> IntegralQuadraticForm:
 class FormAnalysis:
     connected: bool
     irreducible: bool
+    content: int  # gcd of all coefficients; every value of q is a multiple of it
     unit: bool
     semi_unit: bool
     fully_regular: bool
@@ -295,23 +296,13 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         v % q.diag[i - 1] == 0 and v % q.diag[j - 1] == 0 for (i, j), v in q.off.items()
     )
     classic = cox_regular and all(v <= 0 for v in q.off.values())
-    if cox_regular:
-        g = 0
-        for d in q.diag:
-            g = gcd(g, d)
-        irreducible = g == 1
-    else:
-        g = 0
-        for d in q.diag:
-            g = gcd(g, d)
-        for v in q.off.values():
-            g = gcd(g, v)
-        irreducible = g == 1
+    content = gcd(*q.diag, *q.off.values())
     non_negative, rank = psd_rank(q.gram())
     radical = tuple(integer_kernel(q.gram()))
     return FormAnalysis(
         connected=bigraph_of(q).is_connected(),
-        irreducible=irreducible,
+        irreducible=content == 1,
+        content=content,
         unit=unit,
         semi_unit=semi_unit,
         fully_regular=fully_regular,

@@ -180,7 +180,6 @@ def solve(
     q: IntegralQuadraticForm,
     d: int,
     bound: Optional[int] = None,
-    use_walk_sum: bool = False,
 ) -> Representation:
     """Find x with q(x) = d exactly.
 
@@ -188,7 +187,9 @@ def solve(
     type-C forms of rank >= 4 go through the canonical C_4 block and four
     squares; unit forms with a positive core of rank >= 4 are solved on the
     core by exact enumeration; everything else falls through to a bounded
-    box search with escalating bound.
+    box search with escalating bound. A d that is not a multiple of the
+    content of q (the gcd of its coefficients) is refused at once with
+    UnrepresentedWithinBound(d, 0): no x reaches it.
     """
     if d < 0:
         raise InvalidInput("solve needs d >= 0")
@@ -203,10 +204,8 @@ def solve(
                 pass
         if rep.unit and rep.rank >= 4:
             return _solve_on_core(q, rep, d)
-    if use_walk_sum and rep.non_negative and rep.connected and rep.irreducible:
-        found = _walk_sum_attempt(q, rep, d)
-        if found is not None:
-            return found
+    if rep.content == 0 or d % rep.content:
+        raise UnrepresentedWithinBound(d, 0)
     return _solve_brute(q, d, bound)
 
 
@@ -245,46 +244,6 @@ def _solve_on_core(q, rep, d):
     x = tuple(x)
     assert q.evaluate(x) == d
     return Representation(d, x, "canonical-D4-search")
-
-
-def _walk_sum_attempt(q, rep, d, k_extra=2):
-    """Heuristic: try sums of 1-roots coming from open walks with common start."""
-    from .classify import realize
-
-    try:
-        B = realize(q, rep)
-    except Exception:
-        return None
-    start = 1
-    walks = []
-    seen = set()
-    frontier = [Walk(B, start)]
-    while frontier and len(walks) < 4 * B.n:
-        w = frontier.pop(0)
-        for a in range(1, B.n + 1):
-            u, u2 = B.underlying(a)
-            if w.end not in (u, u2):
-                continue
-            step_end = u2 if w.end == u else u
-            try:
-                w2 = w.compose(Walk(B, w.end, [(a, False)], [w.end, step_end]))
-            except InvalidInput:
-                continue
-            x = w2.inc()
-            if not w2.is_closed() and x not in seen and w2.length <= B.n:
-                seen.add(x)
-                walks.append(x)
-                frontier.append(w2)
-    from itertools import combinations_with_replacement
-
-    k = isqrt(d) + k_extra
-    candidates = walks[:6]
-    for reps in range(1, k + 1):
-        for combo in combinations_with_replacement(candidates, reps):
-            total = tuple(sum(c) for c in zip(*combo))
-            if q.evaluate(total) == d:
-                return Representation(d, total, "walk-sum")
-    return None
 
 
 def _solve_brute(q, d, bound):

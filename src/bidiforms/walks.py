@@ -5,12 +5,22 @@ inverse token (traversal of any other arrow is determined by the vertex
 sequence). The `inc` map sends a walk to an integer vector of the incidence
 form; open walks give 1-roots, positive closed walks 0-roots and negative
 closed walks certain 2-roots.
+
+The root enumerators never build `Walk` objects in their loops:
+
+- `theorem_c_roots` and `walk_root_cover` share one BFS over walk states
+  (vertex, sign, inc), each packed into a single int (`_WalkStates`);
+- `roots_positive` forms each root from the (inc, sigma) of two tree walks
+  to a root vertex, by inc(w1 w2) = inc(w1) + sigma(w1) inc(w2) and
+  inc(w^-1) = -sigma(w) inc(w);
+- `brute_force_roots`, the independent oracle, enumerates the box with
+  incremental partial values of the form and knows nothing of walks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain
 
 from .bidigraph import BidirectedGraph
 from .errors import InvalidInput, NotPositive
@@ -212,63 +222,139 @@ class RootSet:
 
 
 def brute_force_roots(q: IntegralQuadraticForm, d: int, bound: int) -> RootSet:
-    """Independent oracle: all x with |x_i| <= bound and q(x) = d, by enumeration."""
+    """Independent oracle: all x with |x_i| <= bound and q(x) = d, by enumeration.
+
+    An iterative odometer runs over the first n - 1 coordinates of the box.
+    For each depth it keeps the value of q on the fixed coordinates and, in
+    `lin`, the linear coefficient sum_{i<j} q_ij x_i that they pass to every
+    later x_j. The last coordinate t is then closed by one multiply-add per
+    value: q_n t^2 + lin_n t against d minus the partial value. The whole
+    box is covered, for any integral form and any d; no walk is involved.
+    """
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
+    diag = q.diag
+    last = q.n - 1
+    upper = [[] for _ in range(last + 1)]  # upper[i]: (j, q_ij) with j > i, 0-based
+    for (i, j), v in q.off.items():
+        upper[i - 1].append((j - 1, v))
+    closing = [(t, diag[last] * t * t) for t in range(-bound, bound + 1)]
+    x = [0] * last
+    lin = [0] * (last + 1)
+    partial = [0] * (last + 1)  # partial[k]: q on x_0..x_{k-1}
     hits = []
-    for x in product(range(-bound, bound + 1), repeat=q.n):
-        if q.evaluate(x) == d:
-            hits.append(x)
-    return RootSet(d, frozenset(hits))
+    k = 0
+    while True:
+        if k < last:  # fix x_k at the low end of its range
+            t = x[k] = -bound
+            for j, v in upper[k]:
+                lin[j] -= v * bound
+            partial[k + 1] = partial[k] + t * (diag[k] * t + lin[k])
+            k += 1
+            continue
+        rest = d - partial[last]
+        c = lin[last]
+        for t, sq in closing:
+            if sq + c * t == rest:
+                hits.append((*x, t))
+        while True:  # advance the deepest coordinate that is below bound
+            k -= 1
+            if k < 0:
+                return RootSet(d, frozenset(hits))
+            t = x[k]
+            if t < bound:
+                break
+            for j, v in upper[k]:
+                lin[j] -= v * bound
+        t = x[k] = t + 1
+        for j, v in upper[k]:
+            lin[j] += v
+        partial[k + 1] = partial[k] + t * (diag[k] * t + lin[k])
+        k += 1
 
 
-def _step_table(B: BidirectedGraph):
-    """Per-vertex expansion table: v -> [(arrow-1, other_end, d, sigma)]."""
-    table = {v: [] for v in range(1, B.m + 1)}
-    for a in range(1, B.n + 1):
-        u, u2 = B.underlying(a)
-        sig = B.sigma(a)
-        if B.is_directed_loop(a):
-            table[u].append((a - 1, u, 1, sig))
-            table[u].append((a - 1, u, -1, sig))
-        elif u == u2:
-            table[u].append((a - 1, u, _d(B, u, a, False), sig))
-        else:
-            table[u].append((a - 1, u2, _d(B, u, a, False), sig))
-            table[u2].append((a - 1, u, _d(B, u2, a, False), sig))
-    return table
+class _WalkStates:
+    """Walk states (v, sign, inc) with |inc_i| <= prune, each packed into one int.
 
-
-def _walk_states(B: BidirectedGraph, start: int, length_cap: int, prune: int):
-    """All (vertex, sign, inc) states reachable by walks from `start`.
-
-    States are deduplicated; inc of a one-step extension is
-    inc + sign * d(v, a) * E_a, which only depends on the state. Coordinates
-    are pruned at |x_i| <= prune.
+    A state is low + 2m * key, where low = 2(v - 1) + [sign < 0] and
+    key = sum_i (inc_i + prune) * base^i with base = 2 prune + 1, so the key
+    of -inc is 2 * zero - key. `moves[low]` lists (weight, edge, delta) per
+    step out of that (vertex, sign): the step moves digit
+    s // weight % base of state s by one, is pruned when the digit already
+    sits at `edge`, and leads to s + delta. inc of a one-step extension is
+    inc + sign * d(v, a) * E_a, which only depends on the state.
     """
-    table = _step_table(B)
-    init = (start, 1, (0,) * B.n)
-    seen = {init}
-    frontier = [init]
-    for _ in range(length_cap):
-        frontier = _expand_level(frontier, table, prune, seen)
-        if not frontier:
-            break
-    return seen
 
+    def __init__(self, B: BidirectedGraph, prune: int):
+        n = B.n
+        self.n = n
+        self.prune = prune = max(prune, 0)  # a negative prune admits no step, like 0
+        self.m2 = m2 = 2 * B.m
+        self.base = base = 2 * prune + 1
+        self.zero = sum(prune * base**i for i in range(n))
+        self.moves = moves = [[] for _ in range(m2)]
+        for a in range(1, n + 1):
+            u, u2 = B.underlying(a)
+            sig = B.sigma(a)
+            if B.is_directed_loop(a):
+                steps = [(u, u, 1), (u, u, -1)]
+            elif u == u2:
+                steps = [(u, u, _d(B, u, a, False))]
+            else:
+                steps = [(u, u2, _d(B, u, a, False)), (u2, u, _d(B, u2, a, False))]
+            weight = m2 * base ** (a - 1)
+            for v, w, d in steps:
+                for sign in (1, -1):
+                    low = 2 * (v - 1) + (sign < 0)
+                    to = 2 * (w - 1) + (sign * sig < 0)
+                    step = sign * d
+                    moves[low].append((weight, 2 * prune if step > 0 else 0, to - low + step * weight))
 
-def _expand_level(frontier, table, prune, seen):
-    nxt = []
-    for (v, sign, x) in frontier:
-        for (ai, w, d, sig) in table[v]:
-            val = x[ai] + sign * d
-            if abs(val) > prune:
-                continue
-            state = (w, sign * sig, x[:ai] + (val,) + x[ai + 1 :])
-            if state not in seen:
-                seen.add(state)
-                nxt.append(state)
-    return nxt
+    def start(self, v: int) -> int:
+        """The trivial walk at v."""
+        return 2 * (v - 1) + self.m2 * self.zero
+
+    def levels(self, start: int, length_cap: int):
+        """The BFS levels of the walks from `start`, up to `length_cap` steps, as sets of states.
+
+        Every step is undone by one step (the same arrow back, or the other
+        direction of a directed loop), and the undoing step passes the
+        prune, so the neighbours of a level lie in the level before it, in
+        it, or in the next one. Two levels therefore tell new states from
+        seen ones, and only two are kept.
+        """
+        moves, m2, base = self.moves, self.m2, self.base
+        before, level = set(), {self.start(start)}
+        yield level
+        for _ in range(length_cap):
+            nxt = set()
+            for s in level:
+                for weight, edge, delta in moves[s % m2]:
+                    if s // weight % base != edge:
+                        t = s + delta
+                        if t not in level and t not in before:
+                            nxt.add(t)
+            if not nxt:
+                return
+            before, level = level, nxt
+            yield level
+
+    def keys(self, vectors) -> set:
+        """The keys of the inc vectors `vectors`, each |x_i| <= prune."""
+        base, prune = self.base, self.prune
+        vectors = list(vectors)
+        keys = [0] * len(vectors)
+        for i in reversed(range(self.n)):  # Horner, one coordinate at a time
+            keys = [k * base + x[i] + prune for k, x in zip(keys, vectors)]
+        return set(keys)
+
+    def sign_closed_vectors(self, keys) -> frozenset:
+        """{x, -x} for the inc vector x of every key, decoded one digit at a time."""
+        base, prune = self.base, self.prune
+        keys = list(keys)
+        digits = [[k // base**i % base - prune for k in keys] for i in range(self.n)]
+        negated = [[-c for c in column] for column in digits]
+        return frozenset(chain(zip(*digits), zip(*negated)))
 
 
 def theorem_c_roots(
@@ -285,22 +371,19 @@ def theorem_c_roots(
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
-    if prune is None:
-        prune = length_cap
-    vectors = set()
+    states = _WalkStates(B, length_cap if prune is None else prune)
+    m2 = states.m2
+    keys = set()
     for start in range(1, B.m + 1):
-        for (v, sign, x) in _walk_states(B, start, length_cap, prune):
-            closed = v == start
-            if d == 0 and closed and sign == 1:
-                vectors.add(x)
-            elif d == 1 and not closed:
-                vectors.add(x)
-            elif d == 2 and closed and sign == -1:
-                vectors.add(x)
-    vectors |= {tuple(-c for c in x) for x in vectors}
+        home = 2 * (start - 1) + (d == 2)  # closed walks of sign +1 for d = 0, -1 for d = 2
+        for level in states.levels(start, length_cap):
+            if d == 1:  # open walks end away from start
+                keys.update(s // m2 for s in level if s % m2 >> 1 != start - 1)
+            else:
+                keys.update(s // m2 for s in level if s % m2 == home)
     if d != 0:
-        vectors.discard((0,) * B.n)
-    return RootSet(d, frozenset(vectors))
+        keys.discard(states.zero)
+    return RootSet(d, states.sign_closed_vectors(keys))
 
 
 def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
@@ -316,47 +399,38 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     if not B.is_connected():
         raise InvalidInput("walk_root_cover needs a connected graph")
     q = B.incidence_form()
-    t0 = brute_force_roots(q, 0, bound).vectors
-    t1 = brute_force_roots(q, 1, bound).vectors
+    states = _WalkStates(B, bound + 1)
+    want0 = states.keys(brute_force_roots(q, 0, bound).vectors)
+    want1 = states.keys(brute_force_roots(q, 1, bound).vectors)
     first_check = B.n + B.m
     hard = max(4 * B.n * bound, first_check)
-    prune = bound + 1
-    table = _step_table(B)
-    zero = (0,) * B.n
+    m2, zero = states.m2, states.zero
+    mirror = 2 * zero
     sets = {0: {zero}, 1: set(), 2: set()}
-
-    def classify(start, state):
-        v, sign, x = state
-        if v == start:
-            d = 0 if sign == 1 else 2
-        else:
-            d = 1
-        if d == 0 or any(x):
-            sets[d].add(x)
-            sets[d].add(tuple(-c for c in x))
-
-    frontiers = []
+    runs = []
     for start in range(1, B.m + 1):
-        init = (start, 1, zero)
-        frontiers.append((start, {init}, [init]))
-    level = 0
-    while level < hard:
-        level += 1
+        levels = states.levels(start, hard)
+        next(levels)  # the trivial walk, a 0-root already in sets[0]
+        runs.append((2 * (start - 1), levels))
+    for level in range(1, hard + 1):
         alive = False
-        for idx, (start, seen, frontier) in enumerate(frontiers):
-            if not frontier:
-                continue
-            nxt = _expand_level(frontier, table, prune, seen)
-            for state in nxt:
-                classify(start, state)
-            frontiers[idx] = (start, seen, nxt)
-            alive = alive or bool(nxt)
-        if not alive:
+        for home, levels in runs:
+            for s in next(levels, ()):
+                alive = True
+                low, key = s % m2, s // m2
+                if low == home:
+                    target = sets[0]
+                elif key == zero:
+                    continue
+                else:
+                    target = sets[2] if low == home + 1 else sets[1]
+                target.add(key)
+                target.add(mirror - key)
+        if not alive or level >= first_check and want0 <= sets[0] and want1 <= sets[1]:
             break
-        if level >= first_check and t0 <= sets[0] and t1 <= sets[1]:
-            return {d: frozenset(s) for d, s in sets.items()}, True
-    covered = t0 <= sets[0] and t1 <= sets[1]
-    return {d: frozenset(s) for d, s in sets.items()}, covered
+    covered = want0 <= sets[0] and want1 <= sets[1]
+    # the key sets are sign-closed: decode the half at or below zero
+    return {d: states.sign_closed_vectors(k for k in sets.pop(d) if k <= zero) for d in (0, 1, 2)}, covered
 
 
 @dataclass(frozen=True)
@@ -382,22 +456,21 @@ def roots_positive(B: BidirectedGraph) -> PositiveRoots:
     if m == n + 1:
         return _tree_roots(B)
     if m == n:
-        cycle = _unique_cycle_walk(B)
-        if cycle.sigma() != -1:
-            raise NotPositive("balanced 1-tree; the incidence form is not positive")
-        return _one_tree_roots(B, cycle)
+        return _one_tree_roots(B)
     raise NotPositive("graph is neither a tree nor a 1-tree")
 
 
 def _tree_roots(B):
     q = B.incidence_form()
-    walks = _tree_walks_to_root(B, root=1)
+    incs = _tree_incs(B, _adjacency(B), root=1)
     vectors = {(0,) * B.n}
     counts = {0: 1, 1: 0}
     for s in range(1, B.m + 1):
+        a_s, sig_s = incs[s]
         for t in range(s + 1, B.m + 1):
-            w = walks[s].compose(walks[t].inverse()).reduce()
-            x = w.inc()
+            a_t, sig_t = incs[t]
+            f = sig_s * sig_t
+            x = tuple(p - f * r for p, r in zip(a_s, a_t))  # inc(w_s w_t^-1)
             assert q.evaluate(x) == 1
             vectors.add(x)
             vectors.add(tuple(-c for c in x))
@@ -406,18 +479,27 @@ def _tree_roots(B):
     return PositiveRoots(frozenset(vectors), counts)
 
 
-def _one_tree_roots(B, cycle):
+def _one_tree_roots(B):
+    adj = _adjacency(B)
+    cycle = _unique_cycle_walk(B, adj)
+    sig_w = cycle.sigma()
+    if sig_w != -1:
+        raise NotPositive("balanced 1-tree; the incidence form is not positive")
     q = B.incidence_form()
-    v0 = cycle.start
-    walks = _tree_walks_to_root(B, root=v0)
+    w = cycle.inc()
+    incs = _tree_incs(B, adj, root=cycle.start)
     vectors = {(0,) * B.n}
     counts = {0: 1, 1: 0, 2: 0}
     for s in range(1, B.m + 1):
+        a_s, sig_s = incs[s]
         for t in range(s, B.m + 1):
-            ks = (1,) if s == t else (0, 1)
-            for k in ks:
-                w = walks[s].compose(cycle.power(k)).compose(walks[t].inverse()).reduce()
-                x = w.inc()
+            a_t, sig_t = incs[t]
+            f = sig_s * sig_t
+            # inc(w_s w_t^-1), then inc(w_s w w_t^-1) for the cycle walk w
+            xs = [] if s == t else [tuple(p - f * r for p, r in zip(a_s, a_t))]
+            f *= sig_w
+            xs.append(tuple(p + sig_s * e - f * r for p, e, r in zip(a_s, w, a_t)))
+            for x in xs:
                 val = q.evaluate(x)
                 assert val in (1, 2)
                 vectors.add(x)
@@ -428,37 +510,41 @@ def _one_tree_roots(B, cycle):
     return PositiveRoots(frozenset(vectors), counts)
 
 
-def _tree_walks_to_root(B, root):
-    """Minimal walks from every vertex to `root` (BFS, smallest arrow first)."""
-    prev = {root: None}
+def _adjacency(B):
+    """v -> [(arrow, other end)] over the arrows that are not loops, smallest arrow first."""
+    adj = {v: [] for v in range(1, B.m + 1)}
+    for a in range(1, B.n + 1):
+        u, u2 = B.underlying(a)
+        if u != u2:
+            adj[u].append((a, u2))
+            adj[u2].append((a, u))
+    return adj
+
+
+def _tree_incs(B, adj, root):
+    """(inc, sigma) of the minimal walk from every vertex to `root`.
+
+    The walks follow a BFS tree, smallest arrow first. The walk from w is one
+    step along its tree arrow a to the parent v, then the walk from v, so
+    inc_w = d(w, a) E_a + sigma(a) inc_v and sigma_w = sigma(a) sigma_v.
+    """
+    incs = {root: ((0,) * B.n, 1)}
     order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for a in range(1, B.n + 1):
-            if B.is_loop(a):
-                continue
-            u, u2 = B.underlying(a)
-            if v not in (u, u2):
-                continue
-            w = u2 if v == u else u
-            if w not in prev:
-                prev[w] = (v, a)
+    for v in order:  # `order` grows while it is read: a queue without pops
+        x, sig = incs[v]
+        for a, w in adj[v]:
+            if w not in incs:
+                sig_a = B.sigma(a)
+                y = [sig_a * c for c in x]
+                y[a - 1] += _d(B, w, a, False)
+                incs[w] = (tuple(y), sig_a * sig)
                 order.append(w)
-                queue.append(w)
-    if len(prev) != B.m:
+    if len(incs) != B.m:
         raise NotPositive("graph is not connected")
-    walks = {}
-    for v in order:
-        if prev[v] is None:
-            walks[v] = Walk(B, v)
-        else:
-            nxt, a = prev[v]
-            walks[v] = Walk(B, v, [(a, False)]).compose(walks[nxt])
-    return walks
+    return incs
 
 
-def _unique_cycle_walk(B) -> Walk:
+def _unique_cycle_walk(B, adj) -> Walk:
     """The unique cycle of a 1-tree as a closed walk (loops and parallel pairs included)."""
     loops = [a for a in range(1, B.n + 1) if B.is_loop(a)]
     if loops:
@@ -478,13 +564,9 @@ def _unique_cycle_walk(B) -> Walk:
     back = None
     while stack and back is None:
         v, via = stack.pop()
-        for a in range(1, B.n + 1):
+        for a, w in adj[v]:
             if a == via:
                 continue
-            u, u2 = B.underlying(a)
-            if v not in (u, u2):
-                continue
-            w = u2 if v == u else u
             if w in parent:
                 back = (v, a, w)
                 break

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bidiforms
 from bidiforms.cli import run
 
 FIX = "fixtures"
@@ -110,16 +114,6 @@ def test_bg_roots_max_len_flag(capsys):
     payload = json.loads(out)
     assert payload["max_len"] == 3
     assert [1, 1, 1] in payload["vectors"]  # the full path needs length 3
-
-
-def test_bg_roots_parallel_jobs_match(capsys):
-    code, seq = run_capture(capsys, ["bg-roots", f"{FIX}/three_vertex_graph.json", "--set", "1"])
-    assert code == 0
-    code, par = run_capture(
-        capsys, ["bg-roots", f"{FIX}/three_vertex_graph.json", "--set", "1", "--jobs", "3"]
-    )
-    assert code == 0
-    assert json.loads(seq)["vectors"] == json.loads(par)["vectors"]
 
 
 def test_bg_line(capsys):
@@ -253,3 +247,28 @@ def test_output_is_byte_identical_to_golden(capsys, command, fixture, fmt):
     assert code == 0
     with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
         assert out == fh.read()
+
+
+@pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
+@pytest.mark.parametrize("root_set", ["0", "1", "2"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bg_roots_byte_identical_to_golden(capsys, fixture, root_set, fmt):
+    code, out = run_capture(capsys, ["bg-roots", f"{FIX}/{fixture}.json", "--set", root_set, "--format", fmt])
+    assert code == 0
+    with open(f"tests/golden/bg-roots__{fixture}.set{root_set}.{fmt}.out") as fh:
+        assert out == fh.read()
+
+
+def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
+    # 2(x1^2 + ... + x5^2) = 1 has no solution; the command must say so, not search forever
+    form = tmp_path / "even_form.json"
+    form.write_text(json.dumps({"n": 5, "diag": [2] * 5, "off": []}))
+    src = os.path.dirname(os.path.dirname(bidiforms.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "bidiforms.cli", "qf-solve", str(form), "-d", "1"],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")

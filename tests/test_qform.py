@@ -81,6 +81,17 @@ def test_analyze_zero_form():
     assert rep.rank == 0 and rep.corank == 1
     assert rep.radical_basis == ((1,),)
     assert not rep.irreducible
+    assert rep.content == 0
+
+
+def test_analyze_content():
+    # the gcd of all coefficients, Cox-regular or not
+    assert analyze(IntegralQuadraticForm([2] * 5)).content == 2
+    assert analyze(IntegralQuadraticForm([2, 4], {(1, 2): 4})).content == 2
+    assert analyze(IntegralQuadraticForm([2, 4], {(1, 2): 6})).content == 2
+    assert analyze(IntegralQuadraticForm([6, 9], {(1, 2): -3})).content == 3
+    assert analyze(IntegralQuadraticForm([2, 3], {(1, 2): -1})).content == 1
+    assert analyze(Q_C2).content == 1
 
 
 def test_analyze_algo_example():

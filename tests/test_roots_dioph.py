@@ -183,15 +183,20 @@ def test_solve_unrepresented_within_bound():
         solve(q, 2, bound=3)
 
 
+def test_solve_rejects_d_outside_the_content_lattice():
+    # every value of 2(x1^2 + ... + x5^2) is even: no box search for odd d
+    q = IntegralQuadraticForm([2] * 5)
+    for d in (1, 3, 301):
+        with pytest.raises(UnrepresentedWithinBound):
+            solve(q, d)
+    assert q.evaluate(solve(q, 6).x) == 6
+    with pytest.raises(UnrepresentedWithinBound):
+        solve(zero_form(2), 1)
+
+
 def test_solve_negative_d_rejected():
     with pytest.raises(InvalidInput):
         solve(q_a(4), -1)
-
-
-def test_solve_walk_sum_optional():
-    q = Q_C4
-    rep = solve(q, 5, use_walk_sum=True)
-    assert q.evaluate(rep.x) == 5
 
 
 def test_c4_value_table():

@@ -1,11 +1,14 @@
 import random
+from itertools import product
 
 import pytest
 
-from bidiforms.bidigraph import canonical_a, loops_graph
+from bidiforms.bidigraph import BidirectedGraph, canonical_a, loops_graph
 from bidiforms.errors import InvalidInput, NotPositive
+from bidiforms.qform import IntegralQuadraticForm
 from bidiforms.walks import (
     Walk,
+    _WalkStates,
     brute_force_roots,
     roots_positive,
     theorem_c_roots,
@@ -68,8 +71,8 @@ def test_inc_intertwining_identity():
         assert list(lhs) == expected
 
 
-def random_walk(rng, B, max_len=6):
-    w = trivial_walk(B, rng.randint(1, B.m))
+def random_walk(rng, B, max_len=6, start=None):
+    w = trivial_walk(B, start or rng.randint(1, B.m))
     for _ in range(rng.randint(0, max_len)):
         v = w.end
         options = []
@@ -94,9 +97,7 @@ def test_compose_inc_law():
     for _ in range(40):
         B = random_connected(rng)
         w1 = random_walk(rng, B)
-        w2 = random_walk(rng, B)
-        if w1.end != w2.start:
-            continue
+        w2 = random_walk(rng, B, start=w1.end)
         w = w1.compose(w2)
         lhs = w.inc()
         rhs = tuple(
@@ -250,3 +251,221 @@ def test_roots_positive_rejects_non_positive():
         roots_positive(canonical_a(2, 1))  # corank 1
     with pytest.raises(NotPositive):
         roots_positive(loops_graph(1, 1, 0))  # directed loop
+
+
+# -- the fast paths against plain references ---------------------------------
+
+
+def _naive_box(q, bound):
+    """{value: vectors} over the box |x_i| <= bound, one `evaluate` per point."""
+    by_value = {}
+    for x in product(range(-bound, bound + 1), repeat=q.n):
+        by_value.setdefault(q.evaluate(x), set()).add(x)
+    return by_value
+
+
+def test_brute_force_roots_matches_naive_box():
+    rng = random.Random(41)
+    for n in range(1, 6):
+        for bound in range(0, 4 if n < 5 else 3):
+            indefinite = IntegralQuadraticForm(
+                [rng.choice((0, -1, 1, 2)) for _ in range(n)],
+                {(i, j): rng.randint(-3, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)},
+            )
+            zero_diag = IntegralQuadraticForm(
+                [0] * n, {(i, i + 1): rng.choice((-2, -1, 1, 2)) for i in range(1, n)}
+            )
+            for q in (indefinite, zero_diag, random_connected(rng, n=n).incidence_form()):
+                by_value = _naive_box(q, bound)
+                for d in (-1, 0, 1, 2, 5):
+                    assert brute_force_roots(q, d, bound).vectors == by_value.get(d, set())
+
+
+def test_brute_force_roots_deep_form_without_recursion():
+    q = IntegralQuadraticForm([1] * 1000, {(i, i + 1): -1 for i in range(1, 1000)})
+    assert brute_force_roots(q, 0, 0).vectors == {(0,) * 1000}
+    assert brute_force_roots(q, 1, 0).vectors == frozenset()
+    with pytest.raises(InvalidInput):
+        brute_force_roots(q, 0, -1)
+
+
+def _reference_states(B, start, length_cap, prune):
+    """Walk states (vertex, sign, inc) from `start` as tuples, by a plain BFS."""
+    steps = {v: [] for v in range(1, B.m + 1)}  # v -> (arrow, next vertex, d(v, arrow))
+    for a in range(1, B.n + 1):
+        (u, e), (u2, e2) = B.arrow_ends(a)
+        if B.is_directed_loop(a):
+            steps[u] += [(a, u, 1), (a, u, -1)]
+        elif u == u2:
+            steps[u].append((a, u, e))
+        else:
+            steps[u].append((a, u2, e))
+            steps[u2].append((a, u, e2))
+    init = (start, 1, (0,) * B.n)
+    levels = [[init]]
+    seen = {init}
+    for _ in range(length_cap):
+        nxt = []
+        for v, sign, x in levels[-1]:
+            for a, w, d in steps[v]:
+                y = list(x)
+                y[a - 1] += sign * d
+                state = (w, sign * B.sigma(a), tuple(y))
+                if abs(y[a - 1]) <= prune and state not in seen:
+                    seen.add(state)
+                    nxt.append(state)
+        if not nxt:
+            break
+        levels.append(nxt)
+    return levels
+
+
+def _reference_class(start, state):
+    v, sign, _ = state
+    return 1 if v != start else (0 if sign == 1 else 2)
+
+
+def _sign_closed(vectors):
+    return frozenset(vectors) | {tuple(-c for c in x) for x in vectors}
+
+
+def _reference_theorem_c(B, d, length_cap, prune):
+    vectors = set()
+    for start in range(1, B.m + 1):
+        for level in _reference_states(B, start, length_cap, prune):
+            vectors |= {state[2] for state in level if _reference_class(start, state) == d}
+    vectors = _sign_closed(vectors)
+    return vectors - {(0,) * B.n} if d else vectors
+
+
+def _reference_cover(B, bound):
+    q = B.incidence_form()
+    want = {d: brute_force_roots(q, d, bound).vectors for d in (0, 1)}
+    first_check = B.n + B.m
+    hard = max(4 * B.n * bound, first_check)
+    runs = {s: _reference_states(B, s, hard, bound + 1) for s in range(1, B.m + 1)}
+    sets = {0: {(0,) * B.n}, 1: set(), 2: set()}
+    for level in range(1, hard + 1):
+        alive = False
+        for start, levels in runs.items():
+            for state in levels[level] if level < len(levels) else ():
+                alive = True
+                d = _reference_class(start, state)
+                if d == 0 or any(state[2]):
+                    sets[d] |= _sign_closed([state[2]])
+        covered = want[0] <= sets[0] and want[1] <= sets[1]
+        if not alive or level >= first_check and covered:
+            break
+    return {d: frozenset(s) for d, s in sets.items()}, want[0] <= sets[0] and want[1] <= sets[1]
+
+
+def _unpacked(states, s):
+    low, key = divmod(s, states.m2)[::-1]
+    x = []
+    for _ in range(states.n):
+        key, digit = divmod(key, states.base)
+        x.append(digit - states.prune)
+    return (low // 2 + 1, -1 if low % 2 else 1, tuple(x))
+
+
+def test_walk_state_levels_match_reference_bfs():
+    # two levels suffice to tell new states from seen ones: each level is exactly the reference's
+    rng = random.Random(45)
+    for _ in range(20):
+        m = rng.randint(1, 4)
+        B = random_connected(rng, m=m, n=rng.randint(max(1, m - 1), 4))
+        cap, prune = rng.randint(0, 6), rng.randint(0, 3)
+        states = _WalkStates(B, prune)
+        for start in range(1, B.m + 1):
+            got = [{_unpacked(states, s) for s in level} for level in states.levels(start, cap)]
+            assert got == [set(level) for level in _reference_states(B, start, cap, prune)]
+
+
+def test_walk_roots_match_tuple_state_reference():
+    rng = random.Random(43)
+    seen_kinds = set()
+    for _ in range(30):
+        m = rng.randint(1, 4)
+        B = random_connected(rng, m=m, n=rng.randint(max(1, m - 1), 4))
+        for a in range(1, B.n + 1):
+            if B.is_directed_loop(a):
+                seen_kinds.add("directed loop")
+            elif B.is_loop(a):
+                seen_kinds.add("bidirected loop")
+            elif sorted(B.underlying(a)) in [sorted(B.underlying(b)) for b in range(1, a)]:
+                seen_kinds.add("parallel")
+        for d in (0, 1, 2):
+            cap = rng.randint(0, 6)
+            assert theorem_c_roots(B, d, cap).vectors == _reference_theorem_c(B, d, cap, cap)
+            prune = rng.randint(-1, 3)
+            assert theorem_c_roots(B, d, cap, prune).vectors == _reference_theorem_c(B, d, cap, prune)
+        bound = rng.randint(0, 2)
+        assert walk_root_cover(B, bound) == _reference_cover(B, bound)
+    assert seen_kinds == {"directed loop", "bidirected loop", "parallel"}
+
+
+def _reference_positive_roots(B):
+    """Roots of a tree or unbalanced 1-tree from composed, reduced `Walk`s."""
+    order, prev = [1], {1: None}  # BFS spanning tree, rooted at 1
+    for v in order:
+        for a in range(1, B.n + 1):
+            u, u2 = B.underlying(a)
+            if u != u2 and v in (u, u2):
+                w = u2 if v == u else u
+                if w not in prev:
+                    prev[w] = (v, a)
+                    order.append(w)
+    to_root = {}
+    for v in order:
+        to_root[v] = Walk(B, v)
+        if prev[v] is not None:
+            to_root[v] = Walk(B, v, [(prev[v][1], False)]).compose(to_root[prev[v][0]])
+    pairs = [(s, t) for s in range(1, B.m + 1) for t in range(s, B.m + 1)]
+    walks = [to_root[s].compose(to_root[t].inverse()) for s, t in pairs if s < t]
+    if B.m == B.n:  # the arrow left out of the tree closes the cycle
+        (extra,) = set(range(1, B.n + 1)) - {p[1] for p in prev.values() if p}
+        u, u2 = B.underlying(extra)
+        cycle = to_root[u].inverse().compose(Walk(B, u, [(extra, False)])).compose(to_root[u2])
+        walks += [to_root[s].compose(cycle).compose(to_root[t].inverse()) for s, t in pairs]
+    return _sign_closed([(0,) * B.n] + [w.reduce().inc() for w in walks])
+
+
+def random_tree_like(rng, m, cycle):
+    """A random tree on m vertices (a path for a long cycle) and one arrow closing a cycle."""
+    ends = []
+    for v in range(2, m + 1):
+        u = v - 1 if cycle == "long" else rng.randint(1, v - 1)
+        ends.append(((u, rng.choice((1, -1))), (v, rng.choice((1, -1)))))
+    if cycle == "loop":
+        u = rng.randint(1, m)
+        ends.append(((u, 1), (u, 1)))
+    elif cycle == "parallel":
+        (u, _), (v, _) = rng.choice(ends)
+        ends.append(((u, rng.choice((1, -1))), (v, rng.choice((1, -1)))))
+    elif cycle == "long":
+        ends.append(((1, rng.choice((1, -1))), (m, rng.choice((1, -1)))))
+    perm = list(range(1, m + 1))
+    rng.shuffle(perm)
+    ends = [((perm[u - 1], e), (perm[v - 1], f)) for (u, e), (v, f) in ends]
+    rng.shuffle(ends)
+    return BidirectedGraph(m, ends)
+
+
+def test_roots_positive_matches_walk_composition():
+    rng = random.Random(47)
+    kinds = {"tree": 0, "loop": 0, "parallel": 0, "long": 0}
+    while min(kinds.values()) < 6:
+        kind = rng.choice(list(kinds))
+        B = random_tree_like(rng, rng.randint(3, 7), None if kind == "tree" else kind)
+        try:
+            rep = roots_positive(B)
+        except NotPositive:  # a balanced cycle
+            assert kind != "tree"
+            continue
+        kinds[kind] += 1
+        assert rep.vectors == _reference_positive_roots(B)
+        q = B.incidence_form()
+        counts = {}
+        for x in rep.vectors:
+            counts[q.evaluate(x)] = counts.get(q.evaluate(x), 0) + 1
+        assert rep.value_counts == counts
