@@ -6,6 +6,11 @@ type-C test, realization of forms as incidence forms, the canonical
 (c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. The
 exact root enumeration (`positive_roots_by_value`, `one_root_count`) is kept
 as an independent oracle for the determinant typing.
+
+The type-C reductions run on one step chase (`_Chase`). Both normal forms
+share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
+`dynkin_plus_zero` loop-stripping rewrites. A `GTransform`, with its
+unimodularity check, is built once per public result.
 """
 
 from __future__ import annotations
@@ -17,12 +22,9 @@ from math import isqrt
 
 from .bidigraph import (
     BidirectedGraph,
-    arrow_permutation,
+    apply,
     canonical_c as canonical_c_graph,
-    endpoint_rewrite,
-    graph_gabrielov,
     rewrite_matrix,
-    sign_flip,
 )
 from .errors import (
     InvalidInput,
@@ -52,15 +54,16 @@ def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
 
 
 def _times_step(M: IntMatrix, q: IntegralQuadraticForm, step) -> IntMatrix:
-    """M times the matrix of one G-step on the current form q, in O(n^2).
+    """M times the matrix of one step on the current form q, in O(n^2).
 
     Gabrielov (i, j): column j -= (q_ij / q_i) column i; sign i: column i is
-    negated; perm pi: column b becomes the old column pi(b).
+    negated; perm pi: column b becomes the old column pi(b); rewrite
+    (i, j, eps): column j -= eps column i.
     """
     rows = [list(r) for r in M.entries]
-    if step[0] == "gabrielov":
-        _, i, j = step
-        k = _gabrielov_ratio(q, i, j)
+    if step[0] in ("gabrielov", "rewrite"):
+        i, j = step[1], step[2]
+        k = _gabrielov_ratio(q, i, j) if step[0] == "gabrielov" else step[3]
         if k:
             for r in rows:
                 r[j - 1] -= k * r[i - 1]
@@ -81,6 +84,40 @@ def _times_step(M: IntMatrix, q: IntegralQuadraticForm, step) -> IntMatrix:
 def _sign_update(q: IntegralQuadraticForm, i: int) -> IntegralQuadraticForm:
     """q with x_i replaced by -x_i: the off-diagonal terms at i change sign."""
     return IntegralQuadraticForm(q.diag, {k: -v if i in k else v for k, v in q.off.items()})
+
+
+def _step_form(q: IntegralQuadraticForm, step) -> IntegralQuadraticForm:
+    """q∘S for the matrix S of one step on q."""
+    if step[0] == "gabrielov":
+        return gabrielov_update(q, step[1], step[2])
+    if step[0] == "sign":
+        return _sign_update(q, step[1])
+    if step[0] == "perm":
+        return q.permuted(step[1])
+    return q.compose(rewrite_matrix(q.n, *step[1:]))
+
+
+class _Chase:
+    """A chain of steps from a form: the product M of their matrices, the
+    steps, the current form q∘M and, once set, a graph B realizing it. Each
+    tagged step of `_times_step` is applied to M, q and B alike."""
+
+    __slots__ = ("M", "steps", "q", "B")
+
+    def __init__(self, q: IntegralQuadraticForm):
+        self.M = IntMatrix.identity(q.n)
+        self.steps = ()
+        self.q = q
+        self.B = None
+
+    def push(self, *step):
+        q_next = _step_form(self.q, step)
+        self.M = _times_step(self.M, self.q, step)
+        self.q = q_next
+        self.steps += (step,)
+        if self.B is not None:
+            self.B = apply(self.B, step)
+            assert step[0] != "gabrielov" or self.B.incidence_form() == self.q
 
 
 class GTransform:
@@ -118,20 +155,19 @@ class GTransform:
     def identity(n: int) -> "GTransform":
         return GTransform(IntMatrix.identity(n))
 
-    def _then(self, q_current, step) -> "GTransform":
-        return GTransform(_times_step(self.matrix, q_current, step), self.steps + (step,))
+    def _then(self, q_current, step):
+        q_next = _step_form(q_current, step)
+        return GTransform(_times_step(self.matrix, q_current, step), self.steps + (step,)), q_next
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
-        q_next = gabrielov_update(q_current, i, j)
-        return self._then(q_current, ("gabrielov", i, j)), q_next
+        return self._then(q_current, ("gabrielov", i, j))
 
     def then_sign(self, q_current, i):
-        return self._then(q_current, ("sign", i)), _sign_update(q_current, i)
+        return self._then(q_current, ("sign", i))
 
     def then_perm(self, q_current, pi):
-        pi = tuple(int(p) for p in pi)
-        return self._then(q_current, ("perm", pi)), q_current.permuted(pi)
+        return self._then(q_current, ("perm", tuple(int(p) for p in pi)))
 
     def apply_to(self, q: IntegralQuadraticForm) -> IntegralQuadraticForm:
         return q.compose(self.matrix)
@@ -523,9 +559,16 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
         raise InvalidInput("pivot_saturate needs a Cox-regular form")
     if q.coefficient(i0, i0) == 0:
         raise InvalidInput("pivot variable must have a nonzero diagonal")
-    T = GTransform.identity(q.n)
-    cur = q
+    ch = _Chase(q)
+    _saturate(ch, i0)
+    return ch.q, GTransform(ch.M, ch.steps)
+
+
+def _saturate(ch: _Chase, i0: int) -> None:
+    """The steps of `pivot_saturate`, pushed onto ch."""
+    diag = ch.q.diag
     while True:
+        cur = ch.q
         S = [j for j in range(1, cur.n + 1) if j != i0 and cur.coefficient(i0, j) == 0]
         if not S:
             break
@@ -541,16 +584,16 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
                 break
         if step is None:
             raise InvalidInput("form is disconnected around the pivot")
-        T, cur = T.then_gabrielov(cur, *step)
-    for j in range(1, cur.n + 1):
-        if j != i0 and cur.coefficient(i0, j) < 0:
-            T, cur = T.then_sign(cur, j)
+        ch.push("gabrielov", *step)
+    for j in range(1, ch.q.n + 1):
+        if j != i0 and ch.q.coefficient(i0, j) < 0:
+            ch.push("sign", j)
+    cur = ch.q
     assert all(
         cur.coefficient(i0, j) > (1 if j == i0 else 0) or j == i0
         for j in range(1, cur.n + 1)
     )
-    assert cur.diag == q.diag
-    return cur, T
+    assert cur.diag == diag
 
 
 @dataclass(frozen=True)
@@ -566,12 +609,6 @@ class TechCPartition:
         for v, (plus, minus) in enumerate(self.groups, start=2):
             yield (1, v, 1), plus
             yield (1, v, -1), minus
-
-    def locate(self, idx):
-        for (k, v, eps), part in self.all_parts():
-            if idx in part:
-                return (k, v, eps)
-        raise InvalidInput(f"index {idx} not in partition")
 
 
 def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
@@ -660,22 +697,25 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
+    ch, part = _star_chase(q, rep)
+    return GTransform(ch.M, ch.steps), ch.q, ch.B, part
+
+
+def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
+    """The steps of `star_realization` as a chase ending at B', and the partition."""
     rep = rep or analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("type-C realization needs a non-negative form")
     if not _is_type_c(rep, q):
         raise NotTypeC("form is not of Dynkin type C")
-    T = GTransform.identity(q.n)
-    cur = q
+    ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
     if pivot != 1:
         pi = list(range(1, q.n + 1))
         pi[0], pi[pivot - 1] = pi[pivot - 1], pi[0]
-        T, cur = T.then_perm(cur, pi)
-    sat, T_sat = pivot_saturate(cur, 1)
-    T = GTransform(T.matrix @ T_sat.matrix, T.steps + T_sat.steps)
-    cur = sat
-    part = techc_partition(cur)
+        ch.push("perm", tuple(pi))
+    _saturate(ch, 1)
+    part = techc_partition(ch.q)
     ends = [None] * q.n
     for i in part.u2:
         ends[i - 1] = ((1, -1), (1, -1))
@@ -684,9 +724,9 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
             ends[i - 1] = ((v, 1), (1, -1))
         for i in minus:
             ends[i - 1] = ((v, -1), (1, -1))
-    B = BidirectedGraph(part.m, ends)
-    assert B.incidence_form() == cur
-    return T, cur, B, part
+    ch.B = BidirectedGraph(part.m, ends)
+    assert ch.B.incidence_form() == ch.q
+    return ch, part
 
 
 def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> BidirectedGraph:
@@ -712,17 +752,14 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
         assert B.incidence_form() == q
         return B
     T, cur, B, _ = star_realization(q, rep)
+    # Gabrielov steps and sign flips undo themselves on graphs; a perm is inverted
     for step in reversed(T.steps):
-        if step[0] == "gabrielov":
-            B = graph_gabrielov(B, step[1], step[2])
-        elif step[0] == "sign":
-            B = sign_flip(B, step[1])
-        else:
-            pi = step[1]
-            inv = [0] * len(pi)
-            for k, p in enumerate(pi, start=1):
+        if step[0] == "perm":
+            inv = [0] * len(step[1])
+            for k, p in enumerate(step[1], start=1):
                 inv[p - 1] = k
-            B = arrow_permutation(B, inv)
+            step = ("perm", inv)
+        B = apply(B, step)
     assert B.incidence_form() == q
     return B
 
@@ -814,6 +851,43 @@ def _bigraph_bfs_order(q):
 # -- canonical reduction of type C (seven steps) ----------------------------
 
 
+def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
+    """Steps 1-4 shared by both type-C normal forms: returns (chase, r, c1, c2).
+
+    After them the graph has the loop as arrow 1, one directed arrow v -> 1
+    for each vertex v >= 3 as arrows 2..r-1, the c1 + 1 parallel arrows
+    2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
+    """
+    # step 1: the star realization
+    ch, part = _star_chase(q, rep)
+    loop_arrow = part.u2[0]
+    # step 2: turn every two-head arrow v--1 into a directed arrow v->1
+    for _, minus in part.groups:
+        for j in sorted(minus):
+            ch.push("gabrielov", loop_arrow, j)
+            ch.push("sign", j)
+    # step 3: move parallel extras of groups v >= 3 into group 2
+    multi, *others = [sorted(plus) + sorted(minus) for plus, minus in part.groups]
+    anchor = min(multi)
+    singles = []
+    for arrows in others:
+        keep = min(arrows)
+        for j in arrows:
+            if j != keep:
+                ch.push("gabrielov", anchor, j)
+                ch.push("gabrielov", keep, j)
+                ch.push("sign", j)
+                multi.append(j)
+        singles.append(keep)
+    # step 4: relabel arrows into canonical order
+    multi.sort()
+    extra_loops = [i for i in part.u2 if i != loop_arrow]
+    new_order = [loop_arrow] + singles + multi + extra_loops
+    if new_order != list(range(1, q.n + 1)):
+        ch.push("perm", tuple(new_order))
+    return ch, len(singles) + 2, len(multi) - 1, len(extra_loops)
+
+
 def canonical_c(q: IntegralQuadraticForm):
     """G-transformation onto the canonical (c1,c2)-extension of type C.
 
@@ -822,78 +896,22 @@ def canonical_c(q: IntegralQuadraticForm):
     is asserted, not assumed.
     """
     rep = analyze(q)
-    T, cur, B, part = star_realization(q, rep)
-
-    state = {"T": T, "q": cur, "B": B}
-
-    def push_gab(i, j):
-        state["T"], q2 = state["T"].then_gabrielov(state["q"], i, j)
-        state["B"] = graph_gabrielov(state["B"], i, j)
-        state["q"] = q2
-        assert state["B"].incidence_form() == q2
-
-    def push_sign(i):
-        state["T"], q2 = state["T"].then_sign(state["q"], i)
-        state["B"] = sign_flip(state["B"], i)
-        state["q"] = q2
-
-    def push_perm(pi):
-        state["T"], q2 = state["T"].then_perm(state["q"], pi)
-        state["B"] = arrow_permutation(state["B"], pi)
-        state["q"] = q2
-
-    loop_arrow = part.u2[0]
-    groups = {
-        v: sorted(plus) + sorted(minus)
-        for v, (plus, minus) in enumerate(part.groups, start=2)
-    }
-    minus_sets = {
-        v: sorted(minus) for v, (_, minus) in enumerate(part.groups, start=2)
-    }
-    # step 2: turn every two-head arrow v--1 into a directed arrow v->1
-    for v in sorted(minus_sets):
-        for j in minus_sets[v]:
-            push_gab(loop_arrow, j)
-            push_sign(j)
-    # step 3: move parallel extras of groups v >= 3 into group 2
-    group_arrows = {v: list(groups[v]) for v in groups}
-    if len(group_arrows) > 1:
-        vs = sorted(group_arrows)
-        anchor = min(group_arrows[vs[0]])
-        for v in vs[1:]:
-            keep = min(group_arrows[v])
-            for j in [a for a in group_arrows[v] if a != keep]:
-                push_gab(anchor, j)
-                push_gab(keep, j)
-                push_sign(j)
-                group_arrows[v].remove(j)
-                group_arrows[vs[0]].append(j)
-    # step 4: relabel arrows into canonical order
-    vs = sorted(group_arrows)
-    singles = [min(group_arrows[v]) for v in vs[1:]]
-    multi = sorted(group_arrows[vs[0]])
-    extra_loops = [i for i in part.u2 if i != loop_arrow]
-    new_order = [loop_arrow] + singles + [multi[0]] + multi[1:] + extra_loops
-    r = len(singles) + 2
-    c1 = len(multi) - 1
-    c2 = len(extra_loops)
-    if new_order != list(range(1, q.n + 1)):
-        push_perm(tuple(new_order))
+    ch, r, c1, c2 = _directed_star(q, rep)
     # step 5: extras of the multi group become two-tail arrows
     for k in range(1, c1 + 1):
-        push_gab(1, r + k)
+        ch.push("gabrielov", 1, r + k)
     # step 6: walk the loop down the chain
     for i in range(1, r):
-        push_gab(i + 1, i)
+        ch.push("gabrielov", i + 1, i)
     # step 7: flip remaining loops from two-head to two-tail
     for k in range(1, c2 + 1):
-        push_sign(r + c1 + k)
+        ch.push("sign", r + c1 + k)
     target = canonical_c_graph(r, c1, c2).incidence_form()
-    assert state["q"] == target
-    assert q.compose(state["T"].matrix) == target
+    assert ch.q == target
+    assert q.compose(ch.M) == target
     assert c1 + c2 == rep.corank
     assert c2 == rep.dotted_loops - 1
-    return state["T"], r, c1, c2
+    return GTransform(ch.M, ch.steps), r, c1, c2
 
 
 def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
@@ -904,89 +922,25 @@ def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
     """
     if variant not in ("C", "D"):
         raise InvalidInput("variant must be 'C' or 'D'")
-    rep = analyze(q)
-    T, cur, B, part = star_realization(q, rep)
-
-    state = {"M": T.matrix, "q": cur, "B": B}
-
-    def push_gab(i, j):
-        state["M"] = _times_step(state["M"], state["q"], ("gabrielov", i, j))
-        state["B"] = graph_gabrielov(state["B"], i, j)
-        state["q"] = gabrielov_update(state["q"], i, j)
-
-    def push_sign(i):
-        state["M"] = _times_step(state["M"], state["q"], ("sign", i))
-        state["B"] = sign_flip(state["B"], i)
-        state["q"] = _sign_update(state["q"], i)
-
-    def push_perm(pi):
-        state["M"] = _times_step(state["M"], state["q"], ("perm", pi))
-        state["B"] = arrow_permutation(state["B"], pi)
-        state["q"] = state["q"].permuted(pi)
-
-    def push_rewrite(i, j, eps):
-        Mstep = rewrite_matrix(q.n, i, j, eps)
-        state["B"] = endpoint_rewrite(state["B"], i, j, eps)
-        state["q"] = state["q"].compose(Mstep)
-        state["M"] = state["M"] @ Mstep
-
-    loop_arrow = part.u2[0]
-    minus_sets = {
-        v: sorted(minus) for v, (_, minus) in enumerate(part.groups, start=2)
-    }
-    for v in sorted(minus_sets):
-        for j in minus_sets[v]:
-            push_gab(loop_arrow, j)
-            push_sign(j)
-    groups = {
-        v: sorted(plus) + sorted(minus)
-        for v, (plus, minus) in enumerate(part.groups, start=2)
-    }
-    group_arrows = {v: list(groups[v]) for v in groups}
-    if len(group_arrows) > 1:
-        vs = sorted(group_arrows)
-        anchor = min(group_arrows[vs[0]])
-        for v in vs[1:]:
-            keep = min(group_arrows[v])
-            for j in [a for a in group_arrows[v] if a != keep]:
-                push_gab(anchor, j)
-                push_gab(keep, j)
-                push_sign(j)
-                group_arrows[v].remove(j)
-                group_arrows[vs[0]].append(j)
-    vs = sorted(group_arrows)
-    singles = [min(group_arrows[v]) for v in vs[1:]]
-    multi = sorted(group_arrows[vs[0]])
-    extra_loops = [i for i in part.u2 if i != loop_arrow]
-    new_order = [loop_arrow] + singles + [multi[0]] + multi[1:] + extra_loops
-    r = len(singles) + 2
-    c1 = len(multi) - 1
-    c2 = len(extra_loops)
-    c = c1 + c2
-    if new_order != list(range(1, q.n + 1)):
-        push_perm(tuple(new_order))
+    ch, r, c1, c2 = _directed_star(q, analyze(q))
     # step 1': parallel extras become directed loops (rewrite S^+_{r, r+k})
     for k in range(1, c1 + 1):
-        push_rewrite(r, r + k, 1)
+        ch.push("rewrite", r, r + k, 1)
     # step 2': extra two-head loops become directed loops (rewrite S^+_{1, ...})
     for k in range(1, c2 + 1):
-        push_rewrite(1, r + c1 + k, 1)
+        ch.push("rewrite", 1, r + c1 + k, 1)
     # step 3': walk the loop down the chain
     for i in range(1, r):
-        push_gab(i + 1, i)
-    target_c = canonical_c_graph(r, 0, 0).incidence_form()
-    if c:
-        target_c = target_c.direct_sum(zero_form(c))
+        ch.push("gabrielov", i + 1, i)
     if variant == "C":
-        assert state["q"] == target_c
-        assert q.compose(state["M"]) == target_c
-        return state["M"], target_c
-    if r < 4:
+        target = canonical_c_graph(r, 0, 0).incidence_form()
+    elif r < 4:
         raise InvalidInput("variant 'D' needs rank >= 4")
-    push_rewrite(2, 1, -1)
-    target_d = dynkin_unit_form("D", r)
-    if c:
-        target_d = target_d.direct_sum(zero_form(c))
-    assert state["q"] == target_d
-    assert q.compose(state["M"]) == target_d
-    return state["M"], target_d
+    else:
+        ch.push("rewrite", 2, 1, -1)
+        target = dynkin_unit_form("D", r)
+    if c1 + c2:
+        target = target.direct_sum(zero_form(c1 + c2))
+    assert ch.q == target
+    assert q.compose(ch.M) == target
+    return ch.M, target

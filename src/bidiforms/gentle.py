@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .bidigraph import BidirectedGraph
 from .classify import dynkin_type
@@ -446,17 +445,12 @@ def _component_types(q: IntegralQuadraticForm):
             continue
         if not rep.irreducible:
             # one-vertex-graph components scale as q = a * qhat (loops only)
-            content = 0
-            for d in sub.diag:
-                content = gcd(content, d)
-            for v in sub.off.values():
-                content = gcd(content, v)
             sub = IntegralQuadraticForm(
-                [d // content for d in sub.diag],
-                {k: v // content for k, v in sub.off.items()},
+                [d // rep.content for d in sub.diag],
+                {k: v // rep.content for k, v in sub.off.items()},
             )
             typ, crk = dynkin_type(sub)
-            out.append((tuple(comp), f"{content}*{typ}", crk))
+            out.append((tuple(comp), f"{rep.content}*{typ}", crk))
             continue
         typ, crk = dynkin_type(sub, rep)
         out.append((tuple(comp), str(typ), crk))

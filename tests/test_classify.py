@@ -547,3 +547,12 @@ def test_then_steps_reject_bad_input():
         T.then_perm(q, (1, 2))
     with pytest.raises(InvalidInput):
         T.then_sign(q, 4)
+
+
+def test_gtransform_rejects_non_unimodular_matrices():
+    with pytest.raises(InvalidInput, match="unimodular"):
+        GTransform(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(InvalidInput, match="square"):
+        GTransform(IntMatrix([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(InvalidInput, match="unimodular"):
+        GTransform.from_json_dict({"matrix": [[1, 1], [-1, 1]], "steps": []})
