@@ -133,8 +133,30 @@ class BidirectedGraph:
         return IntMatrix([self.incidence_row(i) for i in range(1, self.n + 1)])
 
     def incidence_form(self) -> IntegralQuadraticForm:
-        I = self.incidence_matrix()
-        return IntegralQuadraticForm.from_gram(I @ I.transpose())
+        """q_B, Gram matrix I(B) I(B)^tr, read off the arrow ends.
+
+        Each incidence row has at most two nonzero entries, so q_i = |row_i|^2 / 2
+        and q_ij sums row_i[v] row_j[v] over the vertices v the arrows share.
+        """
+        at = [[] for _ in range(self.m + 1)]  # per vertex: (arrow, row entry)
+        diag = []
+        for i, ((u, e), (u2, e2)) in enumerate(self.ends, start=1):
+            if u == u2:
+                c = e + e2  # 0 for a directed loop, +-2 for a bidirected one
+                diag.append(c * c // 2)
+                if c:
+                    at[u].append((i, c))
+            else:
+                diag.append(1)
+                at[u].append((i, e))
+                at[u2].append((i, e2))
+        off = {}
+        for arrows in at:
+            for k, (i, c) in enumerate(arrows):
+                for j, c2 in arrows[k + 1:]:
+                    off[(i, j)] = off.get((i, j), 0) + c * c2
+        # sorted, so `off` iterates in the same order as `from_gram` builds it
+        return IntegralQuadraticForm(diag, dict(sorted(off.items())))
 
     def line_bigraph(self) -> Bigraph:
         """The incidence bigraph, a variant of the line signed graph."""
@@ -353,6 +375,22 @@ def apply(B: BidirectedGraph, t) -> BidirectedGraph:
     if tag == "switch":
         return switch(B, t[1])
     raise InvalidInput(f"unknown transformation {tag!r}")
+
+
+def undo(t):
+    """The tagged step that reverses t on graphs: apply(apply(B, t), undo(t)) == B.
+
+    Gabrielov steps and sign flips are involutions on graphs; a perm is inverted.
+    """
+    tag = t[0]
+    if tag in ("gabrielov", "sign"):
+        return t
+    if tag == "perm":
+        inv = [0] * len(t[1])
+        for k, p in enumerate(t[1], start=1):
+            inv[p - 1] = k
+        return ("perm", tuple(inv))
+    raise InvalidInput(f"no graph inverse for transformation {tag!r}")
 
 
 # -- balance ---------------------------------------------------------------

@@ -25,6 +25,7 @@ from .bidigraph import (
     apply,
     canonical_c as canonical_c_graph,
     rewrite_matrix,
+    undo,
 )
 from .errors import (
     InvalidInput,
@@ -752,14 +753,8 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
         assert B.incidence_form() == q
         return B
     T, cur, B, _ = star_realization(q, rep)
-    # Gabrielov steps and sign flips undo themselves on graphs; a perm is inverted
     for step in reversed(T.steps):
-        if step[0] == "perm":
-            inv = [0] * len(step[1])
-            for k, p in enumerate(step[1], start=1):
-                inv[p - 1] = k
-            step = ("perm", inv)
-        B = apply(B, step)
+        B = apply(B, undo(step))
     assert B.incidence_form() == q
     return B
 

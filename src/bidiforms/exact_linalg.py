@@ -1,12 +1,12 @@
-"""Exact integer/rational linear algebra: PSD testing, rank, integer kernels.
+"""Exact integer linear algebra: PSD testing, rank, determinants, integer kernels.
 
-Everything here works over arbitrary-precision integers or `fractions.Fraction`;
-no floating point is used anywhere in the package.
+Everything here works over arbitrary-precision integers: eliminations are
+fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact and
+no `fractions.Fraction` or floating point is used.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import InvalidInput
@@ -108,21 +108,23 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
     def rank(self) -> int:
-        """Exact rank via Gaussian elimination over the rationals."""
-        a = [[Fraction(x) for x in row] for row in self.entries]
+        """Exact rank via fraction-free (Bareiss) row elimination."""
+        a = [list(r) for r in self.entries]
         m, n = self.rows, self.cols
         rank = 0
+        prev = 1
         for col in range(n):
             piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
             if piv is None:
                 continue
             a[rank], a[piv] = a[piv], a[rank]
-            inv = a[rank][col]
-            for r in range(m):
-                if r != rank and a[r][col] != 0:
-                    f = a[r][col] / inv
-                    for c in range(col, n):
-                        a[r][c] -= f * a[rank][c]
+            prow = a[rank]
+            p = prow[col]
+            # each entry below becomes a minor of the original rows: exact division
+            for r in range(rank + 1, m):
+                f = a[r][col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
+            prev = p
             rank += 1
             if rank == m:
                 break
@@ -136,41 +138,47 @@ def _dot(u, v) -> int:
 def psd_rank(G: IntMatrix) -> tuple[bool, int]:
     """Decide positive semi-definiteness of a symmetric integer matrix and give its rank.
 
-    Symmetric elimination with diagonal pivoting over the rationals: the matrix
-    is PSD iff every pivot is >= 0 and any zero diagonal entry has an all-zero
-    residual row. A PSD matrix has as rank its number of positive pivots; only
-    a matrix that is not PSD pays for a second elimination in `rank`.
+    Symmetric fraction-free elimination with diagonal pivoting: each step takes
+    the largest positive diagonal entry p as pivot and replaces every remaining
+    entry by (p a_ij - a_i,piv a_piv,j) / prev, prev being the previous pivot.
+    By Sylvester's identity the entries are then principal-bordered minors, so
+    the division is exact, and each equals the rational Schur complement entry
+    times the positive pivot minor, so signs and the pivot order are those of
+    elimination over the rationals. The matrix is PSD iff every diagonal entry
+    met is >= 0 and the residual is zero once only zero diagonals remain. A PSD
+    matrix has as rank its number of positive pivots; only a matrix that is
+    not PSD pays for a second elimination in `rank`.
     """
     if not G.is_symmetric():
         raise InvalidInput("psd_rank requires a symmetric matrix")
-    n = G.rows
-    a = [[Fraction(x) for x in row] for row in G.entries]
-    active = list(range(n))
+    a = [list(r) for r in G.entries]  # the active block, compacted as pivots leave
+    prev = 1
     pivots = 0
-    while active:
-        if any(a[i][i] < 0 for i in active):
-            return False, G.rank()
+    while a:
         piv = None
-        for i in active:
-            if a[i][i] > 0 and (piv is None or a[i][i] > a[piv][piv]):
-                piv = i
+        best = 0
+        for i, row in enumerate(a):
+            d = row[i]
+            if d < 0:
+                return False, G.rank()
+            if d > best:
+                piv, best = i, d
         if piv is None:
             # all remaining diagonal entries are zero; PSD iff residual is zero
-            if any(a[i][j] != 0 for i in active for j in active):
+            if any(any(row) for row in a):
                 return False, G.rank()
             break
-        d = a[piv][piv]
-        rest = [i for i in active if i != piv]
-        for i in rest:
-            fi = a[i][piv] / d
-            if fi == 0:
+        prow = a[piv]
+        nxt = []
+        for i, row in enumerate(a):
+            if i == piv:
                 continue
-            for j in rest:
-                a[i][j] -= fi * a[piv][j]
-        for i in rest:
-            a[i][piv] = Fraction(0)
-            a[piv][i] = Fraction(0)
-        active = rest
+            f = row[piv]
+            new = [(best * x - f * y) // prev for x, y in zip(row, prow)]
+            del new[piv]
+            nxt.append(new)
+        a = nxt
+        prev = best
         pivots += 1
     return True, pivots
 

@@ -297,8 +297,9 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     )
     classic = cox_regular and all(v <= 0 for v in q.off.values())
     content = gcd(*q.diag, *q.off.values())
-    non_negative, rank = psd_rank(q.gram())
-    radical = tuple(integer_kernel(q.gram()))
+    G = q.gram()
+    non_negative, rank = psd_rank(G)
+    radical = tuple(integer_kernel(G)) if rank < n else ()
     return FormAnalysis(
         connected=bigraph_of(q).is_connected(),
         irreducible=content == 1,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 from math import isqrt
 from typing import Optional
 
@@ -27,6 +27,10 @@ from .errors import (
 from .exact_linalg import IntMatrix
 from .qform import IntegralQuadraticForm, analyze
 from .walks import Walk, roots_positive
+
+# box points `_solve_brute` may evaluate over its whole ladder of bounds; the
+# brute-force solves of typical inputs need at most a few tens of thousands
+BOX_POINT_BUDGET = 10**6
 
 # q_{C_4} composed with this matrix is the sum-of-four-squares form; det = 2
 LAGRANGE_BRIDGE = IntMatrix(
@@ -247,18 +251,29 @@ def _solve_on_core(q, rep, d):
 
 
 def _solve_brute(q, d, bound):
+    """Box search with a bound doubling from about 4 sqrt(d), under BOX_POINT_BUDGET.
+
+    Raises UnrepresentedWithinBound(d, b), b the largest bound whose whole box
+    was searched (0 if none), when four boxes or the budget run out.
+    """
     start = bound if bound is not None else isqrt(16 * d) + 2
     b = max(1, start)
+    budget = BOX_POINT_BUDGET
+    searched = 0
     for _ in range(4):
-        hit = _box_first(q, d, b)
+        hit = _box_first(q, d, b, budget)
         if hit is not None:
             return Representation(d, hit, "brute-force")
+        budget -= (2 * b + 1) ** q.n
+        if budget < 0:
+            break
+        searched = b
         b *= 2
-    raise UnrepresentedWithinBound(d, b // 2)
+    raise UnrepresentedWithinBound(d, searched)
 
 
-def _box_first(q, d, bound):
-    for x in _box_iter(q.n, bound):
+def _box_first(q, d, bound, budget):
+    for x in islice(_box_iter(q.n, bound), budget):
         if q.evaluate(x) == d:
             return x
     return None

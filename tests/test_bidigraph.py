@@ -20,6 +20,7 @@ from bidiforms.bidigraph import (
     sign_flip,
     switch,
     switching_equivalent,
+    undo,
 )
 from bidiforms.errors import InvalidInput
 from bidiforms.exact_linalg import IntMatrix
@@ -75,6 +76,41 @@ def test_incidence_form_directed_loop_is_zero():
 def test_incidence_form_c4():
     q = canonical_c(4, 0, 0).incidence_form()
     assert q == IntegralQuadraticForm([2, 1, 1, 1], {(1, 2): -2, (2, 3): -1, (3, 4): -1})
+
+
+def test_incidence_form_equals_dense_gram_oracle():
+    # the sparse construction against q = from_gram(I I^tr), the dense oracle
+    rng = random.Random(4242)
+    kinds = {"directed_loop": 0, "bidirected_loop": 0, "parallel": 0}
+    for _ in range(400):
+        B = random_graph(rng, m=rng.randint(1, 6), n=rng.randint(1, 9))
+        if B is None:
+            continue
+        if rng.random() < 0.3:  # repeat an arrow, possibly with its signs flipped
+            (u, e), (v, f) = rng.choice(B.ends)
+            s = rng.choice((1, -1))
+            B = BidirectedGraph(B.m, list(B.ends) + [((u, s * e), (v, s * f))])
+        I = B.incidence_matrix()
+        q = B.incidence_form()
+        oracle = IntegralQuadraticForm.from_gram(I @ I.transpose())
+        assert q == oracle
+        assert list(q.off.items()) == list(oracle.off.items())  # same iteration order
+        kinds["directed_loop"] += bool(B.directed_loops())
+        kinds["bidirected_loop"] += bool(B.bidirected_loops())
+        kinds["parallel"] += len(set(map(frozenset, map(B.underlying, range(1, B.n + 1))))) < B.n
+    assert min(kinds.values()) > 20
+
+
+def test_undo_reverses_each_graph_step():
+    B = canonical_c(4, 1, 1)
+    three_cycle = ("perm", (2, 3, 1) + tuple(range(4, B.n + 1)))
+    assert undo(three_cycle) == ("perm", (3, 1, 2) + tuple(range(4, B.n + 1)))
+    # a 3-cycle is not its own inverse, so applying it twice does not undo it
+    assert apply(apply(B, three_cycle), three_cycle) != B
+    for step in (three_cycle, ("sign", 2), ("gabrielov", 1, 2), ("gabrielov", 3, 2)):
+        assert apply(apply(B, step), undo(step)) == B
+    with pytest.raises(InvalidInput):
+        undo(("rewrite", 1, 2, 1))
 
 
 def test_diagonal_rule():

@@ -239,13 +239,22 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path):
     assert out.startswith("FAIL  algo-pipeline: NotTypeC: ")
 
 
-@pytest.mark.parametrize("command", ["qf-realize", "qf-canonical-c"])
+@pytest.mark.parametrize("command", ["qf-realize", "qf-canonical-c", "qf-info"])
 @pytest.mark.parametrize("fixture", ["c4_form", "typec_rank3_form"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_output_is_byte_identical_to_golden(capsys, command, fixture, fmt):
     code, out = run_capture(capsys, [command, f"{FIX}/{fixture}.json", "--format", fmt])
     assert code == 0
     with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bg_form_byte_identical_to_golden(capsys, fixture, fmt):
+    code, out = run_capture(capsys, ["bg-form", f"{FIX}/{fixture}.json", "--format", fmt])
+    assert code == 0
+    with open(f"tests/golden/bg-form__{fixture}.{fmt}.out") as fh:
         assert out == fh.read()
 
 
@@ -259,16 +268,28 @@ def test_bg_roots_byte_identical_to_golden(capsys, fixture, root_set, fmt):
         assert out == fh.read()
 
 
-def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
-    # 2(x1^2 + ... + x5^2) = 1 has no solution; the command must say so, not search forever
-    form = tmp_path / "even_form.json"
-    form.write_text(json.dumps({"n": 5, "diag": [2] * 5, "off": []}))
+def _qf_solve_in_subprocess(tmp_path, diag, d):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": len(diag), "diag": diag, "off": []}))
     src = os.path.dirname(os.path.dirname(bidiforms.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "bidiforms.cli", "qf-solve", str(form), "-d", "1"],
+    return subprocess.run(
+        [sys.executable, "-m", "bidiforms.cli", "qf-solve", str(form), "-d", str(d)],
         capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
+    # 2(x1^2 + ... + x5^2) = 1 has no solution; the command must say so, not search forever
+    proc = _qf_solve_in_subprocess(tmp_path, [2] * 5, 1)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ")
+
+
+def test_qf_solve_stops_at_the_box_point_budget(tmp_path):
+    # 3(x1^2 + ... + x5^2) + x6^2 = 2: d is in the content lattice, but x6^2 is never 2 mod 3
+    proc = _qf_solve_in_subprocess(tmp_path, [3] * 5 + [1], 2)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: no representation of 2")

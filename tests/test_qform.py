@@ -4,6 +4,7 @@ import random
 import pytest
 
 from bidiforms.errors import InvalidInput
+from bidiforms.exact_linalg import integer_kernel
 from bidiforms.qform import (
     IntegralQuadraticForm,
     analyze,
@@ -92,6 +93,21 @@ def test_analyze_content():
     assert analyze(IntegralQuadraticForm([6, 9], {(1, 2): -3})).content == 3
     assert analyze(IntegralQuadraticForm([2, 3], {(1, 2): -1})).content == 1
     assert analyze(Q_C2).content == 1
+
+
+def test_analyze_radical_is_the_kernel_of_the_gram_matrix():
+    # analyze skips the kernel at full rank; the result must equal the full computation
+    rng = random.Random(515)
+    full = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        off = {(i, j): rng.randint(-2, 2) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        q = IntegralQuadraticForm([rng.randint(0, 2) for _ in range(n)], off)
+        rep = analyze(q)
+        assert rep.radical_basis == tuple(integer_kernel(q.gram()))
+        assert len(rep.radical_basis) == rep.corank
+        full += rep.corank == 0
+    assert 20 < full < 180
 
 
 def test_analyze_algo_example():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from bidiforms import roots_dioph
 from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph
 from bidiforms.errors import InvalidInput, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
@@ -192,6 +193,31 @@ def test_solve_rejects_d_outside_the_content_lattice():
     assert q.evaluate(solve(q, 6).x) == 6
     with pytest.raises(UnrepresentedWithinBound):
         solve(zero_form(2), 1)
+
+
+def test_solve_brute_force_stops_at_the_point_budget():
+    # content 1, yet 3(x1^2 + ... + x5^2) + x6^2 = 2 has no solution: x6^2 is never 2 mod 3
+    q = IntegralQuadraticForm([3] * 5 + [1])
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(q, 2)
+    assert info.value.bound == 0  # the first box, 15^6 points, already exceeds the budget
+
+
+def test_solve_brute_force_reports_the_last_complete_box(monkeypatch):
+    q = IntegralQuadraticForm([3] * 5 + [1])
+    # boxes of bound 1 and 2 hold 3^6 + 5^6 = 16354 points; bound 4 would need 9^6 more
+    monkeypatch.setattr(roots_dioph, "BOX_POINT_BUDGET", 20000)
+    evaluated = []
+    evaluate = IntegralQuadraticForm.evaluate
+    monkeypatch.setattr(IntegralQuadraticForm, "evaluate", lambda self, x: evaluated.append(x) or evaluate(self, x))
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(q, 2, bound=1)
+    assert info.value.bound == 2
+    assert len(evaluated) == 20000  # the budget, spent to the last point
+    # four complete boxes, as before the budget: bounds 7, 14, 28, 56 for x^2 = 2
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(IntegralQuadraticForm([1]), 2)
+    assert info.value.bound == 56
 
 
 def test_solve_negative_d_rejected():
