@@ -5,6 +5,12 @@ incidence row is e*E_u + e'*E_u'. Directed arrows have opposite end signs,
 bidirected ones equal signs (two-tail +, two-head -). Vertices and arrows are
 1-based. Endpoint pairs are stored normalized (smaller vertex first, then
 smaller sign) so graph equality is decidable.
+
+Each graph builds, the first time it is asked, one index from a vertex to its
+arrows (`BidirectedGraph.adjacency`). Connectivity, balance and the tree paths
+of witness walks run on it through the one search helper `qform.traverse`,
+without recursion, and switching equivalence reads vertex images and signs
+off it directly.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from typing import Optional
 
 from .errors import InvalidInput, json_int
 from .exact_linalg import IntMatrix, integer_kernel
-from .qform import Bigraph, IntegralQuadraticForm, bigraph_of
+from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
 
 
 def _norm_ends(ends):
@@ -32,7 +38,7 @@ def _norm_ends(ends):
 class BidirectedGraph:
     """Immutable bidirected multigraph with m >= 1 vertices and n >= 1 arrows."""
 
-    __slots__ = ("m", "ends")
+    __slots__ = ("m", "ends", "_adjacency")
 
     def __init__(self, m: int, ends):
         m = int(m)
@@ -99,27 +105,32 @@ class BidirectedGraph:
     def bidirected_loops(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.is_bidirected_loop(i)]
 
+    def adjacency(self) -> tuple:
+        """v -> ((w, i), ...): every arrow i at v with its other end w (w = v
+        for a loop), smallest i first; entry 0 is empty. Built once, then cached."""
+        try:
+            return self._adjacency
+        except AttributeError:
+            pass
+        adj = [[] for _ in range(self.m + 1)]
+        for i, ((u, _), (u2, _)) in enumerate(self.ends, start=1):
+            adj[u].append((u2, i))
+            if u2 != u:
+                adj[u2].append((u, i))
+        adj = tuple(map(tuple, adj))
+        object.__setattr__(self, "_adjacency", adj)
+        return adj
+
     def incident_arrows(self, u: int) -> list[int]:
-        return [i for i in range(1, self.n + 1) if u in self.underlying(i)]
+        if not (1 <= u <= self.m):
+            raise InvalidInput(f"vertex {u} out of range")
+        return [i for _, i in self.adjacency()[u]]
 
     def is_quiver(self) -> bool:
         return all(self.sigma(i) == 1 for i in range(1, self.n + 1))
 
     def is_connected(self) -> bool:
-        adj = {v: set() for v in range(1, self.m + 1)}
-        for i in range(1, self.n + 1):
-            u, u2 = self.underlying(i)
-            adj[u].add(u2)
-            adj[u2].add(u)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.m
+        return len(traverse(self.adjacency(), 1)[0]) == self.m
 
     # -- incidence ---------------------------------------------------------
 
@@ -411,7 +422,9 @@ def balance(B: BidirectedGraph) -> BalanceReport:
     otherwise a negative closed walk is returned. beta equals Null(I(B)) for
     connected B.
     """
-    if not B.is_connected():
+    # a last-in-first-out search: its tree fixes the witness walk that `bg-balance` prints
+    order, parent = traverse(B.adjacency(), 1, lifo=True)
+    if len(order) != B.m:
         raise InvalidInput("balance is defined for connected graphs")
     loops = B.bidirected_loops()
     if loops:
@@ -419,29 +432,16 @@ def balance(B: BidirectedGraph) -> BalanceReport:
         u = B.underlying(i)[0]
         return BalanceReport(0, (u, i, u), None)
     signs = {1: 1}
-    parent = {1: None}  # vertex -> (prev_vertex, arrow)
-    order = [1]
-    stack = [1]
-    tree = set()
-    while stack:
-        v = stack.pop()
-        for i in range(1, B.n + 1):
-            u, u2 = B.underlying(i)
-            if v not in (u, u2) or u == u2:
-                continue
-            w = u2 if v == u else u
-            if w not in signs:
-                signs[w] = B.sigma(i) * signs[v]
-                parent[w] = (v, i)
-                tree.add(i)
-                order.append(w)
-                stack.append(w)
+    for w in order[1:]:
+        v, i = parent[w]
+        signs[w] = B.sigma(i) * signs[v]
+    tree = {p[1] for p in parent.values() if p}
     for i in range(1, B.n + 1):
         if i in tree or B.is_loop(i):
             continue
         u, u2 = B.underlying(i)
         if signs[u] * signs[u2] != B.sigma(i):
-            path = _tree_path(B, parent, u2, u)
+            path = _tree_path(parent, u2, u)
             witness = path + (i, u2)
             return BalanceReport(0, witness, None)
     s = tuple(signs[v] for v in range(1, B.m + 1))
@@ -449,7 +449,7 @@ def balance(B: BidirectedGraph) -> BalanceReport:
     return BalanceReport(1, None, O)
 
 
-def _tree_path(B, parent, src, dst):
+def _tree_path(parent, src, dst):
     """Walk sequence (src, a, ..., dst) along spanning-tree arrows."""
 
     def up(v):
@@ -536,90 +536,53 @@ def loops_graph(p: int, s: int, t: int) -> BidirectedGraph:
 def switching_equivalent(
     B: BidirectedGraph, B2: BidirectedGraph
 ) -> Optional[OrthogonalMatrix]:
-    """Search for O with B^O = B2; returns None if no switching exists.
+    """Some O with B^O = B2, or None if no switching exists.
 
-    Backtracking over vertex images with per-arrow pruning, then sign
-    propagation; exponential worst case, intended for desk-scale graphs.
+    A switching keeps arrow indices, so u must go to the vertex of B2 with
+    the same incident arrows. Only isolated vertices and the two ends of a
+    component of parallel arrows can tie: they are paired in ascending
+    order, and such a component is swapped only if its arrows fail. The
+    sign of u is read off its first arrow that is not a directed loop, and
+    is +1 where nothing forces it. Of all switchings from B to B2 this is
+    the first by image, then by sign (+1 first), vertex by vertex; it takes
+    O(m + n) steps besides the closing check B^O == B2.
     """
     if B.m != B2.m or B.n != B2.n:
         return None
     m = B.m
-    # arrow i must map to arrow i (switching keeps arrow indices); loop-ness is
-    # invariant, and so is the sign of a loop (vertex signs cancel on loops)
-    for i in range(1, B.n + 1):
-        if B.is_loop(i) != B2.is_loop(i):
+    adj = B.adjacency()
+    arrows = [tuple(i for _, i in at) for at in adj]
+    pools = {}  # incident arrows -> the vertices of B2 with them, largest first
+    for w in range(m, 0, -1):
+        pools.setdefault(tuple(B2.incident_arrows(w)), []).append(w)
+    perm = [0] * (m + 1)
+    for u in range(1, m + 1):
+        pool = pools.get(arrows[u])
+        if not pool:
             return None
-        if B.is_loop(i) and B.sigma(i) != B2.sigma(i):
-            return None
-
-    incident = [sorted(B.incident_arrows(u)) for u in range(1, m + 1)]
-    incident2 = [sorted(B2.incident_arrows(u)) for u in range(1, m + 1)]
-
-    phi = [0] * (m + 1)  # vertex image, 0 = unassigned
-    used = [False] * (m + 1)
-
-    def consistent(u, w):
-        return incident[u - 1] == incident2[w - 1]
-
-    def arrows_ok():
-        # check arrows whose both endpoints are assigned: underlying images match
-        for i in range(1, B.n + 1):
-            a, b = B.underlying(i)
-            c, d = B2.underlying(i)
-            if phi[a] and phi[b]:
-                if {phi[a], phi[b]} != {c, d}:
-                    return False
-        return True
-
-    def assign(u):
-        if u > m:
-            return _solve_signs(B, B2, phi)
-        for w in range(1, m + 1):
-            if used[w] or not consistent(u, w):
-                continue
-            phi[u] = w
-            used[w] = True
-            if arrows_ok():
-                res = assign(u + 1)
-                if res is not None:
-                    return res
-            phi[u] = 0
-            used[w] = False
-        return None
-
-    return assign(1)
+        perm[u] = pool.pop()
+    signs = [0] + [_forced_sign(B, B2, u, perm[u]) for u in range(1, m + 1)]
+    for u in range(1, m + 1):
+        u2 = adj[u][0][0] if adj[u] else u
+        if u < u2 and arrows[u2] == arrows[u]:  # a tie: the ends of parallel arrows
+            if not all(_maps_onto(B, B2, perm, signs, i) for i in arrows[u]):
+                perm[u], perm[u2] = perm[u2], perm[u]
+                signs[u] = _forced_sign(B, B2, u, perm[u])
+                signs[u2] = _forced_sign(B, B2, u2, perm[u2])
+    O = OrthogonalMatrix(signs[1:], perm[1:])
+    return O if switch(B, O) == B2 else None
 
 
-def _solve_signs(B, B2, phi):
-    """Given a vertex bijection, search endpoint signs making B^O = B2."""
-    m = B.m
-    perm = tuple(phi[1:])
-    # brute force over sign vectors with early pruning per arrow
-    signs = {}
+def _forced_sign(B, B2, u, w):
+    """The s with (u, e) -> (w, e s) on u's first arrow that is not a directed loop, else 1."""
+    for _, i in B.adjacency()[u]:
+        (a, e), (b, f) = B.ends[i - 1]
+        if a == b and e != f:
+            continue
+        e_u = e if a == u else f
+        return e_u * next(g for x, g in B2.ends[i - 1] if x == w)  # w has arrow i too
+    return 1
 
-    def feasible():
-        for i in range(1, B.n + 1):
-            ends = B.arrow_ends(i)
-            target = B2.arrow_ends(i)
-            if all(u in signs for (u, _) in ends):
-                mapped = tuple(
-                    sorted((phi[u], e * signs[u]) for (u, e) in ends)
-                )
-                if mapped != tuple(sorted(target)):
-                    return False
-        return True
 
-    def rec(u):
-        if u > m:
-            O = OrthogonalMatrix(tuple(signs[v] for v in range(1, m + 1)), perm)
-            return O if switch(B, O) == B2 else None
-        for s in (1, -1):
-            signs[u] = s
-            if feasible():
-                res = rec(u + 1)
-                if res is not None:
-                    return res
-            del signs[u]
-        return None
-
-    return rec(1)
+def _maps_onto(B, B2, perm, signs, i):
+    return tuple(sorted((perm[u], e * signs[u]) for u, e in B.ends[i - 1])) == B2.ends[i - 1]

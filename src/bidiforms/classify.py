@@ -37,7 +37,7 @@ from .errors import (
     json_int,
 )
 from .exact_linalg import IntMatrix
-from .qform import FormAnalysis, IntegralQuadraticForm, analyze, zero_form
+from .qform import FormAnalysis, IntegralQuadraticForm, analyze, bigraph_of, traverse, zero_form
 
 
 # -- elementary transformations as column operations -----------------------
@@ -481,8 +481,9 @@ def _assert_type_c_bounds(q):
 def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> list[int]:
     """Index set X with q^X positive, connected and of full rank.
 
-    For type C the core is a spanning tree of a realization plus one
-    bidirected loop; otherwise greedy variable deletion with backtracking.
+    For type C the core is the breadth-first spanning tree of a realization
+    plus its first bidirected loop; otherwise greedy variable deletion with
+    backtracking.
     """
     rep = rep or analyze(q)
     if not rep.non_negative:
@@ -495,9 +496,8 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
         return list(range(1, q.n + 1))
     if not rep.unit and _is_type_c(rep, q):
         B = realize(q, rep)
-        tree = _spanning_tree_arrows(B)
-        loop = B.bidirected_loops()[0]
-        X = sorted(set(tree) | {loop})
+        _, parent = traverse(B.adjacency(), 1)
+        X = sorted({p[1] for p in parent.values() if p} | {B.bidirected_loops()[0]})
         sub = analyze(q.restrict(X))
         assert sub.corank == 0 and sub.connected and sub.rank == rep.rank
         return X
@@ -524,24 +524,6 @@ def _greedy_core(q, rep):
     if X is None:
         raise AssertionError("no positive connected core found")
     return X
-
-
-def _spanning_tree_arrows(B: BidirectedGraph) -> list[int]:
-    seen = {1}
-    tree = []
-    grew = True
-    while grew:
-        grew = False
-        for a in range(1, B.n + 1):
-            u, v = B.underlying(a)
-            if u == v:
-                continue
-            if (u in seen) != (v in seen):
-                seen.add(u)
-                seen.add(v)
-                tree.append(a)
-                grew = True
-    return tree
 
 
 # -- the pivot/partition machinery for type C --------------------------------
@@ -823,22 +805,8 @@ def _sparse_dot(ends_a, ends_b):
 
 
 def _bigraph_bfs_order(q):
-    n = q.n
-    adj = {i: set() for i in range(1, n + 1)}
-    for (i, j) in q.off:
-        adj[i].add(j)
-        adj[j].add(i)
-    order = [1]
-    seen = {1}
-    queue = [1]
-    while queue:
-        v = queue.pop(0)
-        for w in sorted(adj[v]):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                queue.append(w)
-    if len(order) != n:
+    order, _ = traverse(bigraph_of(q).adjacency(), 1)
+    if len(order) != q.n:
         raise InvalidInput("form is not connected")
     return order
 

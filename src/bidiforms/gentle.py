@@ -23,7 +23,7 @@ from .errors import (
     json_int,
 )
 from .exact_linalg import IntMatrix
-from .qform import IntegralQuadraticForm, analyze, bigraph_of
+from .qform import IntegralQuadraticForm, analyze, bigraph_of, traverse
 
 
 class GentlePresentation:
@@ -158,21 +158,11 @@ def ensure_valid(pres: GentlePresentation) -> None:
 
 
 def _quiver_connected(pres) -> bool:
-    if pres.m == 1:
-        return True
-    adj = {v: set() for v in range(1, pres.m + 1)}
-    for _, s, t in pres.arrows:
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == pres.m
+    adj = [[] for _ in range(pres.m + 1)]
+    for a, s, t in pres.arrows:
+        adj[s].append((t, a))
+        adj[t].append((s, a))
+    return len(traverse(adj, 1)[0]) == pres.m
 
 
 def _successor_map(pres, forbidden: bool):
@@ -458,19 +448,12 @@ def _component_types(q: IntegralQuadraticForm):
 
 
 def _bigraph_components(q):
-    delta = bigraph_of(q)
-    parent = list(range(q.n + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (i, j) in delta.edges:
-        if i != j:
-            parent[find(i)] = find(j)
-    groups = {}
+    """The vertex sets of the components of q's bigraph, each sorted, by smallest vertex."""
+    adj = bigraph_of(q).adjacency()
+    comps, seen = [], set()
     for v in range(1, q.n + 1):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(g) for g in groups.values()]
+        if v not in seen:
+            comp = traverse(adj, v)[0]
+            seen.update(comp)
+            comps.append(sorted(comp))
+    return comps

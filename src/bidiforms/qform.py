@@ -7,6 +7,7 @@ throughout, matching the Gram-matrix convention G_ii = 2 q_i, G_ij = q_ij.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -224,24 +225,42 @@ class Bigraph:
     def __repr__(self):
         return f"Bigraph(n={self.n}, edges={dict(sorted(self.edges.items()))})"
 
+    def adjacency(self) -> list:
+        """v -> [(w, (mult, sign))] over the edges that are not loops, smallest w first."""
+        adj = [[] for _ in range(self.n + 1)]
+        for (i, j), edge in sorted(self.edges.items()):  # i < j, so every list grows in order
+            if i != j:
+                adj[i].append((j, edge))
+                adj[j].append((i, edge))
+        return adj
+
     def is_connected(self) -> bool:
         """Connectivity of the underlying multigraph, loops ignored."""
-        if self.n == 1:
-            return True
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for (i, j) in self.edges:
-            if i != j:
-                adj[i].add(j)
-                adj[j].add(i)
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(traverse(self.adjacency(), 1)[0]) == self.n
+
+
+def traverse(adj, root, lifo=False):
+    """Iterative search from `root` over `adj`: v -> iterable of (w, label).
+
+    Returns (order, parent): the vertices in discovery order, and
+    parent[w] = (v, label) for the step that discovered w, with
+    parent[root] = None. A vertex is discovered, and gets its parent, when
+    it is first seen from a vertex that is being expanded; the vertices to
+    expand are taken first in first out (breadth-first), or last in first
+    out when `lifo` is set.
+    """
+    parent = {root: None}
+    order = [root]
+    todo = deque(order)
+    take = todo.pop if lifo else todo.popleft
+    while todo:
+        v = take()
+        for w, label in adj[v]:
+            if w not in parent:
+                parent[w] = (v, label)
+                order.append(w)
+                todo.append(w)
+    return order, parent
 
 
 def bigraph_of(q: IntegralQuadraticForm) -> Bigraph:

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bidigraph import BidirectedGraph
+from .bidigraph import BidirectedGraph, _tree_path
 from .errors import InvalidInput, NotPositive
-from .qform import IntegralQuadraticForm
+from .qform import IntegralQuadraticForm, traverse
 
 
 class Walk:
@@ -462,7 +462,7 @@ def roots_positive(B: BidirectedGraph) -> PositiveRoots:
 
 def _tree_roots(B):
     q = B.incidence_form()
-    incs = _tree_incs(B, _adjacency(B), root=1)
+    incs = _tree_incs(B, root=1)
     vectors = {(0,) * B.n}
     counts = {0: 1, 1: 0}
     for s in range(1, B.m + 1):
@@ -480,14 +480,13 @@ def _tree_roots(B):
 
 
 def _one_tree_roots(B):
-    adj = _adjacency(B)
-    cycle = _unique_cycle_walk(B, adj)
+    cycle = _unique_cycle_walk(B)
     sig_w = cycle.sigma()
     if sig_w != -1:
         raise NotPositive("balanced 1-tree; the incidence form is not positive")
     q = B.incidence_form()
     w = cycle.inc()
-    incs = _tree_incs(B, adj, root=cycle.start)
+    incs = _tree_incs(B, root=cycle.start)
     vectors = {(0,) * B.n}
     counts = {0: 1, 1: 0, 2: 0}
     for s in range(1, B.m + 1):
@@ -510,101 +509,33 @@ def _one_tree_roots(B):
     return PositiveRoots(frozenset(vectors), counts)
 
 
-def _adjacency(B):
-    """v -> [(arrow, other end)] over the arrows that are not loops, smallest arrow first."""
-    adj = {v: [] for v in range(1, B.m + 1)}
-    for a in range(1, B.n + 1):
-        u, u2 = B.underlying(a)
-        if u != u2:
-            adj[u].append((a, u2))
-            adj[u2].append((a, u))
-    return adj
-
-
-def _tree_incs(B, adj, root):
+def _tree_incs(B, root):
     """(inc, sigma) of the minimal walk from every vertex to `root`.
 
     The walks follow a BFS tree, smallest arrow first. The walk from w is one
     step along its tree arrow a to the parent v, then the walk from v, so
     inc_w = d(w, a) E_a + sigma(a) inc_v and sigma_w = sigma(a) sigma_v.
     """
-    incs = {root: ((0,) * B.n, 1)}
-    order = [root]
-    for v in order:  # `order` grows while it is read: a queue without pops
-        x, sig = incs[v]
-        for a, w in adj[v]:
-            if w not in incs:
-                sig_a = B.sigma(a)
-                y = [sig_a * c for c in x]
-                y[a - 1] += _d(B, w, a, False)
-                incs[w] = (tuple(y), sig_a * sig)
-                order.append(w)
-    if len(incs) != B.m:
+    order, parent = traverse(B.adjacency(), root)
+    if len(order) != B.m:
         raise NotPositive("graph is not connected")
+    incs = {root: ((0,) * B.n, 1)}
+    for w in order[1:]:  # a parent is discovered before its children
+        v, a = parent[w]
+        x, sig = incs[v]
+        sig_a = B.sigma(a)
+        y = [sig_a * c for c in x]
+        y[a - 1] += _d(B, w, a, False)
+        incs[w] = (tuple(y), sig_a * sig)
     return incs
 
 
-def _unique_cycle_walk(B, adj) -> Walk:
-    """The unique cycle of a 1-tree as a closed walk (loops and parallel pairs included)."""
-    loops = [a for a in range(1, B.n + 1) if B.is_loop(a)]
-    if loops:
-        a = loops[0]
-        u = B.underlying(a)[0]
-        return Walk(B, u, [(a, False)])
-    seen_pairs = {}
-    for a in range(1, B.n + 1):
-        u, u2 = sorted(B.underlying(a))
-        if (u, u2) in seen_pairs:
-            b = seen_pairs[(u, u2)]
-            return Walk(B, u, [(b, False), (a, False)])
-        seen_pairs[(u, u2)] = a
-    # simple cycle: DFS for a back edge
-    parent = {1: None}
-    stack = [(1, None)]
-    back = None
-    while stack and back is None:
-        v, via = stack.pop()
-        for a, w in adj[v]:
-            if a == via:
-                continue
-            if w in parent:
-                back = (v, a, w)
-                break
-            parent[w] = (v, a)
-            stack.append((w, a))
-    if back is None:
-        raise NotPositive("no cycle found; graph is a tree")
-    v, a, w = back
-    # path w -> v through parents, then arrow a closes the cycle
-    chain_v = _ancestors(parent, v)
-    chain_w = _ancestors(parent, w)
-    common = next(x for x, _ in chain_v if x in {y for y, _ in chain_w})
-    steps = []
-    vertices = [w]
-    for x, arr in chain_w:
-        if x == common:
-            break
-        steps.append((arr, False))
-        px, _ = parent[x]
-        vertices.append(px)
-    down = []
-    for x, arr in chain_v:
-        if x == common:
-            break
-        down.append((x, arr))
-    for x, arr in reversed(down):
-        steps.append((arr, False))
-        vertices.append(x)
-    steps.append((a, False))
-    vertices.append(w)
-    return Walk(B, w, steps, vertices)
-
-
-def _ancestors(parent, v):
-    chain = []
-    x = v
-    while True:
-        chain.append((x, parent[x][1] if parent[x] else None))
-        if parent[x] is None:
-            return chain
-        x = parent[x][0]
+def _unique_cycle_walk(B) -> Walk:
+    """The unique cycle of a connected 1-tree as a closed walk: its one arrow
+    off a BFS tree (a loop, one of a parallel pair, or a chord), closed along the tree."""
+    _, parent = traverse(B.adjacency(), 1)
+    tree = {p[1] for p in parent.values() if p}
+    a = next(i for i in range(1, B.n + 1) if i not in tree)
+    (u, _), (u2, _) = B.ends[a - 1]
+    seq = _tree_path(parent, u2, u) + (a, u2)
+    return Walk(B, u2, [(i, False) for i in seq[1::2]], seq[::2])

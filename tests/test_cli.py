@@ -268,15 +268,39 @@ def test_bg_roots_byte_identical_to_golden(capsys, fixture, root_set, fmt):
         assert out == fh.read()
 
 
-def _qf_solve_in_subprocess(tmp_path, diag, d):
-    form = tmp_path / "form.json"
-    form.write_text(json.dumps({"n": len(diag), "diag": diag, "off": []}))
+@pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bg_balance_byte_identical_to_golden(capsys, fixture, fmt):
+    code, out = run_capture(capsys, ["bg-balance", f"{FIX}/{fixture}.json", "--format", fmt])
+    assert code == 0
+    with open(f"tests/golden/bg-balance__{fixture}.{fmt}.out") as fh:
+        assert out == fh.read()
+
+
+@pytest.mark.parametrize("fixture2", ["three_vertex_graph", "path_quiver"])
+@pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bg_switch_equiv_byte_identical_to_golden(capsys, fixture, fixture2, fmt):
+    argv = ["bg-switch-equiv", f"{FIX}/{fixture}.json", f"{FIX}/{fixture2}.json", "--format", fmt]
+    code, out = run_capture(capsys, argv)
+    assert code == 0
+    with open(f"tests/golden/bg-switch-equiv__{fixture}.{fixture2}.{fmt}.out") as fh:
+        assert out == fh.read()
+
+
+def _in_subprocess(*argv):
+    """Run `python argv...` with this checkout's package importable."""
     src = os.path.dirname(os.path.dirname(bidiforms.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "bidiforms.cli", "qf-solve", str(form), "-d", str(d)],
-        capture_output=True, text=True, timeout=60, env=env,
+        [sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env,
     )
+
+
+def _qf_solve_in_subprocess(tmp_path, diag, d):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"n": len(diag), "diag": diag, "off": []}))
+    return _in_subprocess("-m", "bidiforms.cli", "qf-solve", str(form), "-d", str(d))
 
 
 def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
@@ -293,3 +317,33 @@ def test_qf_solve_stops_at_the_box_point_budget(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: no representation of 2")
+
+
+def test_bg_switch_equiv_on_a_long_path(tmp_path):
+    # a 2,000-arrow path and a switching of it; a search that recursed per vertex would overflow
+    n = 2000
+    ends = [[[i, 1], [i + 1, -1]] for i in range(1, n + 1)]
+    switched = [[[n + 2 - i, -1], [n + 1 - i, 1]] for i in range(1, n + 1)]  # reversed, all signs flipped
+    paths = []
+    for name, arrows in (("path", ends), ("switched", switched)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": n + 1, "arrows": [{"ends": e} for e in arrows]}))
+        paths.append(str(path))
+    proc = _in_subprocess("-m", "bidiforms.cli", "bg-switch-equiv", *paths)
+    assert proc.returncode == 0
+    payload = json.loads(proc.stdout)
+    assert payload["equivalent"] is True
+    assert payload["perm"] == list(range(n + 1, 0, -1))
+    assert payload["signs"] == [-1] * (n + 1)
+
+
+DEMOS = ["01_incidence_forms", "02_dynkin_classification", "03_walks_and_roots",
+         "04_diophantine", "05_gentle_euler_forms"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_stdout_byte_identical_to_golden(demo):
+    proc = _in_subprocess(f"demos/{demo}.py")
+    assert proc.returncode == 0, proc.stderr
+    with open(f"tests/golden/demos/{demo}.out") as fh:
+        assert proc.stdout == fh.read()
