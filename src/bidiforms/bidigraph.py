@@ -56,6 +56,9 @@ class BidirectedGraph:
     def __setattr__(self, name, value):
         raise AttributeError("BidirectedGraph is immutable")
 
+    def __reduce__(self):
+        return (BidirectedGraph, (self.m, self.ends))
+
     @property
     def n(self) -> int:
         return len(self.ends)
@@ -166,8 +169,10 @@ class BidirectedGraph:
             for k, (i, c) in enumerate(arrows):
                 for j, c2 in arrows[k + 1:]:
                     off[(i, j)] = off.get((i, j), 0) + c * c2
-        # sorted, so `off` iterates in the same order as `from_gram` builds it
-        return IntegralQuadraticForm(diag, dict(sorted(off.items())))
+        # sorted, so `off` iterates in the same order as `from_gram` builds it;
+        # products that cancel (parallel arrows of opposite kinds) are dropped
+        off = {k: v for k, v in sorted(off.items()) if v}
+        return IntegralQuadraticForm._trusted(tuple(diag), off)
 
     def line_bigraph(self) -> Bigraph:
         """The incidence bigraph, a variant of the line signed graph."""
@@ -214,6 +219,9 @@ class OrthogonalMatrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("OrthogonalMatrix is immutable")
+
+    def __reduce__(self):
+        return (OrthogonalMatrix, (self.signs, self.perm))
 
     @property
     def m(self) -> int:

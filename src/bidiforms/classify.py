@@ -9,8 +9,15 @@ as an independent oracle for the determinant typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
-`dynkin_plus_zero` loop-stripping rewrites. A `GTransform`, with its
+`dynkin_plus_zero` loop-stripping rewrites. The chase keeps its matrix as a
+list of columns, so each step costs O(n); a `GTransform`, with its
 unimodularity check, is built once per public result.
+
+Unit forms of type A/D are realized by a depth-first search over incidence
+rows that indexes the placed rows by vertex, and positive cores are found by
+a deletion search that reads the rank of each restriction off the radical.
+Both run on explicit stacks. Forms derived here from valid forms are built
+without the constructor's checks (`IntegralQuadraticForm._trusted`).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 from .bidigraph import (
     BidirectedGraph,
@@ -54,37 +61,35 @@ def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
     return qij // qi
 
 
-def _times_step(M: IntMatrix, q: IntegralQuadraticForm, step) -> IntMatrix:
-    """M times the matrix of one step on the current form q, in O(n^2).
+def _column_step(cols: list, q: IntegralQuadraticForm, step) -> None:
+    """Turn the columns of M into those of M times the matrix of one step on
+    the current form q, in place and in O(n).
 
     Gabrielov (i, j): column j -= (q_ij / q_i) column i; sign i: column i is
     negated; perm pi: column b becomes the old column pi(b); rewrite
     (i, j, eps): column j -= eps column i.
     """
-    rows = [list(r) for r in M.entries]
-    if step[0] in ("gabrielov", "rewrite"):
+    tag = step[0]
+    if tag in ("gabrielov", "rewrite"):
         i, j = step[1], step[2]
-        k = _gabrielov_ratio(q, i, j) if step[0] == "gabrielov" else step[3]
+        k = _gabrielov_ratio(q, i, j) if tag == "gabrielov" else step[3]
         if k:
-            for r in rows:
-                r[j - 1] -= k * r[i - 1]
-    elif step[0] == "sign":
+            cols[j - 1] = tuple(a - k * b for a, b in zip(cols[j - 1], cols[i - 1]))
+    elif tag == "sign":
         i = step[1]
-        if not 1 <= i <= M.cols:
+        if not 1 <= i <= len(cols):
             raise InvalidInput(f"sign step index {i} out of range")
-        for r in rows:
-            r[i - 1] = -r[i - 1]
+        cols[i - 1] = tuple(-a for a in cols[i - 1])
     else:
         pi = step[1]
-        if sorted(pi) != list(range(1, M.cols + 1)):
+        if sorted(pi) != list(range(1, len(cols) + 1)):
             raise InvalidInput("not a permutation of 1..n")
-        rows = [[r[p - 1] for p in pi] for r in rows]
-    return IntMatrix(rows)
+        cols[:] = [cols[p - 1] for p in pi]
 
 
 def _sign_update(q: IntegralQuadraticForm, i: int) -> IntegralQuadraticForm:
     """q with x_i replaced by -x_i: the off-diagonal terms at i change sign."""
-    return IntegralQuadraticForm(q.diag, {k: -v if i in k else v for k, v in q.off.items()})
+    return IntegralQuadraticForm._trusted(q.diag, {k: -v if i in k else v for k, v in q.off.items()})
 
 
 def _step_form(q: IntegralQuadraticForm, step) -> IntegralQuadraticForm:
@@ -101,21 +106,30 @@ def _step_form(q: IntegralQuadraticForm, step) -> IntegralQuadraticForm:
 class _Chase:
     """A chain of steps from a form: the product M of their matrices, the
     steps, the current form q∘M and, once set, a graph B realizing it. Each
-    tagged step of `_times_step` is applied to M, q and B alike."""
+    tagged step of `_column_step` is applied to M, q and B alike.
 
-    __slots__ = ("M", "steps", "q", "B")
+    M is kept as a list of columns, so that a Gabrielov or rewrite step is
+    one O(n) column update, a sign step negates one column and a perm
+    reorders the list; the `IntMatrix` is built only when `M` is read.
+    """
+
+    __slots__ = ("cols", "steps", "q", "B")
 
     def __init__(self, q: IntegralQuadraticForm):
-        self.M = IntMatrix.identity(q.n)
-        self.steps = ()
+        self.cols = list(IntMatrix.identity(q.n).entries)  # symmetric: rows are columns
+        self.steps = []
         self.q = q
         self.B = None
 
+    @property
+    def M(self) -> IntMatrix:
+        return IntMatrix(zip(*self.cols))
+
     def push(self, *step):
         q_next = _step_form(self.q, step)
-        self.M = _times_step(self.M, self.q, step)
+        _column_step(self.cols, self.q, step)
         self.q = q_next
-        self.steps += (step,)
+        self.steps.append(step)
         if self.B is not None:
             self.B = apply(self.B, step)
             assert step[0] != "gabrielov" or self.B.incidence_form() == self.q
@@ -138,6 +152,9 @@ class GTransform:
     def __setattr__(self, name, value):
         raise AttributeError("GTransform is immutable")
 
+    def __reduce__(self):
+        return (GTransform, (self.matrix, self.steps))
+
     @property
     def n(self) -> int:
         return self.matrix.rows
@@ -158,7 +175,9 @@ class GTransform:
 
     def _then(self, q_current, step):
         q_next = _step_form(q_current, step)
-        return GTransform(_times_step(self.matrix, q_current, step), self.steps + (step,)), q_next
+        cols = list(zip(*self.matrix.entries))
+        _column_step(cols, q_current, step)
+        return GTransform(IntMatrix(zip(*cols)), self.steps + (step,)), q_next
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
@@ -205,26 +224,28 @@ class GTransform:
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
-    if q.coefficient(i, i) == 0:
-        return q
-    qij = q.coefficient(i, j)
     ratio = _gabrielov_ratio(q, i, j)
-    off = dict(q.off)
+    if ratio == 0:  # q_i = 0 or q_ij = 0: T_ij fixes q
+        return q
+    if i == j:
+        raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
+    old = q.off
+    off = dict(old)
     for k in range(1, q.n + 1):
-        if k in (i, j):
+        if k == i or k == j:
             continue
-        new = q.coefficient(k, j) - q.coefficient(k, i) * ratio
-        key = (min(k, j), max(k, j))
+        qki = old.get((k, i) if k < i else (i, k), 0)
+        if not qki:
+            continue
+        key = (k, j) if k < j else (j, k)
+        new = old.get(key, 0) - qki * ratio
         if new:
             off[key] = new
         else:
             off.pop(key, None)
-    key = (min(i, j), max(i, j))
-    if qij:
-        off[key] = -qij
-    else:
-        off.pop(key, None)
-    return IntegralQuadraticForm(q.diag, off)
+    key = (i, j) if i < j else (j, i)
+    off[key] = -old[key]
+    return IntegralQuadraticForm._trusted(q.diag, off)
 
 
 def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
@@ -482,8 +503,9 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
     """Index set X with q^X positive, connected and of full rank.
 
     For type C the core is the breadth-first spanning tree of a realization
-    plus its first bidirected loop; otherwise greedy variable deletion with
-    backtracking.
+    plus its first bidirected loop; otherwise the first X of an ascending
+    depth-first variable deletion, each deleted set tested on the radical
+    basis (`_greedy_core`).
     """
     rep = rep or analyze(q)
     if not rep.non_negative:
@@ -505,25 +527,63 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
 
 
 def _greedy_core(q, rep):
-    target_rank = rep.rank
+    """The first X found by deleting variables in ascending depth-first order
+    with q^X connected, of rank r = rk q and of corank 0.
 
-    def search(X):
-        sub = q.restrict(sorted(X))
-        a = analyze(sub)
-        if a.rank < target_rank or not a.connected:
-            return None
-        if a.corank == 0:
-            return sorted(X)
-        for v in sorted(X):
-            res = search(X - {v})
-            if res is not None:
-                return res
+    q is PSD, so q^X has kernel {z in the radical : z_d = 0 for d in D}, D the
+    deleted set: q^X keeps rank r iff the rows at D of the radical basis are
+    linearly independent, and has corank 0 once |D| = crk q. Each node of the
+    search extends an integer echelon form of those rows by one row, and
+    checks connectivity with `traverse` on X; no restriction is analyzed.
+    The search runs on an explicit stack.
+    """
+    n, c = q.n, rep.corank
+    radical_rows = [None] + [tuple(z[v - 1] for z in rep.radical_basis) for v in range(1, n + 1)]
+    adj = bigraph_of(q).adjacency()
+
+    def connected(X):
+        within = {v: [(w, edge) for w, edge in adj[v] if w in X] for v in X}
+        return len(traverse(within, min(X))[0]) == len(X)
+
+    # one level per deleted variable: (X, echelon rows of the deleted radical rows, v left)
+    levels = [(frozenset(range(1, n + 1)), [], iter(range(1, n + 1)))]
+    while levels:
+        X, echelon, rest = levels[-1]
+        for v in rest:
+            grown = _extend_echelon(echelon, radical_rows[v])
+            if grown is None:
+                continue
+            Y = X - {v}
+            if not connected(Y):
+                continue
+            if len(grown) == c:
+                return sorted(Y)
+            levels.append((Y, grown, iter(sorted(Y))))
+            break
+        else:
+            levels.pop()
+    raise AssertionError("no positive connected core found")
+
+
+def _extend_echelon(echelon, row):
+    """echelon plus row reduced against it, or None if row lies in its span.
+
+    `echelon` lists (pivot column, integer row) with every row zero at the
+    pivots of the rows before it; reduction is fraction-free, divided by the
+    content.
+    """
+    w = row
+    for p, e in echelon:
+        if w[p]:
+            a, b = e[p], w[p]
+            w = [a * x - b * y for x, y in zip(w, e)]
+            g = gcd(*w)
+            if g > 1:
+                w = [x // g for x in w]
+    p = next((k for k, x in enumerate(w) if x), None)
+    if p is None:
         return None
-
-    X = search(frozenset(range(1, q.n + 1)))
-    if X is None:
-        raise AssertionError("no positive connected core found")
-    return X
+    return echelon + [(p, tuple(w))]
 
 
 # -- the pivot/partition machinery for type C --------------------------------
@@ -715,8 +775,9 @@ def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
 def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
-    Unit forms of type A/D are realized by backtracking over incidence rows;
-    type E is rejected. Non-unit type-C forms go through the saturated
+    Unit forms of type A/D are realized by a depth-first search over
+    incidence rows, indexed by vertex (`_realize_unit_backtracking`); type E
+    is rejected. Non-unit type-C forms go through the saturated
     partition and are pulled back with inverse graph transformations.
     """
     rep = rep or analyze(q)
@@ -744,64 +805,88 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
 def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
 
-    Arrows are processed in a connectivity order of the form's bigraph, so
-    each new row shares a vertex with an earlier one; fresh vertices are used
-    in increasing order with their first sign pinned to +1 (switching symmetry).
+    Arrows are processed in a breadth-first order of the form's bigraph, so
+    each arrow after the first has a placed bigraph neighbour; fresh vertices
+    are used in increasing order with their first sign pinned to +1
+    (switching symmetry). The depth-first search over candidate rows, in
+    lexicographic (u, u2, e, e2) order, runs on an explicit stack.
+
+    Placed rows are indexed by vertex. A row that shares no vertex with a
+    candidate has product 0 with it, so a candidate is generated only if it
+    meets the row of one placed neighbour, and is compared only with the rows
+    at its two vertices, among which every placed neighbour (G_ij != 0) must
+    be. The first graph found is the one a check against every placed row
+    finds.
     """
     n = q.n
     order = _bigraph_bfs_order(q)
-    G = q.gram()
-    rows: dict[int, tuple] = {}
+    off = q.off
+    rank = {i: k for k, i in enumerate(order)}
+    earlier = [[] for _ in range(n + 1)]  # i -> its bigraph neighbours placed before it
+    for a, b in off:
+        if rank[a] < rank[b]:
+            earlier[b].append(a)
+        else:
+            earlier[a].append(b)
+    at = [{} for _ in range(m + 1)]  # vertex -> {placed arrow: its end sign there}
+    rows = {}
 
-    def products_ok(i, row):
-        for j, rj in rows.items():
-            if _sparse_dot(row, rj) != G[i - 1, j - 1]:
+    def fits(i, ends):
+        (u, e), (u2, e2) = ends
+        at_u, at_u2 = at[u], at[u2]
+        for j in earlier[i]:
+            if j not in at_u and j not in at_u2:
+                return False
+        for j, s in at_u.items():
+            if e * s + e2 * at_u2.get(j, 0) != off.get((i, j) if i < j else (j, i), 0):
+                return False
+        for j, s in at_u2.items():
+            if j not in at_u and e2 * s != off.get((i, j) if i < j else (j, i), 0):
                 return False
         return True
 
-    def candidates(used_count, first):
-        if first:
-            yield ((1, 1), (2, -1))
-            return
-        top = min(used_count + 1, m)
-        for u in range(1, top + 1):
-            for u2 in range(u + 1, top + 1):
-                fresh = u2 == used_count + 1
-                for e in (1, -1):
-                    for e2 in ((1,) if fresh else (1, -1)):
-                        yield ((u, e), (u2, e2))
+    def candidates(i, used):
+        top = min(used + 1, m)
+        (a, _), (b, _) = rows[earlier[i][0]]
+        pairs = {(min(x, y), max(x, y)) for x in (a, b) for y in range(1, top + 1) if y != x}
+        for u, u2 in sorted(pairs):
+            fresh = u2 == used + 1
+            for e in (1, -1):
+                for e2 in ((1,) if fresh else (1, -1)):
+                    yield ((u, e), (u2, e2))
 
-    def rec(k, used_count):
-        if k == len(order):
-            return dict(rows) if used_count == m else None
+    def place(i, ends):
+        rows[i] = ends
+        for u, e in ends:
+            at[u][i] = e
+
+    def unplace(i):
+        for u, _ in rows.pop(i):
+            del at[u][i]
+
+    # one level per placed arrow: (candidates left, vertices used before it)
+    levels = [(iter((((1, 1), (2, -1)),)), 0)]
+    while levels:
+        k = len(levels) - 1
+        cands, used = levels[-1]
         i = order[k]
-        first = k == 0
-        for ends in candidates(used_count, first):
-            row = ends
-            if not products_ok(i, row):
+        if i in rows:  # back from a subtree that failed
+            unplace(i)
+        for ends in cands:
+            new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
+            if new_used > m or not fits(i, ends):
                 continue
-            rows[i] = row
-            new_used = max(used_count, ends[0][0], ends[1][0])
-            if new_used <= m:
-                res = rec(k + 1, new_used)
-                if res is not None:
-                    return res
-            del rows[i]
-        return None
-
-    sol = rec(0, 0)
-    if sol is None:
-        return None
-    return BidirectedGraph(m, [sol[i] for i in range(1, n + 1)])
-
-
-def _sparse_dot(ends_a, ends_b):
-    total = 0
-    for (u, e) in ends_a:
-        for (w, f) in ends_b:
-            if u == w:
-                total += e * f
-    return total
+            if k + 1 == n:
+                if new_used == m:
+                    place(i, ends)
+                    return BidirectedGraph(m, [rows[j] for j in range(1, n + 1)])
+                continue
+            place(i, ends)
+            levels.append((candidates(order[k + 1], new_used), new_used))
+            break
+        else:
+            levels.pop()
+    return None
 
 
 def _bigraph_bfs_order(q):
@@ -870,11 +955,12 @@ def canonical_c(q: IntegralQuadraticForm):
     for k in range(1, c2 + 1):
         ch.push("sign", r + c1 + k)
     target = canonical_c_graph(r, c1, c2).incidence_form()
+    M = ch.M
     assert ch.q == target
-    assert q.compose(ch.M) == target
+    assert q.compose(M) == target
     assert c1 + c2 == rep.corank
     assert c2 == rep.dotted_loops - 1
-    return GTransform(ch.M, ch.steps), r, c1, c2
+    return GTransform(M, ch.steps), r, c1, c2
 
 
 def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
@@ -904,6 +990,7 @@ def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
         target = dynkin_unit_form("D", r)
     if c1 + c2:
         target = target.direct_sum(zero_form(c1 + c2))
+    M = ch.M
     assert ch.q == target
-    assert q.compose(ch.M) == target
-    return ch.M, target
+    assert q.compose(M) == target
+    return M, target

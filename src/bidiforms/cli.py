@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain rejection (e.g. a form that is not an
-incidence form), 2 malformed input or usage error.
+incidence form), 2 malformed input or usage error, 3 an internal check
+failed (a bug: please report the input).
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .qform import IntegralQuadraticForm, analyze
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
+EXIT_CODES = (
+    "Exit codes: 0 success, 1 domain rejection, 2 malformed input or usage error, "
+    "3 an internal check failed."
+)
 
 
 def _load_json(path):
@@ -398,6 +405,7 @@ def _build_parser():
     p = argparse.ArgumentParser(
         prog="bidiforms",
         description="Integral quadratic forms via bidirected graphs",
+        epilog=EXIT_CODES,
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -482,6 +490,9 @@ def run(argv=None) -> int:
     except BidiformsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main():

@@ -28,6 +28,9 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        return (IntMatrix, (self.entries,))
+
     @staticmethod
     def identity(n: int) -> "IntMatrix":
         return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
@@ -195,25 +198,20 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     r = 0
     pivots = []
     for c in range(ncols):
-        piv = None
-        for k in range(r, len(rows)):
-            if rows[k][c] != 0 and (piv is None or abs(rows[k][c]) < abs(rows[piv][c])):
-                piv = k
+        piv = _smallest_at(rows, r, c)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        # Euclid within the column below the pivot row
-        while True:
-            done = True
+        # Euclid within the column: reduce every row below by the row with the
+        # smallest entry, then move the smallest remainder up, until none is left
+        while piv is not None:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            prow = rows[r]
+            p = prow[c]
             for k in range(r + 1, len(rows)):
                 if rows[k][c] != 0:
-                    qout = rows[k][c] // rows[r][c]
-                    rows[k] = [x - qout * y for x, y in zip(rows[k], rows[r])]
-                    if rows[k][c] != 0:
-                        rows[r], rows[k] = rows[k], rows[r]
-                        done = False
-            if done:
-                break
+                    qout = rows[k][c] // p
+                    rows[k] = [x - qout * y for x, y in zip(rows[k], prow)]
+            piv = _smallest_at(rows, r + 1, c)
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
         for k in range(r):
@@ -225,6 +223,15 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
         if r == len(rows):
             break
     return pivots
+
+
+def _smallest_at(rows, start, c):
+    """The row from `start` on with the smallest nonzero entry in column c, or None."""
+    piv = None
+    for k in range(start, len(rows)):
+        if rows[k][c] != 0 and (piv is None or abs(rows[k][c]) < abs(rows[piv][c])):
+            piv = k
+    return piv
 
 
 def hermite_normal_form(M: IntMatrix) -> IntMatrix:

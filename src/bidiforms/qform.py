@@ -42,8 +42,25 @@ class IntegralQuadraticForm:
         # read-only, so that the hash and the `analyze` cache key cannot go stale
         object.__setattr__(self, "off", MappingProxyType(clean))
 
+    @classmethod
+    def _trusted(cls, diag: tuple, off: dict) -> "IntegralQuadraticForm":
+        """A form built from data derived from valid forms, without the checks.
+
+        `diag` is a tuple of ints and `off` a dict of nonzero ints keyed by
+        (i, j) with 1 <= i < j <= len(diag); `off` keeps its iteration order.
+        Input from outside the library goes through the constructor.
+        """
+        q = object.__new__(cls)
+        object.__setattr__(q, "n", len(diag))
+        object.__setattr__(q, "diag", diag)
+        object.__setattr__(q, "off", MappingProxyType(off))
+        return q
+
     def __setattr__(self, name, value):
         raise AttributeError("IntegralQuadraticForm is immutable")
+
+    def __reduce__(self):
+        return (IntegralQuadraticForm, (self.diag, dict(self.off)))
 
     def __eq__(self, other):
         return (
@@ -115,12 +132,12 @@ class IntegralQuadraticForm:
         if not X or X[0] < 1 or X[-1] > self.n:
             raise InvalidInput("restriction index set must be a nonempty subset of 1..n")
         pos = {orig: t + 1 for t, orig in enumerate(X)}
-        diag = [self.diag[i - 1] for i in X]
+        diag = tuple(self.diag[i - 1] for i in X)
         off = {}
         for (i, j), v in self.off.items():
             if i in pos and j in pos:
-                off[(pos[i], pos[j])] = v
-        return IntegralQuadraticForm(diag, off)
+                off[(pos[i], pos[j])] = v  # pos is increasing, so still i < j
+        return IntegralQuadraticForm._trusted(diag, off)
 
     def direct_sum(self, other: "IntegralQuadraticForm") -> "IntegralQuadraticForm":
         diag = self.diag + other.diag
@@ -134,14 +151,15 @@ class IntegralQuadraticForm:
         pi = tuple(int(p) for p in pi)
         if sorted(pi) != list(range(1, self.n + 1)):
             raise InvalidInput("not a permutation of 1..n")
-        diag = [self.diag[pi[k] - 1] for k in range(self.n)]
+        diag = tuple(self.diag[p - 1] for p in pi)
         inv = {}
         for k, p in enumerate(pi, start=1):
             inv[p] = k
         off = {}
         for (i, j), v in self.off.items():
-            off[(inv[i], inv[j])] = v
-        return IntegralQuadraticForm(diag, off)
+            i, j = inv[i], inv[j]
+            off[(i, j) if i < j else (j, i)] = v
+        return IntegralQuadraticForm._trusted(diag, off)
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,10 +229,14 @@ class Bigraph:
             if mult:
                 clean[(i, j)] = (mult, sign)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", clean)
+        # read-only, as `IntegralQuadraticForm.off` is, so that the hash cannot go stale
+        object.__setattr__(self, "edges", MappingProxyType(clean))
 
     def __setattr__(self, name, value):
         raise AttributeError("Bigraph is immutable")
+
+    def __reduce__(self):
+        return (Bigraph, (self.n, dict(self.edges)))
 
     def __eq__(self, other):
         return isinstance(other, Bigraph) and self.n == other.n and self.edges == other.edges

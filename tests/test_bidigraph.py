@@ -447,3 +447,42 @@ def test_json_round_trip():
     for _ in range(20):
         B = random_connected(rng)
         assert BidirectedGraph.from_json_dict(B.to_json_dict()) == B
+
+
+def test_graphs_and_matrices_pickle_and_copy():
+    import copy
+    import pickle
+
+    from bidiforms.bidigraph import OrthogonalMatrix, switch
+    from bidiforms.classify import GTransform, canonical_c as canonical_c_form
+    from tests.test_graph_layer import _random_graph, _random_orthogonal
+
+    rng = random.Random(7106)
+    objs = []
+    for _ in range(200):
+        B = _random_graph(rng)
+        B.adjacency()  # the cached index is not part of the value
+        O = _random_orthogonal(rng, B.m)
+        objs += [B, O, switch(B, O), O.to_matrix()]
+    T, *_ = canonical_c_form(IntegralQuadraticForm([2, 1, 1], {(1, 2): 2, (1, 3): -2, (2, 3): -1}))
+    objs += [T, OrthogonalMatrix.identity(1)]
+    for obj in objs:
+        for back in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(back) is type(obj) and back == obj
+            if not isinstance(obj, GTransform):  # a GTransform has no hash
+                assert hash(back) == hash(obj)
+
+    class Forged:  # pickles as a call of `cls` on `args`, as the value types do
+        def __init__(self, cls, args):
+            self.cls, self.args = cls, args
+
+        def __reduce__(self):
+            return (self.cls, self.args)
+
+    # unpickling goes through the checked constructors
+    with pytest.raises(InvalidInput):
+        pickle.loads(pickle.dumps(Forged(BidirectedGraph, (1, (((1, 1), (2, -1)),)))))
+    with pytest.raises(InvalidInput):
+        pickle.loads(pickle.dumps(Forged(IntegralQuadraticForm, ((1, 1), {(1, 1): 2}))))
+    with pytest.raises(InvalidInput):
+        pickle.loads(pickle.dumps(Forged(GTransform, (IntMatrix([[2]]), ()))))

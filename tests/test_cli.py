@@ -347,3 +347,23 @@ def test_demo_stdout_byte_identical_to_golden(demo):
     assert proc.returncode == 0, proc.stderr
     with open(f"tests/golden/demos/{demo}.out") as fh:
         assert proc.stdout == fh.read()
+
+
+def test_internal_check_failure_exits_3(capsys, monkeypatch):
+    from bidiforms import classify
+
+    def broken(*args, **kwargs):
+        raise AssertionError("realization does not match the form")
+
+    monkeypatch.setattr(classify, "realize", broken)
+    code = run(["qf-realize", f"{FIX}/c4_form.json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: internal check failed: realization does not match the form\n"
+
+
+def test_help_documents_the_exit_codes(capsys):
+    assert run(["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert "0 success, 1 domain rejection, 2 malformed input or usage error, 3 an internal check failed." in out

@@ -124,3 +124,66 @@ def test_psd_rank_pivot_count_equals_rank():
         psd_seen += is_psd
         indefinite_seen += not is_psd
     assert psd_seen > 30 and indefinite_seen > 30
+
+
+def _reference_row_hnf(rows):
+    """The Euclid loop `_row_hnf_in_place` had before: each row below is reduced
+    by the current pivot row, and swapped into its place on a nonzero remainder."""
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = None
+        for k in range(r, len(rows)):
+            if rows[k][c] != 0 and (piv is None or abs(rows[k][c]) < abs(rows[piv][c])):
+                piv = k
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        while True:
+            done = True
+            for k in range(r + 1, len(rows)):
+                if rows[k][c] != 0:
+                    qout = rows[k][c] // rows[r][c]
+                    rows[k] = [x - qout * y for x, y in zip(rows[k], rows[r])]
+                    if rows[k][c] != 0:
+                        rows[r], rows[k] = rows[k], rows[r]
+                        done = False
+            if done:
+                break
+        if rows[r][c] < 0:
+            rows[r] = [-x for x in rows[r]]
+        for k in range(r):
+            qout = rows[k][c] // rows[r][c]
+            if qout != 0:
+                rows[k] = [x - qout * y for x, y in zip(rows[k], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return [row for row in rows if any(row)]
+
+
+def test_hermite_normal_form_and_kernel_match_the_previous_euclid_loop():
+    from bidiforms.exact_linalg import hermite_normal_form
+
+    rng = random.Random(7107)
+    for _ in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 7)
+        M = IntMatrix([[rng.choice((0, 0, 1, -1, 2, -3, 6)) for _ in range(n)] for _ in range(m)])
+        want = _reference_row_hnf(M.to_lists())
+        assert hermite_normal_form(M).to_lists() == (want or [[0] * n])
+        aug = [list(M.col(j)) + [int(k == j) for k in range(n)] for j in range(n)]
+        kernel = [row[m:] for row in _reference_row_hnf(aug) if not any(row[:m])]
+        assert [list(v) for v in integer_kernel(M)] == _reference_row_hnf(kernel)
+
+
+def test_integer_kernel_of_a_large_gram_matrix_stays_small():
+    # the Gram matrix of A_58 extended by three roots and scrambled: the previous
+    # Euclid loop grew its entries to about 80,000 bits and took seconds here
+    import time
+
+    from tests.test_classify_oracles import _extended_form
+
+    q = _extended_form(random.Random(7104), "A", 58, 3, 40)
+    start = time.perf_counter()
+    kernel = integer_kernel(q.gram())
+    assert len(kernel) == 3 and max(abs(x) for v in kernel for x in v) == 1
+    assert time.perf_counter() - start < 1.0

@@ -238,3 +238,35 @@ def test_off_is_read_only():
         del q.off[(1, 2)]
     assert q.off == {(1, 2): -1} and hash(q) == h
     assert analyze(q).rank == 2
+
+
+def test_bigraph_edges_are_read_only():
+    d = bigraph_of(Q_ALGO)
+    h = hash(d)
+    with pytest.raises(TypeError):
+        d.edges[(1, 3)] = (1, 1)
+    with pytest.raises(TypeError):
+        del d.edges[(1, 2)]
+    assert hash(d) == h and d == bigraph_of(Q_ALGO)
+    assert form_of(d) == Q_ALGO
+
+
+def _round_trips(obj):
+    import copy
+    import pickle
+
+    return [pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)]
+
+
+def test_forms_and_bigraphs_pickle_and_copy():
+    rng = random.Random(7105)
+    for _ in range(200):
+        q = _random_form(rng, rng.randint(1, 6))
+        for obj in (q, bigraph_of(q)):
+            for back in _round_trips(obj):
+                assert type(back) is type(obj) and back == obj and hash(back) == hash(obj)
+        for back in _round_trips(q):
+            assert list(back.off.items()) == list(q.off.items())
+            assert analyze(back) == analyze(q)
+            with pytest.raises(TypeError):
+                back.off[(1, 2)] = 5
