@@ -505,7 +505,9 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
     For type C the core is the breadth-first spanning tree of a realization
     plus its first bidirected loop; otherwise the first X of an ascending
     depth-first variable deletion, each deleted set tested on the radical
-    basis (`_greedy_core`).
+    basis (`_greedy_core`). That core is unimodular: the radical rows at the
+    deleted variables have determinant +-1, so q^X is Z-equivalent to the
+    positive part of q and has the Dynkin type of q.
     """
     rep = rep or analyze(q)
     if not rep.non_negative:
@@ -528,14 +530,20 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
 
 def _greedy_core(q, rep):
     """The first X found by deleting variables in ascending depth-first order
-    with q^X connected, of rank r = rk q and of corank 0.
+    with q^X connected, of rank r = rk q and of corank 0, whose deleted rows
+    of the radical basis have determinant +-1.
 
     q is PSD, so q^X has kernel {z in the radical : z_d = 0 for d in D}, D the
     deleted set: q^X keeps rank r iff the rows at D of the radical basis are
     linearly independent, and has corank 0 once |D| = crk q. Each node of the
     search extends an integer echelon form of those rows by one row, and
     checks connectivity with `traverse` on X; no restriction is analyzed.
-    The search runs on an explicit stack.
+    At a leaf the rows at D must be unimodular: then Z^X maps onto
+    Z^n / rad q, so q^X is Z-equivalent to the positive part of q and has
+    its Dynkin type (by Barot and de la Peña such an X exists). A leaf
+    whose rows have a larger determinant spans a sublattice of finite index,
+    which can have another type (an extended E_8 form has an index-2 core
+    of type D_8). The search runs on an explicit stack.
     """
     n, c = q.n, rep.corank
     radical_rows = [None] + [tuple(z[v - 1] for z in rep.radical_basis) for v in range(1, n + 1)]
@@ -557,7 +565,9 @@ def _greedy_core(q, rep):
             if not connected(Y):
                 continue
             if len(grown) == c:
-                return sorted(Y)
+                if abs(IntMatrix([radical_rows[u] for u in range(1, n + 1) if u not in Y]).det()) == 1:
+                    return sorted(Y)
+                continue
             levels.append((Y, grown, iter(sorted(Y))))
             break
         else:

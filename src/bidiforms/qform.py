@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from types import MappingProxyType
 
 from .errors import InvalidInput, json_int
@@ -201,6 +201,72 @@ def _check_vector(x, n):
     if len(x) != n:
         raise InvalidInput(f"vector has length {len(x)}, expected {n}")
     return x
+
+
+def _box_roots(q: IntegralQuadraticForm, d: int, bound: int, limit=None):
+    """Yield each x with |x_i| <= bound and q(x) = d among the first `limit` box
+    points (default: all) in box order: each x_i runs 0, 1, -1, ..., bound, -bound,
+    x_1 slowest. An odometer runs x_1..x_{n-2} and an inner loop x_{n-1}, keeping
+    q on them and the coefficients `lin` they pass to later x_j (O(n) memory). The
+    last x_n = t, at place 2t - 1 (t > 0) or -2t of its block, solves a t^2 + c t =
+    rest by one isqrt (a = q_n != 0) or one division (a = 0 != c), or is free.
+    """
+    diag = q.diag
+    n = q.n
+    last = n - 1
+    a = diag[last]
+    width = 2 * bound + 1
+    upper = [[] for _ in range(n)]  # upper[i]: (j, q_ij) with j > i, 0-based
+    for (i, j), v in q.off.items():
+        upper[i - 1].append((j - 1, v))
+    k = inner = max(last - 1, 0)  # 0-based x_inner = u runs in the inner loop; n = 1 runs it once
+    x = [0] * inner
+    lin = [0] * n
+    partial = [0] * n  # partial[k]: q on x_0..x_{k-1}
+    left = width**n if limit is None else limit  # points from this block on
+    qu, quv, end = (diag[inner], q.off.get((last, n), 0), -bound) if last else (0, 0, 0)
+    while True:
+        pk, lk, cn = partial[k], lin[k], lin[last]
+        u = 0
+        while True:
+            rest = d - pk - u * (qu * u + lk)
+            c = cn + quv * u
+            if a:
+                disc = c * c + 4 * a * rest
+                if disc < 0 or (s := isqrt(disc)) * s != disc:
+                    hits = ()
+                else:
+                    hits = sorted({r // (2 * a) for r in (s - c, -s - c) if r % (2 * a) == 0},
+                                  key=lambda t: (abs(t), -t))
+            elif c:
+                hits = () if rest % c else (rest // c,)
+            else:
+                hits = ((p + 1) // 2 if p % 2 else -(p // 2) for p in range(width)) if rest == 0 else ()
+            for t in hits:
+                if abs(t) > bound or (2 * t - 1 if t > 0 else -2 * t) >= left:
+                    break
+                yield (*x, u, t)[-n:]  # n = 1 has no inner coordinate
+            left -= width
+            if left <= 0:
+                return
+            if u == end:
+                break
+            u = -u if u > 0 else 1 - u
+        while True:  # advance the deepest outer coordinate; one at -bound wraps to 0
+            k -= 1
+            if k < 0:
+                return
+            t = x[k]
+            u = x[k] = 0 if t == -bound else -t if t > 0 else 1 - t
+            for j, v in upper[k]:
+                lin[j] += v * (u - t)
+            if u:
+                break
+        partial[k + 1] = partial[k] + u * (diag[k] * u + lin[k])
+        k += 1
+        while k < inner:  # the coordinates after x_k restart at 0
+            partial[k + 1] = partial[k]
+            k += 1
 
 
 class Bigraph:

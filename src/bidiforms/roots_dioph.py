@@ -4,7 +4,7 @@ Reflections at incidence roots intertwine with orthogonal vertex matrices;
 positive incidence forms carry finite root systems of type A_n or C_n. The
 solver routes type-C inputs of rank >= 4 through the canonical C_4 block and
 a four-squares decomposition, positive unit cores through exact enumeration,
-and everything else through a bounded box search.
+and everything else through the box search `qform._box_roots` under a budget.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, product
 from math import isqrt
 from typing import Optional
 
@@ -25,10 +24,10 @@ from .errors import (
     UnrepresentedWithinBound,
 )
 from .exact_linalg import IntMatrix
-from .qform import IntegralQuadraticForm, analyze
+from .qform import IntegralQuadraticForm, _box_roots, analyze
 from .walks import Walk, roots_positive
 
-# box points `_solve_brute` may evaluate over its whole ladder of bounds; the
+# box points `_solve_brute` may search over its whole ladder of bounds; the
 # brute-force solves of typical inputs need at most a few tens of thousands
 BOX_POINT_BUDGET = 10**6
 
@@ -253,16 +252,18 @@ def _solve_on_core(q, rep, d):
 def _solve_brute(q, d, bound):
     """Box search with a bound doubling from about 4 sqrt(d), under BOX_POINT_BUDGET.
 
-    Raises UnrepresentedWithinBound(d, b), b the largest bound whose whole box
-    was searched (0 if none), when four boxes or the budget run out.
+    A box gives its first hit among the points the budget has left. Raises
+    UnrepresentedWithinBound(d, b), b the largest bound whose whole box was
+    searched (0 if none), when four boxes or the budget run out.
     """
     start = bound if bound is not None else isqrt(16 * d) + 2
     b = max(1, start)
     budget = BOX_POINT_BUDGET
     searched = 0
     for _ in range(4):
-        hit = _box_first(q, d, b, budget)
+        hit = next(_box_roots(q, d, b, budget), None)
         if hit is not None:
+            assert q.evaluate(hit) == d
             return Representation(d, hit, "brute-force")
         budget -= (2 * b + 1) ** q.n
         if budget < 0:
@@ -270,15 +271,3 @@ def _solve_brute(q, d, bound):
         searched = b
         b *= 2
     raise UnrepresentedWithinBound(d, searched)
-
-
-def _box_first(q, d, bound, budget):
-    for x in islice(_box_iter(q.n, bound), budget):
-        if q.evaluate(x) == d:
-            return x
-    return None
-
-
-def _box_iter(n, bound):
-    values = sorted(range(-bound, bound + 1), key=lambda v: (abs(v), -v))
-    return product(values, repeat=n)

@@ -13,8 +13,8 @@ The root enumerators never build `Walk` objects in their loops:
 - `roots_positive` forms each root from the (inc, sigma) of two tree walks
   to a root vertex, by inc(w1 w2) = inc(w1) + sigma(w1) inc(w2) and
   inc(w^-1) = -sigma(w) inc(w);
-- `brute_force_roots`, the independent oracle, enumerates the box with
-  incremental partial values of the form and knows nothing of walks.
+- `brute_force_roots`, the independent oracle, is the box search
+  `qform._box_roots` that the solver shares; it knows nothing of walks.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import chain
 
 from .bidigraph import BidirectedGraph, _tree_path
 from .errors import InvalidInput, NotPositive
-from .qform import IntegralQuadraticForm, traverse
+from .qform import IntegralQuadraticForm, _box_roots, traverse
 
 
 class Walk:
@@ -222,55 +222,10 @@ class RootSet:
 
 
 def brute_force_roots(q: IntegralQuadraticForm, d: int, bound: int) -> RootSet:
-    """Independent oracle: all x with |x_i| <= bound and q(x) = d, by enumeration.
-
-    An iterative odometer runs over the first n - 1 coordinates of the box.
-    For each depth it keeps the value of q on the fixed coordinates and, in
-    `lin`, the linear coefficient sum_{i<j} q_ij x_i that they pass to every
-    later x_j. The last coordinate t is then closed by one multiply-add per
-    value: q_n t^2 + lin_n t against d minus the partial value. The whole
-    box is covered, for any integral form and any d; no walk is involved.
-    """
+    """Independent oracle: all x with |x_i| <= bound and q(x) = d, by `qform._box_roots`."""
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
-    diag = q.diag
-    last = q.n - 1
-    upper = [[] for _ in range(last + 1)]  # upper[i]: (j, q_ij) with j > i, 0-based
-    for (i, j), v in q.off.items():
-        upper[i - 1].append((j - 1, v))
-    closing = [(t, diag[last] * t * t) for t in range(-bound, bound + 1)]
-    x = [0] * last
-    lin = [0] * (last + 1)
-    partial = [0] * (last + 1)  # partial[k]: q on x_0..x_{k-1}
-    hits = []
-    k = 0
-    while True:
-        if k < last:  # fix x_k at the low end of its range
-            t = x[k] = -bound
-            for j, v in upper[k]:
-                lin[j] -= v * bound
-            partial[k + 1] = partial[k] + t * (diag[k] * t + lin[k])
-            k += 1
-            continue
-        rest = d - partial[last]
-        c = lin[last]
-        for t, sq in closing:
-            if sq + c * t == rest:
-                hits.append((*x, t))
-        while True:  # advance the deepest coordinate that is below bound
-            k -= 1
-            if k < 0:
-                return RootSet(d, frozenset(hits))
-            t = x[k]
-            if t < bound:
-                break
-            for j, v in upper[k]:
-                lin[j] -= v * bound
-        t = x[k] = t + 1
-        for j, v in upper[k]:
-            lin[j] += v
-        partial[k + 1] = partial[k] + t * (diag[k] * t + lin[k])
-        k += 1
+    return RootSet(d, frozenset(_box_roots(q, d, bound)))
 
 
 class _WalkStates:

@@ -114,6 +114,23 @@ def test_dynkin_type_e6():
     assert (typ.family, typ.rank, crk) == ("E", 6, 0)
 
 
+# the extended E8 form: the E8 tree on 1..8 and a dotted edge 8-9 (E8 composed with
+# [I | highest root]); its radical vector has entry 2 at variable 1
+Q_E8_EXTENDED = IntegralQuadraticForm(
+    [1] * 9, {(1, 2): -1, (2, 3): -1, (3, 4): -1, (3, 5): -1, (5, 6): -1, (6, 7): -1, (7, 8): -1, (8, 9): 1}
+)
+
+
+def test_dynkin_type_extended_e8():
+    # deleting variable 1 would leave an index-2 core of Gram determinant 4, typed D8
+    typ, crk = dynkin_type(Q_E8_EXTENDED)
+    assert (typ.family, typ.rank, crk) == ("E", 8, 1)
+    X = positive_core(Q_E8_EXTENDED)
+    assert 1 in X and Q_E8_EXTENDED.restrict(X).gram().det() == 1
+    with pytest.raises(NotIncidenceForm):
+        realize(Q_E8_EXTENDED)
+
+
 def test_dynkin_type_canonical_extensions():
     for r in range(1, 7):
         for c in range(3):

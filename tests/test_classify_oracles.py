@@ -96,15 +96,18 @@ def _reference_realize_unit(q, m):
 
 
 def _reference_greedy_core(q, rep):
-    """Recursive deletion search that analyzes every restriction it tries."""
+    """Recursive deletion search that analyzes every restriction it tries and
+    keeps a corank-0 leaf whose deleted radical rows have determinant +-1."""
     target_rank = rep.rank
 
     def search(X):
         a = analyze(q.restrict(sorted(X)))
         if a.rank < target_rank or not a.connected:
             return None
-        if a.corank == 0:
-            return sorted(X)
+        if a.corank == 0:  # a core spanning a sublattice of finite index is passed over
+            deleted = [v for v in range(1, q.n + 1) if v not in X]
+            det = IntMatrix([[z[v - 1] for z in rep.radical_basis] for v in deleted]).det()
+            return sorted(X) if abs(det) == 1 else None
         for v in sorted(X):
             res = search(X - {v})
             if res is not None:
@@ -170,8 +173,7 @@ def test_realizer_and_core_match_the_recursive_searches():
     for family, q in forms:
         rep = analyze(q)
         coranks.add(rep.corank)
-        if family != "E":  # a core of a form of type E may span a sublattice of another type
-            assert dynkin_type(q, rep)[0].family == family
+        assert dynkin_type(q, rep)[0].family == family
         if rep.corank:
             X = positive_core(q, rep)
             assert X == _reference_greedy_core(q, rep), q

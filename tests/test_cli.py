@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -54,6 +56,18 @@ def test_qf_realize_rejects_e6(capsys, tmp_path):
     path.write_text(json.dumps(dynkin_unit_form("E", 6).to_json_dict()))
     code = run(["qf-realize", str(path)])
     assert code == 1
+
+
+def test_qf_info_and_realize_on_extended_e8(capsys, tmp_path):
+    from tests.test_classify import Q_E8_EXTENDED
+
+    path = tmp_path / "e8_extended.json"
+    path.write_text(json.dumps(Q_E8_EXTENDED.to_json_dict()))
+    code, out = run_capture(capsys, ["qf-info", str(path), "--format", "text"])
+    assert code == 0 and "dynkin: E8" in out
+    assert run(["qf-realize", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: unit forms of type E8 are not incidence forms\n"
 
 
 def test_qf_canonical_c(capsys):
@@ -239,14 +253,26 @@ def test_verify_reports_why_a_check_failed(capsys, tmp_path):
     assert out.startswith("FAIL  algo-pipeline: NotTypeC: ")
 
 
-@pytest.mark.parametrize("command", ["qf-realize", "qf-canonical-c", "qf-info"])
+SOLVE_TARGETS = (1, 2, 5, 14, 97)
+# the qf-solve goldens hold stdout and stderr; this target is refused with bound 0
+GOLDEN_EXIT = {("qf-solve", "typec_rank3_form", 14): 1}
+
+
+@pytest.mark.parametrize(
+    "command, d",
+    [pytest.param(c, None, id=c) for c in ("qf-realize", "qf-canonical-c", "qf-info")]
+    + [pytest.param("qf-solve", d, id=f"qf-solve-d{d}") for d in SOLVE_TARGETS],
+)
 @pytest.mark.parametrize("fixture", ["c4_form", "typec_rank3_form"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_output_is_byte_identical_to_golden(capsys, command, fixture, fmt):
-    code, out = run_capture(capsys, [command, f"{FIX}/{fixture}.json", "--format", fmt])
-    assert code == 0
-    with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
-        assert out == fh.read()
+def test_output_is_byte_identical_to_golden(capsys, command, d, fixture, fmt):
+    target = [] if d is None else ["-d", str(d)]
+    code = run([command, f"{FIX}/{fixture}.json", *target, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == GOLDEN_EXIT.get((command, fixture, d), 0)
+    suffix = "" if d is None else f".d{d}"
+    with open(f"tests/golden/{command}__{fixture}{suffix}.{fmt}.out") as fh:
+        assert captured.out + captured.err == fh.read()
 
 
 @pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
@@ -288,19 +314,27 @@ def test_bg_switch_equiv_byte_identical_to_golden(capsys, fixture, fixture2, fmt
         assert out == fh.read()
 
 
-def _in_subprocess(*argv):
+def _in_subprocess(*argv, preexec_fn=None):
     """Run `python argv...` with this checkout's package importable."""
     src = os.path.dirname(os.path.dirname(bidiforms.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=preexec_fn,
     )
 
 
-def _qf_solve_in_subprocess(tmp_path, diag, d):
+def _cap_address_space():
+    """`preexec_fn` of a child process: caps its own address space at 1 GiB."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _qf_solve_in_subprocess(tmp_path, diag, d, *opts, preexec_fn=None):
     form = tmp_path / "form.json"
     form.write_text(json.dumps({"n": len(diag), "diag": diag, "off": []}))
-    return _in_subprocess("-m", "bidiforms.cli", "qf-solve", str(form), "-d", str(d))
+    return _in_subprocess(
+        "-m", "bidiforms.cli", "qf-solve", str(form), "-d", str(d), *opts, preexec_fn=preexec_fn,
+    )
 
 
 def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
@@ -317,6 +351,18 @@ def test_qf_solve_stops_at_the_box_point_budget(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: no representation of 2")
+
+
+@pytest.mark.parametrize("d, opts", [(10**30 + 3, ()), (7, ("--bound", str(10**12)))])
+def test_qf_solve_on_huge_input_is_refused_in_little_memory(tmp_path, d, opts):
+    # x1^2 + x2^2 + x3^2: the box is searched one block at a time, never listed
+    start = time.monotonic()
+    proc = _qf_solve_in_subprocess(tmp_path, [1, 1, 1], d, *opts, preexec_fn=_cap_address_space)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: no representation of ") and proc.stderr.count("\n") == 1
 
 
 def test_bg_switch_equiv_on_a_long_path(tmp_path):

@@ -1,4 +1,6 @@
 import random
+from itertools import islice, product
+from math import isqrt
 
 import pytest
 
@@ -6,7 +8,7 @@ from bidiforms import roots_dioph
 from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph
 from bidiforms.errors import InvalidInput, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
-from bidiforms.qform import IntegralQuadraticForm, zero_form
+from bidiforms.qform import IntegralQuadraticForm, _box_roots, zero_form
 from bidiforms.roots_dioph import (
     LAGRANGE_BRIDGE,
     companion,
@@ -207,13 +209,18 @@ def test_solve_brute_force_reports_the_last_complete_box(monkeypatch):
     q = IntegralQuadraticForm([3] * 5 + [1])
     # boxes of bound 1 and 2 hold 3^6 + 5^6 = 16354 points; bound 4 would need 9^6 more
     monkeypatch.setattr(roots_dioph, "BOX_POINT_BUDGET", 20000)
-    evaluated = []
-    evaluate = IntegralQuadraticForm.evaluate
-    monkeypatch.setattr(IntegralQuadraticForm, "evaluate", lambda self, x: evaluated.append(x) or evaluate(self, x))
     with pytest.raises(UnrepresentedWithinBound) as info:
         solve(q, 2, bound=1)
     assert info.value.bound == 2
-    assert len(evaluated) == 20000  # the budget, spent to the last point
+    # the budget is spent to the last point: 66 > q on the box of bound 2, so its
+    # first hit sits at place p of the box of bound 4, after the 16354 points before it
+    p, hit = next((p, x) for p, x in enumerate(_reference_box_iter(6, 4)) if q.evaluate(x) == 66)
+    monkeypatch.setattr(roots_dioph, "BOX_POINT_BUDGET", 16354 + p + 1)
+    assert solve(q, 66, bound=1).x == hit
+    monkeypatch.setattr(roots_dioph, "BOX_POINT_BUDGET", 16354 + p)
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(q, 66, bound=1)
+    assert info.value.bound == 2
     # four complete boxes, as before the budget: bounds 7, 14, 28, 56 for x^2 = 2
     with pytest.raises(UnrepresentedWithinBound) as info:
         solve(IntegralQuadraticForm([1]), 2)
@@ -250,3 +257,93 @@ def test_c4_value_table():
     # and the bridged Lagrange witness for 14
     z = (2, -3, 0, 1)
     assert Q_C4.evaluate(LAGRANGE_BRIDGE.matvec(z)) == 14
+
+
+# -- the box kernel against the `evaluate` loop it replaced --------------------------
+
+
+def _reference_box_iter(n, bound):
+    values = sorted(range(-bound, bound + 1), key=lambda v: (abs(v), -v))
+    return product(values, repeat=n)
+
+
+def _reference_solve_brute(q, d, bound, budget):
+    """The box ladder before the kernel, one `evaluate` per box point in box order:
+    (x, points charged before x) or (("refused", bound), None)."""
+    start = bound if bound is not None else isqrt(16 * d) + 2
+    b = max(1, start)
+    searched = spent = 0
+    for _ in range(4):
+        for p, x in enumerate(islice(_reference_box_iter(q.n, b), budget)):
+            if q.evaluate(x) == d:
+                return x, spent + p
+        budget -= (2 * b + 1) ** q.n
+        spent += (2 * b + 1) ** q.n
+        if budget < 0:
+            break
+        searched = b
+        b *= 2
+    return ("refused", searched), None
+
+
+def _kernel_forms(seed, count):
+    """Forms on 1..4 variables with positive, zero, negative and mixed diagonals."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        lo, hi = rng.choice([(1, 3), (0, 1), (-2, 0), (-2, 3)])
+        diag = [rng.randint(lo, hi) for _ in range(n)]
+        off = {(i, j): rng.randint(-3, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               if rng.random() < 0.6}
+        yield IntegralQuadraticForm(diag, off)
+
+
+def test_box_kernel_matches_the_evaluate_loop():
+    zero_last = negative = 0
+    for q in _kernel_forms(8101, 200):
+        zero_last += q.diag[-1] == 0
+        negative += min(q.diag) < 0
+        for bound in (0, 1, 2):
+            box = list(_reference_box_iter(q.n, bound))
+            for d in range(-4, 8):
+                want = [x for x in box if q.evaluate(x) == d]
+                assert list(_box_roots(q, d, bound)) == want
+                for limit in (1, 2, len(box) // 3, len(box) - 1):
+                    assert list(_box_roots(q, d, bound, limit)) == [
+                        x for x in box[:limit] if q.evaluate(x) == d
+                    ]
+    assert zero_last > 30 and negative > 60
+
+
+def test_solve_brute_matches_the_evaluate_loop(monkeypatch):
+    cases = at_hit = 0
+    for q in _kernel_forms(8102, 120):
+        for bound in (None, 1, 2):
+            for d in range(1, 8):
+                budgets = [1, 7, 60, 400]
+                _, spent = _reference_solve_brute(q, d, bound, 400)
+                if spent is not None:  # the hit sits at ladder place p: budgets p and p + 1
+                    budgets += [spent, spent + 1]
+                    at_hit += 1
+                for budget in budgets:
+                    monkeypatch.setattr(roots_dioph, "BOX_POINT_BUDGET", budget)
+                    try:
+                        got = roots_dioph._solve_brute(q, d, bound).x
+                    except UnrepresentedWithinBound as exc:
+                        got = ("refused", exc.bound)
+                    assert got == _reference_solve_brute(q, d, bound, budget)[0], (q, d, bound, budget)
+                    cases += 1
+    assert cases > 10000 and at_hit > 300
+
+
+def test_box_search_needs_no_memory_for_a_wide_box():
+    # a box of bound 10^12 is never listed, and the budget stops it in its first block
+    q = IntegralQuadraticForm([1, 1, 1])
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(q, 7, bound=10**12)
+    assert info.value.bound == 0
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(IntegralQuadraticForm([1, 1]), 3, bound=4 * 10**6)
+    assert info.value.bound == 0
+    # x_2 = 10^5 sits at place 2 * 10^5 - 1 of the first block, inside the budget
+    assert solve(IntegralQuadraticForm([1, 1]), 10**10, bound=4 * 10**12).x == (0, 10**5)
