@@ -3,9 +3,11 @@
 Covers the form-level Gabrielov transformation with its coefficient update,
 A/D/E typing of unit forms by the Gram determinant of a positive core, the
 type-C test, realization of forms as incidence forms, the canonical
-(c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. The
-exact root enumeration (`positive_roots_by_value`, `one_root_count`) is kept
-as an independent oracle for the determinant typing.
+(c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. One
+Fincke-Pohst enumeration on an explicit stack lists the x with q(x) = d of a
+positive form: the solver takes its first hit (`first_root_with_value`), and
+the exact root sets (`positive_roots_by_value`, `one_root_count`) are kept as
+an independent oracle for the determinant typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
@@ -25,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, isqrt
 
 from .bidigraph import (
@@ -279,58 +282,60 @@ def _ldl(G: IntMatrix):
     return tuple(d), tuple(tuple(row) for row in u)
 
 
-def _floor_sqrt(fr: Fraction) -> int:
-    if fr < 0:
-        return -1
-    return isqrt(fr.numerator * fr.denominator) // fr.denominator
+def _fincke_pohst(q: IntegralQuadraticForm, d: int):
+    """Every x with q(x) = d >= 1 for a positive form, depth first (Fincke-Pohst).
+
+    On the exact LDL data, x^tr G x = 2d is a sum of terms d_i (x_i + s_i)^2,
+    the shift s_i fixed by x_{i+1..n-1}. Levels n-1..1 walk the integer
+    interval where the term fits what is left, centre-outward: round(-s_i),
+    then up, then down. x_0 closes by a perfect-square test, left_0 / d_0 =
+    r^2, and takes -s_0 + r, then -s_0 - r. One candidate iterator per level
+    on an explicit stack.
+    """
+    dd, u = _ldl(q.gram())
+    n = q.n
+    x = [0] * n
+    left = [Fraction(2 * d)] * n  # left[i]: what levels i..0 must make up
+    shift = [0] * n
+    todo = [iter(())] * n
+    i = n - 1
+    while True:
+        s = sum(u[i][j] * x[j] for j in range(i + 1, n) if x[j])
+        if i == 0:
+            r = left[0] / dd[0]
+            num, den = r.numerator, r.denominator
+            rn, rd = isqrt(num), isqrt(den)
+            if rn * rn == num and rd * rd == den:
+                root = Fraction(rn, rd)
+                for cand in (-s + root, -s - root) if rn else (-s,):
+                    if cand.denominator == 1:
+                        x[0] = int(cand)
+                        yield tuple(x)
+            i = 1
+        else:
+            # integers t with (b t + a)^2 <= left_i b^2 / d_i, where s = a/b
+            a, b = s.numerator, s.denominator
+            bound = left[i] * b * b / dd[i]
+            w = isqrt(bound.numerator // bound.denominator)
+            lo, hi = -((w + a) // b), (w - a) // b
+            c = round(-s)
+            shift[i] = s
+            todo[i] = chain(range(c, hi + 1), range(c - 1, lo - 1, -1)) if lo <= hi else iter(())
+        while i < n:
+            xi = next(todo[i], None)
+            if xi is not None:
+                break
+            i += 1
+        else:
+            return
+        x[i] = xi
+        left[i - 1] = left[i] - dd[i] * (xi + shift[i]) ** 2
+        i -= 1
 
 
 def positive_roots_by_value(q: IntegralQuadraticForm, dmax: int) -> dict:
-    """All x with 1 <= q(x) <= dmax for a positive form, exactly enumerated.
-
-    Lattice enumeration on the exact LDL decomposition of the Gram matrix;
-    returns {d: frozenset of vectors}.
-    """
-    G = q.gram()
-    d, u = _ldl(G)
-    n = q.n
-    out = {v: set() for v in range(1, dmax + 1)}
-    budget = Fraction(2 * dmax)
-    x = [0] * n
-
-    def rec(i, remaining):
-        if i < 0:
-            val = budget - remaining
-            if val > 0:
-                qval = val / 2
-                if qval.denominator == 1:
-                    out[int(qval)].add(tuple(x))
-            return
-        shift = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        # d_i (x_i + shift)^2 <= remaining; widen by one to absorb the floored
-        # square root, the exact term check below keeps only true solutions
-        halfwidth = _floor_sqrt(remaining / d[i]) + 1
-        lo_i = _ceil_frac(-shift - halfwidth)
-        hi_i = _floor_frac(-shift + halfwidth)
-        for xi in range(lo_i, hi_i + 1):
-            x[i] = xi
-            term = d[i] * (xi + shift) ** 2
-            if term <= remaining:
-                rec(i - 1, remaining - term)
-        x[i] = 0
-
-    rec(n - 1, budget)
-    out = {v: frozenset(s) for v, s in out.items()}
-    out.pop(0, None)
-    return out
-
-
-def _ceil_frac(fr: Fraction) -> int:
-    return -((-fr.numerator) // fr.denominator)
-
-
-def _floor_frac(fr: Fraction) -> int:
-    return fr.numerator // fr.denominator
+    """All x with 1 <= q(x) <= dmax for a positive form: {d: frozenset of vectors}."""
+    return {v: frozenset(_fincke_pohst(q, v)) for v in range(1, dmax + 1)}
 
 
 def one_root_count(q: IntegralQuadraticForm) -> int:
@@ -339,65 +344,10 @@ def one_root_count(q: IntegralQuadraticForm) -> int:
 
 
 def first_root_with_value(q: IntegralQuadraticForm, d: int):
-    """Some x with q(x) = d for a positive form, or None; exact DFS enumeration.
-
-    Candidates for each coordinate are visited center-outward; the per-level
-    term is monotone away from the center, so each direction stops at the
-    first overshoot.
-    """
+    """Some x with q(x) = d for a positive form, or None: the first the enumeration meets."""
     if d == 0:
         return (0,) * q.n
-    dd, u = _ldl(q.gram())
-    n = q.n
-    x = [0] * n
-
-    def leaf(remaining):
-        # d_0 (x_0 + shift)^2 = remaining has a closed-form integer test
-        shift = sum(u[0][j] * x[j] for j in range(1, n) if x[j])
-        r = remaining / dd[0]
-        num, den = r.numerator, r.denominator
-        sn, sd = isqrt(num), isqrt(den)
-        if sn * sn != num or sd * sd != den:
-            return None
-        s = Fraction(sn, sd)
-        for cand in (-shift + s, -shift - s):
-            if cand.denominator == 1:
-                x[0] = int(cand)
-                return tuple(x)
-        return None
-
-    def rec(i, remaining):
-        if i == 0:
-            return leaf(remaining)
-        shift = sum(u[i][j] * x[j] for j in range(i + 1, n) if x[j])
-        c0 = round(-shift)
-        # the term is monotone in each direction away from the parabola vertex
-        xi = c0
-        while True:
-            term = dd[i] * (xi + shift) ** 2
-            if term > remaining:
-                break
-            x[i] = xi
-            res = rec(i - 1, remaining - term)
-            if res is not None:
-                return res
-            xi += 1
-        xi = c0 - 1
-        while True:
-            term = dd[i] * (xi + shift) ** 2
-            if term > remaining:
-                break
-            x[i] = xi
-            res = rec(i - 1, remaining - term)
-            if res is not None:
-                return res
-            xi -= 1
-        x[i] = 0
-        return None
-
-    if n == 1:
-        return leaf(Fraction(2 * d))
-    return rec(n - 1, Fraction(2 * d))
+    return next(_fincke_pohst(q, d), None)
 
 
 # -- Dynkin types ------------------------------------------------------------

@@ -9,7 +9,6 @@ incidence form whose graph vertices are the forbidden threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bidigraph import BidirectedGraph
 from .classify import dynkin_type
@@ -22,7 +21,7 @@ from .errors import (
     InvalidInput,
     json_int,
 )
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _row_hnf_in_place
 from .qform import IntegralQuadraticForm, analyze, bigraph_of, traverse
 
 
@@ -367,9 +366,7 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
         [Cinv[j][i] + Cinv[i][j] for j in range(n)]
         for i in range(n)
     ]
-    if any(v.denominator != 1 for row in gram for v in row):
-        raise InconsistentPresentation("Euler Gram matrix is not integral")
-    G = IntMatrix([[int(v) for v in row] for row in gram])
+    G = IntMatrix(gram)
     if any(G[i, i] % 2 for i in range(n)):
         raise InconsistentPresentation("Euler Gram matrix has an odd diagonal entry")
     q = IntegralQuadraticForm.from_gram(G)
@@ -387,20 +384,13 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
 
 
 def _exact_inverse(M: IntMatrix):
+    """Rows of M^-1 for a unimodular M: the Hermite form of [M | I] is [I | M^-1]."""
     n = M.rows
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(M.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise InconsistentPresentation("Cartan matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
+    _row_hnf_in_place(rows)
+    if any(rows[i][:n] != [int(i == j) for j in range(n)] for i in range(n)):
+        raise InconsistentPresentation("Cartan matrix is not invertible over the integers")
+    return [row[n:] for row in rows]
 
 
 def _graph_from_incidence(I: IntMatrix) -> BidirectedGraph:

@@ -70,15 +70,9 @@ def companion(B: BidirectedGraph, x) -> ReflectionReport:
     if norm2 not in (2, 4):
         raise InvalidInput("vector is not an incidence root")
     m = B.m
-    entries = [
-        [
-            (1 if r == c else 0) - Fraction(2 * alpha[r] * alpha[c], norm2)
-            for c in range(m)
-        ]
-        for r in range(m)
-    ]
-    assert all(v.denominator == 1 for row in entries for v in row)
-    O = IntMatrix([[int(v) for v in row] for row in entries])
+    steps = [[divmod(2 * alpha[r] * alpha[c], norm2) for c in range(m)] for r in range(m)]
+    assert all(rest == 0 for row in steps for _, rest in row)
+    O = IntMatrix([[int(r == c) - steps[r][c][0] for c in range(m)] for r in range(m)])
     assert (O @ O.transpose()) == IntMatrix.identity(m)
     q = B.incidence_form()
     qxx = q.polarize(x, x)
@@ -157,11 +151,20 @@ def walk_polarization(B: BidirectedGraph, w1: Walk, w2: Walk) -> int:
 
 
 def four_squares(d: int) -> tuple[int, int, int, int]:
-    """Some (a, b, c, e) with a^2+b^2+c^2+e^2 = d, by descending brute force."""
+    """Some (a, b, c, e) with a^2+b^2+c^2+e^2 = d, by descending brute force.
+
+    An a whose remainder d - a^2 has the form 4^k (8m + 7) is skipped: no
+    three squares make it up (Legendre), so the search under it finds nothing.
+    """
     if d < 0:
         raise InvalidInput("four_squares needs d >= 0")
     for a in range(isqrt(d), -1, -1):
         r1 = d - a * a
+        t = r1
+        while t and t % 4 == 0:
+            t //= 4
+        if t % 8 == 7:
+            continue
         for b in range(min(a, isqrt(r1)), -1, -1):
             r2 = r1 - b * b
             for c in range(min(b, isqrt(r2)), -1, -1):

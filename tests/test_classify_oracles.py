@@ -4,19 +4,24 @@
 and `_greedy_core` (a deletion search that reads rank off the radical) are
 checked against the recursive versions they replaced, kept below as the
 references, on seeded connected unit forms of types A, D and E with corank
-0 to 4, scrambled by Gabrielov steps. The forms that the library builds
-without the constructor's checks (`IntegralQuadraticForm._trusted`) are
-checked against the same data sent through the constructor. The large-n
-tests run with little stack to spare, so that a recursion over arrows or
-variables fails.
+0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration
+behind `positive_roots_by_value` and `first_root_with_value`, against the two
+recursive searches it replaced. The forms that the library builds without
+the constructor's checks (`IntegralQuadraticForm._trusted`) are checked
+against the same data sent through the constructor. The large-n tests run
+with little stack to spare, so that a recursion over arrows or variables
+fails, and no function in the package may call itself by name.
 """
 
 from __future__ import annotations
 
 import ast
 import inspect
+import pathlib
 import random
 import time
+from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -26,8 +31,10 @@ from bidiforms.classify import (
     _sign_update,
     dynkin_type,
     dynkin_unit_form,
+    first_root_with_value,
     gabrielov_update,
     positive_core,
+    positive_roots_by_value,
     realize,
 )
 from bidiforms.errors import BidiformsError, InvalidInput
@@ -117,6 +124,95 @@ def _reference_greedy_core(q, rep):
     return search(frozenset(range(1, q.n + 1)))
 
 
+def _reference_positive_roots_by_value(q, dmax):
+    """Recursive enumeration of x^tr G x <= 2 dmax: each level scans a window
+    widened by one around the exact interval and keeps the terms that fit."""
+    G = q.gram()
+    d, u = classify._ldl(G)
+    n = q.n
+    out = {v: set() for v in range(1, dmax + 1)}
+    budget = Fraction(2 * dmax)
+    x = [0] * n
+
+    def rec(i, remaining):
+        if i < 0:
+            val = budget - remaining
+            if val > 0:
+                qval = val / 2
+                if qval.denominator == 1:
+                    out[int(qval)].add(tuple(x))
+            return
+        shift = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        r = remaining / d[i]
+        halfwidth = (isqrt(r.numerator * r.denominator) // r.denominator if r >= 0 else -1) + 1
+        lo, hi = -shift - halfwidth, -shift + halfwidth
+        for xi in range(-((-lo.numerator) // lo.denominator), hi.numerator // hi.denominator + 1):
+            x[i] = xi
+            term = d[i] * (xi + shift) ** 2
+            if term <= remaining:
+                rec(i - 1, remaining - term)
+        x[i] = 0
+
+    rec(n - 1, budget)
+    return {v: frozenset(s) for v, s in out.items()}
+
+
+def _reference_first_root_with_value(q, d):
+    """Recursive centre-outward search for q(x) = d, each direction stopped at
+    the first term that overshoots; the last coordinate by a perfect square."""
+    if d == 0:
+        return (0,) * q.n
+    dd, u = classify._ldl(q.gram())
+    n = q.n
+    x = [0] * n
+
+    def leaf(remaining):
+        shift = sum(u[0][j] * x[j] for j in range(1, n) if x[j])
+        r = remaining / dd[0]
+        num, den = r.numerator, r.denominator
+        sn, sd = isqrt(num), isqrt(den)
+        if sn * sn != num or sd * sd != den:
+            return None
+        s = Fraction(sn, sd)
+        for cand in (-shift + s, -shift - s):
+            if cand.denominator == 1:
+                x[0] = int(cand)
+                return tuple(x)
+        return None
+
+    def rec(i, remaining):
+        if i == 0:
+            return leaf(remaining)
+        shift = sum(u[i][j] * x[j] for j in range(i + 1, n) if x[j])
+        c0 = round(-shift)
+        xi = c0
+        while True:
+            term = dd[i] * (xi + shift) ** 2
+            if term > remaining:
+                break
+            x[i] = xi
+            res = rec(i - 1, remaining - term)
+            if res is not None:
+                return res
+            xi += 1
+        xi = c0 - 1
+        while True:
+            term = dd[i] * (xi + shift) ** 2
+            if term > remaining:
+                break
+            x[i] = xi
+            res = rec(i - 1, remaining - term)
+            if res is not None:
+                return res
+            xi -= 1
+        x[i] = 0
+        return None
+
+    if n == 1:
+        return leaf(Fraction(2 * d))
+    return rec(n - 1, Fraction(2 * d))
+
+
 # -- seeded unit forms of Dynkin type with a radical -------------------------------
 
 
@@ -202,6 +298,86 @@ def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
             assert B == _reference_realize_unit(q, m)
             outcomes.append(B is None)
     assert sum(outcomes) > 40
+
+
+# -- the Fincke-Pohst enumeration --------------------------------------------------
+
+
+def _positive_forms(seed, count):
+    """Dynkin forms of types A, D and E, then the positive ones among `count`
+    seeded forms scrambled by Gabrielov steps."""
+    forms = [dynkin_unit_form("A", r) for r in range(1, 14)]
+    forms += [dynkin_unit_form("D", r) for r in range(4, 10)]
+    forms += [dynkin_unit_form("E", r) for r in (6, 7, 8)]
+    return forms + [q for _, q in _seeded_forms(seed, count) if analyze(q).corank == 0]
+
+
+def _sweep_cores(seed, count):
+    """Positive unit forms like the solve benchmark's: the incidence forms of
+    trees (type A) and of connected graphs with one negative cycle and no
+    loop (type D), with 4 to 10 arrows and random arrow signs."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = 4 + len(out) % 7
+        m = r + 1 if len(out) % 2 else r
+        pairs = [(rng.randint(1, v - 1), v) for v in range(2, m + 1)]
+        if m == r:
+            pairs.append(tuple(rng.sample(range(1, m + 1), 2)))
+        B = BidirectedGraph(m, [((u, rng.choice((1, -1))), (v, rng.choice((1, -1)))) for u, v in pairs])
+        q = B.incidence_form()
+        rep = analyze(q)
+        if rep.corank == 0 and rep.rank == r:
+            out.append(q)
+    return out
+
+
+def test_root_sets_match_the_recursive_enumeration():
+    for q in _positive_forms(7105, 100):
+        assert positive_roots_by_value(q, 2) == _reference_positive_roots_by_value(q, 2), q
+    # the level intervals of A_11 at dmax = 2 include one that holds no integer
+    A11 = dynkin_unit_form("A", 11)
+    roots = positive_roots_by_value(A11, 2)
+    assert len(roots[1]) == 11 * 12 and roots == _reference_positive_roots_by_value(A11, 2)
+
+
+def test_first_root_matches_the_recursive_search():
+    rng = random.Random(7106)
+    found = 0
+    for q in _sweep_cores(7107, 28) + _positive_forms(7108, 50):
+        for d in [0] + [rng.randint(1 + 30 * k, 30 * (k + 1)) for k in range(10)]:
+            x = first_root_with_value(q, d)
+            assert x == _reference_first_root_with_value(q, d), (q, d)
+            found += x is not None
+    assert found > 600  # A_1..A_3 miss some values; a form of rank >= 4 misses none
+
+
+def test_fincke_pohst_runs_without_recursion():
+    # the recursive searches need a frame per variable, more than the stack has left
+    A = dynkin_unit_form("A", 80)
+    D = dynkin_unit_form("D", 30)
+    with _shallow_stack(frames=20):
+        x = first_root_with_value(A, 97)
+        roots = positive_roots_by_value(D, 1)
+        with pytest.raises(RecursionError):
+            _reference_first_root_with_value(A, 97)
+        with pytest.raises(RecursionError):
+            _reference_positive_roots_by_value(D, 1)
+    assert A.evaluate(x) == 97
+    assert len(roots[1]) == 2 * 30 * 29 and all(D.evaluate(v) == 1 for v in roots[1])
+
+
+def test_no_function_in_the_package_calls_itself():
+    calls = []
+    for path in sorted(pathlib.Path(classify.__file__).parent.glob("*.py")):
+        for f in ast.walk(ast.parse(path.read_text())):
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [
+                    f"{path.name}:{c.lineno} {f.name}"
+                    for c in ast.walk(f)
+                    if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == f.name
+                ]
+    assert calls == []
 
 
 # -- forms built without the constructor's checks -----------------------------------

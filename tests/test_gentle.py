@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from bidiforms.errors import GentlenessViolation, InvalidInput
+from bidiforms.errors import GentlenessViolation, InconsistentPresentation, InvalidInput
+from bidiforms.exact_linalg import IntMatrix
 from bidiforms.gentle import (
     GentlePresentation,
+    _exact_inverse,
     cartan,
     euler_pipeline,
     threads,
@@ -209,3 +211,23 @@ def test_ensure_valid_raises():
 def test_unknown_arrow_in_relation():
     with pytest.raises(InvalidInput):
         GentlePresentation(2, [("a", 1, 2)], [("a", "zzz")])
+
+
+def test_exact_inverse_over_the_integers():
+    rng = random.Random(2209)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        M = IntMatrix.identity(n)
+        for _ in range(3 * n):  # a product of elementary matrices: unimodular
+            i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            k = rng.choice((-2, -1, 1, 2)) if i != j else 0
+            sign = -1 if rng.random() < 0.2 else 1
+            rows = [list(r) for r in M.entries]
+            rows[i] = [sign * (a + k * b) for a, b in zip(rows[i], rows[j])]
+            M = IntMatrix(rows)
+        assert M @ IntMatrix(_exact_inverse(M)) == IntMatrix.identity(n)
+    # the Cartan matrix of a gentle algebra of finite global dimension is
+    # unimodular; a singular one or one of determinant 2 is refused
+    for bad in ([[0]], [[2, 0], [0, 1]], [[1, 1], [1, 1]], [[1, 1], [-1, 1]]):
+        with pytest.raises(InconsistentPresentation):
+            _exact_inverse(IntMatrix(bad))

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import islice, product
 from math import isqrt
 
@@ -143,6 +144,38 @@ def test_four_squares():
     for d in list(range(0, 50)) + [203, 290, 300]:
         a, b, c, e = four_squares(d)
         assert a * a + b * b + c * c + e * e == d
+
+
+def _reference_four_squares(d):
+    """The descending search before remainders of the form 4^k (8m + 7) were skipped."""
+    for a in range(isqrt(d), -1, -1):
+        r1 = d - a * a
+        for b in range(min(a, isqrt(r1)), -1, -1):
+            r2 = r1 - b * b
+            for c in range(min(b, isqrt(r2)), -1, -1):
+                e2 = r2 - c * c
+                e = isqrt(e2)
+                if e * e == e2 and e <= c:
+                    return (a, b, c, e)
+    raise AssertionError("four-square decomposition always exists")
+
+
+def test_four_squares_matches_the_full_scan():
+    rng = random.Random(3203)
+    for d in list(range(3000)) + [rng.randrange(10**9) for _ in range(300)]:
+        assert four_squares(d) == _reference_four_squares(d), d
+
+
+def test_four_squares_skips_remainders_that_three_squares_miss():
+    # at a = isqrt(d) the remainder d - a^2 is 4^k (8m + 7) for both, and the
+    # full scan searched every (b, c) under it: seconds on the first, minutes
+    # on the second
+    for d, first in ((17154141955770544, 130973820), (1161299557388857025833026630211, 1077636096921801)):
+        start = time.perf_counter()
+        a, b, c, e = four_squares(d)
+        assert time.perf_counter() - start < 1
+        assert a * a + b * b + c * c + e * e == d and a >= b >= c >= e >= 0
+        assert a == first
 
 
 def test_lagrange_bridge_identity():
