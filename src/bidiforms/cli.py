@@ -177,6 +177,8 @@ def _step_text(step):
 
 
 def _cmd_qf_solve(args):
+    if args.bound is not None and args.bound < 0:
+        raise _InputError("argument --bound: bound must be >= 0")
     q = _load_form(args.form)
     rep = roots_dioph.solve(q, args.d, bound=args.bound)
     payload = {"d": rep.d, "x": list(rep.x), "strategy": rep.strategy}

@@ -11,6 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInput, json_int
@@ -20,7 +21,7 @@ from .exact_linalg import IntMatrix, integer_kernel, psd_rank
 class IntegralQuadraticForm:
     """Immutable integral quadratic form on n >= 1 variables."""
 
-    __slots__ = ("n", "diag", "off")
+    __slots__ = ("n", "diag", "off", "_hash")
 
     def __init__(self, diag, off=None):
         diag = tuple(int(x) for x in diag)
@@ -70,7 +71,11 @@ class IntegralQuadraticForm:
         )
 
     def __hash__(self):
-        return hash((self.diag, tuple(sorted(self.off.items()))))
+        try:  # computed on first use: every cache keyed by a form looks it up
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", hash((self.diag, tuple(sorted(self.off.items())))))
+            return self._hash
 
     def __repr__(self):
         return f"IntegralQuadraticForm(diag={self.diag}, off={dict(sorted(self.off.items()))})"
@@ -86,11 +91,7 @@ class IntegralQuadraticForm:
         return self.off.get((i, j), 0)
 
     def evaluate(self, x) -> int:
-        x = _check_vector(x, self.n)
-        total = sum(q * xi * xi for q, xi in zip(self.diag, x))
-        for (i, j), v in self.off.items():
-            total += v * x[i - 1] * x[j - 1]
-        return total
+        return _value(self, _check_vector(x, self.n))
 
     def polarize(self, x, y) -> int:
         """Bilinear form q(x, y) = q(x + y) - q(x) - q(y) = x^tr G y."""
@@ -122,10 +123,20 @@ class IntegralQuadraticForm:
         return IntegralQuadraticForm(diag, off)
 
     def compose(self, T: IntMatrix) -> "IntegralQuadraticForm":
-        """The form q∘T with Gram matrix T^tr G T."""
-        if T.rows != self.n or T.cols != self.n:
+        """The form q∘T with Gram matrix T^tr G T: G T column by column from the sparse q."""
+        n = self.n
+        if T.rows != n or T.cols != n:
             raise InvalidInput("composition matrix has wrong size")
-        return IntegralQuadraticForm.from_gram(T.transpose() @ self.gram() @ T)
+        cols = list(zip(*T.entries))
+        gcols = [[2 * c * ti for c, ti in zip(self.diag, t)] for t in cols]
+        for (i, j), v in self.off.items():
+            for t, g in zip(cols, gcols):
+                g[i - 1] += v * t[j - 1]
+                g[j - 1] += v * t[i - 1]
+        diag = tuple(sum(map(mul, t, g)) // 2 for t, g in zip(cols, gcols))
+        off = {(a + 1, b + 1): v for a in range(n) for b in range(a + 1, n)
+               if (v := sum(map(mul, cols[a], gcols[b])))}
+        return IntegralQuadraticForm._trusted(diag, off)
 
     def restrict(self, X) -> "IntegralQuadraticForm":
         X = sorted(set(int(i) for i in X))
@@ -194,6 +205,14 @@ def zero_form(c: int) -> IntegralQuadraticForm:
     if c < 1:
         raise InvalidInput("zero form needs at least one variable")
     return IntegralQuadraticForm([0] * c)
+
+
+def _value(q: IntegralQuadraticForm, x: tuple) -> int:
+    """q(x) for a tuple x of n ints, unchecked: for vectors the library built."""
+    total = sum(c * xi * xi for c, xi in zip(q.diag, x))
+    for (i, j), v in q.off.items():
+        total += v * x[i - 1] * x[j - 1]
+    return total
 
 
 def _check_vector(x, n):

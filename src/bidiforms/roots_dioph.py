@@ -24,7 +24,7 @@ from .errors import (
     UnrepresentedWithinBound,
 )
 from .exact_linalg import IntMatrix
-from .qform import IntegralQuadraticForm, _box_roots, analyze
+from .qform import IntegralQuadraticForm, _box_roots, _value, analyze
 from .walks import Walk, roots_positive
 
 # box points `_solve_brute` may search over its whole ladder of bounds; the
@@ -195,61 +195,55 @@ def solve(
     core by exact enumeration; everything else falls through to a bounded
     box search with escalating bound. A d that is not a multiple of the
     content of q (the gcd of its coefficients) is refused at once with
-    UnrepresentedWithinBound(d, 0): no x reaches it.
+    UnrepresentedWithinBound(d, 0): no x reaches it. The strategy and its
+    data are worked out once per form, by `_route`.
     """
     if d < 0:
         raise InvalidInput("solve needs d >= 0")
+    if bound is not None and bound < 0:
+        raise InvalidInput("bound must be >= 0")
     if d == 0:
         return Representation(0, (0,) * q.n, "zero")
+    strategy, data = _route(q)
+    if strategy == "canonical-C4":
+        a, b, c, e = four_squares(d)  # z = (a, -b, c, e): q_Lag is even in each variable
+        x = tuple(r0 * a - r1 * b + r2 * c + r3 * e for r0, r1, r2, r3 in data)
+    elif strategy == "canonical-D4-search":
+        X, core = data
+        y = first_root_with_value(core, d)
+        if y is None:
+            raise UnrepresentedWithinBound(d, 0)
+        on_core = dict(zip(X, y))
+        x = tuple(on_core.get(i, 0) for i in range(1, q.n + 1))
+    elif data == 0 or d % data:
+        raise UnrepresentedWithinBound(d, 0)
+    else:
+        return _solve_brute(q, d, bound)
+    assert _value(q, x) == d
+    return Representation(d, x, strategy)
+
+
+@lru_cache(maxsize=256)
+def _route(q):
+    """The (strategy, data) of `solve` on q for d >= 1: ("canonical-C4", R) with
+    R = M[:, :4] LAGRANGE_BRIDGE for the canonical_c matrix M, so that x =
+    M (LAGRANGE_BRIDGE z, 0, ..., 0) = R z; ("canonical-D4-search", (X, q on X))
+    for the positive core X; or ("brute-force", content) for the box search.
+    """
     rep = analyze(q)
-    if rep.non_negative and rep.connected and rep.irreducible:
-        if not rep.unit and rep.rank >= 4:
-            try:
-                return _solve_via_c4(q, d)
-            except NotTypeC:
-                pass
-        if rep.unit and rep.rank >= 4:
-            return _solve_on_core(q, rep, d)
-    if rep.content == 0 or d % rep.content:
-        raise UnrepresentedWithinBound(d, 0)
-    return _solve_brute(q, d, bound)
-
-
-@lru_cache(maxsize=256)
-def _c4_route(q):
-    T, r, _, _ = canonical_c(q)
-    assert r >= 4
-    return T.matrix
-
-
-def _solve_via_c4(q, d):
-    M = _c4_route(q)
-    a, b, c, e = four_squares(d)
-    z = (a, -b, c, e)  # any signs work; q_Lag is even in each variable
-    y4 = LAGRANGE_BRIDGE.matvec(z)
-    y = tuple(y4) + (0,) * (q.n - 4)
-    x = M.matvec(y)
-    assert q.evaluate(x) == d
-    return Representation(d, x, "canonical-C4")
-
-
-@lru_cache(maxsize=256)
-def _core_data(q):
-    X = tuple(positive_core(q))
-    return X, q.restrict(X)
-
-
-def _solve_on_core(q, rep, d):
-    X, core = _core_data(q)
-    y = first_root_with_value(core, d)
-    if y is None:
-        raise UnrepresentedWithinBound(d, 0)
-    x = [0] * q.n
-    for pos, idx in enumerate(X):
-        x[idx - 1] = y[pos]
-    x = tuple(x)
-    assert q.evaluate(x) == d
-    return Representation(d, x, "canonical-D4-search")
+    if rep.non_negative and rep.connected and rep.irreducible and rep.rank >= 4:
+        if rep.unit:
+            X = tuple(positive_core(q))
+            return "canonical-D4-search", (X, q.restrict(X))
+        try:
+            T, r, _, _ = canonical_c(q)
+        except NotTypeC:
+            pass
+        else:
+            assert r >= 4
+            bridge = LAGRANGE_BRIDGE.transpose()
+            return "canonical-C4", tuple(bridge.matvec(row[:4]) for row in T.matrix.entries)
+    return "brute-force", rep.content
 
 
 def _solve_brute(q, d, bound):
@@ -266,7 +260,7 @@ def _solve_brute(q, d, bound):
     for _ in range(4):
         hit = next(_box_roots(q, d, b, budget), None)
         if hit is not None:
-            assert q.evaluate(hit) == d
+            assert _value(q, hit) == d
             return Representation(d, hit, "brute-force")
         budget -= (2 * b + 1) ** q.n
         if budget < 0:

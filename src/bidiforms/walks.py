@@ -24,7 +24,7 @@ from itertools import chain
 
 from .bidigraph import BidirectedGraph, _tree_path
 from .errors import InvalidInput, NotPositive
-from .qform import IntegralQuadraticForm, _box_roots, traverse
+from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
 
 
 class Walk:
@@ -329,7 +329,10 @@ def theorem_c_roots(
     states = _WalkStates(B, length_cap if prune is None else prune)
     m2 = states.m2
     keys = set()
-    for start in range(1, B.m + 1):
+    # when the prune cannot bind, an open walk w from vertex m is, reversed, one from its
+    # end, with inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out
+    last = B.m - (d == 1 and states.prune >= length_cap)
+    for start in range(1, last + 1):
         home = 2 * (start - 1) + (d == 2)  # closed walks of sign +1 for d = 0, -1 for d = 2
         for level in states.levels(start, length_cap):
             if d == 1:  # open walks end away from start
@@ -426,7 +429,7 @@ def _tree_roots(B):
             a_t, sig_t = incs[t]
             f = sig_s * sig_t
             x = tuple(p - f * r for p, r in zip(a_s, a_t))  # inc(w_s w_t^-1)
-            assert q.evaluate(x) == 1
+            assert _value(q, x) == 1
             vectors.add(x)
             vectors.add(tuple(-c for c in x))
             counts[1] += 2
@@ -454,7 +457,7 @@ def _one_tree_roots(B):
             f *= sig_w
             xs.append(tuple(p + sig_s * e - f * r for p, e, r in zip(a_s, w, a_t)))
             for x in xs:
-                val = q.evaluate(x)
+                val = _value(q, x)
                 assert val in (1, 2)
                 vectors.add(x)
                 vectors.add(tuple(-c for c in x))

@@ -337,6 +337,17 @@ def _qf_solve_in_subprocess(tmp_path, diag, d, *opts, preexec_fn=None):
     )
 
 
+@pytest.mark.parametrize("bound", ["-1", "-5"])
+def test_qf_solve_refuses_a_negative_bound(capsys, bound):
+    assert run(["qf-solve", f"{FIX}/typec_rank3_form.json", "-d", "14", "--bound", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: argument --bound: bound must be >= 0\n"
+    # a bound of 0 searches the first box |x_i| <= 1, as a bound of 1 does
+    zero = run_capture(capsys, ["qf-solve", f"{FIX}/typec_rank3_form.json", "-d", "5", "--bound", "0"])
+    assert zero == run_capture(capsys, ["qf-solve", f"{FIX}/typec_rank3_form.json", "-d", "5", "--bound", "1"])
+    assert zero[0] == 0
+
+
 def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
     # 2(x1^2 + ... + x5^2) = 1 has no solution; the command must say so, not search forever
     proc = _qf_solve_in_subprocess(tmp_path, [2] * 5, 1)

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from bidiforms.bidigraph import canonical_c as canonical_c_graph
+from bidiforms.classify import _sign_update, gabrielov_update
 from bidiforms.errors import InvalidInput
-from bidiforms.exact_linalg import integer_kernel
+from bidiforms.exact_linalg import IntMatrix, integer_kernel
 from bidiforms.qform import (
     IntegralQuadraticForm,
     analyze,
@@ -270,3 +272,63 @@ def test_forms_and_bigraphs_pickle_and_copy():
             assert analyze(back) == analyze(q)
             with pytest.raises(TypeError):
                 back.off[(1, 2)] = 5
+
+
+def _unimodular(rng, n):
+    """A product of random elementary column operations on the identity."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(2 * n):
+        if n > 1:
+            i, j = rng.sample(range(n), 2)
+            k = rng.randint(-2, 2)
+            cols[j] = [a + k * b for a, b in zip(cols[j], cols[i])]
+    return IntMatrix(zip(*cols))
+
+
+def test_compose_matches_the_dense_product():
+    # the sparse G T columns against from_gram(T^tr G T), the order of `off` included
+    rng = random.Random(7109)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        q = _random_form(rng, n)
+        if rng.random() < 0.5:
+            T = _unimodular(rng, n)
+        else:
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                rows = [row[:-1] + [row[0] - row[1]] for row in rows]  # a dependent column
+            T = IntMatrix(rows)
+        singular += T.det() == 0
+        want = IntegralQuadraticForm.from_gram(T.transpose() @ q.gram() @ T)
+        got = q.compose(T)
+        assert got == want and list(got.off.items()) == list(want.off.items())
+    assert singular > 50
+    with pytest.raises(InvalidInput):
+        Q_A3.compose(IntMatrix.identity(4))
+
+
+def test_hash_is_the_sorted_key_for_every_producer():
+    # the hash is cached on first use; it must equal the key the uncached hash used,
+    # on the constructor's forms and on every form built without its checks
+    rng = random.Random(7111)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        q = IntegralQuadraticForm([1] * n, {(i, j): rng.randint(-2, 2) for i in range(1, n + 1)
+                                            for j in range(i + 1, n + 1) if rng.random() < 0.5})
+        i, j = rng.sample(range(1, n + 1), 2)
+        pi = list(range(1, n + 1))
+        rng.shuffle(pi)
+        made = [
+            q,
+            gabrielov_update(q, i, j),
+            _sign_update(q, i),
+            q.restrict(rng.sample(range(1, n + 1), rng.randint(1, n))),
+            q.permuted(pi),
+            q.compose(_unimodular(rng, n)),
+            canonical_c_graph(rng.randint(2, 4), rng.randint(0, 2), rng.randint(0, 2)).incidence_form(),
+        ]
+        made += [back for p in made for back in _round_trips(p)]
+        for p in made:
+            want = hash((p.diag, tuple(sorted(p.off.items()))))
+            assert hash(p) == want and hash(p) == want

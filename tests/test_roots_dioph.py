@@ -7,6 +7,7 @@ import pytest
 
 from bidiforms import roots_dioph
 from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph
+from bidiforms.classify import canonical_c
 from bidiforms.errors import InvalidInput, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, _box_roots, zero_form
@@ -22,6 +23,7 @@ from bidiforms.roots_dioph import (
 from bidiforms.walks import Walk, roots_positive
 from tests.test_bidigraph import B_3V, random_connected
 from tests.test_qform import Q_C4, q_a
+from tests.test_typec_golden import _scrambled
 from tests.test_walks import random_walk
 
 
@@ -263,6 +265,54 @@ def test_solve_brute_force_reports_the_last_complete_box(monkeypatch):
 def test_solve_negative_d_rejected():
     with pytest.raises(InvalidInput):
         solve(q_a(4), -1)
+
+
+def test_solve_negative_bound_rejected():
+    for q in (q_a(2), Q_C4, q_a(4)):  # brute force, canonical C4, core search
+        with pytest.raises(InvalidInput, match="bound must be >= 0"):
+            solve(q, 3, bound=-1)
+    # a bound of 0 is allowed: the first box is |x_i| <= max(bound, 1)
+    assert solve(q_a(2), 3, bound=0) == solve(q_a(2), 3, bound=1)
+
+
+# -- one route per form: the C4 table against the n x n matvec it replaced --------
+
+
+def _reference_c4_x(M, d):
+    """x = M (LAGRANGE_BRIDGE z, 0, ..., 0) by two full matvecs, M the canonical_c matrix."""
+    a, b, c, e = four_squares(d)
+    y = LAGRANGE_BRIDGE.matvec((a, -b, c, e)) + (0,) * (M.rows - 4)
+    return M.matvec(y)
+
+
+def test_c4_route_matches_the_matvec_reference():
+    rng = random.Random(9101)
+    for r in range(4, 11):
+        for _ in range(2):
+            q = _scrambled(rng, r, rng.randint(0, 2), rng.randint(0, 2))
+            M = canonical_c(q)[0].matrix
+            for d in [*range(1, 301), 10**30 + 3]:
+                rep = solve(q, d)
+                assert rep.strategy == "canonical-C4"
+                assert rep.x == _reference_c4_x(M, d), (q, d)
+
+
+def test_warm_requests_do_no_route_work(monkeypatch):
+    # a route rebuilt per request would reach one of the patched functions
+    forms = (_scrambled(random.Random(9102), 6, 1, 1), q_a(6))
+    first = [solve(q, 97) for q in forms]
+    assert [rep.strategy for rep in first] == ["canonical-C4", "canonical-D4-search"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("route work on a warm request")
+
+    monkeypatch.setattr(roots_dioph, "canonical_c", refuse)
+    monkeypatch.setattr(roots_dioph, "positive_core", refuse)
+    monkeypatch.setattr(IntMatrix, "matvec", refuse)
+    monkeypatch.setattr(IntMatrix, "__matmul__", refuse)
+    for q, rep in zip(forms, first):
+        assert solve(q, 97) == rep
+        assert q.evaluate(solve(q, 98).x) == 98
 
 
 def test_c4_value_table():

@@ -404,6 +404,37 @@ def test_walk_roots_match_tuple_state_reference():
     assert seen_kinds == {"directed loop", "bidirected loop", "parallel"}
 
 
+def _all_starts_theorem_c(B, d, length_cap, prune=None):
+    """`theorem_c_roots` with a BFS from every start vertex, the last one included."""
+    states = _WalkStates(B, length_cap if prune is None else prune)
+    m2, keys = states.m2, set()
+    for start in range(1, B.m + 1):
+        home = 2 * (start - 1) + (d == 2)
+        for level in states.levels(start, length_cap):
+            if d == 1:
+                keys.update(s // m2 for s in level if s % m2 >> 1 != start - 1)
+            else:
+                keys.update(s // m2 for s in level if s % m2 == home)
+    if d != 0:
+        keys.discard(states.zero)
+    return states.sign_closed_vectors(keys)
+
+
+def test_theorem_c_roots_match_the_all_starts_search():
+    # open walks from the last vertex are left out only when the prune cannot bind
+    rng = random.Random(4701)
+    for m in range(1, 6):
+        for _ in range(8):
+            B = random_connected(rng, m=m, n=rng.randint(max(1, m - 1), m + 1))
+            for d in (0, 1, 2):
+                cap = rng.randint(0, 7)
+                for prune in (None, cap, cap + 2, rng.randint(-1, cap - 1)):
+                    want = _all_starts_theorem_c(B, d, cap, prune)
+                    assert theorem_c_roots(B, d, cap, prune).vectors == want, (B, d, cap, prune)
+            if m == 1:
+                assert theorem_c_roots(B, 1, 7).vectors == frozenset()
+
+
 def _reference_positive_roots(B):
     """Roots of a tree or unbalanced 1-tree from composed, reduced `Walk`s."""
     order, prev = [1], {1: None}  # BFS spanning tree, rooted at 1
