@@ -53,6 +53,14 @@ class BidirectedGraph:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "ends", ends)
 
+    @classmethod
+    def _trusted(cls, m: int, ends: tuple) -> "BidirectedGraph":
+        """A graph from normalized, in-range ends derived from a valid graph, unchecked."""
+        B = object.__new__(cls)
+        object.__setattr__(B, "m", m)
+        object.__setattr__(B, "ends", ends)
+        return B
+
     def __setattr__(self, name, value):
         raise AttributeError("BidirectedGraph is immutable")
 
@@ -284,10 +292,8 @@ def switch(B: BidirectedGraph, O: OrthogonalMatrix) -> BidirectedGraph:
 
 def sign_flip(B: BidirectedGraph, i: int) -> BidirectedGraph:
     """Flip both endpoint signs of arrow i (form-level sign inversion T_i)."""
-    ends = list(B.ends)
     (u, e), (u2, e2) = B.arrow_ends(i)
-    ends[i - 1] = ((u, -e), (u2, -e2))
-    return BidirectedGraph(B.m, ends)
+    return _with_arrow(B, i, ((u, -e), (u2, -e2)))
 
 
 def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
@@ -295,7 +301,12 @@ def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
     pi = tuple(int(p) for p in pi)
     if sorted(pi) != list(range(1, B.n + 1)):
         raise InvalidInput("not a permutation of the arrow set")
-    return BidirectedGraph(B.m, [B.ends[p - 1] for p in pi])
+    return BidirectedGraph._trusted(B.m, tuple(B.ends[p - 1] for p in pi))
+
+
+def _with_arrow(B, j, ends):
+    """B with the ends of arrow j, a valid index, replaced; the rest is not checked again."""
+    return BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (_norm_ends(ends),) + B.ends[j:])
 
 
 def _oriented_at(B, i, shared):
@@ -323,17 +334,14 @@ def graph_gabrielov(B: BidirectedGraph, i: int, j: int) -> BidirectedGraph:
     (_, e0), (v1, _) = _oriented_at(B, i, v0)
     (_, n0), (w1, n1) = _oriented_at(B, j, v0)
     sig = B.sigma(i)
-    ends = list(B.ends)
     if w1 == v0:
         # (a3): j is a loop at the shared vertex; move it to v1
-        ends[j - 1] = ((v1, sig * n0), (v1, sig * n1))
-    elif w1 == v1 and v1 != v0:
+        return _with_arrow(B, j, ((v1, sig * n0), (v1, sig * n1)))
+    if w1 == v1 and v1 != v0:
         # (a2): i and j parallel between v0 and v1
-        ends[j - 1] = ((v0, sig * n1), (v1, sig * n0))
-    else:
-        # (a1): transfer j's end at the shared vertex to the other end of i
-        ends[j - 1] = ((v1, sig * n0), (w1, n1))
-    return BidirectedGraph(B.m, ends)
+        return _with_arrow(B, j, ((v0, sig * n1), (v1, sig * n0)))
+    # (a1): transfer j's end at the shared vertex to the other end of i
+    return _with_arrow(B, j, ((v1, sig * n0), (w1, n1)))
 
 
 def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> BidirectedGraph:
@@ -353,23 +361,19 @@ def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> Bidirected
         raise InvalidInput("endpoint rewrite needs two distinct arrows")
     ei = B.arrow_ends(i)
     ej = B.arrow_ends(j)
-    ends = list(B.ends)
     if eps == 1 and ei == ej and not B.is_loop(i) and B.sigma(i) == 1:
         head = next(u for (u, e) in ei if e == -1)
-        ends[j - 1] = ((head, 1), (head, -1))
-        return BidirectedGraph(B.m, ends)
+        return _with_arrow(B, j, ((head, 1), (head, -1)))
     if eps == 1 and ei == ej and B.is_bidirected_loop(i):
         u = B.underlying(i)[0]
-        ends[j - 1] = ((u, 1), (u, -1))
-        return BidirectedGraph(B.m, ends)
+        return _with_arrow(B, j, ((u, 1), (u, -1)))
     if B.is_bidirected_loop(j) and not B.is_loop(i):
         u = B.underlying(j)[0]
         if u in B.underlying(i):
             (_, eu), (v, ev) = _oriented_at(B, i, u)
             (_, eloop), _ = ej
             if eps == eloop * eu:
-                ends[j - 1] = ((u, eloop), (v, -eps * ev))
-                return BidirectedGraph(B.m, ends)
+                return _with_arrow(B, j, ((u, eloop), (v, -eps * ev)))
     raise InvalidInput("endpoint rewrite: configuration not in the allowed table")
 
 

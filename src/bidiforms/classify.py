@@ -12,13 +12,17 @@ an independent oracle for the determinant typing.
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
 `dynkin_plus_zero` loop-stripping rewrites. The chase keeps its matrix as a
-list of columns, so each step costs O(n); a `GTransform`, with its
-unimodularity check, is built once per public result.
+list of columns, so each step costs O(n). Once it carries a graph, a
+Gabrielov step (i, j) is checked in O(n) on row j of the form and arrow j of
+the graph, all that the step changes; by induction that is as strong as a
+check of the whole incidence form. A `GTransform`, with its unimodularity
+check, is built once per public result.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
-rows that indexes the placed rows by vertex, and positive cores are found by
-a deletion search that reads the rank of each restriction off the radical.
-Both run on explicit stacks. Forms derived here from valid forms are built
+rows that indexes the placed rows by vertex and generates only the rows
+whose other end can fit, and positive cores are found by a deletion search
+that reads the rank of each restriction off the radical. Both run on
+explicit stacks. Forms derived here from valid forms are built
 without the constructor's checks (`IntegralQuadraticForm._trusted`).
 """
 
@@ -135,7 +139,17 @@ class _Chase:
         self.steps.append(step)
         if self.B is not None:
             self.B = apply(self.B, step)
-            assert step[0] != "gabrielov" or self.B.incidence_form() == self.q
+            assert step[0] != "gabrielov" or _row_matches(self.B, self.q, step[2])
+
+
+def _row_matches(B: BidirectedGraph, q: IntegralQuadraticForm, j: int) -> bool:
+    """Whether row j of the Gram matrix of q is that of the incidence form of B."""
+    row = {}  # the incidence row of arrow j
+    for v, e in B.ends[j - 1]:
+        row[v] = row.get(v, 0) + e
+    want = [q.off.get((k, j) if k < j else (j, k), 0) for k in range(1, q.n + 1)]
+    want[j - 1] = 2 * q.diag[j - 1]
+    return [sum(row.get(v, 0) * e for v, e in ends) for ends in B.ends] == want
 
 
 class GTransform:
@@ -575,16 +589,9 @@ def _saturate(ch: _Chase, i0: int) -> None:
         S = [j for j in range(1, cur.n + 1) if j != i0 and cur.coefficient(i0, j) == 0]
         if not S:
             break
-        step = None
-        for j in S:
-            for i in range(cur.n, 0, -1):
-                if i == i0 or i in S:
-                    continue
-                if cur.coefficient(i, j) != 0:
-                    step = (i, j)
-                    break
-            if step:
-                break
+        zero = set(S)
+        step = next(((i, j) for j in S for i in range(cur.n, 0, -1)
+                     if i != i0 and i not in zero and cur.coefficient(i, j) != 0), None)
         if step is None:
             raise InvalidInput("form is disconnected around the pivot")
         ch.push("gabrielov", *step)
@@ -626,29 +633,27 @@ def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
         raise InvalidInput("techc_partition needs q_1 = 2 and q_1j > 0 for all j")
     u2 = [1]
     groups: list[tuple[list, list]] = []
+    where = {}  # each index placed in a group, ascending -> (group, 0 plus or 1 minus side)
     for t in range(2, q.n + 1):
         if q.diag[t - 1] == 2:
             u2.append(t)
             continue
         if q.diag[t - 1] != 1:
             raise NotTypeC(f"diagonal coefficient q_{t} not in {{1, 2}}")
-        singles = [i for plus, minus in groups for i in plus + minus]
-        hit2 = next((i for i in sorted(singles) if q.coefficient(i, t) == 2), None)
+        hit2 = next((i for i in where if q.coefficient(i, t) == 2), None)
+        hit0 = None if hit2 is not None else next((i for i in where if q.coefficient(i, t) == 0), None)
         if hit2 is not None:
-            v, eps = _locate(groups, hit2)
-            side = groups[v - 2][0 if eps == 1 else 1]
-            side.append(t)
-            continue
-        hit0 = next((i for i in sorted(singles) if q.coefficient(i, t) == 0), None)
-        if hit0 is not None:
-            v, eps = _locate(groups, hit0)
-            side = groups[v - 2][1 if eps == 1 else 0]
-            side.append(t)
-            continue
-        if all(q.coefficient(i, t) == 1 for i in singles):
-            groups.append(([t], []))
-            continue
-        raise NotTypeC(f"coefficient pattern at index {t} fits no case")
+            g, side = where[hit2]
+        elif hit0 is not None:
+            g, side = where[hit0]
+            side = 1 - side
+        elif all(q.coefficient(i, t) == 1 for i in where):
+            g, side = len(groups), 0
+            groups.append(([], []))
+        else:
+            raise NotTypeC(f"coefficient pattern at index {t} fits no case")
+        groups[g][side].append(t)
+        where[t] = (g, side)
     part = TechCPartition(
         m=len(groups) + 1,
         u2=tuple(u2),
@@ -656,15 +661,6 @@ def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
     )
     _verify_partition_law(q, part)
     return part
-
-
-def _locate(groups, idx):
-    for v, (plus, minus) in enumerate(groups, start=2):
-        if idx in plus:
-            return v, 1
-        if idx in minus:
-            return v, -1
-    raise AssertionError
 
 
 def _verify_partition_law(q, part):
@@ -720,13 +716,9 @@ def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
     _saturate(ch, 1)
     part = techc_partition(ch.q)
     ends = [None] * q.n
-    for i in part.u2:
-        ends[i - 1] = ((1, -1), (1, -1))
-    for v, (plus, minus) in enumerate(part.groups, start=2):
-        for i in plus:
-            ends[i - 1] = ((v, 1), (1, -1))
-        for i in minus:
-            ends[i - 1] = ((v, -1), (1, -1))
+    for (k, v, eps), members in part.all_parts():
+        for i in members:  # a two-head loop at 1, or an arrow v -> 1 or v -- 1
+            ends[i - 1] = ((1, -1), (1, -1)) if k == 2 else ((v, eps), (1, -1))
     ch.B = BidirectedGraph(part.m, ends)
     assert ch.B.incidence_form() == ch.q
     return ch, part
@@ -755,8 +747,9 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
             raise AssertionError("backtracking realizer found no graph")
         assert B.incidence_form() == q
         return B
-    T, cur, B, _ = star_realization(q, rep)
-    for step in reversed(T.steps):
+    ch, _ = _star_chase(q, rep)
+    B = ch.B
+    for step in reversed(ch.steps):
         B = apply(B, undo(step))
     assert B.incidence_form() == q
     return B
@@ -773,10 +766,12 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
 
     Placed rows are indexed by vertex. A row that shares no vertex with a
     candidate has product 0 with it, so a candidate is generated only if it
-    meets the row of one placed neighbour, and is compared only with the rows
-    at its two vertices, among which every placed neighbour (G_ij != 0) must
-    be. The first graph found is the one a check against every placed row
-    finds.
+    meets the row of one placed neighbour at a vertex x, and is compared only
+    with the rows at its two vertices, among which every placed neighbour
+    (G_ij != 0) must be. Its other end y is fresh or a vertex of a placed
+    neighbour or of a row at x: any other y carries a row that meets the
+    candidate at y alone, a product of +-1 where G_ij = 0. The first graph
+    found is the one a check of every row against every placed row finds.
     """
     n = q.n
     order = _bigraph_bfs_order(q)
@@ -806,9 +801,12 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
         return True
 
     def candidates(i, used):
-        top = min(used + 1, m)
         (a, _), (b, _) = rows[earlier[i][0]]
-        pairs = {(min(x, y), max(x, y)) for x in (a, b) for y in range(1, top + 1) if y != x}
+        near = {v for j in earlier[i] for v, _ in rows[j]}
+        if used < m:
+            near.add(used + 1)  # the fresh vertex
+        pairs = {(min(x, y), max(x, y)) for x in (a, b)
+                 for y in near.union(v for j in at[x] for v, _ in rows[j]) if y != x}
         for u, u2 in sorted(pairs):
             fresh = u2 == used + 1
             for e in (1, -1):

@@ -221,8 +221,10 @@ def _walk_seq_text(seq):
 
 
 def _cmd_bg_roots(args):
+    if args.max_len is not None and args.max_len < 0:
+        raise _InputError("argument --max-len: length must be >= 0")
     B = _load_graph(args.graph)
-    cap = args.max_len if args.max_len else 2 * (B.n + B.m)
+    cap = 2 * (B.n + B.m) if args.max_len is None else args.max_len
     vectors = walks.theorem_c_roots(B, args.set, cap).vectors
     payload = {"set": args.set, "max_len": cap, "vectors": sorted(map(list, vectors))}
     _emit(

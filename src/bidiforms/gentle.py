@@ -4,10 +4,15 @@ A presentation is a quiver with length-2 monomial relations; the relation
 pair (a, b) always means the path a-then-b (composable: tgt(a) = src(b)).
 The Euler form of a finite-global-dimension gentle algebra is realized as an
 incidence form whose graph vertices are the forbidden threads.
+
+Each presentation indexes its arrows by name and by vertex once. A pipeline
+validates it once, and the successor maps and the Cartan matrix built by
+validation serve the threads, their matching and the Euler form.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .bidigraph import BidirectedGraph
@@ -28,27 +33,33 @@ from .qform import IntegralQuadraticForm, analyze, bigraph_of, traverse
 class GentlePresentation:
     """Quiver with named arrows plus a set of length-2 relations."""
 
-    __slots__ = ("m", "arrows", "relations")
+    __slots__ = ("m", "arrows", "relations", "_by_name", "_out", "_in")
 
     def __init__(self, m: int, arrows, relations):
         m = int(m)
         if m < 1:
             raise InvalidInput("quiver needs at least one vertex")
         arr = tuple((str(a), int(s), int(t)) for a, s, t in arrows)
-        names = [a for a, _, _ in arr]
-        if len(set(names)) != len(names):
+        by_name = {a[0]: a for a in arr}
+        if len(by_name) != len(arr):
             raise InvalidInput("arrow names must be unique")
+        out_of = {v: [] for v in range(1, m + 1)}  # vertex -> the arrows from it, in order
+        into = {v: [] for v in range(1, m + 1)}
         for a, s, t in arr:
             if not (1 <= s <= m and 1 <= t <= m):
                 raise InvalidInput(f"arrow {a} endpoint out of range")
+            out_of[s].append(a)
+            into[t].append(a)
         rel = frozenset((str(a), str(b)) for a, b in relations)
-        known = set(names)
         for a, b in rel:
-            if a not in known or b not in known:
+            if a not in by_name or b not in by_name:
                 raise InvalidInput(f"relation ({a}, {b}) uses unknown arrows")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "arrows", arr)
         object.__setattr__(self, "relations", rel)
+        object.__setattr__(self, "_by_name", by_name)
+        object.__setattr__(self, "_out", out_of)
+        object.__setattr__(self, "_in", into)
 
     def __setattr__(self, name, value):
         raise AttributeError("GentlePresentation is immutable")
@@ -74,10 +85,10 @@ class GentlePresentation:
         return self._lookup(name)[2]
 
     def _lookup(self, name):
-        for a in self.arrows:
-            if a[0] == name:
-                return a
-        raise InvalidInput(f"unknown arrow {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise InvalidInput(f"unknown arrow {name!r}") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -101,59 +112,61 @@ class GentlePresentation:
 
 def validate(pres: GentlePresentation) -> list[str]:
     """All gentleness and finiteness conditions; one message per violation."""
+    return _validate(pres)[0]
+
+
+def _validate(pres):
+    """The messages of `validate`, with the (permitted, forbidden) successor
+    maps and the Cartan matrix once the checks reach them, else None."""
     problems = []
-    indeg = {v: [] for v in range(1, pres.m + 1)}
-    outdeg = {v: [] for v in range(1, pres.m + 1)}
     for a, s, t in pres.arrows:
-        outdeg[s].append(a)
-        indeg[t].append(a)
         if s == t:
             problems.append(f"arrow {a}: loops are excluded (infinite global dimension)")
     for v in range(1, pres.m + 1):
-        if len(indeg[v]) > 2:
-            problems.append(f"vertex {v}: indegree {len(indeg[v])} exceeds 2")
-        if len(outdeg[v]) > 2:
-            problems.append(f"vertex {v}: outdegree {len(outdeg[v])} exceeds 2")
+        if len(pres._in[v]) > 2:
+            problems.append(f"vertex {v}: indegree {len(pres._in[v])} exceeds 2")
+        if len(pres._out[v]) > 2:
+            problems.append(f"vertex {v}: outdegree {len(pres._out[v])} exceeds 2")
+    succ_rel = Counter(a for a, _ in pres.relations)
+    pred_rel = Counter(b for _, b in pres.relations)
     for a, b in pres.relations:
         if pres.tgt(a) != pres.src(b):
             problems.append(f"relation ({a}, {b}): arrows are not composable")
-    names = [a for a, _, _ in pres.arrows]
-    for a in names:
-        succ_rel = [b for b in names if (a, b) in pres.relations]
-        pred_rel = [b for b in names if (b, a) in pres.relations]
-        succ_ok = [
-            b for b in names if pres.tgt(a) == pres.src(b) and (a, b) not in pres.relations
-        ]
-        pred_ok = [
-            b for b in names if pres.tgt(b) == pres.src(a) and (b, a) not in pres.relations
-        ]
-        if len(succ_rel) > 1:
-            problems.append(f"arrow {a}: {len(succ_rel)} relation successors")
-        if len(pred_rel) > 1:
-            problems.append(f"arrow {a}: {len(pred_rel)} relation predecessors")
-        if len(succ_ok) > 1:
-            problems.append(f"arrow {a}: {len(succ_ok)} permitted successors")
-        if len(pred_ok) > 1:
-            problems.append(f"arrow {a}: {len(pred_ok)} permitted predecessors")
+    for a, s, t in pres.arrows:
+        succ_ok = sum((a, b) not in pres.relations for b in pres._out[t])
+        pred_ok = sum((b, a) not in pres.relations for b in pres._in[s])
+        if succ_rel[a] > 1:
+            problems.append(f"arrow {a}: {succ_rel[a]} relation successors")
+        if pred_rel[a] > 1:
+            problems.append(f"arrow {a}: {pred_rel[a]} relation predecessors")
+        if succ_ok > 1:
+            problems.append(f"arrow {a}: {succ_ok} permitted successors")
+        if pred_ok > 1:
+            problems.append(f"arrow {a}: {pred_ok} permitted predecessors")
     if not _quiver_connected(pres):
         problems.append("quiver is not connected")
     if problems:
-        return problems
-    if _has_cycle(pres, forbidden=False):
+        return problems, None, None
+    succ = _successor_maps(pres)
+    if _has_cycle(succ[0]):
         problems.append("permitted cycle: the algebra is infinite dimensional")
-    if _has_cycle(pres, forbidden=True):
+    if _has_cycle(succ[1]):
         problems.append("forbidden cycle: infinite global dimension")
-    if not problems:
-        C = _cartan_matrix(pres)
-        if C.det() not in (1, -1):
-            problems.append("Cartan matrix is not unimodular")
-    return problems
+    if problems:
+        return problems, succ, None
+    C = _cartan_matrix(pres, succ[0])
+    if C.det() not in (1, -1):
+        problems.append("Cartan matrix is not unimodular")
+    return problems, succ, C
 
 
-def ensure_valid(pres: GentlePresentation) -> None:
-    problems = validate(pres)
+def ensure_valid(pres: GentlePresentation):
+    """GentlenessViolation unless `validate` finds nothing; then the
+    (permitted, forbidden) successor maps and the Cartan matrix."""
+    problems, succ, C = _validate(pres)
     if problems:
         raise GentlenessViolation("; ".join(problems))
+    return succ, C
 
 
 def _quiver_connected(pres) -> bool:
@@ -164,21 +177,19 @@ def _quiver_connected(pres) -> bool:
     return len(traverse(adj, 1)[0]) == pres.m
 
 
-def _successor_map(pres, forbidden: bool):
-    names = [a for a, _, _ in pres.arrows]
-    succ = {}
-    for a in names:
-        cands = [
-            b
-            for b in names
-            if pres.tgt(a) == pres.src(b) and ((a, b) in pres.relations) == forbidden
-        ]
-        succ[a] = cands[0] if cands else None
-    return succ
+def _successor_maps(pres):
+    """(permitted, forbidden): each maps arrow a to the first arrow b out of
+    tgt(a), in arrow order, with (a, b) not a relation, resp. a relation, or
+    to None."""
+    permitted, forbidden = {}, {}
+    for a, _, t in pres.arrows:
+        nxt = pres._out[t]
+        permitted[a] = next((b for b in nxt if (a, b) not in pres.relations), None)
+        forbidden[a] = next((b for b in nxt if (a, b) in pres.relations), None)
+    return permitted, forbidden
 
 
-def _has_cycle(pres, forbidden: bool) -> bool:
-    succ = _successor_map(pres, forbidden)
+def _has_cycle(succ) -> bool:
     for start in succ:
         a = start
         for _ in range(len(succ) + 1):
@@ -225,9 +236,13 @@ def threads(pres: GentlePresentation):
     vertex must appear exactly twice in each list; phi solves
     C * floor(theta) = ceil(phi(theta)) with matching start vertex.
     """
-    ensure_valid(pres)
-    permitted = _maximal_threads(pres, forbidden=False)
-    forbidden = _maximal_threads(pres, forbidden=True)
+    return _threads(pres, *ensure_valid(pres))
+
+
+def _threads(pres, succ, C):
+    """`threads` of a valid presentation with its successor maps and Cartan matrix."""
+    permitted = _maximal_threads(pres, succ[0], "permitted")
+    forbidden = _maximal_threads(pres, succ[1], "forbidden")
     permitted += _trivial_threads(pres, "permitted")
     forbidden += _trivial_threads(pres, "forbidden")
     permitted.sort(key=_thread_key)
@@ -242,7 +257,7 @@ def threads(pres: GentlePresentation):
             raise InfiniteGlobalDimensionSuspected(
                 f"vertex occurrence counts in {name} threads are {bad}, expected 2"
             )
-    phi = _match_threads(pres, forbidden, permitted)
+    phi = _match_threads(pres, forbidden, permitted, C)
     return permitted, forbidden, phi
 
 
@@ -250,12 +265,8 @@ def _thread_key(th):
     return (0 if th.path else 1, th.vertices)
 
 
-def _maximal_threads(pres, forbidden: bool):
-    succ = _successor_map(pres, forbidden)
-    pred = {}
-    for a, b in succ.items():
-        if b is not None:
-            pred[b] = a
+def _maximal_threads(pres, succ, kind: str):
+    pred = set(succ.values())
     out = []
     for a in succ:
         if a in pred:
@@ -264,26 +275,18 @@ def _maximal_threads(pres, forbidden: bool):
         while succ[path[-1]] is not None:
             path.append(succ[path[-1]])
         vertices = [pres.src(path[0])] + [pres.tgt(x) for x in path]
-        kind = "forbidden" if forbidden else "permitted"
         out.append(Thread(kind, tuple(path), tuple(vertices)))
     return out
 
 
 def _trivial_threads(pres, kind: str):
     out = []
-    indeg = {v: [] for v in range(1, pres.m + 1)}
-    outdeg = {v: [] for v in range(1, pres.m + 1)}
-    for a, s, t in pres.arrows:
-        outdeg[s].append(a)
-        indeg[t].append(a)
     for v in range(1, pres.m + 1):
-        ins, outs = indeg[v], outdeg[v]
+        ins, outs = pres._in[v], pres._out[v]
         if len(ins) > 1 or len(outs) > 1:
             continue
         if ins and outs:
-            in_relation = (ins[0], outs[0]) in pres.relations
-            wanted = in_relation if kind == "forbidden" else not in_relation
-            if wanted:
+            if ((ins[0], outs[0]) in pres.relations) == (kind == "forbidden"):
                 out.append(Thread(kind, (), (v,)))
         elif ins or outs:
             out.append(Thread(kind, (), (v,)))
@@ -293,54 +296,43 @@ def _trivial_threads(pres, kind: str):
     return out
 
 
-def _match_threads(pres, forbidden, permitted):
-    C = _cartan_matrix(pres)
+def _match_threads(pres, forbidden, permitted, C):
     phi = {}
-    taken = [False] * len(permitted)
+    free = {pi: (eta.start, eta.ceil_vector(pres.m)) for pi, eta in enumerate(permitted)}
     for fi, th in enumerate(forbidden):
-        target = C.matvec(th.floor_vector(pres.m))
-        hits = [
-            pi
-            for pi, eta in enumerate(permitted)
-            if not taken[pi]
-            and eta.start == th.start
-            and eta.ceil_vector(pres.m) == tuple(target)
-        ]
-        if not hits:
+        key = (th.start, C.matvec(th.floor_vector(pres.m)))
+        pi = next((pi for pi, k in free.items() if k == key), None)  # the first one not taken
+        if pi is None:
             raise AmbiguousMatching(
                 f"no permitted thread matches forbidden thread {th.path or th.vertices}"
             )
-        phi[fi] = hits[0]
-        taken[hits[0]] = True
+        phi[fi] = pi
+        del free[pi]
     return phi
 
 
-def _cartan_matrix(pres) -> IntMatrix:
+def _cartan_matrix(pres, succ) -> IntMatrix:
+    """One trivial path at each vertex, and from each arrow a the paths along
+    the permitted successor map `succ`, counted at their source and target."""
     n = pres.m
-    succ = _successor_map(pres, forbidden=False)
-    C = [[0] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        C[i - 1][i - 1] += 1  # trivial path
-        for a, s, _ in pres.arrows:
-            if s != i:
-                continue
-            cur = a
-            seen = 0
-            while cur is not None:
-                C[pres.tgt(cur) - 1][i - 1] += 1
-                cur = succ[cur]
-                seen += 1
-                if seen > len(pres.arrows):
-                    raise InfiniteDimensional("permitted cycle while counting paths")
+    C = [[int(i == j) for j in range(n)] for i in range(n)]
+    for a, s, _ in pres.arrows:
+        cur = a
+        seen = 0
+        while cur is not None:
+            C[pres.tgt(cur) - 1][s - 1] += 1
+            cur = succ[cur]
+            seen += 1
+            if seen > len(pres.arrows):
+                raise InfiniteDimensional("permitted cycle while counting paths")
     return IntMatrix(C)
 
 
 def cartan(pres: GentlePresentation) -> IntMatrix:
     """Cartan matrix: C[j][i] counts relation-avoiding paths i -> j."""
-    if _has_cycle(pres, forbidden=False):
+    if _has_cycle(_successor_maps(pres)[0]):
         raise InfiniteDimensional("permitted cycle: path counts diverge")
-    ensure_valid(pres)
-    return _cartan_matrix(pres)
+    return ensure_valid(pres)[1]
 
 
 @dataclass(frozen=True)
@@ -358,8 +350,8 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
     Asserts the core identity C^-1 + C^-tr = I I^tr before building the graph;
     zero rows (if any) are placed as directed loops at graph vertex 1.
     """
-    permitted, forbidden, phi = threads(pres)
-    C = _cartan_matrix(pres)
+    succ, C = ensure_valid(pres)
+    permitted, forbidden, phi = _threads(pres, succ, C)
     n = pres.m
     Cinv = _exact_inverse(C)
     gram = [

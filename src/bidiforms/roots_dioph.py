@@ -46,11 +46,11 @@ def reflect(q: IntegralQuadraticForm, x, y):
     qxx = q.polarize(x, x)
     if qxx == 0:
         raise RadicalRoot("cannot reflect at a vector of value zero")
-    coef = Fraction(2 * q.polarize(y, x), qxx)
-    image = tuple(Fraction(b) - coef * a for a, b in zip(x, y))
-    if all(v.denominator == 1 for v in image):
-        return tuple(int(v) for v in image)
-    return image
+    k = 2 * q.polarize(y, x)
+    image = [divmod(b * qxx - k * a, qxx) for a, b in zip(x, y)]  # y - (k / q(x, x)) x
+    if all(r == 0 for _, r in image):
+        return tuple(v for v, _ in image)
+    return tuple(Fraction(v * qxx + r, qxx) for v, r in image)
 
 
 @dataclass(frozen=True)

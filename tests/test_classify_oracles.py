@@ -7,8 +7,10 @@ references, on seeded connected unit forms of types A, D and E with corank
 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration
 behind `positive_roots_by_value` and `first_root_with_value`, against the two
 recursive searches it replaced. The forms that the library builds without
-the constructor's checks (`IntegralQuadraticForm._trusted`) are checked
-against the same data sent through the constructor. The large-n tests run
+the constructor's checks (`IntegralQuadraticForm._trusted`,
+`BidirectedGraph._trusted`) are checked against the same data sent through
+the constructor, and the chase's row check after a Gabrielov step against
+the full incidence form it replaced. The large-n tests run
 with little stack to spare, so that a recursion over arrows or variables
 fails, and no function in the package may call itself by name.
 """
@@ -26,9 +28,18 @@ from math import isqrt
 import pytest
 
 from bidiforms import classify
-from bidiforms.bidigraph import BidirectedGraph
+from bidiforms.bidigraph import (
+    BidirectedGraph,
+    arrow_permutation,
+    endpoint_rewrite,
+    graph_gabrielov,
+    sign_flip,
+)
 from bidiforms.classify import (
+    _row_matches,
     _sign_update,
+    canonical_c,
+    dynkin_plus_zero,
     dynkin_type,
     dynkin_unit_form,
     first_root_with_value,
@@ -499,6 +510,115 @@ def test_trusted_forms_equal_the_checked_constructor():
         form = B.incidence_form()
         _same_form(form, _reference_incidence_form(B))
         _same_form(form, _checked(form))
+
+
+def _same_graph(got, B_ref):
+    """Equal in value, in its ends and in hash, and normalized as the constructor leaves it."""
+    assert got == B_ref and got.ends == B_ref.ends and hash(got) == hash(B_ref)
+    assert type(got.ends) is tuple and got.m == B_ref.m
+
+
+def test_trusted_graphs_equal_the_checked_constructor():
+    rng = random.Random(7105)
+    seen = {"loop": 0, "parallel": 0, "rewritten": 0, "endpoint rewrite": 0}
+    for _ in range(1500):
+        B = _random_graph(rng)
+        seen["loop"] += any(u == u2 for (u, _), (u2, _) in B.ends)
+        seen["parallel"] += len(set(map(B.underlying, range(1, B.n + 1)))) < B.n
+        derived = [sign_flip(B, rng.randint(1, B.n))]
+        if B.n >= 2:
+            i, j = rng.sample(range(1, B.n + 1), 2)
+            derived.append(graph_gabrielov(B, i, j))
+            seen["rewritten"] += derived[-1] is not B
+            for eps in (1, -1):
+                try:
+                    derived.append(endpoint_rewrite(B, i, j, eps))
+                except InvalidInput:  # outside the table of legal configurations
+                    continue
+                seen["endpoint rewrite"] += 1
+        pi = list(range(1, B.n + 1))
+        rng.shuffle(pi)
+        derived.append(arrow_permutation(B, pi))
+        for B2 in derived:
+            _same_graph(B2, BidirectedGraph(B2.m, B2.ends))
+    assert seen.pop("endpoint rewrite") > 60 and min(seen.values()) > 600
+    B = BidirectedGraph(2, [((1, 1), (2, -1)), ((2, 1), (2, 1))])
+    for bad in (lambda: sign_flip(B, 0), lambda: sign_flip(B, 3),
+                lambda: arrow_permutation(B, (1, 1)), lambda: arrow_permutation(B, (1,)),
+                lambda: graph_gabrielov(B, 1, 1), lambda: graph_gabrielov(B, 1, 3)):
+        with pytest.raises(InvalidInput):
+            bad()
+
+
+def _type_c_graphs(rng, count):
+    """Connected graphs with a form of type C: bidirected loops, parallel arrows, both signs."""
+    out = []
+    while len(out) < count:
+        B = _random_graph(rng, connected=True)
+        q = B.incidence_form()
+        if classify._is_type_c(analyze(q), q):
+            out.append(B)
+    return out
+
+
+def test_every_row_checked_gabrielov_push_also_passes_the_full_check(monkeypatch):
+    push = classify._Chase.push
+    checked = []
+
+    def push_and_check_all(self, *step):
+        push(self, *step)
+        if self.B is not None and step[0] == "gabrielov":
+            assert self.B.incidence_form() == self.q
+            checked.append(step)
+
+    monkeypatch.setattr(classify._Chase, "push", push_and_check_all)
+    for B in _type_c_graphs(random.Random(7106), 60):
+        q = B.incidence_form()
+        canonical_c(q)
+        for variant in ("C", "D"):
+            try:
+                dynkin_plus_zero(q, variant)
+            except InvalidInput:  # variant D needs rank >= 4
+                assert variant == "D"
+        # realize pushes before its chase has a graph; its pull-back is checked whole
+        assert realize(q).incidence_form() == q
+    assert len(checked) > 700
+
+
+def _flip_end(B, k, side):
+    ends = list(B.ends)
+    pair = list(ends[k - 1])
+    v, e = pair[side]
+    pair[side] = (v, -e)
+    ends[k - 1] = tuple(pair)
+    return BidirectedGraph(B.m, ends)
+
+
+def test_row_check_rejects_a_flipped_end_sign():
+    rejected = {"j": 0, "k": 0}
+    for B in _type_c_graphs(random.Random(7107), 120):
+        q = B.incidence_form()
+        for j in range(1, B.n + 1):
+            assert _row_matches(B, q, j)
+            diag = list(q.diag)
+            diag[j - 1] += 1
+            assert not _row_matches(B, IntegralQuadraticForm(diag, q.off), j)
+            # only row j of the incidence form can change, so the row check is the full check
+            for side in (0, 1):
+                B2 = _flip_end(B, j, side)
+                same = B2.incidence_form() == q
+                assert _row_matches(B2, q, j) == same
+                rejected["j"] += not same
+            # an end of another arrow k at a vertex where arrow j has a nonzero entry changes q_jk
+            entry = {}
+            for v, e in B.ends[j - 1]:
+                entry[v] = entry.get(v, 0) + e
+            for k in range(1, B.n + 1):
+                for side, (v, _) in enumerate(B.ends[k - 1]):
+                    if k != j and entry.get(v):
+                        assert not _row_matches(_flip_end(B, k, side), q, j)
+                        rejected["k"] += 1
+    assert rejected["j"] > 1000 and rejected["k"] > 3000
 
 
 def test_incidence_form_drops_products_that_cancel():

@@ -130,6 +130,23 @@ def test_bg_roots_max_len_flag(capsys):
     assert [1, 1, 1] in payload["vectors"]  # the full path needs length 3
 
 
+def test_bg_roots_max_len_zero_keeps_only_the_trivial_walk(capsys):
+    for root_set, vectors in (("0", [[0, 0, 0]]), ("1", []), ("2", [])):
+        code, out = run_capture(
+            capsys,
+            ["bg-roots", f"{FIX}/three_vertex_graph.json", "--set", root_set, "--max-len", "0"],
+        )
+        assert code == 0
+        assert json.loads(out) == {"set": int(root_set), "max_len": 0, "vectors": vectors}
+
+
+@pytest.mark.parametrize("max_len", ["-1", "-3"])
+def test_bg_roots_refuses_a_negative_max_len(capsys, max_len):
+    assert run(["bg-roots", f"{FIX}/three_vertex_graph.json", "--set", "1", "--max-len", max_len]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: argument --max-len: length must be >= 0\n"
+
+
 def test_bg_line(capsys):
     code, out = run_capture(capsys, ["bg-line", f"{FIX}/path_quiver.json"])
     assert code == 0

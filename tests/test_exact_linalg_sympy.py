@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from bidiforms.exact_linalg import IntMatrix, integer_kernel, psd_rank
+from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place, integer_kernel, psd_rank
 
 sympy = pytest.importorskip("sympy")
 
@@ -73,3 +73,25 @@ def test_integer_kernel_has_corank_many_vectors():
         assert len(kernel) == M.cols - rank, G
         for v in kernel:
             assert all(x == 0 for x in M.matvec(v))
+
+
+def test_row_hnf_matches_sympy_hermite_normal_form():
+    """sympy's form is by columns, with the pivots at the bottom right and
+    reduced to their right. So the row form H of a matrix M of full column
+    rank c is J W^tr J, with W = hermite_normal_form(J M^tr) and J reversing
+    the c coordinates; the rows of H past c are zero."""
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(20234)
+    tried = 0
+    while tried < 150:
+        c = rng.randint(1, 7)
+        M = [[rng.choice((0, 1, -1, 2, -3, 5, -7)) for _ in range(c)] for _ in range(rng.randint(c, 9))]
+        if sympy.Matrix(M).rank() < c:
+            continue
+        tried += 1
+        rows = [row[:] for row in M]
+        assert _row_hnf_in_place(rows) == list(range(c))
+        W = hermite_normal_form(sympy.Matrix([list(col) for col in zip(*M)][::-1])).tolist()
+        assert rows[:c] == [[W[c - 1 - j][c - 1 - i] for j in range(c)] for i in range(c)], M
+        assert not any(map(any, rows[c:]))

@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from itertools import islice, product
 from math import isqrt
 
@@ -45,6 +46,35 @@ def test_reflect_involution_random():
         img = reflect(q, x, y)
         if isinstance(img[0], int):
             assert reflect(q, x, img) == y
+
+
+def _reference_reflect(q, x, y):
+    """s_x(y) over Fractions, as `reflect` computed it before it divided ints."""
+    coef = Fraction(2 * q.polarize(y, x), q.polarize(x, x))
+    image = tuple(Fraction(b) - coef * a for a, b in zip(x, y))
+    if all(v.denominator == 1 for v in image):
+        return tuple(int(v) for v in image)
+    return image
+
+
+def test_reflect_matches_the_fraction_reference():
+    rng = random.Random(62)
+    kinds = {int: 0, Fraction: 0}
+    for _ in range(3000):
+        n = rng.randint(1, 5)
+        diag = [rng.randint(-3, 3) for _ in range(n)]
+        off = {(i, j): rng.randint(-4, 4) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+        q = IntegralQuadraticForm(diag, off)
+        x = tuple(rng.randint(-3, 3) for _ in range(n))
+        y = tuple(rng.randint(-9, 9) for _ in range(n))
+        if q.polarize(x, x) == 0:
+            with pytest.raises(RadicalRoot):
+                reflect(q, x, y)
+            continue
+        got, want = reflect(q, x, y), _reference_reflect(q, x, y)
+        assert got == want and list(map(type, got)) == list(map(type, want))
+        kinds[type(got[0])] += 1
+    assert min(kinds.values()) > 500
 
 
 def test_reflect_radical_error():
