@@ -15,7 +15,9 @@ off it directly.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInput, json_int
@@ -305,8 +307,29 @@ def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
 
 
 def _with_arrow(B, j, ends):
-    """B with the ends of arrow j, a valid index, replaced; the rest is not checked again."""
-    return BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (_norm_ends(ends),) + B.ends[j:])
+    """B with the ends of arrow j, a valid index, replaced; the rest is not checked again.
+
+    A vertex index that B has built is carried over, with arrow j moved in
+    the lists at its old and new ends only, so a chain of such steps builds
+    the index once.
+    """
+    ends = _norm_ends(ends)
+    B2 = BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (ends,) + B.ends[j:])
+    adj = getattr(B, "_adjacency", None)
+    if adj is not None:
+        (u, _), (u2, _) = B.ends[j - 1]
+        (w, _), (w2, _) = ends
+        if (u, u2) != (w, w2):
+            adj = list(adj)
+            for v in {u, u2}:
+                adj[v] = tuple(p for p in adj[v] if p[1] != j)
+            for v, other in {(w, w2), (w2, w)}:  # one entry for a loop
+                at = list(adj[v])
+                insort(at, (other, j), key=itemgetter(1))
+                adj[v] = tuple(at)
+            adj = tuple(adj)
+        object.__setattr__(B2, "_adjacency", adj)
+    return B2
 
 
 def _oriented_at(B, i, shared):

@@ -11,11 +11,16 @@ an independent oracle for the determinant typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
-`dynkin_plus_zero` loop-stripping rewrites. The chase keeps its matrix as a
-list of columns, so each step costs O(n). Once it carries a graph, a
-Gabrielov step (i, j) is checked in O(n) on row j of the form and arrow j of
-the graph, all that the step changes; by induction that is as strong as a
-check of the whole incidence form. A `GTransform`, with its unimodularity
+`dynkin_plus_zero` loop-stripping rewrites. The chase holds its form as
+mutable rows (`_Rows`: the diagonal, the coefficient map and the neighbours
+of each variable), so a Gabrielov, rewrite or sign step costs O(deg) on the
+form, and is frozen into an `IntegralQuadraticForm` only when read; its
+matrix is a list of columns, one O(n) column update per step. Once it
+carries a graph, a step that rewrites arrow j is checked in O(deg) on row j
+of the form and arrow j of the graph, all that the step changes; by
+induction that is as strong as a check of the whole incidence form. The
+public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run the
+same row update on a thawed copy. A `GTransform`, with its unimodularity
 check, is built once per public result.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
@@ -38,7 +43,6 @@ from .bidigraph import (
     BidirectedGraph,
     apply,
     canonical_c as canonical_c_graph,
-    rewrite_matrix,
     undo,
 )
 from .errors import (
@@ -54,7 +58,7 @@ from .exact_linalg import IntMatrix
 from .qform import FormAnalysis, IntegralQuadraticForm, analyze, bigraph_of, traverse, zero_form
 
 
-# -- elementary transformations as column operations -----------------------
+# -- elementary transformations on rows and columns ------------------------
 
 
 def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
@@ -68,88 +72,164 @@ def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
     return qij // qi
 
 
-def _column_step(cols: list, q: IntegralQuadraticForm, step) -> None:
-    """Turn the columns of M into those of M times the matrix of one step on
-    the current form q, in place and in O(n).
+class _Rows:
+    """A form changed in place: its diagonal, its `off` map and, per variable,
+    the set of variables it has a nonzero coefficient with.
 
-    Gabrielov (i, j): column j -= (q_ij / q_i) column i; sign i: column i is
-    negated; perm pi: column b becomes the old column pi(b); rewrite
-    (i, j, eps): column j -= eps column i.
+    A shear or a sign inversion at i touches only the coefficients at the
+    neighbours of i, in O(deg i). `freeze` wraps the current coefficients in
+    an `IntegralQuadraticForm` without the constructor's checks; the form is
+    kept until the next change, which first copies `off`, so a frozen form
+    never changes. `off` keeps the order of a form's own map: a coefficient
+    changes in place, one that becomes zero leaves, and new ones enter in
+    ascending order of their other index.
     """
-    tag = step[0]
-    if tag in ("gabrielov", "rewrite"):
-        i, j = step[1], step[2]
-        k = _gabrielov_ratio(q, i, j) if tag == "gabrielov" else step[3]
-        if k:
-            cols[j - 1] = tuple(a - k * b for a, b in zip(cols[j - 1], cols[i - 1]))
-    elif tag == "sign":
-        i = step[1]
-        if not 1 <= i <= len(cols):
+
+    __slots__ = ("n", "diag", "off", "nbrs", "_q")
+
+    def __init__(self, q: IntegralQuadraticForm):
+        self.n = q.n
+        self.diag = list(q.diag)
+        self.off = q.off  # shared with q until the first change
+        self.nbrs = nbrs = [set() for _ in range(q.n + 1)]
+        for i, j in q.off:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+        self._q = q
+
+    coefficient = IntegralQuadraticForm.coefficient  # reads n, diag and off alike
+
+    def freeze(self) -> IntegralQuadraticForm:
+        if self._q is None:
+            self._q = IntegralQuadraticForm._trusted(tuple(self.diag), self.off)
+        return self._q
+
+    def _own(self):
+        if self._q is not None:
+            self.off = dict(self.off)
+            self._q = None
+
+    def _put(self, i, j, v):
+        key = (i, j) if i < j else (j, i)
+        if v:
+            self.off[key] = v
+            self.nbrs[i].add(j)
+            self.nbrs[j].add(i)
+        elif key in self.off:
+            del self.off[key]
+            self.nbrs[i].discard(j)
+            self.nbrs[j].discard(i)
+
+    def shear(self, i: int, j: int, c: int) -> None:
+        """x ↦ x with E_j replaced by E_j - c E_i: q_kj -= c q_ki for every
+        neighbour k of i, q_ij -= 2c q_i and q_j += c^2 q_i - c q_ij."""
+        if not c:
+            return
+        if i == j:
+            raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
+        self._own()
+        off, qi = self.off, self.diag[i - 1]
+        qij = off.get((i, j) if i < j else (j, i), 0)
+        for k in sorted(self.nbrs[i]):
+            if k != j:
+                qki = off[(k, i) if k < i else (i, k)]
+                self._put(k, j, off.get((k, j) if k < j else (j, k), 0) - c * qki)
+        self._put(i, j, qij - 2 * c * qi)
+        self.diag[j - 1] += c * (c * qi - qij)
+
+    def negate(self, i: int) -> None:
+        """x_i ↦ -x_i: the coefficients at i change sign."""
+        if not 1 <= i <= self.n:
             raise InvalidInput(f"sign step index {i} out of range")
-        cols[i - 1] = tuple(-a for a in cols[i - 1])
-    else:
-        pi = step[1]
-        if sorted(pi) != list(range(1, len(cols) + 1)):
-            raise InvalidInput("not a permutation of 1..n")
-        cols[:] = [cols[p - 1] for p in pi]
+        self._own()
+        off = self.off
+        for k in self.nbrs[i]:
+            key = (k, i) if k < i else (i, k)
+            off[key] = -off[key]
 
 
 def _sign_update(q: IntegralQuadraticForm, i: int) -> IntegralQuadraticForm:
     """q with x_i replaced by -x_i: the off-diagonal terms at i change sign."""
-    return IntegralQuadraticForm._trusted(q.diag, {k: -v if i in k else v for k, v in q.off.items()})
-
-
-def _step_form(q: IntegralQuadraticForm, step) -> IntegralQuadraticForm:
-    """q∘S for the matrix S of one step on q."""
-    if step[0] == "gabrielov":
-        return gabrielov_update(q, step[1], step[2])
-    if step[0] == "sign":
-        return _sign_update(q, step[1])
-    if step[0] == "perm":
-        return q.permuted(step[1])
-    return q.compose(rewrite_matrix(q.n, *step[1:]))
+    f = _Rows(q)
+    f.negate(i)
+    return f.freeze()
 
 
 class _Chase:
     """A chain of steps from a form: the product M of their matrices, the
-    steps, the current form q∘M and, once set, a graph B realizing it. Each
-    tagged step of `_column_step` is applied to M, q and B alike.
+    steps, the current form q∘M and, once set, a graph B realizing it.
 
-    M is kept as a list of columns, so that a Gabrielov or rewrite step is
-    one O(n) column update, a sign step negates one column and a perm
-    reorders the list; the `IntMatrix` is built only when `M` is read.
+    The form is held as `_Rows`, so a Gabrielov, rewrite or sign step costs
+    O(deg) on it; a perm, which is rare, rebuilds it from the permuted form.
+    M is kept as a list of columns: a Gabrielov or rewrite step is one O(n)
+    column update, a sign step negates one column and a perm reorders the
+    list; the `IntMatrix` is built only when `M` is read, and the form is
+    frozen only when `q` is read. Once B is set, each step is applied to it
+    too, and a step that rewrites arrow j is checked on row j alone. The
+    chain starts from the columns `cols` of a matrix, by default the identity.
     """
 
-    __slots__ = ("cols", "steps", "q", "B")
+    __slots__ = ("cols", "steps", "form", "B")
 
-    def __init__(self, q: IntegralQuadraticForm):
-        self.cols = list(IntMatrix.identity(q.n).entries)  # symmetric: rows are columns
+    def __init__(self, q: IntegralQuadraticForm, cols=None):
+        self.cols = list(IntMatrix.identity(q.n).entries) if cols is None else cols
         self.steps = []
-        self.q = q
+        self.form = _Rows(q)
         self.B = None
 
     @property
     def M(self) -> IntMatrix:
         return IntMatrix(zip(*self.cols))
 
+    @property
+    def q(self) -> IntegralQuadraticForm:
+        return self.form.freeze()
+
     def push(self, *step):
-        q_next = _step_form(self.q, step)
-        _column_step(self.cols, self.q, step)
-        self.q = q_next
+        """Apply one tagged step. Gabrielov (i, j): column j -= (q_ij / q_i)
+        column i; rewrite (i, j, eps): column j -= eps column i; sign i:
+        column i is negated; perm pi: column b becomes the old column pi(b)."""
+        tag, f, cols = step[0], self.form, self.cols
+        if tag in ("gabrielov", "rewrite"):
+            i, j = step[1], step[2]
+            c = _gabrielov_ratio(f, i, j) if tag == "gabrielov" else step[3]
+            f.shear(i, j, c)
+            if c:
+                cols[j - 1] = tuple(a - c * b for a, b in zip(cols[j - 1], cols[i - 1]))
+        elif tag == "sign":
+            i = step[1]
+            f.negate(i)
+            cols[i - 1] = tuple(-a for a in cols[i - 1])
+        else:
+            pi = step[1]
+            self.form = _Rows(f.freeze().permuted(pi))
+            cols[:] = [cols[p - 1] for p in pi]
         self.steps.append(step)
         if self.B is not None:
             self.B = apply(self.B, step)
-            assert step[0] != "gabrielov" or _row_matches(self.B, self.q, step[2])
+            assert tag not in ("gabrielov", "rewrite") or _row_matches(self.B, self.form, step[2])
 
 
-def _row_matches(B: BidirectedGraph, q: IntegralQuadraticForm, j: int) -> bool:
-    """Whether row j of the Gram matrix of q is that of the incidence form of B."""
+def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
+    """Whether row j of the Gram matrix of f is that of the incidence form of B.
+
+    Only arrows at an end of arrow j can have a nonzero product with it, so
+    the row of B is read off the arrows at those ends and compared with q_j
+    and the coefficients at the neighbours of j, in O(deg).
+    """
     row = {}  # the incidence row of arrow j
     for v, e in B.ends[j - 1]:
         row[v] = row.get(v, 0) + e
-    want = [q.off.get((k, j) if k < j else (j, k), 0) for k in range(1, q.n + 1)]
-    want[j - 1] = 2 * q.diag[j - 1]
-    return [sum(row.get(v, 0) * e for v, e in ends) for ends in B.ends] == want
+    adj = B.adjacency()
+    got = {}
+    for v, c in row.items():
+        if c:
+            for _, k in adj[v]:
+                (u, e), (u2, e2) = B.ends[k - 1]
+                got[k] = got.get(k, 0) + c * ((e if u == v else 0) + (e2 if u2 == v else 0))
+    want = {k: f.coefficient(j, k) for k in f.nbrs[j]}
+    want[j] = 2 * f.diag[j - 1]
+    return {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
 
 
 class GTransform:
@@ -191,10 +271,9 @@ class GTransform:
         return GTransform(IntMatrix.identity(n))
 
     def _then(self, q_current, step):
-        q_next = _step_form(q_current, step)
-        cols = list(zip(*self.matrix.entries))
-        _column_step(cols, q_current, step)
-        return GTransform(IntMatrix(zip(*cols)), self.steps + (step,)), q_next
+        ch = _Chase(q_current, list(zip(*self.matrix.entries)))
+        ch.push(*step)
+        return GTransform(ch.M, self.steps + (step,)), ch.q
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
@@ -241,28 +320,10 @@ class GTransform:
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
-    ratio = _gabrielov_ratio(q, i, j)
-    if ratio == 0:  # q_i = 0 or q_ij = 0: T_ij fixes q
-        return q
-    if i == j:
-        raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
-    old = q.off
-    off = dict(old)
-    for k in range(1, q.n + 1):
-        if k == i or k == j:
-            continue
-        qki = old.get((k, i) if k < i else (i, k), 0)
-        if not qki:
-            continue
-        key = (k, j) if k < j else (j, k)
-        new = old.get(key, 0) - qki * ratio
-        if new:
-            off[key] = new
-        else:
-            off.pop(key, None)
-    key = (i, j) if i < j else (j, i)
-    off[key] = -old[key]
-    return IntegralQuadraticForm._trusted(q.diag, off)
+    c = _gabrielov_ratio(q, i, j)
+    f = _Rows(q)
+    f.shear(i, j, c)
+    return f.freeze()  # q itself when c = 0 (q_i = 0 or q_ij = 0): T_ij fixes q
 
 
 def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
@@ -582,28 +643,31 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
 
 
 def _saturate(ch: _Chase, i0: int) -> None:
-    """The steps of `pivot_saturate`, pushed onto ch."""
-    diag = ch.q.diag
-    while True:
-        cur = ch.q
-        S = [j for j in range(1, cur.n + 1) if j != i0 and cur.coefficient(i0, j) == 0]
-        if not S:
-            break
-        zero = set(S)
-        step = next(((i, j) for j in S for i in range(cur.n, 0, -1)
-                     if i != i0 and i not in zero and cur.coefficient(i, j) != 0), None)
+    """The steps of `pivot_saturate`, pushed onto ch.
+
+    Each Gabrielov step (i, j) takes the first j of the zero set S and the
+    largest i outside S with q_ij != 0. It changes only row j, and makes
+    q_{i0 j} = -(q_ij / q_i) q_{i0 i} nonzero, so S loses exactly j; S and
+    the next step are read off the neighbour sets, in O(deg) per step.
+    """
+    f = ch.form
+    n, diag, pivot_row = f.n, tuple(f.diag), f.nbrs[i0]
+    S = [j for j in range(1, n + 1) if j != i0 and j not in pivot_row]
+    zero = set(S)
+    while S:
+        step = next(((max(found), j) for j in S
+                     if (found := [i for i in f.nbrs[j] if i != i0 and i not in zero])), None)
         if step is None:
             raise InvalidInput("form is disconnected around the pivot")
         ch.push("gabrielov", *step)
-    for j in range(1, ch.q.n + 1):
-        if j != i0 and ch.q.coefficient(i0, j) < 0:
-            ch.push("sign", j)
-    cur = ch.q
-    assert all(
-        cur.coefficient(i0, j) > (1 if j == i0 else 0) or j == i0
-        for j in range(1, cur.n + 1)
-    )
-    assert cur.diag == diag
+        j = step[1]
+        assert j in pivot_row
+        S.remove(j)
+        zero.remove(j)
+    for j in sorted(k for k in pivot_row if f.coefficient(i0, k) < 0):
+        ch.push("sign", j)
+    assert len(pivot_row) == n - 1 and all(f.coefficient(i0, j) > 0 for j in pivot_row)
+    assert tuple(f.diag) == diag
 
 
 @dataclass(frozen=True)

@@ -194,24 +194,11 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     """
     if not rows:
         return []
-    ncols = len(rows[0])
     r = 0
     pivots = []
-    for c in range(ncols):
-        piv = _smallest_at(rows, r, c)
-        if piv is None:
+    for c in range(len(rows[0])):
+        if not _pivot_down(rows, r, c):
             continue
-        # Euclid within the column: reduce every row below by the row with the
-        # smallest entry, then move the smallest remainder up, until none is left
-        while piv is not None:
-            rows[r], rows[piv] = rows[piv], rows[r]
-            prow = rows[r]
-            p = prow[c]
-            for k in range(r + 1, len(rows)):
-                if rows[k][c] != 0:
-                    qout = rows[k][c] // p
-                    rows[k] = [x - qout * y for x, y in zip(rows[k], prow)]
-            piv = _smallest_at(rows, r + 1, c)
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
         for k in range(r):
@@ -223,6 +210,28 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
         if r == len(rows):
             break
     return pivots
+
+
+def _pivot_down(rows, r, c) -> bool:
+    """Euclid in column c over rows r, r+1, ...: leave their gcd, up to sign, at
+    row r and zeros below it; False, with nothing changed, if all are zero.
+
+    Each round reduces every row below by the row with the smallest entry,
+    then moves the smallest remainder up, until none is left.
+    """
+    piv = _smallest_at(rows, r, c)
+    if piv is None:
+        return False
+    while piv is not None:
+        rows[r], rows[piv] = rows[piv], rows[r]
+        prow = rows[r]
+        p = prow[c]
+        for k in range(r + 1, len(rows)):
+            if rows[k][c] != 0:
+                qout = rows[k][c] // p
+                rows[k] = [x - qout * y for x, y in zip(rows[k], prow)]
+        piv = _smallest_at(rows, r + 1, c)
+    return True
 
 
 def _smallest_at(rows, start, c):
@@ -244,20 +253,22 @@ def hermite_normal_form(M: IntMatrix) -> IntMatrix:
 def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the pure subgroup {x in Z^cols : Mx = 0}, in Hermite echelon form.
 
-    Works on the stacked matrix [M^tr | I]: after row reduction, rows whose
-    left block vanished carry kernel vectors in the right block.
+    Works on the stacked matrix [M^tr | I]: row operations turn a row into
+    [(Mx)^tr | x^tr], so once the left block is in echelon form (no reduction
+    above its pivots is needed), the rows whose left block vanished carry a
+    basis of the kernel in the right block. The Hermite normal form of that
+    basis is unique for the lattice (Cohen, A Course in Computational
+    Algebraic Number Theory, 2.4.3), so it is the basis a full reduction of
+    [M^tr | I] gives.
     """
     m, n = M.rows, M.cols
-    aug = []
-    for j in range(n):
-        left = [M.entries[i][j] for i in range(m)]
-        right = [1 if k == j else 0 for k in range(n)]
-        aug.append(left + right)
-    _row_hnf_in_place(aug)
-    kernel = [tuple(row[m:]) for row in aug if not any(row[:m])]
-    if not kernel:
-        return []
-    krows = [list(v) for v in kernel]
+    aug = [[M.entries[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
+           for j in range(n)]
+    r = 0
+    for c in range(m):
+        if r < n and _pivot_down(aug, r, c):
+            r += 1
+    krows = [row[m:] for row in aug[r:]]
     _row_hnf_in_place(krows)
     basis = []
     for row in krows:
@@ -268,6 +279,7 @@ def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
             g = gcd(g, x)
         assert g == 1, "kernel of an integer matrix is pure; content must be 1"
         basis.append(tuple(row))
+    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in M.entries]
     for v in basis:
-        assert all(x == 0 for x in M.matvec(v))
+        assert all(sum(x * v[k] for k, x in row) == 0 for row in sparse)
     return basis

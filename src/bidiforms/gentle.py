@@ -64,6 +64,9 @@ class GentlePresentation:
     def __setattr__(self, name, value):
         raise AttributeError("GentlePresentation is immutable")
 
+    def __reduce__(self):
+        return (GentlePresentation, (self.m, self.arrows, sorted(self.relations)))
+
     def __eq__(self, other):
         return (
             isinstance(other, GentlePresentation)

@@ -320,10 +320,13 @@ def theorem_c_roots(
     d=0: positive closed walks; d=1: open walks; d=2: negative closed walks
     (the walk-generated subset of the 2-roots). Enumeration is a BFS over
     (vertex, sign, inc) states up to `length_cap` steps, coordinates pruned at
-    `prune` (default: maximal |inc| entry reachable under the cap).
+    `prune` (default: maximal |inc| entry reachable under the cap). A
+    negative `length_cap` is refused.
     """
     if d not in (0, 1, 2):
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
+    if length_cap < 0:
+        raise InvalidInput(f"length_cap must be >= 0, got {length_cap}")
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
     states = _WalkStates(B, length_cap if prune is None else prune)

@@ -31,24 +31,29 @@ from bidiforms import classify
 from bidiforms.bidigraph import (
     BidirectedGraph,
     arrow_permutation,
+    canonical_c as canonical_c_graph,
     endpoint_rewrite,
     graph_gabrielov,
     sign_flip,
 )
 from bidiforms.classify import (
     _row_matches,
+    _Rows,
     _sign_update,
     canonical_c,
     dynkin_plus_zero,
     dynkin_type,
     dynkin_unit_form,
     first_root_with_value,
+    GTransform,
     gabrielov_update,
+    pivot_saturate,
     positive_core,
     positive_roots_by_value,
     realize,
+    star_realization,
 )
-from bidiforms.errors import BidiformsError, InvalidInput
+from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, analyze
 from tests.test_graph_layer import _random_graph, _shallow_stack
@@ -513,9 +518,11 @@ def test_trusted_forms_equal_the_checked_constructor():
 
 
 def _same_graph(got, B_ref):
-    """Equal in value, in its ends and in hash, and normalized as the constructor leaves it."""
+    """Equal in value, in its ends, in hash and in its vertex index, and
+    normalized as the constructor leaves it."""
     assert got == B_ref and got.ends == B_ref.ends and hash(got) == hash(B_ref)
     assert type(got.ends) is tuple and got.m == B_ref.m
+    assert got.adjacency() == B_ref.adjacency()
 
 
 def test_trusted_graphs_equal_the_checked_constructor():
@@ -525,6 +532,8 @@ def test_trusted_graphs_equal_the_checked_constructor():
         B = _random_graph(rng)
         seen["loop"] += any(u == u2 for (u, _), (u2, _) in B.ends)
         seen["parallel"] += len(set(map(B.underlying, range(1, B.n + 1)))) < B.n
+        if rng.random() < 0.5:  # a built index is carried over to the derived graphs
+            B.adjacency()
         derived = [sign_flip(B, rng.randint(1, B.n))]
         if B.n >= 2:
             i, j = rng.sample(range(1, B.n + 1), 2)
@@ -567,9 +576,9 @@ def test_every_row_checked_gabrielov_push_also_passes_the_full_check(monkeypatch
 
     def push_and_check_all(self, *step):
         push(self, *step)
-        if self.B is not None and step[0] == "gabrielov":
+        if self.B is not None and step[0] in ("gabrielov", "rewrite"):
             assert self.B.incidence_form() == self.q
-            checked.append(step)
+            checked.append(step[0])
 
     monkeypatch.setattr(classify._Chase, "push", push_and_check_all)
     for B in _type_c_graphs(random.Random(7106), 60):
@@ -582,7 +591,7 @@ def test_every_row_checked_gabrielov_push_also_passes_the_full_check(monkeypatch
                 assert variant == "D"
         # realize pushes before its chase has a graph; its pull-back is checked whole
         assert realize(q).incidence_form() == q
-    assert len(checked) > 700
+    assert checked.count("gabrielov") > 700 and checked.count("rewrite") > 50
 
 
 def _flip_end(B, k, side):
@@ -599,15 +608,15 @@ def test_row_check_rejects_a_flipped_end_sign():
     for B in _type_c_graphs(random.Random(7107), 120):
         q = B.incidence_form()
         for j in range(1, B.n + 1):
-            assert _row_matches(B, q, j)
+            assert _row_matches(B, _Rows(q), j)
             diag = list(q.diag)
             diag[j - 1] += 1
-            assert not _row_matches(B, IntegralQuadraticForm(diag, q.off), j)
+            assert not _row_matches(B, _Rows(IntegralQuadraticForm(diag, q.off)), j)
             # only row j of the incidence form can change, so the row check is the full check
             for side in (0, 1):
                 B2 = _flip_end(B, j, side)
                 same = B2.incidence_form() == q
-                assert _row_matches(B2, q, j) == same
+                assert _row_matches(B2, _Rows(q), j) == same
                 rejected["j"] += not same
             # an end of another arrow k at a vertex where arrow j has a nonzero entry changes q_jk
             entry = {}
@@ -616,9 +625,130 @@ def test_row_check_rejects_a_flipped_end_sign():
             for k in range(1, B.n + 1):
                 for side, (v, _) in enumerate(B.ends[k - 1]):
                     if k != j and entry.get(v):
-                        assert not _row_matches(_flip_end(B, k, side), q, j)
+                        assert not _row_matches(_flip_end(B, k, side), _Rows(q), j)
                         rejected["k"] += 1
     assert rejected["j"] > 1000 and rejected["k"] > 3000
+
+
+def _step_matrix(q, step):
+    """The dense matrix S of one tagged step on q, from its definition."""
+    n = q.n
+    S = [[int(a == b) for b in range(n)] for a in range(n)]
+    tag = step[0]
+    if tag in ("gabrielov", "rewrite"):
+        i, j = step[1], step[2]
+        qi = q.coefficient(i, i)
+        c = step[3] if tag == "rewrite" else q.coefficient(i, j) // qi if qi else 0
+        S[i - 1][j - 1] -= c  # E_j -> E_j - c E_i
+    elif tag == "sign":
+        S[step[1] - 1][step[1] - 1] = -1
+    else:  # new variable b is old variable pi(b): column b of S is E_pi(b)
+        S = [[int(step[1][b] == a + 1) for b in range(n)] for a in range(n)]
+    return IntMatrix(S)
+
+
+def _scrambled_type_c_graphs(rng):
+    """Canonical type-C graphs of rank 3..9 moved by random graph steps, whose
+    incidence forms have every type-C shape and no special arrow order."""
+    out = []
+    for r in range(3, 10):
+        B = canonical_c_graph(r, rng.randint(0, 3), rng.randint(0, 2))
+        for _ in range(3 * B.n):
+            i, j = rng.sample(range(1, B.n + 1), 2)
+            B = sign_flip(B, i) if rng.random() < 0.3 else graph_gabrielov(B, i, j)
+        pi = list(range(1, B.n + 1))
+        rng.shuffle(pi)
+        out.append(arrow_permutation(B, pi))
+    return out
+
+
+def test_every_chase_step_is_the_composition_with_its_matrix(monkeypatch):
+    """The rows of the chase after each step, read without freezing them, are
+    the form before it composed with the step's matrix (`q.compose`, dense)."""
+    push = classify._Chase.push
+    seen = {"gabrielov": 0, "sign": 0, "perm": 0, "rewrite": 0}
+
+    def push_and_compose(self, *step):
+        f = self.form
+        before = IntegralQuadraticForm(f.diag, dict(f.off))
+        frozen = self.q if rng.random() < 0.5 else None  # a step copies a frozen form's map first
+        push(self, *step)
+        f = self.form
+        after = IntegralQuadraticForm(f.diag, dict(f.off))
+        assert after == before.compose(_step_matrix(before, step)), step
+        assert frozen is None or (frozen == before and hash(frozen) == hash(before))
+        assert f.nbrs == [set()] + [{k for k in range(1, f.n + 1) if k != i and after.coefficient(i, k)}
+                                    for i in range(1, f.n + 1)]
+        seen[step[0]] += 1
+
+    rng = random.Random(1201)
+    monkeypatch.setattr(classify._Chase, "push", push_and_compose)
+    graphs = _type_c_graphs(rng, 40) + _scrambled_type_c_graphs(rng)
+    for B in graphs:
+        q = B.incidence_form()
+        i0 = rng.randint(1, q.n)
+        sat, T = pivot_saturate(q, i0)
+        assert sat == q.compose(T.matrix)
+        T, q_star, _, _ = star_realization(q)
+        assert q_star == q.compose(T.matrix)
+        canonical_c(q)
+        for variant in ("C", "D"):
+            try:
+                dynkin_plus_zero(q, variant)
+            except InvalidInput:  # variant D needs rank >= 4
+                assert variant == "D"
+    assert min(seen.values()) > 50, seen
+
+
+def test_public_steps_are_the_composition_with_their_matrix():
+    rng = random.Random(1202)
+    steps = 0
+    for _ in range(800):
+        q = _random_form(rng)
+        T = GTransform.identity(q.n)
+        for _ in range(4):
+            i, j = rng.randint(1, q.n), rng.randint(1, q.n)
+            kind = rng.choice(("gabrielov", "sign", "perm"))
+            if kind == "gabrielov" and i != j:
+                step = ("gabrielov", i, j)
+                try:
+                    q2 = gabrielov_update(q, i, j)
+                except NotCoxRegular:
+                    assert q.coefficient(i, j) % q.coefficient(i, i)
+                    continue
+                T2, q3 = T.then_gabrielov(q, i, j)
+            elif kind == "sign":
+                step = ("sign", i)
+                q2 = _sign_update(q, i)
+                T2, q3 = T.then_sign(q, i)
+            else:
+                pi = list(range(1, q.n + 1))
+                rng.shuffle(pi)
+                step = ("perm", tuple(pi))
+                q2 = q.permuted(pi)
+                T2, q3 = T.then_perm(q, pi)
+            S = _step_matrix(q, step)
+            assert q2 == q3 == q.compose(S), step
+            assert T2.matrix == T.matrix @ S and T2.steps == T.steps + (step,)
+            q, T = q2, T2
+            steps += 1
+    assert steps > 2500
+
+
+def test_canonical_c_builds_a_fixed_number_of_forms(monkeypatch):
+    """A deterministic work guard: the chase freezes its rows a fixed number
+    of times, however many steps it takes."""
+    built = []
+    trusted = IntegralQuadraticForm._trusted
+    monkeypatch.setattr(IntegralQuadraticForm, "_trusted",
+                        classmethod(lambda cls, diag, off: built.append(1) or trusted(diag, off)))
+    counts = []
+    for n in (16, 64):
+        q = canonical_c_graph(n, n // 4, n // 4).incidence_form()
+        del built[:]
+        canonical_c(q)
+        counts.append(len(built))
+    assert counts[0] == counts[1] < 16, counts
 
 
 def test_incidence_form_drops_products_that_cancel():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from bidiforms.errors import InvalidInput
-from bidiforms.exact_linalg import IntMatrix, integer_kernel, psd_rank
+from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place, integer_kernel, psd_rank
 
 
 def test_psd_rank_a3_gram():
@@ -187,3 +187,39 @@ def test_integer_kernel_of_a_large_gram_matrix_stays_small():
     kernel = integer_kernel(q.gram())
     assert len(kernel) == 3 and max(abs(x) for v in kernel for x in v) == 1
     assert time.perf_counter() - start < 1.0
+
+
+def _reference_integer_kernel(M):
+    """The kernel basis by a full Hermite reduction of [M^tr | I], as computed
+    before the echelon-first pass."""
+    m, n = M.rows, M.cols
+    aug = [[M.entries[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
+           for j in range(n)]
+    _row_hnf_in_place(aug)
+    kernel = [row[m:] for row in aug if not any(row[:m])]
+    _row_hnf_in_place(kernel)
+    return [tuple(row) for row in kernel if any(row)]
+
+
+def test_kernel_matches_the_full_hermite_reduction():
+    rng = random.Random(1207)
+    shapes = {"square": 0, "wide": 0, "tall": 0, "zero": 0}
+    for _ in range(400):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        rank = rng.randint(0, min(rows, cols))
+        # a product of random rows * cols factors has rank at most `rank`
+        left = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rows)]
+        right = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rank)]
+        M = IntMatrix([[sum(a * b for a, b in zip(r, c)) for c in zip(*right)] if rank else [0] * cols
+                       for r in left])
+        if rng.random() < 0.3:  # symmetric, as a Gram matrix is
+            M = M.transpose() @ M
+        got = integer_kernel(M)
+        assert got == _reference_integer_kernel(M)
+        assert len(got) == M.cols - M.rank()
+        shapes["zero" if not any(map(any, M.entries)) else
+               "square" if M.rows == M.cols else "wide" if M.rows < M.cols else "tall"] += 1
+    assert min(shapes.values()) > 30, shapes
+    for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 3)):
+        M = IntMatrix.zero(rows, cols)
+        assert integer_kernel(M) == _reference_integer_kernel(M) == list(IntMatrix.identity(cols).entries)

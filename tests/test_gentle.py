@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -19,6 +21,14 @@ EX_LOOP_PAIR = GentlePresentation(
 )
 A2_QUIVER = GentlePresentation(2, [("a", 1, 2)], [])
 LAMBDA_K = GentlePresentation(1, [], [])
+
+
+def test_presentations_copy_and_pickle():
+    for pres in (EX_LOOP_PAIR, A2_QUIVER, LAMBDA_K,
+                 GentlePresentation(3, [("a", 1, 2), ("b", 2, 3), ("c", 3, 1)], [("a", "b"), ("b", "c")])):
+        for twin in (copy.copy(pres), copy.deepcopy(pres), pickle.loads(pickle.dumps(pres))):
+            assert twin == pres and repr(twin) == repr(pres)
+            assert [twin.src(a) for a, _, _ in pres.arrows] == [pres.src(a) for a, _, _ in pres.arrows]
 
 
 def test_validate_known_good():

@@ -188,6 +188,15 @@ def test_theorem_c_roots_a3():
     assert brute_force_roots(Q_A3, 1, 3).vectors == frozenset(expected_ones)
 
 
+def test_theorem_c_roots_refuses_a_negative_length_cap():
+    for d in (0, 1, 2):
+        with pytest.raises(InvalidInput):
+            theorem_c_roots(canonical_a(3, 0), d, -3)
+        with pytest.raises(InvalidInput):
+            theorem_c_roots(B_3V, d, -1, prune=2)
+    assert theorem_c_roots(canonical_a(3, 0), 0, 0).vectors == frozenset({(0, 0, 0)})
+
+
 def test_theorem_c_two_roots():
     assert theorem_c_roots(B_4V, 2, 10).vectors == frozenset()
     expected = set()
