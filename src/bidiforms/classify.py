@@ -20,8 +20,9 @@ carries a graph, a step that rewrites arrow j is checked in O(deg) on row j
 of the form and arrow j of the graph, all that the step changes; by
 induction that is as strong as a check of the whole incidence form. The
 public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run the
-same row update on a thawed copy. A `GTransform`, with its unimodularity
-check, is built once per public result.
+same row update on a thawed copy. A chase's result is a `GTransform` built
+without the determinant check (`GTransform._trusted`): its matrix is a
+product of elementary steps. Transforms from outside the chase keep it.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -245,6 +246,19 @@ class GTransform:
             raise InvalidInput("G-transformation matrix must be unimodular")
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "steps", steps)
+
+    @classmethod
+    def _trusted(cls, matrix: IntMatrix, steps) -> "GTransform":
+        """The matrix M and steps of a `_Chase` from the identity, without the determinant.
+
+        `_Chase.push` takes only elementary steps (a shear with i != j, a sign
+        step inside 1..n, a checked permutation), so M, their product, is
+        unimodular by construction.
+        """
+        T = object.__new__(cls)
+        object.__setattr__(T, "matrix", matrix)
+        object.__setattr__(T, "steps", tuple(steps))
+        return T
 
     def __setattr__(self, name, value):
         raise AttributeError("GTransform is immutable")
@@ -639,7 +653,7 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
         raise InvalidInput("pivot variable must have a nonzero diagonal")
     ch = _Chase(q)
     _saturate(ch, i0)
-    return ch.q, GTransform(ch.M, ch.steps)
+    return ch.q, GTransform._trusted(ch.M, ch.steps)
 
 
 def _saturate(ch: _Chase, i0: int) -> None:
@@ -761,7 +775,7 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     two-head arrows v -- 1, according to the saturated partition.
     """
     ch, part = _star_chase(q, rep)
-    return GTransform(ch.M, ch.steps), ch.q, ch.B, part
+    return GTransform._trusted(ch.M, ch.steps), ch.q, ch.B, part
 
 
 def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
@@ -982,7 +996,7 @@ def canonical_c(q: IntegralQuadraticForm):
     assert q.compose(M) == target
     assert c1 + c2 == rep.corank
     assert c2 == rep.dotted_loops - 1
-    return GTransform(M, ch.steps), r, c1, c2
+    return GTransform._trusted(M, ch.steps), r, c1, c2
 
 
 def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):

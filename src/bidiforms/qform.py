@@ -234,6 +234,7 @@ def _box_roots(q: IntegralQuadraticForm, d: int, bound: int, limit=None):
     n = q.n
     last = n - 1
     a = diag[last]
+    a2 = 2 * a
     width = 2 * bound + 1
     upper = [[] for _ in range(n)]  # upper[i]: (j, q_ij) with j > i, 0-based
     for (i, j), v in q.off.items():
@@ -254,9 +255,17 @@ def _box_roots(q: IntegralQuadraticForm, d: int, bound: int, limit=None):
                 disc = c * c + 4 * a * rest
                 if disc < 0 or (s := isqrt(disc)) * s != disc:
                     hits = ()
-                else:
-                    hits = sorted({r // (2 * a) for r in (s - c, -s - c) if r % (2 * a) == 0},
-                                  key=lambda t: (abs(t), -t))
+                else:  # the integral ones of t = (-c + s) / 2a and t2 = (-c - s) / 2a, in box order
+                    t, e = divmod(s - c, a2)
+                    t2, e2 = divmod(-s - c, a2)
+                    if e:
+                        hits = () if e2 else (t2,)
+                    elif e2 or not s:
+                        hits = (t,)
+                    elif abs(t2) < abs(t) or t2 == -t and t2 > 0:
+                        hits = (t2, t)
+                    else:
+                        hits = (t, t2)
             elif c:
                 hits = () if rest % c else (rest // c,)
             else:

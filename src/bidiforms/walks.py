@@ -9,7 +9,8 @@ closed walks certain 2-roots.
 The root enumerators never build `Walk` objects in their loops:
 
 - `theorem_c_roots` and `walk_root_cover` share one BFS over walk states
-  (vertex, sign, inc), each packed into a single int (`_WalkStates`);
+  (vertex, sign, inc), each packed into a single int and expanded a level
+  at a time (`_WalkStates`);
 - `roots_positive` forms each root from the (inc, sigma) of two tree walks
   to a root vertex, by inc(w1 w2) = inc(w1) + sigma(w1) inc(w2) and
   inc(w^-1) = -sigma(w) inc(w);
@@ -233,11 +234,14 @@ class _WalkStates:
 
     A state is low + 2m * key, where low = 2(v - 1) + [sign < 0] and
     key = sum_i (inc_i + prune) * base^i with base = 2 prune + 1, so the key
-    of -inc is 2 * zero - key. `moves[low]` lists (weight, edge, delta) per
-    step out of that (vertex, sign): the step moves digit
-    s // weight % base of state s by one, is pruned when the digit already
-    sits at `edge`, and leads to s + delta. inc of a one-step extension is
-    inc + sign * d(v, a) * E_a, which only depends on the state.
+    of -inc is mirror - key with mirror = 2 * zero. Root sets are
+    sign-closed, so they keep one key per {x, -x}, the one at or below zero,
+    and decode it to both. `moves[low]` lists (weight, edge, delta) per step
+    out of that (vertex, sign): the step moves digit s // weight % base of
+    state s by one, is pruned when the digit already sits at `edge`, and
+    leads to s + delta; `deltas[low]` holds the deltas alone. inc of a
+    one-step extension is inc + sign * d(v, a) * E_a, which only depends on
+    the state.
     """
 
     def __init__(self, B: BidirectedGraph, prune: int):
@@ -247,6 +251,7 @@ class _WalkStates:
         self.m2 = m2 = 2 * B.m
         self.base = base = 2 * prune + 1
         self.zero = sum(prune * base**i for i in range(n))
+        self.mirror = 2 * self.zero
         self.moves = moves = [[] for _ in range(m2)]
         for a in range(1, n + 1):
             u, u2 = B.underlying(a)
@@ -264,6 +269,7 @@ class _WalkStates:
                     to = 2 * (w - 1) + (sign * sig < 0)
                     step = sign * d
                     moves[low].append((weight, 2 * prune if step > 0 else 0, to - low + step * weight))
+        self.deltas = [tuple(delta for _, _, delta in steps) for steps in moves]
 
     def start(self, v: int) -> int:
         """The trivial walk at v."""
@@ -276,32 +282,42 @@ class _WalkStates:
         direction of a directed loop), and the undoing step passes the
         prune, so the neighbours of a level lie in the level before it, in
         it, or in the next one. Two levels therefore tell new states from
-        seen ones, and only two are kept.
+        seen ones, and only two are kept: each level adds its candidates
+        unchecked and then drops the two levels from them in bulk.
+
+        A state of level j has |inc_i| <= j, so while j < prune no digit can
+        sit at an edge and every step is taken without the prune test (with
+        the default prune = length_cap of `theorem_c_roots`, no step is ever
+        tested). From j = prune on each step is tested.
         """
-        moves, m2, base = self.moves, self.m2, self.base
+        moves, deltas, m2, base = self.moves, self.deltas, self.m2, self.base
         before, level = set(), {self.start(start)}
         yield level
-        for _ in range(length_cap):
-            nxt = set()
-            for s in level:
-                for weight, edge, delta in moves[s % m2]:
-                    if s // weight % base != edge:
-                        t = s + delta
-                        if t not in level and t not in before:
-                            nxt.add(t)
+        for j in range(length_cap):
+            if j < self.prune:
+                nxt = {s + delta for s in level for delta in deltas[s % m2]}
+            else:
+                nxt = {
+                    s + delta
+                    for s in level
+                    for weight, edge, delta in moves[s % m2]
+                    if s // weight % base != edge
+                }
+            nxt -= level
+            nxt -= before
             if not nxt:
                 return
             before, level = level, nxt
             yield level
 
     def keys(self, vectors) -> set:
-        """The keys of the inc vectors `vectors`, each |x_i| <= prune."""
-        base, prune = self.base, self.prune
+        """One key per {x, -x} of the inc vectors `vectors`, each |x_i| <= prune."""
+        base, prune, zero, mirror = self.base, self.prune, self.zero, self.mirror
         vectors = list(vectors)
         keys = [0] * len(vectors)
         for i in reversed(range(self.n)):  # Horner, one coordinate at a time
             keys = [k * base + x[i] + prune for k, x in zip(keys, vectors)]
-        return set(keys)
+        return {k if k <= zero else mirror - k for k in keys}
 
     def sign_closed_vectors(self, keys) -> frozenset:
         """{x, -x} for the inc vector x of every key, decoded one digit at a time."""
@@ -330,8 +346,8 @@ def theorem_c_roots(
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
     states = _WalkStates(B, length_cap if prune is None else prune)
-    m2 = states.m2
-    keys = set()
+    m2, zero, mirror = states.m2, states.zero, states.mirror
+    keys = set()  # one per {x, -x}
     # when the prune cannot bind, an open walk w from vertex m is, reversed, one from its
     # end, with inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out
     last = B.m - (d == 1 and states.prune >= length_cap)
@@ -339,11 +355,13 @@ def theorem_c_roots(
         home = 2 * (start - 1) + (d == 2)  # closed walks of sign +1 for d = 0, -1 for d = 2
         for level in states.levels(start, length_cap):
             if d == 1:  # open walks end away from start
-                keys.update(s // m2 for s in level if s % m2 >> 1 != start - 1)
+                keys.update([k if (k := s // m2) <= zero else mirror - k
+                             for s in level if s % m2 >> 1 != start - 1])
             else:
-                keys.update(s // m2 for s in level if s % m2 == home)
-    if d != 0:
-        keys.discard(states.zero)
+                keys.update([k if (k := s // m2) <= zero else mirror - k
+                             for s in level if s % m2 == home])
+    # I^tr inc(w) = e_start - sigma(w) e_end is not 0 for an open or a negative closed walk
+    assert d == 0 or zero not in keys
     return RootSet(d, states.sign_closed_vectors(keys))
 
 
@@ -351,11 +369,13 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     """Adaptive oracle helper: walk roots by class until the boxed 0- and
     1-roots of the incidence form are covered.
 
-    Returns ({0: ..., 1: ..., 2: ...}, complete). A single incremental BFS
-    over walk states runs level by level, starting coverage checks at n + m
-    steps and giving up at the hard cap 4*n*bound. Coordinates are pruned at
-    bound + 1; the inductive walk construction reaches every boxed root
-    without its partial sums ever leaving that window.
+    Returns ({0: ..., 1: ..., 2: ...}, complete). One BFS over walk states
+    per start vertex, all run level by level in lockstep; coverage checks
+    start at n + m steps, and the search gives up at the hard cap
+    max(4*n*bound, n + m). Coordinates are pruned at bound + 1; the
+    inductive walk construction reaches every boxed root without its
+    partial sums ever leaving that window. Each start classifies a state by
+    a table low -> key set, and the sets keep one key per {x, -x}.
     """
     if not B.is_connected():
         raise InvalidInput("walk_root_cover needs a connected graph")
@@ -365,33 +385,29 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     want1 = states.keys(brute_force_roots(q, 1, bound).vectors)
     first_check = B.n + B.m
     hard = max(4 * B.n * bound, first_check)
-    m2, zero = states.m2, states.zero
-    mirror = 2 * zero
+    m2, zero, mirror = states.m2, states.zero, states.mirror
     sets = {0: {zero}, 1: set(), 2: set()}
     runs = []
     for start in range(1, B.m + 1):
         levels = states.levels(start, hard)
         next(levels)  # the trivial walk, a 0-root already in sets[0]
-        runs.append((2 * (start - 1), levels))
+        table = [sets[1]] * m2  # open walks
+        table[2 * (start - 1)], table[2 * start - 1] = sets[0], sets[2]  # closed, by sign
+        runs.append((table, levels))
     for level in range(1, hard + 1):
         alive = False
-        for home, levels in runs:
+        for table, levels in runs:
             for s in next(levels, ()):
                 alive = True
-                low, key = s % m2, s // m2
-                if low == home:
-                    target = sets[0]
-                elif key == zero:
-                    continue
-                else:
-                    target = sets[2] if low == home + 1 else sets[1]
-                target.add(key)
-                target.add(mirror - key)
+                key = s // m2
+                table[s % m2].add(key if key <= zero else mirror - key)
         if not alive or level >= first_check and want0 <= sets[0] and want1 <= sets[1]:
             break
+    del runs  # the tables hold the key sets too
+    # I^tr inc(w) = e_start - sigma(w) e_end is not 0 for an open or a negative closed walk
+    assert zero not in sets[1] and zero not in sets[2]
     covered = want0 <= sets[0] and want1 <= sets[1]
-    # the key sets are sign-closed: decode the half at or below zero
-    return {d: states.sign_closed_vectors(k for k in sets.pop(d) if k <= zero) for d in (0, 1, 2)}, covered
+    return {d: states.sign_closed_vectors(sets.pop(d)) for d in (0, 1, 2)}, covered
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@
 `dynkin_plus_zero` (both variants) on 50 forms q_{C_r^{c1,c2}} with r in 2..6
 and c1, c2 in 0..2, each scrambled by seeded G-steps. It was written by the
 code before these functions shared one step chase. A refusal is recorded by
-its exception type. To rewrite it (only for an intended change of output):
+its exception type. The transforms of the chase, built without the
+determinant check, are checked to be unimodular on the same inputs and on
+more scrambles. To rewrite it (only for an intended change of output):
 
     PYTHONPATH=src python tests/test_typec_golden.py
 """
@@ -17,6 +19,8 @@ import random
 from itertools import product
 from pathlib import Path
 
+import pytest
+
 from bidiforms.bidigraph import canonical_c as canonical_c_graph
 from bidiforms.classify import (
     GTransform,
@@ -26,7 +30,9 @@ from bidiforms.classify import (
     realize,
     star_realization,
 )
-from bidiforms.errors import BidiformsError
+from bidiforms.errors import BidiformsError, InvalidInput
+from bidiforms.exact_linalg import IntMatrix
+from bidiforms.qform import IntegralQuadraticForm
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "typec_reduction.json"
 SHAPES = list(product(range(2, 7), range(3), range(3)))
@@ -101,6 +107,53 @@ def test_type_c_reduction_matches_golden():
     assert len(cases) == len(golden) == 50
     for k, (got, want) in enumerate(zip(cases, golden)):
         assert got == want, f"case {k}: {want['form']}"
+
+
+def _chase_transforms(q):
+    """The `GTransform`s that `pivot_saturate`, `star_realization` and `canonical_c` return."""
+    calls = (
+        lambda: pivot_saturate(q, q.diag.index(2) + 1)[1],
+        lambda: star_realization(q)[0],
+        lambda: canonical_c(q)[0],
+    )
+    transforms = []
+    for call in calls:
+        try:
+            transforms.append(call())
+        except BidiformsError:
+            pass
+    return transforms
+
+
+def test_chase_transforms_are_unimodular():
+    with open(GOLDEN) as fh:
+        forms = [IntegralQuadraticForm.from_json_dict(case["form"]) for case in json.load(fh)]
+    rng = random.Random(9085)
+    forms += [_scrambled(rng, *rng.choice(SHAPES)) for _ in range(200)]
+    checked = 0
+    for q in forms:
+        for T in _chase_transforms(q):
+            assert T.matrix.det() in (1, -1)
+            assert GTransform(T.matrix, T.steps) == T  # the checked constructor agrees
+            checked += 1
+    assert checked > 500, checked
+
+
+def test_chase_transforms_skip_the_determinant(monkeypatch):
+    q = canonical_c_graph(16, 4, 4).incidence_form()
+    calls = []
+    det = IntMatrix.det
+    monkeypatch.setattr(IntMatrix, "det", lambda M: calls.append(M) or det(M))
+    assert len(_chase_transforms(q)) == 3
+    assert not calls
+
+
+def test_a_non_unimodular_transform_is_refused():
+    M = IntMatrix([[2, 0], [0, 1]])
+    with pytest.raises(InvalidInput):
+        GTransform(M)
+    with pytest.raises(InvalidInput):
+        GTransform.from_json_dict({"matrix": M.to_lists(), "steps": []})
 
 
 if __name__ == "__main__":

@@ -390,6 +390,45 @@ def test_walk_state_levels_match_reference_bfs():
             assert got == [set(level) for level in _reference_states(B, start, cap, prune)]
 
 
+def _with_two_regimes(rng):
+    """Seeded connected graphs with m <= 5, one-vertex graphs with 3-4 directed loops among them."""
+    graphs = [loops_graph(3, 0, 0), loops_graph(4, 0, 0), loops_graph(3, 1, 0),
+              loops_graph(4, 0, 1)]
+    for m in range(1, 6):
+        for _ in range(4):
+            graphs.append(random_connected(rng, m=m, n=rng.randint(max(1, m - 1), 5)))
+    return graphs
+
+
+def test_walk_state_levels_match_reference_bfs_in_both_regimes():
+    # below j = prune the steps are taken untested, from j = prune on each is tested
+    rng = random.Random(4513)
+    for B in _with_two_regimes(rng):
+        cap = rng.randint(2, 6)
+        for prune in (cap + rng.randint(1, 2), cap, rng.randint(1, cap - 1), -1):
+            states = _WalkStates(B, prune)
+            for start in range(1, B.m + 1):
+                got = [{_unpacked(states, s) for s in level} for level in states.levels(start, cap)]
+                want = [set(level) for level in _reference_states(B, start, cap, prune)]
+                assert got == want, (B, prune)
+
+
+def test_walk_root_cover_matches_the_reference_at_the_workload_bound():
+    rng = random.Random(4515)
+    graphs = [loops_graph(2, 0, 1), loops_graph(3, 0, 0), B_3V]
+    while len(graphs) < 14:
+        m = rng.randint(1, 3)
+        graphs.append(random_connected(rng, m=m, n=rng.randint(max(1, m - 1), 3)))
+    for B in graphs:
+        assert walk_root_cover(B, 3) == _reference_cover(B, 3), B
+
+
+def test_theorem_c_roots_match_the_reference_on_the_heavy_shape():
+    B = loops_graph(4, 1, 0)  # one vertex, 4 directed loops and 1 bidirected loop
+    for d in (0, 1, 2):
+        assert theorem_c_roots(B, d, 6).vectors == _reference_theorem_c(B, d, 6, 6)
+
+
 def test_walk_roots_match_tuple_state_reference():
     rng = random.Random(43)
     seen_kinds = set()
