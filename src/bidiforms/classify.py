@@ -1,7 +1,7 @@
 """Dynkin-type classification, Gabrielov calculus and incidence realizations.
 
 Covers the form-level Gabrielov transformation with its coefficient update,
-A/D/E typing of unit forms by the Gram determinant of a positive core, the
+A/D/E typing of unit forms by the determinant of q on Z^n / rad q, the
 type-C test, realization of forms as incidence forms, the canonical
 (c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. One
 Fincke-Pohst enumeration on an explicit stack lists the x with q(x) = d of a
@@ -23,6 +23,9 @@ public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run the
 same row update on a thawed copy. A chase's result is a `GTransform` built
 without the determinant check (`GTransform._trusted`): its matrix is a
 product of elementary steps. Transforms from outside the chase keep it.
+The star realization that starts every type-C chase is kept as a frozen
+snapshot of the last form (`_star_snapshot`); each caller resumes a fresh
+chase from it.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -173,7 +176,10 @@ class _Chase:
     __slots__ = ("cols", "steps", "form", "B")
 
     def __init__(self, q: IntegralQuadraticForm, cols=None):
-        self.cols = list(IntMatrix.identity(q.n).entries) if cols is None else cols
+        if cols is None:
+            zero = (0,) * q.n
+            cols = [zero[:j] + (1,) + zero[j + 1:] for j in range(q.n)]
+        self.cols = cols
         self.steps = []
         self.form = _Rows(q)
         self.B = None
@@ -489,9 +495,11 @@ def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
 def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     """Dynkin type and corank of a connected non-negative form.
 
-    Unit forms are typed A/D/E by the Gram determinant of a positive core of
-    rank r: a connected positive unit form is Z-equivalent to exactly one
-    Dynkin form, and Z-equivalence keeps the determinant, which is r+1 for
+    Unit forms are typed A/D/E by the determinant of q on Z^n / rad q, which
+    `analyze` reads off its own elimination (`FormAnalysis.positive_det`):
+    that lattice carries the positive part of q, of rank r. A connected
+    positive unit form is Z-equivalent to exactly one Dynkin form (Barot and
+    de la Peña), and Z-equivalence keeps the determinant, which is r+1 for
     A_r, 4 for D_r and 9-r for E_r (no two agree at one rank). Non-unit forms
     must be irreducible Cox-regular and are typed C by the direct coefficient
     conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
@@ -504,7 +512,7 @@ def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
         raise InvalidInput("dynkin_type needs a connected form")
     r, c = rep.rank, rep.corank
     if rep.unit:
-        det = q.restrict(positive_core(q, rep)).gram().det()
+        det = rep.positive_det
         if det == r + 1:
             fam = "A"
         elif r >= 4 and det == 4:
@@ -779,12 +787,31 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
 
 
 def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
-    """The steps of `star_realization` as a chase ending at B', and the partition."""
+    """A fresh chase from q that has taken the steps of `star_realization`
+    and ends at B', and the partition."""
     rep = rep or analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("type-C realization needs a non-negative form")
     if not _is_type_c(rep, q):
         raise NotTypeC("form is not of Dynkin type C")
+    cols, steps, form, B, part = _star_snapshot(q)
+    ch = _Chase(form, list(cols))
+    ch.steps = list(steps)
+    ch.B = B
+    return ch, part
+
+
+@lru_cache(maxsize=1)
+def _star_snapshot(q: IntegralQuadraticForm):
+    """The star chase of a type-C form, frozen: (columns of M, steps, q∘M, B', partition).
+
+    Every type-C function on q starts from it, so a pass of them over one
+    form, such as `realize` and then `canonical_c`, runs it once; the last
+    form is all such a pass needs kept. Its steps and graph depend only on
+    the value of q, not on the order of `q.off`; q∘M is frozen with its map
+    in ascending key order, so equal forms get equal snapshots, whichever of
+    them filled the cache.
+    """
     ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
     if pivot != 1:
@@ -792,14 +819,16 @@ def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
         pi[0], pi[pivot - 1] = pi[pivot - 1], pi[0]
         ch.push("perm", tuple(pi))
     _saturate(ch, 1)
-    part = techc_partition(ch.q)
+    form = ch.q
+    part = techc_partition(form)
     ends = [None] * q.n
     for (k, v, eps), members in part.all_parts():
         for i in members:  # a two-head loop at 1, or an arrow v -> 1 or v -- 1
             ends[i - 1] = ((1, -1), (1, -1)) if k == 2 else ((v, eps), (1, -1))
-    ch.B = BidirectedGraph(part.m, ends)
-    assert ch.B.incidence_form() == ch.q
-    return ch, part
+    B = BidirectedGraph(part.m, ends)
+    assert B.incidence_form() == form
+    form = IntegralQuadraticForm._trusted(form.diag, dict(sorted(form.off.items())))
+    return tuple(ch.cols), tuple(ch.steps), form, B, part
 
 
 def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> BidirectedGraph:

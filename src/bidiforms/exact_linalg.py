@@ -88,27 +88,7 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise InvalidInput("determinant of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        a = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for r in range(k + 1, n):
-                    if a[r][k] != 0:
-                        a[k], a[r] = a[r], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return _det([list(r) for r in self.entries])
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) row elimination."""
@@ -138,8 +118,42 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _det(a: list[list[int]]) -> int:
+    """Determinant of the square list of rows `a` (Bareiss); `a` is overwritten."""
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
 def psd_rank(G: IntMatrix) -> tuple[bool, int]:
     """Decide positive semi-definiteness of a symmetric integer matrix and give its rank.
+
+    A PSD matrix has as rank its number of pivots in `psd_pivots`; only a
+    matrix that is not PSD pays for a second elimination in `rank`.
+    """
+    found = psd_pivots(G)
+    return (False, G.rank()) if found is None else (True, len(found[0]))
+
+
+def psd_pivots(G: IntMatrix):
+    """(P, det G_P) for a PSD symmetric integer matrix G, or None if G is not PSD.
 
     Symmetric fraction-free elimination with diagonal pivoting: each step takes
     the largest positive diagonal entry p as pivot and replaces every remaining
@@ -148,28 +162,29 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
     the division is exact, and each equals the rational Schur complement entry
     times the positive pivot minor, so signs and the pivot order are those of
     elimination over the rationals. The matrix is PSD iff every diagonal entry
-    met is >= 0 and the residual is zero once only zero diagonals remain. A PSD
-    matrix has as rank its number of positive pivots; only a matrix that is
-    not PSD pays for a second elimination in `rank`.
+    met is >= 0 and the residual is zero once only zero diagonals remain. P
+    lists the 0-based pivot indices in pivot order, |P| = rank G, and the last
+    pivot is the principal minor det G_P > 0 (1 when P is empty).
     """
     if not G.is_symmetric():
         raise InvalidInput("psd_rank requires a symmetric matrix")
     a = [list(r) for r in G.entries]  # the active block, compacted as pivots leave
+    idx = list(range(G.rows))  # the index in G of each row of the block
     prev = 1
-    pivots = 0
+    pivots = []
     while a:
         piv = None
         best = 0
         for i, row in enumerate(a):
             d = row[i]
             if d < 0:
-                return False, G.rank()
+                return None
             if d > best:
                 piv, best = i, d
         if piv is None:
             # all remaining diagonal entries are zero; PSD iff residual is zero
             if any(any(row) for row in a):
-                return False, G.rank()
+                return None
             break
         prow = a[piv]
         nxt = []
@@ -182,8 +197,29 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
             nxt.append(new)
         a = nxt
         prev = best
-        pivots += 1
-    return True, pivots
+        pivots.append(idx.pop(piv))
+    return pivots, prev
+
+
+def quotient_det(pivots: list[int], det_p: int, radical) -> int:
+    """The determinant of a PSD form on Z^n / rad, from `psd_pivots`' (P, det G_P)
+    and a basis of the radical (c = n - |P| integer rows of length n).
+
+    Let D be the indices outside P. The radical rows at D form a c x c matrix
+    R_D, and R_D is nonsingular: a radical vector that is zero on D lives on P,
+    where G_P is positive definite, so it is zero. Hence Z^P maps injectively
+    into Z^n / rad, with cokernel Z^n / (Z^P + rad) = Z^D / (row lattice of
+    R_D) of order |det R_D|. A sublattice of index k has k^2 times the
+    determinant, so the form on Z^n / rad has determinant det G_P / det(R_D)^2,
+    an exact division. With c = 0 this is det G.
+    """
+    if not radical:
+        return det_p
+    P = set(pivots)
+    D = [k for k in range(len(radical[0])) if k not in P]
+    index = _det([[z[k] for k in D] for z in radical])
+    assert index and det_p % (index * index) == 0, "det G_P must be a multiple of det(R_D)^2 != 0"
+    return det_p // (index * index)
 
 
 def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:

@@ -15,7 +15,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInput, json_int
-from .exact_linalg import IntMatrix, integer_kernel, psd_rank
+from .exact_linalg import IntMatrix, integer_kernel, psd_pivots, quotient_det
 
 
 class IntegralQuadraticForm:
@@ -196,6 +196,8 @@ class IntegralQuadraticForm:
             i, j, v = item
             if not i < j:
                 raise InvalidInput("off entries must have i < j")
+            if (i, j) in off:
+                raise InvalidInput(f"off entry ({i}, {j}) is given twice")
             off[(i, j)] = v
         return IntegralQuadraticForm(diag, off)
 
@@ -415,6 +417,10 @@ class FormAnalysis:
     corank: int
     radical_basis: tuple
     dotted_loops: int
+    # det of q on Z^n / rad q, or None when q is not non-negative: det G at
+    # corank 0, and the Gram determinant of q^X for every positive core X whose
+    # deleted radical rows are unimodular (`exact_linalg.quotient_det`)
+    positive_det: int | None
 
 
 @lru_cache(maxsize=2048)
@@ -433,7 +439,9 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     classic = cox_regular and all(v <= 0 for v in q.off.values())
     content = gcd(*q.diag, *q.off.values())
     G = q.gram()
-    non_negative, rank = psd_rank(G)
+    found = psd_pivots(G)
+    non_negative = found is not None
+    rank = len(found[0]) if non_negative else G.rank()
     radical = tuple(integer_kernel(G)) if rank < n else ()
     return FormAnalysis(
         connected=bigraph_of(q).is_connected(),
@@ -449,4 +457,5 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         corank=n - rank,
         radical_basis=radical,
         dotted_loops=sum(d - 1 for d in q.diag),
+        positive_det=quotient_det(*found, radical) if non_negative else None,
     )

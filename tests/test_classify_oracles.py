@@ -6,13 +6,16 @@ checked against the recursive versions they replaced, kept below as the
 references, on seeded connected unit forms of types A, D and E with corank
 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration
 behind `positive_roots_by_value` and `first_root_with_value`, against the two
-recursive searches it replaced. The forms that the library builds without
-the constructor's checks (`IntegralQuadraticForm._trusted`,
-`BidirectedGraph._trusted`) are checked against the same data sent through
-the constructor, and the chase's row check after a Gabrielov step against
-the full incidence form it replaced. The large-n tests run
-with little stack to spare, so that a recursion over arrows or variables
-fails, and no function in the package may call itself by name.
+recursive searches it replaced. The determinant that `analyze` gives for
+the typing (`FormAnalysis.positive_det`) is checked against the Gram
+determinant of the positive core that `dynkin_type` took before. The forms
+that the library builds without the constructor's checks
+(`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`) are checked
+against the same data sent through the constructor, and the chase's row
+check after a Gabrielov step against the full incidence form it replaced.
+The large-n tests run with little stack to spare, so that a recursion over
+arrows or variables fails, and no function in the package may call itself
+by name.
 """
 
 from __future__ import annotations
@@ -314,6 +317,95 @@ def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
             assert B == _reference_realize_unit(q, m)
             outcomes.append(B is None)
     assert sum(outcomes) > 40
+
+
+# -- the determinant typing and the positive core it replaced ----------------------
+
+
+def _reference_positive_det(q, rep):
+    """The Gram determinant of the unimodular positive core, which `dynkin_type`
+    read before `analyze` gave the determinant of q on Z^n / rad q."""
+    return q.restrict(positive_core(q, rep)).gram().det()
+
+
+def test_positive_det_matches_the_core_determinant():
+    from tests.test_classify import Q_E8_EXTENDED
+
+    forms = [q for _, q in _seeded_forms(7101, 2000)] + [Q_E8_EXTENDED]
+    forms += [dynkin_unit_form("A", r) for r in range(1, 14)]
+    forms += [dynkin_unit_form("D", r) for r in range(4, 10)]
+    forms += [dynkin_unit_form("E", r) for r in (6, 7, 8)]
+    coranks = {}
+    for q in forms:
+        rep = analyze(q)
+        assert rep.positive_det == _reference_positive_det(q, rep), q
+        coranks[rep.corank] = coranks.get(rep.corank, 0) + 1
+    assert set(coranks) == {0, 1, 2, 3, 4} and min(coranks.values()) > 200, coranks
+
+
+def test_positive_det_is_none_exactly_off_the_non_negative_forms():
+    rng = random.Random(1402)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        q = _random_form(rng)
+        rep = analyze(q)
+        assert (rep.positive_det is None) == (not rep.non_negative), q
+        if rep.non_negative:
+            assert rep.positive_det > 0
+            assert rep.corank or rep.positive_det == q.gram().det()
+        seen[rep.non_negative] += 1
+    assert min(seen.values()) > 100, seen
+
+
+def test_typing_and_realizing_unit_forms_search_no_core(monkeypatch):
+    # the type of a unit form is read off analyze; a core search here would reach a patched function
+    rng = random.Random(1403)
+    forms = []
+    while len(forms) < 90:
+        family = "ADE"[len(forms) % 3]
+        r = {"A": rng.randint(1, 8), "D": rng.randint(4, 8), "E": rng.randint(6, 8)}[family]
+        q = _extended_form(rng, family, r, rng.randint(0, 3), rng.randint(0, 6))
+        if analyze(q).connected:
+            forms.append(q)
+
+    def outcomes():
+        out = []
+        for q in forms:
+            out.append(dynkin_type(q))
+            try:
+                out.append(realize(q).to_json_dict())
+            except BidiformsError as exc:
+                out.append(type(exc).__name__)
+        return out
+
+    before = outcomes()
+    assert before.count("NotIncidenceForm") == 30
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("positive core searched while typing a unit form")
+
+    monkeypatch.setattr(classify, "positive_core", refuse)
+    monkeypatch.setattr(classify, "_greedy_core", refuse)
+    assert outcomes() == before
+
+
+def test_type_c_functions_share_one_star_chase(monkeypatch):
+    saturate = classify._saturate
+    calls = []
+    monkeypatch.setattr(classify, "_saturate", lambda ch, i0: calls.append(i0) or saturate(ch, i0))
+    rng = random.Random(1404)
+    for r, c1, c2 in ((3, 1, 1), (5, 2, 0), (6, 0, 2)):
+        B = canonical_c_graph(r, c1, c2)
+        for _ in range(2 * B.n):
+            B = graph_gabrielov(B, *rng.sample(range(1, B.n + 1), 2))
+        q = B.incidence_form()
+        classify._star_snapshot.cache_clear()
+        del calls[:]
+        realize(q)
+        star_realization(q)
+        canonical_c(q)
+        dynkin_plus_zero(q, "C")
+        assert len(calls) == 1, (r, c1, c2)
 
 
 # -- the Fincke-Pohst enumeration --------------------------------------------------

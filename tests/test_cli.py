@@ -248,6 +248,16 @@ def test_non_integer_json_numbers_exit_2(capsys, tmp_path, command, payload):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+def test_repeated_off_pair_exit_2(capsys, tmp_path):
+    # read as x1x2 - x1x2 it would be typed A2 with exit 0
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({"n": 2, "diag": [1, 1], "off": [[1, 2, 1], [1, 2, -1]]}))
+    assert run(["qf-info", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_gtransform_json_rejects_non_integers():
     from bidiforms.classify import GTransform
     from bidiforms.errors import InvalidInput

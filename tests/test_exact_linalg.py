@@ -1,9 +1,18 @@
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 
 from bidiforms.errors import InvalidInput
-from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place, integer_kernel, psd_rank
+from bidiforms.exact_linalg import (
+    IntMatrix,
+    _row_hnf_in_place,
+    integer_kernel,
+    psd_pivots,
+    psd_rank,
+    quotient_det,
+)
 
 
 def test_psd_rank_a3_gram():
@@ -124,6 +133,63 @@ def test_psd_rank_pivot_count_equals_rank():
         psd_seen += is_psd
         indefinite_seen += not is_psd
     assert psd_seen > 30 and indefinite_seen > 30
+
+
+def test_psd_pivots_small_cases():
+    G = IntMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    # pivots 2, then 3 at index 1 against 4 at index 2: the largest diagonal wins
+    assert psd_pivots(G) == ([0, 2, 1], 4)
+    assert psd_pivots(IntMatrix.zero(3, 3)) == ([], 1)
+    assert psd_pivots(IntMatrix([[-2]])) is None
+    assert psd_pivots(IntMatrix([[0, 1], [1, 0]])) is None
+    # the extended A_2 Gram matrix: rank 2, radical (1, 1, 1), det G_P = 3
+    G = IntMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    P, det_p = psd_pivots(G)
+    assert len(P) == 2 and det_p == 3
+    assert quotient_det(P, det_p, integer_kernel(G)) == 3
+    with pytest.raises(InvalidInput):
+        psd_pivots(IntMatrix([[0, 1], [2, 0]]))
+
+
+def _principal_minor_gcd(G, r):
+    """gcd of the r x r principal minors of G: for a PSD G of rank r with
+    G = Pi^tr G' Pi, Pi: Z^n -> Z^n / rad onto, each such minor is
+    det(Pi_I)^2 det G' by Cauchy-Binet, and the det(Pi_I) are coprime."""
+    g = 0
+    for I in combinations(range(G.rows), r):
+        g = gcd(g, IntMatrix([[G[i, j] for j in I] for i in I]).det())
+    return g
+
+
+def test_quotient_det_is_the_gcd_of_principal_minors():
+    rng = random.Random(1401)
+    seen = {"corank 0": 0, "corank > 0": 0, "index > 1": 0, "indefinite": 0}
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        if rng.random() < 0.8:
+            A = IntMatrix([[rng.choice((0, 0, 1, -1, 2)) for _ in range(n)]
+                           for _ in range(rng.randint(1, n + 1))])
+            G = A.transpose() @ A
+        else:
+            G = [[0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    G[i][j] = G[j][i] = rng.randint(-3, 3)
+            G = IntMatrix(G)
+        found = psd_pivots(G)
+        if found is None:
+            assert not psd_rank(G)[0]
+            seen["indefinite"] += 1
+            continue
+        P, det_p = found
+        assert len(P) == G.rank() and len(set(P)) == len(P)
+        assert IntMatrix([[G[i, j] for j in P] for i in P]).det() == det_p > 0
+        radical = integer_kernel(G)
+        got = quotient_det(P, det_p, radical)
+        assert got == _principal_minor_gcd(G, len(P)), G
+        seen["corank > 0" if radical else "corank 0"] += 1
+        seen["index > 1"] += got != det_p
+    assert min(seen.values()) > 20, seen
 
 
 def _reference_row_hnf(rows):

@@ -210,6 +210,18 @@ def test_json_round_trip_bit_exact():
     assert IntegralQuadraticForm.from_json_dict(z.to_json_dict()) == z
 
 
+def test_json_refuses_a_repeated_off_pair():
+    # the constructor sums repeated keys; JSON has one entry per pair, so a repeat is refused
+    data = {"n": 2, "diag": [1, 1], "off": [[1, 2, 1], [1, 2, -1]]}
+    with pytest.raises(InvalidInput, match=r"\(1, 2\) is given twice"):
+        IntegralQuadraticForm.from_json_dict(data)
+    data["off"] = [[1, 2, -1], [1, 2, -1]]
+    with pytest.raises(InvalidInput):
+        IntegralQuadraticForm.from_json_dict(data)
+    data["off"] = [[1, 2, -1]]
+    assert IntegralQuadraticForm.from_json_dict(data) == IntegralQuadraticForm([1, 1], {(1, 2): -1})
+
+
 def test_from_gram_consistency():
     rng = random.Random(19)
     for _ in range(20):

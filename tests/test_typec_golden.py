@@ -24,6 +24,7 @@ import pytest
 from bidiforms.bidigraph import canonical_c as canonical_c_graph
 from bidiforms.classify import (
     GTransform,
+    _star_snapshot,
     canonical_c,
     dynkin_plus_zero,
     pivot_saturate,
@@ -146,6 +147,64 @@ def test_chase_transforms_skip_the_determinant(monkeypatch):
     monkeypatch.setattr(IntMatrix, "det", lambda M: calls.append(M) or det(M))
     assert len(_chase_transforms(q)) == 3
     assert not calls
+
+
+def _type_c_calls(q):
+    """The type-C functions that resume the shared star chase, each returning
+    its output on q with the `off` order of every form it returns."""
+
+    def star():
+        T, sat, B, part = star_realization(q)
+        return T.to_json_dict(), sat.diag, list(sat.off.items()), B.to_json_dict(), part
+
+    def canon():
+        T, r, c1, c2 = canonical_c(q)
+        return T.to_json_dict(), r, c1, c2
+
+    def plus_zero(variant):
+        S, target = dynkin_plus_zero(q, variant)
+        return S.to_lists(), target.diag, list(target.off.items())
+
+    return {
+        "realize": lambda: realize(q).to_json_dict(),
+        "star_realization": star,
+        "canonical_c": canon,
+        "dynkin_plus_zero_C": lambda: plus_zero("C"),
+        "dynkin_plus_zero_D": lambda: plus_zero("D"),
+    }
+
+
+ORDERS = (
+    ("realize", "star_realization", "canonical_c", "dynkin_plus_zero_C", "dynkin_plus_zero_D"),
+    ("dynkin_plus_zero_D", "dynkin_plus_zero_C", "canonical_c", "star_realization", "realize"),
+    ("canonical_c", "realize", "dynkin_plus_zero_C", "star_realization", "dynkin_plus_zero_D"),
+)
+
+
+def test_the_shared_star_chase_is_not_mutated():
+    rng = random.Random(1405)
+    reordered = 0
+    for k in range(50):
+        q = _scrambled(rng, *SHAPES[k % len(SHAPES)])
+        calls = _type_c_calls(q)
+        cold = {}
+        for name, call in calls.items():
+            _star_snapshot.cache_clear()
+            cold[name] = _recorded(call)
+        for order in ORDERS:
+            _star_snapshot.cache_clear()
+            for name in order:
+                assert _recorded(calls[name]) == cold[name], (k, name, order)
+        # an equal form whose map was filled in the opposite order, cold and after q
+        q2 = IntegralQuadraticForm(q.diag, dict(reversed(list(q.off.items()))))
+        assert q2 == q
+        reordered += list(q2.off) != list(q.off)
+        for name, call in _type_c_calls(q2).items():
+            _star_snapshot.cache_clear()
+            assert _recorded(call) == cold[name], (k, name)
+            _recorded(calls[name])
+            assert _recorded(call) == cold[name], (k, name)
+    assert reordered > 40, reordered
 
 
 def test_a_non_unimodular_transform_is_refused():
