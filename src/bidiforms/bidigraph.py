@@ -20,14 +20,14 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
-from .errors import InvalidInput, json_int
+from .errors import InvalidInput, as_int, int_tuple, json_int
 from .exact_linalg import IntMatrix, integer_kernel
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
 
 
 def _norm_ends(ends):
     (u, e), (u2, e2) = ends
-    u, e, u2, e2 = int(u), int(e), int(u2), int(e2)
+    u, e, u2, e2 = as_int(u), as_int(e), as_int(u2), as_int(e2)
     if e not in (1, -1) or e2 not in (1, -1):
         raise InvalidInput("endpoint signs must be +-1")
     if u < 1 or u2 < 1:
@@ -43,7 +43,7 @@ class BidirectedGraph:
     __slots__ = ("m", "ends", "_adjacency")
 
     def __init__(self, m: int, ends):
-        m = int(m)
+        m = as_int(m)
         ends = tuple(_norm_ends(e) for e in ends)
         if m < 1:
             raise InvalidInput("graph needs at least one vertex")
@@ -218,8 +218,8 @@ class OrthogonalMatrix:
     __slots__ = ("signs", "perm")
 
     def __init__(self, signs, perm):
-        signs = tuple(int(s) for s in signs)
-        perm = tuple(int(p) for p in perm)
+        signs = int_tuple(signs)
+        perm = int_tuple(perm)
         if any(s not in (1, -1) for s in signs):
             raise InvalidInput("signs must be +-1")
         if sorted(perm) != list(range(1, len(signs) + 1)):
@@ -300,7 +300,7 @@ def sign_flip(B: BidirectedGraph, i: int) -> BidirectedGraph:
 
 def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
     """Reorder arrows: new arrow k carries the endpoints of old arrow pi(k)."""
-    pi = tuple(int(p) for p in pi)
+    pi = int_tuple(pi)
     if sorted(pi) != list(range(1, B.n + 1)):
         raise InvalidInput("not a permutation of the arrow set")
     return BidirectedGraph._trusted(B.m, tuple(B.ends[p - 1] for p in pi))

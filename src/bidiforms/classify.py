@@ -56,6 +56,7 @@ from .errors import (
     NotNonNegative,
     NotPositive,
     NotTypeC,
+    int_tuple,
     json_int,
 )
 from .exact_linalg import IntMatrix
@@ -66,11 +67,14 @@ from .qform import FormAnalysis, IntegralQuadraticForm, analyze, bigraph_of, tra
 
 
 def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
-    """q_ij / q_i, or 0 when q_i = 0; NotCoxRegular if the quotient is not integral."""
-    qi = q.coefficient(i, i)
+    """q_ij / q_i, or 0 when q_i = 0; NotCoxRegular if the quotient is not integral,
+    InvalidInput unless i, j are distinct variables of q."""
+    if i == j:
+        raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
+    qij = q.coefficient(i, j)
+    qi = q.diag[i - 1]
     if qi == 0:
         return 0
-    qij = q.coefficient(i, j)
     if qij % qi != 0:
         raise NotCoxRegular(f"q_{i}{j} = {qij} is not divisible by q_{i} = {qi}")
     return qij // qi
@@ -125,12 +129,10 @@ class _Rows:
             self.nbrs[j].discard(i)
 
     def shear(self, i: int, j: int, c: int) -> None:
-        """x ↦ x with E_j replaced by E_j - c E_i: q_kj -= c q_ki for every
+        """x ↦ x with E_j replaced by E_j - c E_i, i != j: q_kj -= c q_ki for every
         neighbour k of i, q_ij -= 2c q_i and q_j += c^2 q_i - c q_ij."""
         if not c:
             return
-        if i == j:
-            raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
         self._own()
         off, qi = self.off, self.diag[i - 1]
         qij = off.get((i, j) if i < j else (j, i), 0)
@@ -291,6 +293,8 @@ class GTransform:
         return GTransform(IntMatrix.identity(n))
 
     def _then(self, q_current, step):
+        if q_current.n != self.n:
+            raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
         ch.push(*step)
         return GTransform(ch.M, self.steps + (step,)), ch.q
@@ -303,10 +307,7 @@ class GTransform:
         return self._then(q_current, ("sign", i))
 
     def then_perm(self, q_current, pi):
-        return self._then(q_current, ("perm", tuple(int(p) for p in pi)))
-
-    def apply_to(self, q: IntegralQuadraticForm) -> IntegralQuadraticForm:
-        return q.compose(self.matrix)
+        return self._then(q_current, ("perm", int_tuple(pi)))
 
     def to_json_dict(self) -> dict:
         steps = []

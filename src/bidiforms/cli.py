@@ -1,5 +1,11 @@
 """Command-line front end.
 
+The subcommands are one table, `_COMMANDS`: name, help, handler and
+arguments, from which `_build_parser` adds each subparser (every one ends
+with `--format`). A handler reads its input files through the one loader
+`_load` and ends with `_emit`, which prints the payload as JSON or through
+the handler's text renderer.
+
 Exit codes: 0 success, 1 domain rejection (e.g. a form that is not an
 incidence form), 2 malformed input or usage error, 3 an internal check
 failed (a bug: please report the input).
@@ -28,44 +34,28 @@ EXIT_CODES = (
 )
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from exc
-
-
 class _InputError(Exception):
     pass
 
 
-def _load_form(path) -> IntegralQuadraticForm:
+def _load(cls, path):
+    """`cls.from_json_dict` of the JSON file at `path`; an unreadable or malformed
+    file is an `_InputError` (exit 2)."""
     try:
-        return IntegralQuadraticForm.from_json_dict(_load_json(path))
+        with open(path) as fh:
+            return cls.from_json_dict(json.load(fh))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise _InputError(f"cannot read {path}: {exc}") from exc
     except InvalidInput as exc:
         raise _InputError(str(exc)) from exc
 
 
-def _load_graph(path) -> bg.BidirectedGraph:
-    try:
-        return bg.BidirectedGraph.from_json_dict(_load_json(path))
-    except InvalidInput as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _load_pres(path) -> gentle.GentlePresentation:
-    try:
-        return gentle.GentlePresentation.from_json_dict(_load_json(path))
-    except InvalidInput as exc:
-        raise _InputError(str(exc)) from exc
-
-
-def _emit(payload: dict, fmt: str, text_renderer=None):
-    if fmt == "text" and text_renderer is not None:
+def _emit(payload: dict, fmt: str, text_renderer) -> int:
+    if fmt == "text":
         print(text_renderer(payload))
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
+    return EXIT_OK
 
 
 def _form_text(q: IntegralQuadraticForm) -> str:
@@ -110,7 +100,7 @@ def _bigraph_text(delta) -> str:
 
 
 def _cmd_qf_info(args):
-    q = _load_form(args.form)
+    q = _load(IntegralQuadraticForm, args.form)
     rep = analyze(q)
     payload = {
         "n": q.n,
@@ -143,29 +133,26 @@ def _cmd_qf_info(args):
         lines.append("flags: " + (", ".join(flags) if flags else "none"))
         return "\n".join(lines)
 
-    _emit(payload, args.format, render)
-    return EXIT_OK
+    return _emit(payload, args.format, render)
 
 
 def _cmd_qf_realize(args):
-    q = _load_form(args.form)
+    q = _load(IntegralQuadraticForm, args.form)
     B = classify.realize(q)
     payload = B.to_json_dict()
-    _emit(payload, args.format, lambda p: _graph_text(B))
-    return EXIT_OK
+    return _emit(payload, args.format, lambda p: _graph_text(B))
 
 
 def _cmd_qf_canonical_c(args):
-    q = _load_form(args.form)
+    q = _load(IntegralQuadraticForm, args.form)
     T, r, c1, c2 = classify.canonical_c(q)
     payload = {"r": r, "c1": c1, "c2": c2, "transform": T.to_json_dict()}
-    _emit(
+    return _emit(
         payload,
         args.format,
         lambda p: f"canonical extension: r={r}, c1={c1}, c2={c2}\n"
         f"steps: {' '.join(_step_text(s) for s in T.steps)}",
     )
-    return EXIT_OK
 
 
 def _step_text(step):
@@ -179,23 +166,21 @@ def _step_text(step):
 def _cmd_qf_solve(args):
     if args.bound is not None and args.bound < 0:
         raise _InputError("argument --bound: bound must be >= 0")
-    q = _load_form(args.form)
+    q = _load(IntegralQuadraticForm, args.form)
     rep = roots_dioph.solve(q, args.d, bound=args.bound)
     payload = {"d": rep.d, "x": list(rep.x), "strategy": rep.strategy}
-    _emit(payload, args.format, lambda p: f"x = {list(rep.x)}  ({rep.strategy})")
-    return EXIT_OK
+    return _emit(payload, args.format, lambda p: f"x = {list(rep.x)}  ({rep.strategy})")
 
 
 def _cmd_bg_form(args):
-    B = _load_graph(args.graph)
+    B = _load(bg.BidirectedGraph, args.graph)
     q = B.incidence_form()
     payload = q.to_json_dict()
-    _emit(payload, args.format, lambda p: _form_text(q))
-    return EXIT_OK
+    return _emit(payload, args.format, lambda p: _form_text(q))
 
 
 def _cmd_bg_balance(args):
-    B = _load_graph(args.graph)
+    B = _load(bg.BidirectedGraph, args.graph)
     rep = bg.balance(B)
     payload = {
         "beta": rep.beta,
@@ -206,14 +191,13 @@ def _cmd_bg_balance(args):
             else None
         ),
     }
-    _emit(
+    return _emit(
         payload,
         args.format,
         lambda p: f"beta = {p['beta']}"
         + (f"\nnegative closed walk: {p['witness']}" if p["witness"] else "")
         + (f"\nquiver switch signs: {p['quiver_switch']['signs']}" if p["quiver_switch"] else ""),
     )
-    return EXIT_OK
 
 
 def _walk_seq_text(seq):
@@ -223,50 +207,47 @@ def _walk_seq_text(seq):
 def _cmd_bg_roots(args):
     if args.max_len is not None and args.max_len < 0:
         raise _InputError("argument --max-len: length must be >= 0")
-    B = _load_graph(args.graph)
+    B = _load(bg.BidirectedGraph, args.graph)
     cap = 2 * (B.n + B.m) if args.max_len is None else args.max_len
     vectors = walks.theorem_c_roots(B, args.set, cap).vectors
     payload = {"set": args.set, "max_len": cap, "vectors": sorted(map(list, vectors))}
-    _emit(
+    return _emit(
         payload,
         args.format,
         lambda p: "\n".join(str(v) for v in p["vectors"]) or "(empty)",
     )
-    return EXIT_OK
 
 
 def _cmd_bg_line(args):
-    B = _load_graph(args.graph)
+    B = _load(bg.BidirectedGraph, args.graph)
     delta = B.line_bigraph()
     payload = {
         "vertices": delta.n,
         "edges": [[i, j, mult, sign] for (i, j), (mult, sign) in sorted(delta.edges.items())],
     }
-    _emit(payload, args.format, lambda p: _bigraph_text(delta))
-    return EXIT_OK
+    return _emit(payload, args.format, lambda p: _bigraph_text(delta))
 
 
 def _cmd_bg_switch_equiv(args):
-    B1 = _load_graph(args.graph)
-    B2 = _load_graph(args.graph2)
+    B1 = _load(bg.BidirectedGraph, args.graph)
+    B2 = _load(bg.BidirectedGraph, args.graph2)
     O = bg.switching_equivalent(B1, B2)
     payload = {
         "equivalent": O is not None,
         "signs": list(O.signs) if O else None,
         "perm": list(O.perm) if O else None,
     }
-    _emit(
+    return _emit(
         payload,
         args.format,
         lambda p: "switching equivalent: "
         + ("yes" if p["equivalent"] else "no")
         + (f"\nsigns: {p['signs']}\nperm: {p['perm']}" if p["equivalent"] else ""),
     )
-    return EXIT_OK
 
 
 def _cmd_gentle_euler(args):
-    pres = _load_pres(args.quiver)
+    pres = _load(gentle.GentlePresentation, args.quiver)
     rep = gentle.euler_pipeline(pres)
     payload = {
         "cartan": rep.cartan.to_lists(),
@@ -278,7 +259,7 @@ def _cmd_gentle_euler(args):
             for vs, label, crk in rep.components
         ],
     }
-    _emit(
+    return _emit(
         payload,
         args.format,
         lambda p: f"Euler form: {_form_text(rep.form)}\n"
@@ -288,22 +269,21 @@ def _cmd_gentle_euler(args):
             for c in p["components"]
         ),
     )
-    return EXIT_OK
 
 
 # -- verify ------------------------------------------------------------------
 
 
 def _verify_checks(bundle: Path):
-    def load(name):
+    def load(cls, name):
         p = bundle / name
         if not p.exists():
             raise _InputError(f"missing fixture {p}")
-        return p
+        return _load(cls, p)
 
     def check_example_pair():
-        B = _load_graph(load("three_vertex_graph.json"))
-        Bp = _load_graph(load("path_quiver.json"))
+        B = load(bg.BidirectedGraph, "three_vertex_graph.json")
+        Bp = load(bg.BidirectedGraph, "path_quiver.json")
         q = B.incidence_form()
         ok = q == Bp.incidence_form()
         ok &= q.gram().to_lists() == [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
@@ -312,7 +292,7 @@ def _verify_checks(bundle: Path):
         return ok
 
     def check_root_sets():
-        B = _load_graph(load("three_vertex_graph.json"))
+        B = load(bg.BidirectedGraph, "three_vertex_graph.json")
         ones = walks.theorem_c_roots(B, 1, 8).vectors
         twos = walks.theorem_c_roots(B, 2, 10).vectors
         q = B.incidence_form()
@@ -322,7 +302,7 @@ def _verify_checks(bundle: Path):
         return ok
 
     def check_algo_pipeline():
-        q = _load_form(load("typec_rank3_form.json"))
+        q = load(IntegralQuadraticForm, "typec_rank3_form.json")
         B = classify.realize(q)
         ok = B.incidence_form() == q and B.m == 3 and B.n == 4
         ok &= len(B.bidirected_loops()) == 1
@@ -333,7 +313,7 @@ def _verify_checks(bundle: Path):
         return ok
 
     def check_universality():
-        q = _load_form(load("c4_form.json"))
+        q = load(IntegralQuadraticForm, "c4_form.json")
         for d in range(0, 60):
             if q.evaluate(roots_dioph.solve(q, d).x) != d:
                 return False
@@ -347,13 +327,13 @@ def _verify_checks(bundle: Path):
         return ok
 
     def check_gentle():
-        pres = _load_pres(load("gentle_loop_pair.json"))
+        pres = load(gentle.GentlePresentation, "gentle_loop_pair.json")
         rep = gentle.euler_pipeline(pres)
         ok = rep.cartan.to_lists() == [[1, 1], [1, 2]]
         ok &= rep.incidence.to_lists() == [[2, 0], [-1, 1]]
         ok &= rep.form == IntegralQuadraticForm([2, 1], {(1, 2): -2})
         ok &= rep.components[0][1] == "C2"
-        k = _load_pres(load("gentle_k.json"))
+        k = load(gentle.GentlePresentation, "gentle_k.json")
         ok &= gentle.euler_pipeline(k).form == IntegralQuadraticForm([1])
         return ok
 
@@ -405,6 +385,28 @@ def _cmd_verify(args):
 # -- parser ------------------------------------------------------------------
 
 
+_COMMANDS = (  # (name, help, handler, {argument: add_argument options})
+    ("qf-info", "analyze a quadratic form", _cmd_qf_info, {"form": {}}),
+    ("qf-realize", "realize a form as an incidence form", _cmd_qf_realize, {"form": {}}),
+    ("qf-canonical-c", "reduce a type-C form to its canonical extension", _cmd_qf_canonical_c,
+     {"form": {}}),
+    ("qf-solve", "find x with q(x) = d", _cmd_qf_solve,
+     {"form": {}, "-d": {"type": int, "required": True}, "--bound": {"type": int}}),
+    ("bg-form", "incidence form of a bidirected graph", _cmd_bg_form, {"graph": {}}),
+    ("bg-balance", "balance flag, witness walk, quiver switch", _cmd_bg_balance, {"graph": {}}),
+    ("bg-roots", "walk-generated d-roots", _cmd_bg_roots,
+     {"graph": {}, "--set": {"type": int, "choices": (0, 1, 2), "default": 1},
+      "--max-len": {"type": int}}),
+    ("bg-line", "line bigraph of a bidirected graph", _cmd_bg_line, {"graph": {}}),
+    ("bg-switch-equiv", "decide switching equivalence", _cmd_bg_switch_equiv,
+     {"graph": {}, "graph2": {}}),
+    ("gentle-euler", "Euler form pipeline of a gentle presentation", _cmd_gentle_euler,
+     {"quiver": {}}),
+    ("verify", "run the bundled golden checks", _cmd_verify,
+     {"bundle": {"nargs": "?", "default": "fixtures"}, "--only": {}}),
+)
+
+
 def _build_parser():
     p = argparse.ArgumentParser(
         prog="bidiforms",
@@ -412,71 +414,12 @@ def _build_parser():
         epilog=EXIT_CODES,
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    for name, help_text, handler, arguments in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        for arg, options in arguments.items():
+            sp.add_argument(arg, **options)
         sp.add_argument("--format", choices=("json", "text"), default="json")
-
-    sp = sub.add_parser("qf-info", help="analyze a quadratic form")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(fn=_cmd_qf_info)
-
-    sp = sub.add_parser("qf-realize", help="realize a form as an incidence form")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(fn=_cmd_qf_realize)
-
-    sp = sub.add_parser("qf-canonical-c", help="reduce a type-C form to its canonical extension")
-    sp.add_argument("form")
-    common(sp)
-    sp.set_defaults(fn=_cmd_qf_canonical_c)
-
-    sp = sub.add_parser("qf-solve", help="find x with q(x) = d")
-    sp.add_argument("form")
-    sp.add_argument("-d", type=int, required=True)
-    sp.add_argument("--bound", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_qf_solve)
-
-    sp = sub.add_parser("bg-form", help="incidence form of a bidirected graph")
-    sp.add_argument("graph")
-    common(sp)
-    sp.set_defaults(fn=_cmd_bg_form)
-
-    sp = sub.add_parser("bg-balance", help="balance flag, witness walk, quiver switch")
-    sp.add_argument("graph")
-    common(sp)
-    sp.set_defaults(fn=_cmd_bg_balance)
-
-    sp = sub.add_parser("bg-roots", help="walk-generated d-roots")
-    sp.add_argument("graph")
-    sp.add_argument("--set", type=int, choices=(0, 1, 2), default=1)
-    sp.add_argument("--max-len", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_bg_roots)
-
-    sp = sub.add_parser("bg-line", help="line bigraph of a bidirected graph")
-    sp.add_argument("graph")
-    common(sp)
-    sp.set_defaults(fn=_cmd_bg_line)
-
-    sp = sub.add_parser("bg-switch-equiv", help="decide switching equivalence")
-    sp.add_argument("graph")
-    sp.add_argument("graph2")
-    common(sp)
-    sp.set_defaults(fn=_cmd_bg_switch_equiv)
-
-    sp = sub.add_parser("gentle-euler", help="Euler form pipeline of a gentle presentation")
-    sp.add_argument("quiver")
-    common(sp)
-    sp.set_defaults(fn=_cmd_gentle_euler)
-
-    sp = sub.add_parser("verify", help="run the bundled golden checks")
-    sp.add_argument("bundle", nargs="?", default="fixtures")
-    sp.add_argument("--only", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_verify)
-
+        sp.set_defaults(fn=handler)
     return p
 
 

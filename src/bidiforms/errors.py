@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer checks that raise it."""
+
+from operator import index
 
 
 class BidiformsError(Exception):
@@ -18,6 +20,27 @@ def json_int(value) -> int:
     if type(value) is not int:
         raise InvalidInput(f"expected an integer, got {value!r}")
     return value
+
+
+def as_int(value) -> int:
+    """`value` as an int by `operator.index`; InvalidInput for a float, str and the rest.
+
+    Used where the Python constructors take integers, so that `1.9` is refused
+    instead of being truncated by `int()`, as `json_int` refuses it in JSON.
+    """
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidInput(f"expected an integer, got {value!r}") from None
+
+
+def int_tuple(values) -> tuple:
+    """The tuple of `as_int` of each of `values`, at the speed of one `map(index, ...)`."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))
+    except TypeError:
+        return tuple(map(as_int, values))  # raises at the first non-integer
 
 
 class NotCoxRegular(BidiformsError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import InvalidInput
+from .errors import InvalidInput, int_tuple
 
 
 class IntMatrix:
@@ -18,7 +18,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(map(int_tuple, entries))
         if data and any(len(row) != len(data[0]) for row in data):
             raise InvalidInput("ragged rows")
         object.__setattr__(self, "entries", data)
@@ -88,58 +88,53 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise InvalidInput("determinant of non-square matrix")
-        return _det([list(r) for r in self.entries])
+        return _det(self.entries)
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) row elimination."""
-        a = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        rank = 0
-        prev = 1
-        for col in range(n):
-            piv = next((r for r in range(rank, m) if a[r][col] != 0), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            prow = a[rank]
-            p = prow[col]
-            # each entry below becomes a minor of the original rows: exact division
-            for r in range(rank + 1, m):
-                f = a[r][col]
-                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], prow)]
-            prev = p
-            rank += 1
-            if rank == m:
-                break
-        return rank
+        return _bareiss(self.entries)[0]
 
 
 def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _det(a: list[list[int]]) -> int:
-    """Determinant of the square list of rows `a` (Bareiss); `a` is overwritten."""
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def _bareiss(rows) -> tuple[int, int]:
+    """(rank, sign * last pivot) of the integer rows `rows` by fraction-free
+    (Bareiss) row elimination, sign being that of the row swaps.
+
+    Each entry below a pivot becomes a minor of the original rows, so every
+    division is exact. A column without a pivot is skipped; a square matrix
+    of full rank skips none, and its signed last pivot is its determinant.
+    """
+    a = [list(r) for r in rows]
+    m = len(a)
+    rank = 0
+    prev = sign = 1
+    for k in range(len(a[0]) if a else 0):
+        if rank == m:
+            break
+        if not a[rank][k]:
+            piv = next((r for r in range(rank + 1, m) if a[r][k]), None)
+            if piv is None:
+                continue
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        prow = a[rank]
+        p = prow[k]
+        for row in a[rank + 1:]:
+            f = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = (p * row[j] - f * prow[j]) // prev
+        prev = p
+        rank += 1
+    return rank, sign * prev
+
+
+def _det(rows) -> int:
+    """Determinant of a square matrix given by its rows (`_bareiss`)."""
+    rank, last = _bareiss(rows)
+    return last if rank == len(rows) else 0
 
 
 def psd_rank(G: IntMatrix) -> tuple[bool, int]:

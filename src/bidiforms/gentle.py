@@ -24,6 +24,7 @@ from .errors import (
     InfiniteDimensional,
     InfiniteGlobalDimensionSuspected,
     InvalidInput,
+    as_int,
     json_int,
 )
 from .exact_linalg import IntMatrix, _row_hnf_in_place
@@ -36,10 +37,10 @@ class GentlePresentation:
     __slots__ = ("m", "arrows", "relations", "_by_name", "_out", "_in")
 
     def __init__(self, m: int, arrows, relations):
-        m = int(m)
+        m = as_int(m)
         if m < 1:
             raise InvalidInput("quiver needs at least one vertex")
-        arr = tuple((str(a), int(s), int(t)) for a, s, t in arrows)
+        arr = tuple((str(a), as_int(s), as_int(t)) for a, s, t in arrows)
         by_name = {a[0]: a for a in arr}
         if len(by_name) != len(arr):
             raise InvalidInput("arrow names must be unique")

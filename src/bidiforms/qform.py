@@ -14,7 +14,7 @@ from math import gcd, isqrt
 from operator import mul
 from types import MappingProxyType
 
-from .errors import InvalidInput, json_int
+from .errors import InvalidInput, as_int, int_tuple, json_int
 from .exact_linalg import IntMatrix, integer_kernel, psd_pivots, quotient_det
 
 
@@ -24,13 +24,13 @@ class IntegralQuadraticForm:
     __slots__ = ("n", "diag", "off", "_hash")
 
     def __init__(self, diag, off=None):
-        diag = tuple(int(x) for x in diag)
+        diag = int_tuple(diag)
         if len(diag) < 1:
             raise InvalidInput("a form needs at least one variable")
         n = len(diag)
         clean = {}
         for (i, j), v in (off or {}).items():
-            i, j, v = int(i), int(j), int(v)
+            i, j, v = as_int(i), as_int(j), as_int(v)
             if i == j or not (1 <= i <= n and 1 <= j <= n):
                 raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
             if i > j:
@@ -139,7 +139,7 @@ class IntegralQuadraticForm:
         return IntegralQuadraticForm._trusted(diag, off)
 
     def restrict(self, X) -> "IntegralQuadraticForm":
-        X = sorted(set(int(i) for i in X))
+        X = sorted(set(int_tuple(X)))
         if not X or X[0] < 1 or X[-1] > self.n:
             raise InvalidInput("restriction index set must be a nonempty subset of 1..n")
         pos = {orig: t + 1 for t, orig in enumerate(X)}
@@ -159,7 +159,7 @@ class IntegralQuadraticForm:
 
     def permuted(self, pi) -> "IntegralQuadraticForm":
         """The trivially equivalent form q∘P^pi with new variable k = old variable pi(k)."""
-        pi = tuple(int(p) for p in pi)
+        pi = int_tuple(pi)
         if sorted(pi) != list(range(1, self.n + 1)):
             raise InvalidInput("not a permutation of 1..n")
         diag = tuple(self.diag[p - 1] for p in pi)
@@ -218,7 +218,7 @@ def _value(q: IntegralQuadraticForm, x: tuple) -> int:
 
 
 def _check_vector(x, n):
-    x = tuple(int(v) for v in x)
+    x = int_tuple(x)
     if len(x) != n:
         raise InvalidInput(f"vector has length {len(x)}, expected {n}")
     return x
@@ -309,17 +309,17 @@ class Bigraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges):
-        n = int(n)
+        n = as_int(n)
         if n < 1:
             raise InvalidInput("bigraph needs at least one vertex")
         clean = {}
         for (i, j), (mult, sign) in edges.items():
-            i, j = int(i), int(j)
+            i, j = as_int(i), as_int(j)
             if i > j:
                 i, j = j, i
             if not (1 <= i and j <= n):
                 raise InvalidInput("edge endpoint out of range")
-            mult = int(mult)
+            mult = as_int(mult)
             if mult < 0 or sign not in (1, -1):
                 raise InvalidInput("edge multiplicity must be >= 0 with sign +-1")
             if mult:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bidigraph import BidirectedGraph, _tree_path
-from .errors import InvalidInput, NotPositive
+from .errors import InvalidInput, NotPositive, as_int, int_tuple
 from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
 
 
@@ -34,14 +34,14 @@ class Walk:
     __slots__ = ("graph", "start", "steps", "vertices")
 
     def __init__(self, graph: BidirectedGraph, start: int, steps=(), vertices=None):
-        start = int(start)
+        start = as_int(start)
         if not (1 <= start <= graph.m):
             raise InvalidInput("walk start vertex out of range")
-        steps = tuple((int(a), bool(inv)) for a, inv in steps)
+        steps = tuple((as_int(a), bool(inv)) for a, inv in steps)
         if vertices is None:
             vertices = _infer_vertices(graph, start, steps)
         else:
-            vertices = tuple(int(v) for v in vertices)
+            vertices = int_tuple(vertices)
             _check_vertices(graph, start, steps, vertices)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "start", start)

@@ -486,3 +486,19 @@ def test_graphs_and_matrices_pickle_and_copy():
         pickle.loads(pickle.dumps(Forged(IntegralQuadraticForm, ((1, 1), {(1, 1): 2}))))
     with pytest.raises(InvalidInput):
         pickle.loads(pickle.dumps(Forged(GTransform, (IntMatrix([[2]]), ()))))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BidirectedGraph(2.0, [((1, 1), (2, -1))]),
+        lambda: BidirectedGraph(2, [((1.5, 1), (2, -1))]),
+        lambda: BidirectedGraph(2, [((1, 1.0), (2, -1))]),
+        lambda: OrthogonalMatrix((1, -1.0), (1, 2)),
+        lambda: OrthogonalMatrix((1, -1), (1, 2.0)),
+        lambda: arrow_permutation(B_3V, (3, 1.0, 2)),
+    ],
+)
+def test_graphs_refuse_non_integers(build):
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()

@@ -573,3 +573,30 @@ def test_gtransform_rejects_non_unimodular_matrices():
         GTransform(IntMatrix([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(InvalidInput, match="unimodular"):
         GTransform.from_json_dict({"matrix": [[1, 1], [-1, 1]], "steps": []})
+
+
+def test_gtransform_perm_refuses_non_integers():
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        GTransform.identity(3).then_perm(q_a(3), (2.0, 1, 3))
+
+
+def test_gtransform_sign_step_refuses_a_form_of_another_size():
+    with pytest.raises(InvalidInput):
+        GTransform.identity(3).then_sign(q_a(4), 4)
+
+
+def test_gtransform_gabrielov_step_refuses_a_form_of_another_size():
+    # it would return a 3 x 3 transform that records the step (1, 4)
+    with pytest.raises(InvalidInput):
+        GTransform.identity(3).then_gabrielov(q_a(4), 1, 4)
+
+
+def test_gabrielov_step_checks_its_indices_when_q_i_is_zero():
+    z = zero_form(3)
+    with pytest.raises(InvalidInput, match=r"index out of range: \(1, 99\)"):
+        GTransform.identity(3).then_gabrielov(z, 1, 99)
+    with pytest.raises(InvalidInput, match=r"bad off-diagonal index pair \(1, 1\)"):
+        gabrielov_update(z, 1, 1)
+    # with q_i != 0 the same pairs are refused as before
+    with pytest.raises(InvalidInput, match=r"bad off-diagonal index pair \(2, 2\)"):
+        gabrielov_update(q_a(3), 2, 2)

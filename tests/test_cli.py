@@ -1,5 +1,7 @@
+import glob
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -451,3 +453,61 @@ def test_help_documents_the_exit_codes(capsys):
     assert run(["--help"]) == 0
     out = " ".join(capsys.readouterr().out.split())
     assert "0 success, 1 domain rejection, 2 malformed input or usage error, 3 an internal check failed." in out
+
+
+@pytest.mark.parametrize(
+    "command, fixture",
+    [("bg-line", f) for f in ("three_vertex_graph", "path_quiver")]
+    + [("gentle-euler", f) for f in ("gentle_k", "gentle_loop_pair")],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bg_line_and_gentle_euler_byte_identical_to_golden(capsys, command, fixture, fmt):
+    code = run([command, f"{FIX}/{fixture}.json", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
+        assert captured.out + captured.err == fh.read()
+
+
+@pytest.mark.parametrize("only, suffix", [([], ""), (["--only", "gen"], ".only-gen")])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_byte_identical_to_golden(capsys, only, suffix, fmt):
+    code = run(["verify", FIX, *only, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 0
+    with open(f"tests/golden/verify__fixtures{suffix}.{fmt}.out") as fh:
+        assert captured.out + captured.err == fh.read()
+
+
+SUBCOMMANDS = ["qf-info", "qf-realize", "qf-canonical-c", "qf-solve", "bg-form", "bg-balance",
+               "bg-roots", "bg-line", "bg-switch-equiv", "gentle-euler", "verify"]
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_byte_identical_to_golden(capsys, monkeypatch, command):
+    # argparse wraps help text to the terminal width, which COLUMNS fixes
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["--help"] if command is None else [command, "--help"]) == 0
+    captured = capsys.readouterr()
+    with open(f"tests/golden/help/{command or 'bidiforms'}.out") as fh:
+        assert captured.out + captured.err == fh.read()
+
+
+def test_usage_error_byte_identical_to_golden(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(["qf-solve", f"{FIX}/c4_form.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    with open("tests/golden/usage/qf-solve__no-d.out") as fh:
+        assert captured.err == fh.read()
+
+
+def test_every_subcommand_has_a_golden_in_each_format(capsys):
+    # the subcommands as `bidiforms --help` lists them, so a new one cannot land unpinned
+    assert run(["--help"]) == 0
+    listed = re.search(r"\{([a-z0-9,-]+)\}", capsys.readouterr().out).group(1).split(",")
+    assert listed == SUBCOMMANDS
+    for command in listed:
+        for fmt in ("json", "text"):
+            assert glob.glob(f"tests/golden/{command}__*.{fmt}.out"), (command, fmt)
+        assert os.path.exists(f"tests/golden/help/{command}.out"), command

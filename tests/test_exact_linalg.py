@@ -289,3 +289,17 @@ def test_kernel_matches_the_full_hermite_reduction():
     for rows, cols in ((1, 1), (1, 4), (4, 1), (3, 3)):
         M = IntMatrix.zero(rows, cols)
         assert integer_kernel(M) == _reference_integer_kernel(M) == list(IntMatrix.identity(cols).entries)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.5, 2.2]],
+        [[1, 0], [0, 1.0]],
+        [[1, 2], [3, "4"]],
+        iter([[1, 2], iter([3, 4.5])]),  # a row that can be read once only
+    ],
+)
+def test_intmatrix_refuses_non_integers(rows):
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        IntMatrix(rows)

@@ -241,3 +241,15 @@ def test_exact_inverse_over_the_integers():
     for bad in ([[0]], [[2, 0], [0, 1]], [[1, 1], [1, 1]], [[1, 1], [-1, 1]]):
         with pytest.raises(InconsistentPresentation):
             _exact_inverse(IntMatrix(bad))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GentlePresentation(2.0, [("a", 1, 2)], []),
+        lambda: GentlePresentation(2, [("a", 1, 2.5)], []),
+    ],
+)
+def test_presentations_refuse_non_integers(build):
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()

@@ -8,6 +8,7 @@ from bidiforms.classify import _sign_update, gabrielov_update
 from bidiforms.errors import InvalidInput
 from bidiforms.exact_linalg import IntMatrix, integer_kernel
 from bidiforms.qform import (
+    Bigraph,
     IntegralQuadraticForm,
     analyze,
     bigraph_of,
@@ -344,3 +345,43 @@ def test_hash_is_the_sorted_key_for_every_producer():
         for p in made:
             want = hash((p.diag, tuple(sorted(p.off.items()))))
             assert hash(p) == want and hash(p) == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: IntegralQuadraticForm([1.9, 1], {(1, 2): -1}),
+        lambda: IntegralQuadraticForm(["1", 1], {(1, 2): -1}),
+        lambda: IntegralQuadraticForm([1, 1], {(1, 2): -1.5}),
+        lambda: IntegralQuadraticForm([1, 1], {(1.0, 2): -1}),
+        lambda: Q_A3.evaluate([1.9, 0.2, 0]),
+        lambda: Q_A3.polarize([1, 0, 0], [0, 0.5, 0]),
+        lambda: Q_A3.permuted([1.0, 2, 3]),
+        lambda: Q_A3.restrict([1, 2.5]),
+        lambda: Bigraph(2.0, {(1, 2): (1, -1)}),
+        lambda: Bigraph(2, {(1, 2): (1.5, -1)}),
+        lambda: Bigraph(2, {(1, 2.0): (1, -1)}),
+    ],
+)
+def test_forms_and_vectors_refuse_non_integers(build):
+    # int() would truncate 1.9 to 1 and read "1" as 1; the JSON readers refuse both too
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()
+
+
+class _Index:
+    """An integer type that is not int: it has `__index__` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_forms_and_vectors_take_any_integer_type():
+    q = IntegralQuadraticForm([_Index(1), 1, 1], {(1, _Index(2)): _Index(-1), (2, 3): -1})
+    assert q == Q_A3 and all(type(c) is int for c in (*q.diag, *q.off.values()))
+    assert all(type(i) is int for pair in q.off for i in pair)
+    assert Q_A3.evaluate([_Index(1), True, 0]) == 1
+    assert Q_A3.permuted([_Index(3), 2, 1]) == Q_A3

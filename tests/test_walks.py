@@ -548,3 +548,16 @@ def test_roots_positive_matches_walk_composition():
         for x in rep.vectors:
             counts[q.evaluate(x)] = counts.get(q.evaluate(x), 0) + 1
         assert rep.value_counts == counts
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Walk(B_3V, 1.0),
+        lambda: Walk(B_3V, 1, [(1.0, False)]),
+        lambda: Walk(B_3V, 1, [(1, False)], vertices=(1, 2.0)),
+    ],
+)
+def test_walks_refuse_non_integers(build):
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()
