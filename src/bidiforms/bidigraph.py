@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
-from .exact_linalg import IntMatrix, integer_kernel
+from .exact_linalg import IntMatrix
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
 
 
@@ -162,20 +162,20 @@ class BidirectedGraph:
         Each incidence row has at most two nonzero entries, so q_i = |row_i|^2 / 2
         and q_ij sums row_i[v] row_j[v] over the vertices v the arrows share.
         """
-        at = [[] for _ in range(self.m + 1)]  # per vertex: (arrow, row entry)
+        at = {}  # per vertex an arrow touches: (arrow, row entry)
         diag = []
         for i, ((u, e), (u2, e2)) in enumerate(self.ends, start=1):
             if u == u2:
                 c = e + e2  # 0 for a directed loop, +-2 for a bidirected one
                 diag.append(c * c // 2)
                 if c:
-                    at[u].append((i, c))
+                    at.setdefault(u, []).append((i, c))
             else:
                 diag.append(1)
-                at[u].append((i, e))
-                at[u2].append((i, e2))
+                at.setdefault(u, []).append((i, e))
+                at.setdefault(u2, []).append((i, e2))
         off = {}
-        for arrows in at:
+        for arrows in at.values():
             for k, (i, c) in enumerate(arrows):
                 for j, c2 in arrows[k + 1:]:
                     off[(i, j)] = off.get((i, j), 0) + c * c2
@@ -400,13 +400,6 @@ def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> Bidirected
     raise InvalidInput("endpoint rewrite: configuration not in the allowed table")
 
 
-def rewrite_matrix(n: int, i: int, j: int, eps: int) -> IntMatrix:
-    """Form-level matrix of the endpoint rewrite: E_j -> E_j - eps E_i."""
-    S = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-    S[i - 1][j - 1] = -eps
-    return IntMatrix(S)
-
-
 def apply(B: BidirectedGraph, t) -> BidirectedGraph:
     """Dispatch an elementary transformation given as a tagged tuple."""
     tag = t[0]
@@ -518,10 +511,6 @@ def rank_corank(B: BidirectedGraph) -> tuple[int, int]:
     """(rk, crk) of the incidence form: rk = m - beta, crk = n - m + beta."""
     beta = balance(B).beta
     return (B.m - beta, B.n - B.m + beta)
-
-
-def nullity(B: BidirectedGraph) -> int:
-    return len(integer_kernel(B.incidence_matrix()))
 
 
 # -- canonical families ----------------------------------------------------

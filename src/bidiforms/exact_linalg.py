@@ -274,13 +274,6 @@ def _smallest_at(rows, start, c):
     return piv
 
 
-def hermite_normal_form(M: IntMatrix) -> IntMatrix:
-    """Row-style Hermite normal form (zero rows dropped)."""
-    rows = [list(r) for r in M.entries]
-    _row_hnf_in_place(rows)
-    return IntMatrix([r for r in rows if any(r)] or [[0] * M.cols] if M.cols else [])
-
-
 def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the pure subgroup {x in Z^cols : Mx = 0}, in Hermite echelon form.
 

@@ -2,8 +2,10 @@
 
 A presentation is a quiver with length-2 monomial relations; the relation
 pair (a, b) always means the path a-then-b (composable: tgt(a) = src(b)).
-The Euler form of a finite-global-dimension gentle algebra is realized as an
-incidence form whose graph vertices are the forbidden threads.
+The Euler form of a finite-global-dimension gentle algebra is the incidence
+form of its thread graph: one graph vertex per forbidden thread, and one
+arrow per quiver vertex, whose two ends are the vertex's two occurrences in
+the forbidden threads, each signed by the parity of its position.
 
 Each presentation indexes its arrows by name and by vertex once. A pipeline
 validates it once, and the successor maps and the Cartan matrix built by
@@ -12,6 +14,7 @@ validation serve the threads, their matching and the Euler form.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
 
@@ -27,7 +30,7 @@ from .errors import (
     as_int,
     json_int,
 )
-from .exact_linalg import IntMatrix, _row_hnf_in_place
+from .exact_linalg import IntMatrix
 from .qform import IntegralQuadraticForm, analyze, bigraph_of, traverse
 
 
@@ -240,11 +243,12 @@ def threads(pres: GentlePresentation):
     vertex must appear exactly twice in each list; phi solves
     C * floor(theta) = ceil(phi(theta)) with matching start vertex.
     """
-    return _threads(pres, *ensure_valid(pres))
+    return _threads(pres, *ensure_valid(pres))[:3]
 
 
 def _threads(pres, succ, C):
-    """`threads` of a valid presentation with its successor maps and Cartan matrix."""
+    """`threads` of a valid presentation with its successor maps and Cartan
+    matrix, and the columns C * floor(theta) of the forbidden threads."""
     permitted = _maximal_threads(pres, succ[0], "permitted")
     forbidden = _maximal_threads(pres, succ[1], "forbidden")
     permitted += _trivial_threads(pres, "permitted")
@@ -261,8 +265,8 @@ def _threads(pres, succ, C):
             raise InfiniteGlobalDimensionSuspected(
                 f"vertex occurrence counts in {name} threads are {bad}, expected 2"
             )
-    phi = _match_threads(pres, forbidden, permitted, C)
-    return permitted, forbidden, phi
+    phi, J = _match_threads(pres, forbidden, permitted, C)
+    return permitted, forbidden, phi, J
 
 
 def _thread_key(th):
@@ -301,18 +305,27 @@ def _trivial_threads(pres, kind: str):
 
 
 def _match_threads(pres, forbidden, permitted, C):
-    phi = {}
+    """(phi, J): J holds the column C * floor(theta) of each forbidden thread
+    theta, the alternating sum of the columns of C along theta, and phi
+    matches theta to the first free permitted thread eta that starts where
+    theta starts and has ceil(eta) = C * floor(theta)."""
+    cols = tuple(zip(*C.entries))
+    phi, J = {}, []
     free = {pi: (eta.start, eta.ceil_vector(pres.m)) for pi, eta in enumerate(permitted)}
     for fi, th in enumerate(forbidden):
-        key = (th.start, C.matvec(th.floor_vector(pres.m)))
+        col = (0,) * pres.m
+        for t, v in enumerate(th.vertices):
+            col = tuple(map(operator.sub if t % 2 else operator.add, col, cols[v - 1]))
+        key = (th.start, col)
         pi = next((pi for pi, k in free.items() if k == key), None)  # the first one not taken
         if pi is None:
             raise AmbiguousMatching(
                 f"no permitted thread matches forbidden thread {th.path or th.vertices}"
             )
         phi[fi] = pi
+        J.append(col)
         del free[pi]
-    return phi
+    return phi, J
 
 
 def _cartan_matrix(pres, succ) -> IntMatrix:
@@ -349,65 +362,32 @@ class EulerReport:
 
 
 def euler_pipeline(pres: GentlePresentation) -> EulerReport:
-    """Euler form, thread incidence matrix, bidirected graph, Dynkin data.
+    """Euler form, thread incidence matrix, thread graph B, Dynkin data.
 
-    Asserts the core identity C^-1 + C^-tr = I I^tr before building the graph;
-    zero rows (if any) are placed as directed loops at graph vertex 1.
+    The thread matching proves C I = J, with I = I(B) the floor vectors of
+    the forbidden threads as columns, and validation proves C unimodular, so
+    the core identity C^-1 + C^-tr = I I^tr is checked as J J^tr = C + C^tr.
+    An arrow whose two ends cancel is a directed loop at graph vertex 1.
     """
     succ, C = ensure_valid(pres)
-    permitted, forbidden, phi = _threads(pres, succ, C)
-    n = pres.m
-    Cinv = _exact_inverse(C)
-    gram = [
-        [Cinv[j][i] + Cinv[i][j] for j in range(n)]
-        for i in range(n)
-    ]
-    G = IntMatrix(gram)
-    if any(G[i, i] % 2 for i in range(n)):
-        raise InconsistentPresentation("Euler Gram matrix has an odd diagonal entry")
-    q = IntegralQuadraticForm.from_gram(G)
-    cols = [th.floor_vector(n) for th in forbidden]
-    I = IntMatrix([[cols[u][i] for u in range(len(cols))] for i in range(n)])
-    if (I @ I.transpose()) != G:
+    _, forbidden, _, J = _threads(pres, succ, C)
+    S = [[-a - b for a, b in zip(row, col)] for row, col in zip(C.entries, zip(*C.entries))]
+    for col in J:  # S = J J^tr - C - C^tr, over each column's nonzero entries
+        nz = [(i, x) for i, x in enumerate(col) if x]
+        for i, x in nz:
+            for j, y in nz:
+                S[i][j] += x * y
+    if any(map(any, S)):
         raise InconsistentPresentation("C^-1 + C^-tr != I I^tr")
-    # verify the thread matching identity C*floor = ceil(phi(theta))
-    for fi, th in enumerate(forbidden):
-        eta = permitted[phi[fi]]
-        assert C.matvec(th.floor_vector(n)) == eta.ceil_vector(n)
-    B = _graph_from_incidence(I)
-    comps = _component_types(q)
-    return EulerReport(q, C, I, B, comps)
-
-
-def _exact_inverse(M: IntMatrix):
-    """Rows of M^-1 for a unimodular M: the Hermite form of [M | I] is [I | M^-1]."""
-    n = M.rows
-    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
-    _row_hnf_in_place(rows)
-    if any(rows[i][:n] != [int(i == j) for j in range(n)] for i in range(n)):
-        raise InconsistentPresentation("Cartan matrix is not invertible over the integers")
-    return [row[n:] for row in rows]
-
-
-def _graph_from_incidence(I: IntMatrix) -> BidirectedGraph:
-    m = I.cols
-    ends = []
-    for r in range(I.rows):
-        row = I.row(r)
-        nz = [(u + 1, row[u]) for u in range(m) if row[u] != 0]
-        norm2 = sum(v * v for _, v in nz)
-        if norm2 == 0:
-            ends.append(((1, 1), (1, -1)))  # directed loop, placement free
-        elif norm2 == 2:
-            (u, e), (u2, e2) = nz
-            ends.append(((u, e), (u2, e2)))
-        elif norm2 == 4 and len(nz) == 1:
-            u, v = nz[0]
-            s = 1 if v > 0 else -1
-            ends.append(((u, s), (u, s)))
-        else:
-            raise InconsistentPresentation(f"row {r + 1} is not a two-endpoint row")
-    return BidirectedGraph(m, ends)
+    at = [[] for _ in range(pres.m + 1)]  # quiver vertex -> its signed thread ends
+    for u, th in enumerate(forbidden, start=1):
+        for t, v in enumerate(th.vertices):
+            at[v].append((u, -1 if t % 2 else 1))
+    ends = [((1, 1), (1, -1)) if u == u2 and e != e2 else ((u, e), (u2, e2))
+            for (u, e), (u2, e2) in at[1:]]
+    B = BidirectedGraph(len(forbidden), ends)
+    q = B.incidence_form()
+    return EulerReport(q, C, B.incidence_matrix(), B, _component_types(q))
 
 
 def _component_types(q: IntegralQuadraticForm):

@@ -319,7 +319,7 @@ class Bigraph:
                 i, j = j, i
             if not (1 <= i and j <= n):
                 raise InvalidInput("edge endpoint out of range")
-            mult = as_int(mult)
+            mult, sign = as_int(mult), as_int(sign)
             if mult < 0 or sign not in (1, -1):
                 raise InvalidInput("edge multiplicity must be >= 0 with sign +-1")
             if mult:

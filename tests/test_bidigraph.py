@@ -14,16 +14,14 @@ from bidiforms.bidigraph import (
     endpoint_rewrite,
     graph_gabrielov,
     loops_graph,
-    nullity,
     rank_corank,
-    rewrite_matrix,
     sign_flip,
     switch,
     switching_equivalent,
     undo,
 )
 from bidiforms.errors import InvalidInput
-from bidiforms.exact_linalg import IntMatrix
+from bidiforms.exact_linalg import IntMatrix, integer_kernel
 from bidiforms.qform import IntegralQuadraticForm, bigraph_of
 
 # Example pair: same incidence form, different vertex counts
@@ -140,6 +138,10 @@ def test_balance_bidirected_loop_witness():
     assert rep.beta == 0
     v0, i, v1 = rep.witness
     assert v0 == v1 and B.is_bidirected_loop(i)
+
+
+def nullity(B: BidirectedGraph) -> int:
+    return len(integer_kernel(B.incidence_matrix()))
 
 
 def test_balance_quiver_switch():
@@ -313,6 +315,13 @@ def test_endpoint_rewrite_table_rows():
     assert B2.arrow_ends(1) == ((1, -1), (2, -1))  # two-head arrow
     with pytest.raises(InvalidInput):
         endpoint_rewrite(B, 2, 1, 1)
+
+
+def rewrite_matrix(n: int, i: int, j: int, eps: int) -> IntMatrix:
+    """Form-level matrix of the endpoint rewrite: E_j -> E_j - eps E_i."""
+    S = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
+    S[i - 1][j - 1] = -eps
+    return IntMatrix(S)
 
 
 def test_endpoint_rewrite_matrix_law():

@@ -157,6 +157,23 @@ def test_bg_line(capsys):
     assert payload["edges"] == [[1, 2, 1, -1], [2, 3, 1, -1]]
 
 
+@pytest.mark.parametrize(
+    "command, want",
+    [("bg-form", {"diag": [1, 1], "n": 2, "off": [[1, 2, -1]]}),
+     ("bg-line", {"vertices": 2, "edges": [[1, 2, 1, -1]]})],
+)
+def test_graph_form_costs_nothing_per_untouched_vertex(capsys, tmp_path, command, want):
+    # 10^20 vertices, two arrows: a list per vertex would never finish
+    m = 10**20
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": m, "arrows": [{"ends": [[1, 1], [2, -1]]},
+                                                          {"ends": [[2, 1], [m, -1]]}]}))
+    start = time.perf_counter()
+    code, out = run_capture(capsys, [command, str(path)])
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert json.loads(out) == want
+
+
 def test_bg_switch_equiv(capsys):
     code, out = run_capture(
         capsys,

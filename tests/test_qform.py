@@ -361,6 +361,7 @@ def test_hash_is_the_sorted_key_for_every_producer():
         lambda: Bigraph(2.0, {(1, 2): (1, -1)}),
         lambda: Bigraph(2, {(1, 2): (1.5, -1)}),
         lambda: Bigraph(2, {(1, 2.0): (1, -1)}),
+        lambda: Bigraph(2, {(1, 2): (1, 1.0)}),
     ],
 )
 def test_forms_and_vectors_refuse_non_integers(build):
@@ -385,3 +386,6 @@ def test_forms_and_vectors_take_any_integer_type():
     assert all(type(i) is int for pair in q.off for i in pair)
     assert Q_A3.evaluate([_Index(1), True, 0]) == 1
     assert Q_A3.permuted([_Index(3), 2, 1]) == Q_A3
+    delta = Bigraph(2, {(1, 2): (_Index(1), True), (1, 1): (2, _Index(-1))})
+    assert dict(delta.edges) == {(1, 2): (1, 1), (1, 1): (2, -1)}
+    assert all(type(x) is int for edge in delta.edges.values() for x in edge)
