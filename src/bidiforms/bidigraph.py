@@ -25,6 +25,12 @@ from .exact_linalg import IntMatrix
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
 
 
+def _touches_every_vertex(B) -> bool:
+    """Whether every vertex carries an arrow: one that does not is isolated, which
+    the arrows tell in O(n), however large m is."""
+    return len({u for ends in B.ends for u, _ in ends}) == B.m
+
+
 def _norm_ends(ends):
     (u, e), (u2, e2) = ends
     u, e, u2, e2 = as_int(u), as_int(e), as_int(u2), as_int(e2)
@@ -143,7 +149,8 @@ class BidirectedGraph:
         return all(self.sigma(i) == 1 for i in range(1, self.n + 1))
 
     def is_connected(self) -> bool:
-        return len(traverse(self.adjacency(), 1)[0]) == self.m
+        """Connectivity; a vertex no arrow touches answers no without the vertex index."""
+        return _touches_every_vertex(self) and len(traverse(self.adjacency(), 1)[0]) == self.m
 
     # -- incidence ---------------------------------------------------------
 
@@ -451,7 +458,7 @@ def balance(B: BidirectedGraph) -> BalanceReport:
     connected B.
     """
     # a last-in-first-out search: its tree fixes the witness walk that `bg-balance` prints
-    order, parent = traverse(B.adjacency(), 1, lifo=True)
+    order, parent = traverse(B.adjacency(), 1, lifo=True) if _touches_every_vertex(B) else ((), None)
     if len(order) != B.m:
         raise InvalidInput("balance is defined for connected graphs")
     loops = B.bidirected_loops()

@@ -29,10 +29,13 @@ chase from it.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
-whose other end can fit, and positive cores are found by a deletion search
-that reads the rank of each restriction off the radical. Both run on
-explicit stacks. Forms derived here from valid forms are built
-without the constructor's checks (`IntegralQuadraticForm._trusted`).
+that the products with the placed rows force (`_UnitRows.candidates`): by
+the Whitney-type theorem for line graphs up to switching, a real choice is
+left only near the first arrows. Positive cores are found by a deletion
+search that reads the rank of each restriction off the radical. Both run on
+explicit stacks. Forms, graphs and matrices derived here from valid data
+are built without the constructors' checks (`IntegralQuadraticForm._trusted`,
+`BidirectedGraph._trusted`, `IntMatrix._trusted`).
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .errors import (
     json_int,
 )
 from .exact_linalg import IntMatrix
-from .qform import FormAnalysis, IntegralQuadraticForm, analyze, bigraph_of, traverse, zero_form
+from .qform import FormAnalysis, IntegralQuadraticForm, analyze, form_adjacency, traverse, zero_form
 
 
 # -- elementary transformations on rows and columns ------------------------
@@ -188,7 +191,7 @@ class _Chase:
 
     @property
     def M(self) -> IntMatrix:
-        return IntMatrix(zip(*self.cols))
+        return IntMatrix._trusted(tuple(zip(*self.cols)))
 
     @property
     def q(self) -> IntegralQuadraticForm:
@@ -595,7 +598,7 @@ def _greedy_core(q, rep):
     """
     n, c = q.n, rep.corank
     radical_rows = [None] + [tuple(z[v - 1] for z in rep.radical_basis) for v in range(1, n + 1)]
-    adj = bigraph_of(q).adjacency()
+    adj = form_adjacency(q)
 
     def connected(X):
         within = {v: [(w, edge) for w, edge in adj[v] if w in X] for v in X}
@@ -866,38 +869,93 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
 def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
 
-    Arrows are processed in a breadth-first order of the form's bigraph, so
-    each arrow after the first has a placed bigraph neighbour; fresh vertices
-    are used in increasing order with their first sign pinned to +1
-    (switching symmetry). The depth-first search over candidate rows, in
-    lexicographic (u, u2, e, e2) order, runs on an explicit stack.
-
-    Placed rows are indexed by vertex. A row that shares no vertex with a
-    candidate has product 0 with it, so a candidate is generated only if it
-    meets the row of one placed neighbour at a vertex x, and is compared only
-    with the rows at its two vertices, among which every placed neighbour
-    (G_ij != 0) must be. Its other end y is fresh or a vertex of a placed
-    neighbour or of a row at x: any other y carries a row that meets the
-    candidate at y alone, a product of +-1 where G_ij = 0. The first graph
-    found is the one a check of every row against every placed row finds.
+    Arrows are processed in the breadth-first order of the form's bigraph,
+    read off `q.off`, so each arrow after the first has a placed bigraph
+    neighbour; fresh vertices are used in increasing order with their first
+    sign pinned to +1 (switching symmetry). The depth-first search runs on
+    an explicit stack over the rows that `_UnitRows.candidates` forces, in
+    lexicographic (u, u2, e, e2) order, each checked by `_UnitRows.fits`.
+    Those are the rows of a search that tries every row meeting a placed
+    neighbour that can fit, in the same order, so the first graph found is
+    the one a check of every row against every placed row finds. By the
+    Whitney-type theorem for line graphs the choice is real only near the
+    first arrows; every later arrow has few candidates.
     """
     n = q.n
     order = _bigraph_bfs_order(q)
-    off = q.off
-    rank = {i: k for k, i in enumerate(order)}
-    earlier = [[] for _ in range(n + 1)]  # i -> its bigraph neighbours placed before it
-    for a, b in off:
-        if rank[a] < rank[b]:
-            earlier[b].append(a)
+    placed = _UnitRows(q, m, order)
+    # one level per placed arrow: (candidates left, vertices used before it)
+    levels = [(iter((((1, 1), (2, -1)),)), 0)]
+    while levels:
+        k = len(levels) - 1
+        cands, used = levels[-1]
+        i = order[k]
+        if i in placed.rows:  # back from a subtree that failed
+            placed.unplace(i)
+        for ends in cands:
+            new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
+            if new_used > m or not placed.fits(i, ends):
+                continue
+            if k + 1 == n:
+                if new_used == m:
+                    placed.place(i, ends)
+                    return BidirectedGraph._trusted(m, tuple(placed.rows[j] for j in range(1, n + 1)))
+                continue
+            placed.place(i, ends)
+            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used))
+            break
         else:
-            earlier[a].append(b)
-    at = [{} for _ in range(m + 1)]  # vertex -> {placed arrow: its end sign there}
-    rows = {}
+            levels.pop()
+    return None
 
-    def fits(i, ends):
+
+def _row_order(ends):
+    """The (u, u2, e, e2) order of the search: vertices ascending, then each sign +1 first."""
+    (u, e), (u2, e2) = ends
+    return (u, u2, -e, -e2)
+
+
+class _UnitRows:
+    """The incidence rows placed so far by `_realize_unit_backtracking`, indexed
+    by vertex: `rows` maps an arrow to its normalized ends, `at[v]` maps each
+    arrow at v to its end sign there, and `earlier[i]` lists the bigraph
+    neighbours of i placed before it, in search order.
+    """
+
+    __slots__ = ("off", "m", "earlier", "rows", "at")
+
+    def __init__(self, q: IntegralQuadraticForm, m: int, order):
+        rank = {i: k for k, i in enumerate(order)}
+        self.earlier = earlier = [[] for _ in range(q.n + 1)]
+        for a, b in q.off:
+            if rank[a] < rank[b]:
+                earlier[b].append(a)
+            else:
+                earlier[a].append(b)
+        self.off = q.off
+        self.m = m
+        self.rows = {}
+        self.at = [{} for _ in range(m + 1)]
+
+    def place(self, i, ends):
+        self.rows[i] = ends
+        for u, e in ends:
+            self.at[u][i] = e
+
+    def unplace(self, i):
+        for u, _ in self.rows.pop(i):
+            del self.at[u][i]
+
+    def fits(self, i, ends):
+        """Whether row `ends` for arrow i has its Gram product with every placed row.
+
+        A placed row that shares no vertex with it has product 0, so only the
+        rows at its two vertices are compared, and every placed neighbour of
+        i must be among them.
+        """
         (u, e), (u2, e2) = ends
-        at_u, at_u2 = at[u], at[u2]
-        for j in earlier[i]:
+        at_u, at_u2, off = self.at[u], self.at[u2], self.off
+        for j in self.earlier[i]:
             if j not in at_u and j not in at_u2:
                 return False
         for j, s in at_u.items():
@@ -908,55 +966,61 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
                 return False
         return True
 
-    def candidates(i, used):
-        (a, _), (b, _) = rows[earlier[i][0]]
-        near = {v for j in earlier[i] for v, _ in rows[j]}
-        if used < m:
-            near.add(used + 1)  # the fresh vertex
-        pairs = {(min(x, y), max(x, y)) for x in (a, b)
-                 for y in near.union(v for j in at[x] for v, _ in rows[j]) if y != x}
-        for u, u2 in sorted(pairs):
-            fresh = u2 == used + 1
-            for e in (1, -1):
-                for e2 in ((1,) if fresh else (1, -1)):
-                    yield ((u, e), (u2, e2))
+    def candidates(self, i, used):
+        """The rows for arrow i, with `used` vertices placed, that its products force,
+        sorted in the search order; among them is every row that fits.
 
-    def place(i, ends):
-        rows[i] = ends
-        for u, e in ends:
-            at[u][i] = e
-
-    def unplace(i):
-        for u, _ in rows.pop(i):
-            del at[u][i]
-
-    # one level per placed arrow: (candidates left, vertices used before it)
-    levels = [(iter((((1, 1), (2, -1)),)), 0)]
-    while levels:
-        k = len(levels) - 1
-        cands, used = levels[-1]
-        i = order[k]
-        if i in rows:  # back from a subtree that failed
-            unplace(i)
-        for ends in cands:
-            new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
-            if new_used > m or not fits(i, ends):
-                continue
-            if k + 1 == n:
-                if new_used == m:
-                    place(i, ends)
-                    return BidirectedGraph(m, [rows[j] for j in range(1, n + 1)])
-                continue
-            place(i, ends)
-            levels.append((candidates(order[k + 1], new_used), new_used))
-            break
-        else:
-            levels.pop()
-    return None
+        The row meets the first placed neighbour j0 with product c. For |c| = 2
+        it is c/2 times the row of j0. For |c| = 1 it has one end x at j0, with
+        sign c times the sign of j0 there, and its other end y off j0. If a
+        placed neighbour is not at x, y is one of its two ends. Else a placed
+        row at x with product 0 must cancel at y, so y is its other end. Else
+        every row at y is at x: y is fresh or the other end of a row at x. The
+        sign at y is read off the product with a row at y that is not at x;
+        a fresh end keeps +1, and with no such row both signs are tried.
+        """
+        off, rows, at, near = self.off, self.rows, self.at, self.earlier[i]
+        j0 = near[0]
+        c = off[(i, j0) if i < j0 else (j0, i)]
+        if c in (2, -2):
+            (a, ea), (b, eb) = rows[j0]
+            return [((a, c // 2 * ea), (b, c // 2 * eb))]
+        if c not in (1, -1):
+            return []
+        fresh = used + 1 if used < self.m else None
+        found = set()
+        ends0 = (rows[j0][0][0], rows[j0][1][0])
+        for x, ex in rows[j0]:
+            at_x = at[x]
+            j = next((j for j in near if j not in at_x), None)
+            if j is not None:
+                ys = [v for v, _ in rows[j]]
+            else:
+                zero = next((k for k in at_x if not off.get((i, k) if i < k else (k, i))), None)
+                ys = [v for k in (at_x if zero is None else (zero,)) for v, _ in rows[k] if v != x]
+                if zero is None and fresh:
+                    ys.append(fresh)
+            for y in ys:
+                if y in ends0:  # a row with both ends at j0 has product 0 or +-2 with it
+                    continue
+                if y == fresh:
+                    signs = (1,)
+                else:
+                    k = next((k for k in at[y] if k not in at_x), None)
+                    if k is None:
+                        signs = (1, -1)
+                    else:
+                        ck = off.get((i, k) if i < k else (k, i), 0)
+                        if ck not in (1, -1):
+                            continue
+                        signs = (ck * at[y][k],)
+                for ey in signs:
+                    found.add(((x, c * ex), (y, ey)) if x < y else ((y, ey), (x, c * ex)))
+        return sorted(found, key=_row_order)
 
 
 def _bigraph_bfs_order(q):
-    order, _ = traverse(bigraph_of(q).adjacency(), 1)
+    order, _ = traverse(form_adjacency(q), 1)
     if len(order) != q.n:
         raise InvalidInput("form is not connected")
     return order

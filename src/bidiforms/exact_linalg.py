@@ -2,7 +2,8 @@
 
 Everything here works over arbitrary-precision integers: eliminations are
 fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact and
-no `fractions.Fraction` or floating point is used.
+no `fractions.Fraction` or floating point is used. The PSD test runs on
+sparse rows, so a sparse form is never expanded into its dense Gram matrix.
 """
 
 from __future__ import annotations
@@ -24,6 +25,17 @@ class IntMatrix:
         object.__setattr__(self, "entries", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", len(data[0]) if data else 0)
+
+    @classmethod
+    def _trusted(cls, entries: tuple) -> "IntMatrix":
+        """A matrix from a tuple of equal-length tuples of ints that the library
+        holds, without the constructor's conversion. Input from outside the
+        library goes through the constructor."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "entries", entries)
+        object.__setattr__(M, "rows", len(entries))
+        object.__setattr__(M, "cols", len(entries[0]) if entries else 0)
+        return M
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -64,9 +76,9 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise InvalidInput("matrix size mismatch")
-        ot = other.transpose()
-        return IntMatrix(
-            [[_dot(r, c) for c in ot.entries] for r in self.entries]
+        cols = list(zip(*other.entries)) or [()] * other.cols
+        return IntMatrix._trusted(
+            tuple(tuple(_dot(r, c) for c in cols) for r in self.entries)
         )
 
     def matvec(self, v) -> tuple:
@@ -143,57 +155,67 @@ def psd_rank(G: IntMatrix) -> tuple[bool, int]:
     A PSD matrix has as rank its number of pivots in `psd_pivots`; only a
     matrix that is not PSD pays for a second elimination in `rank`.
     """
-    found = psd_pivots(G)
+    if not G.is_symmetric():
+        raise InvalidInput("psd_rank requires a symmetric matrix")
+    found = psd_pivots([{j: x for j, x in enumerate(row) if x} for row in G.entries])
     return (False, G.rank()) if found is None else (True, len(found[0]))
 
 
-def psd_pivots(G: IntMatrix):
+def psd_pivots(rows):
     """(P, det G_P) for a PSD symmetric integer matrix G, or None if G is not PSD.
 
-    Symmetric fraction-free elimination with diagonal pivoting: each step takes
-    the largest positive diagonal entry p as pivot and replaces every remaining
-    entry by (p a_ij - a_i,piv a_piv,j) / prev, prev being the previous pivot.
-    By Sylvester's identity the entries are then principal-bordered minors, so
-    the division is exact, and each equals the rational Schur complement entry
-    times the positive pivot minor, so signs and the pivot order are those of
-    elimination over the rationals. The matrix is PSD iff every diagonal entry
-    met is >= 0 and the residual is zero once only zero diagonals remain. P
-    lists the 0-based pivot indices in pivot order, |P| = rank G, and the last
-    pivot is the principal minor det G_P > 0 (1 when P is empty).
+    G is given by sparse rows: rows[i] maps each j with G_ij != 0 to G_ij,
+    and the list is reduced in place. Symmetric fraction-free elimination
+    on those rows: row i is held as an integer row r_i and a positive scale
+    s_i, the Schur complement row being r_i / s_i, so signs are those of
+    elimination over the rationals. Each step takes as pivot p the row with
+    a positive diagonal and the fewest nonzeros (the smallest index on a
+    tie), and with pi = r_p[p] changes only the rows that meet column p:
+    r_i <- pi r_i - r_i[p] r_p and s_i <- pi s_i, both then divided by their
+    gcd. G is PSD iff every diagonal entry met is >= 0 and nothing is left
+    once only zero diagonals remain. P lists the 0-based pivot indices in
+    pivot order, |P| = rank G, and det G_P > 0 (1 when P is empty) is the
+    product of the pivots pi / s_p, an exact division.
     """
-    if not G.is_symmetric():
-        raise InvalidInput("psd_rank requires a symmetric matrix")
-    a = [list(r) for r in G.entries]  # the active block, compacted as pivots leave
-    idx = list(range(G.rows))  # the index in G of each row of the block
-    prev = 1
+    scale = [1] * len(rows)
+    left = list(range(len(rows)))  # the rows not yet pivoted, ascending
     pivots = []
-    while a:
+    num = den = 1
+    while True:
         piv = None
-        best = 0
-        for i, row in enumerate(a):
-            d = row[i]
+        for i in left:
+            d = rows[i].get(i, 0)
             if d < 0:
                 return None
-            if d > best:
-                piv, best = i, d
+            if d and (piv is None or len(rows[i]) < len(rows[piv])):
+                piv = i
         if piv is None:
-            # all remaining diagonal entries are zero; PSD iff residual is zero
-            if any(any(row) for row in a):
-                return None
-            break
-        prow = a[piv]
-        nxt = []
-        for i, row in enumerate(a):
+            # all remaining diagonal entries are zero; PSD iff nothing is left
+            return None if any(rows[i] for i in left) else (pivots, num // den)
+        prow = rows[piv]
+        p = prow[piv]
+        for i in prow:  # the rows that meet column piv, by symmetry
             if i == piv:
                 continue
-            f = row[piv]
-            new = [(best * x - f * y) // prev for x, y in zip(row, prow)]
-            del new[piv]
-            nxt.append(new)
-        a = nxt
-        prev = best
-        pivots.append(idx.pop(piv))
-    return pivots, prev
+            f = rows[i][piv]
+            row = {j: p * x for j, x in rows[i].items()}
+            for j, y in prow.items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]  # column piv leaves every row it meets
+            s = scale[i] * p
+            g = gcd(s, *row.values())
+            if g > 1:
+                row = {j: v // g for j, v in row.items()}
+                s //= g
+            rows[i] = row
+            scale[i] = s
+        left.remove(piv)
+        pivots.append(piv)
+        num *= p
+        den *= scale[piv]
 
 
 def quotient_det(pivots: list[int], det_p: int, radical) -> int:

@@ -31,7 +31,7 @@ from .errors import (
     json_int,
 )
 from .exact_linalg import IntMatrix
-from .qform import IntegralQuadraticForm, analyze, bigraph_of, traverse
+from .qform import IntegralQuadraticForm, analyze, form_adjacency, traverse
 
 
 class GentlePresentation:
@@ -415,7 +415,7 @@ def _component_types(q: IntegralQuadraticForm):
 
 def _bigraph_components(q):
     """The vertex sets of the components of q's bigraph, each sorted, by smallest vertex."""
-    adj = bigraph_of(q).adjacency()
+    adj = form_adjacency(q)
     comps, seen = [], set()
     for v in range(1, q.n + 1):
         if v not in seen:

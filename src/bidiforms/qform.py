@@ -110,7 +110,7 @@ class IntegralQuadraticForm:
         for (i, j), v in self.off.items():
             G[i - 1][j - 1] = v
             G[j - 1][i - 1] = v
-        return IntMatrix(G)
+        return IntMatrix._trusted(tuple(map(tuple, G)))
 
     @staticmethod
     def from_gram(G: IntMatrix) -> "IntegralQuadraticForm":
@@ -381,6 +381,18 @@ def traverse(adj, root, lifo=False):
     return order, parent
 
 
+def form_adjacency(q: IntegralQuadraticForm) -> list:
+    """v -> [(w, q_vw), ...] over the w != v with q_vw != 0, smallest w first;
+    entry 0 is empty. It is the adjacency of the form's bigraph without its
+    loops, for `traverse`, read off `q.off` in ascending key order.
+    """
+    adj = [[] for _ in range(q.n + 1)]
+    for (i, j), v in sorted(q.off.items()):  # i < j, so every list grows in order
+        adj[i].append((j, v))
+        adj[j].append((i, v))
+    return adj
+
+
 def bigraph_of(q: IntegralQuadraticForm) -> Bigraph:
     edges = {}
     for (i, j), v in q.off.items():
@@ -425,7 +437,13 @@ class FormAnalysis:
 
 @lru_cache(maxsize=2048)
 def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
-    """Structural and regularity report for a form (pure; results are cached)."""
+    """Structural and regularity report for a form (pure; results are cached).
+
+    The PSD test, the rank and the pivots behind `positive_det` come from one
+    sparse elimination on the rows of q (`exact_linalg.psd_pivots`). The dense
+    Gram matrix is built only for the rank of a form that is not
+    non-negative, and for the radical (`integer_kernel`) when rank < n.
+    """
     n = q.n
     unit = all(d == 1 for d in q.diag)
     semi_unit = all(d in (0, 1) for d in q.diag)
@@ -438,13 +456,17 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     )
     classic = cox_regular and all(v <= 0 for v in q.off.values())
     content = gcd(*q.diag, *q.off.values())
-    G = q.gram()
-    found = psd_pivots(G)
+    rows = [{i: 2 * d} if d else {} for i, d in enumerate(q.diag)]
+    for (i, j), v in q.off.items():
+        rows[i - 1][j - 1] = v
+        rows[j - 1][i - 1] = v
+    found = psd_pivots(rows)
     non_negative = found is not None
+    G = None if non_negative and len(found[0]) == n else q.gram()
     rank = len(found[0]) if non_negative else G.rank()
     radical = tuple(integer_kernel(G)) if rank < n else ()
     return FormAnalysis(
-        connected=bigraph_of(q).is_connected(),
+        connected=len(traverse(form_adjacency(q), 1)[0]) == n,
         irreducible=content == 1,
         content=content,
         unit=unit,

@@ -1,18 +1,20 @@
 """The classify kernels against the code they replaced, and at scale.
 
-`_realize_unit_backtracking` (a vertex-indexed search on an explicit stack)
-and `_greedy_core` (a deletion search that reads rank off the radical) are
-checked against the recursive versions they replaced, kept below as the
-references, on seeded connected unit forms of types A, D and E with corank
-0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration
-behind `positive_roots_by_value` and `first_root_with_value`, against the two
-recursive searches it replaced. The determinant that `analyze` gives for
-the typing (`FormAnalysis.positive_det`) is checked against the Gram
-determinant of the positive core that `dynkin_type` took before. The forms
-that the library builds without the constructor's checks
-(`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`) are checked
-against the same data sent through the constructor, and the chase's row
-check after a Gabrielov step against the full incidence form it replaced.
+`_realize_unit_backtracking` (a vertex-indexed search on an explicit stack
+over forced rows, whose generator is checked at every node against the one
+it replaced) and `_greedy_core` (a deletion search that reads rank off the
+radical) are checked against the recursive versions they replaced, kept
+below as the references, on seeded connected unit forms of types A, D and E
+with corank 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst
+enumeration behind `positive_roots_by_value` and `first_root_with_value`,
+against the two recursive searches it replaced. The determinant that
+`analyze` gives for the typing (`FormAnalysis.positive_det`) is checked
+against the Gram determinant of the positive core that `dynkin_type` took
+before. The forms, graphs and matrices that the library builds without the
+constructor's checks (`IntegralQuadraticForm._trusted`,
+`BidirectedGraph._trusted`, `IntMatrix._trusted`) are checked against the
+same data sent through the constructor, and the chase's row check after a
+Gabrielov step against the full incidence form it replaced.
 The large-n tests run with little stack to spare, so that a recursion over
 arrows or variables fails, and no function in the package may call itself
 by name.
@@ -119,6 +121,24 @@ def _reference_realize_unit(q, m):
     if sol is None:
         return None
     return BidirectedGraph(m, [sol[i] for i in range(1, n + 1)])
+
+
+def _reference_candidates(placed, i, used):
+    """The rows the realizer generated before `_UnitRows.candidates`: every row with
+    one end at the first placed neighbour whose other end is a vertex of a
+    placed neighbour, of a row at its first end, or fresh, in (u, u2, e, e2) order."""
+    rows, at, m = placed.rows, placed.at, placed.m
+    (a, _), (b, _) = rows[placed.earlier[i][0]]
+    near = {v for j in placed.earlier[i] for v, _ in rows[j]}
+    if used < m:
+        near.add(used + 1)  # the fresh vertex
+    pairs = {(min(x, y), max(x, y)) for x in (a, b)
+             for y in near.union(v for j in at[x] for v, _ in rows[j]) if y != x}
+    for u, u2 in sorted(pairs):
+        fresh = u2 == used + 1
+        for e in (1, -1):
+            for e2 in ((1,) if fresh else (1, -1)):
+                yield ((u, e), (u2, e2))
 
 
 def _reference_greedy_core(q, rep):
@@ -281,10 +301,23 @@ def _seeded_forms(seed, count):
     return out
 
 
-def test_realizer_and_core_match_the_recursive_searches():
+def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
     forms = _seeded_forms(7101, 2000)
     coranks = set()
     realized = cores = e_cores = 0
+    forced = classify._UnitRows.candidates
+    nodes = []
+
+    def checked(placed, i, used):
+        # at every search node the forced rows drop no row that fits, and keep its place
+        got = forced(placed, i, used)
+        want = list(_reference_candidates(placed, i, used))
+        assert set(got) <= set(want)
+        assert [c for c in got if placed.fits(i, c)] == [c for c in want if placed.fits(i, c)]
+        nodes.append((len(got), len(want)))
+        return got
+
+    monkeypatch.setattr(classify._UnitRows, "candidates", checked)
     for family, q in forms:
         rep = analyze(q)
         coranks.add(rep.corank)
@@ -302,6 +335,7 @@ def test_realizer_and_core_match_the_recursive_searches():
             realized += 1
     assert coranks == {0, 1, 2, 3, 4}
     assert realized > 1200 and cores > 1200 and e_cores > 150
+    assert len(nodes) > 10000 and sum(g for g, _ in nodes) * 3 < sum(w for _, w in nodes)
 
 
 def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
@@ -649,6 +683,31 @@ def test_trusted_graphs_equal_the_checked_constructor():
                 lambda: graph_gabrielov(B, 1, 1), lambda: graph_gabrielov(B, 1, 3)):
         with pytest.raises(InvalidInput):
             bad()
+
+
+def _same_matrix(got, want):
+    """Equal in value, in its entries and in hash, with tuples of ints as the constructor leaves them."""
+    assert got == want and got.entries == want.entries and hash(got) == hash(want)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    assert type(got.entries) is tuple and all(type(row) is tuple for row in got.entries)
+    assert all(type(x) is int for row in got.entries for x in row)
+
+
+def test_trusted_matrices_equal_the_checked_constructor():
+    rng = random.Random(7106)
+    for _ in range(500):
+        q = _random_form(rng)
+        G = q.gram()
+        _same_matrix(G, IntMatrix(G.to_lists()))
+        k = rng.randint(0, 3)
+        T = IntMatrix([[rng.randint(-2, 2) for _ in range(k)] for _ in range(q.n)])
+        want = [[sum(G[i, t] * T[t, j] for t in range(q.n)) for j in range(k)] for i in range(q.n)]
+        _same_matrix(G @ T, IntMatrix(want))
+    _same_matrix(IntMatrix([[], []]) @ IntMatrix([]), IntMatrix([[], []]))
+    for B in _type_c_graphs(rng, 60):
+        q = B.incidence_form()
+        ch, _ = classify._star_chase(q, analyze(q))
+        _same_matrix(ch.M, IntMatrix(zip(*ch.cols)))
 
 
 def _type_c_graphs(rng, count):

@@ -174,6 +174,19 @@ def test_graph_form_costs_nothing_per_untouched_vertex(capsys, tmp_path, command
     assert json.loads(out) == want
 
 
+@pytest.mark.parametrize("command", [["bg-balance"], ["bg-roots", "--set", "1"]])
+def test_graph_with_untouched_vertices_is_refused_at_once(capsys, tmp_path, command):
+    # 10^20 vertices, two arrows: disconnected, told by the arrows alone
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 10**20, "arrows": [{"ends": [[1, 1], [2, -1]]},
+                                                              {"ends": [[2, 1], [3, -1]]}]}))
+    start = time.perf_counter()
+    code = run([command[0], str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 1 and time.perf_counter() - start < 1.0
+    assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_bg_switch_equiv(capsys):
     code, out = run_capture(
         capsys,

@@ -4,6 +4,8 @@ from math import gcd
 
 import pytest
 
+from bench import gen
+from bidiforms.bidigraph import BidirectedGraph, canonical_c
 from bidiforms.errors import InvalidInput
 from bidiforms.exact_linalg import (
     IntMatrix,
@@ -13,6 +15,57 @@ from bidiforms.exact_linalg import (
     psd_rank,
     quotient_det,
 )
+from bidiforms.qform import IntegralQuadraticForm
+
+
+def _dense_psd_pivots(G: IntMatrix):
+    """The dense elimination `psd_pivots` replaced, kept as its oracle: (P, det G_P)
+    for a PSD symmetric integer matrix G, or None if G is not PSD.
+
+    Symmetric fraction-free elimination with diagonal pivoting: each step takes
+    the largest positive diagonal entry p as pivot and replaces every remaining
+    entry by (p a_ij - a_i,piv a_piv,j) / prev, prev being the previous pivot.
+    By Sylvester's identity the entries are then principal-bordered minors, so
+    the division is exact, and each equals the rational Schur complement entry
+    times the positive pivot minor. The matrix is PSD iff every diagonal entry
+    met is >= 0 and the residual is zero once only zero diagonals remain.
+    """
+    if not G.is_symmetric():
+        raise InvalidInput("psd_rank requires a symmetric matrix")
+    a = [list(r) for r in G.entries]  # the active block, compacted as pivots leave
+    idx = list(range(G.rows))  # the index in G of each row of the block
+    prev = 1
+    pivots = []
+    while a:
+        piv = None
+        best = 0
+        for i, row in enumerate(a):
+            d = row[i]
+            if d < 0:
+                return None
+            if d > best:
+                piv, best = i, d
+        if piv is None:
+            if any(any(row) for row in a):
+                return None
+            break
+        prow = a[piv]
+        nxt = []
+        for i, row in enumerate(a):
+            if i == piv:
+                continue
+            f = row[piv]
+            new = [(best * x - f * y) // prev for x, y in zip(row, prow)]
+            del new[piv]
+            nxt.append(new)
+        a = nxt
+        prev = best
+        pivots.append(idx.pop(piv))
+    return pivots, prev
+
+
+def _sparse_rows(G: IntMatrix):
+    return [{j: x for j, x in enumerate(row) if x} for row in G.entries]
 
 
 def test_psd_rank_a3_gram():
@@ -138,17 +191,69 @@ def test_psd_rank_pivot_count_equals_rank():
 def test_psd_pivots_small_cases():
     G = IntMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     # pivots 2, then 3 at index 1 against 4 at index 2: the largest diagonal wins
-    assert psd_pivots(G) == ([0, 2, 1], 4)
-    assert psd_pivots(IntMatrix.zero(3, 3)) == ([], 1)
-    assert psd_pivots(IntMatrix([[-2]])) is None
-    assert psd_pivots(IntMatrix([[0, 1], [1, 0]])) is None
+    assert _dense_psd_pivots(G) == ([0, 2, 1], 4)
+    assert _dense_psd_pivots(IntMatrix.zero(3, 3)) == ([], 1)
+    assert _dense_psd_pivots(IntMatrix([[-2]])) is None
+    assert _dense_psd_pivots(IntMatrix([[0, 1], [1, 0]])) is None
     # the extended A_2 Gram matrix: rank 2, radical (1, 1, 1), det G_P = 3
     G = IntMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
-    P, det_p = psd_pivots(G)
+    P, det_p = _dense_psd_pivots(G)
     assert len(P) == 2 and det_p == 3
     assert quotient_det(P, det_p, integer_kernel(G)) == 3
     with pytest.raises(InvalidInput):
-        psd_pivots(IntMatrix([[0, 1], [2, 0]]))
+        _dense_psd_pivots(IntMatrix([[0, 1], [2, 0]]))
+
+
+def test_sparse_psd_pivots_small_cases():
+    # A_3: rows 0 and 2 have the fewest nonzeros, index 0 wins the tie; then
+    # rows 1 and 2 both have two, so index 1 goes next
+    assert psd_pivots(_sparse_rows(IntMatrix([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]))) == ([0, 1, 2], 4)
+    assert psd_pivots([{}, {}, {}]) == ([], 1)
+    assert psd_pivots([{0: -2}]) is None
+    assert psd_pivots([{1: 1}, {0: 1}]) is None
+    # a zero diagonal that the first pivot turns negative: diag(2, 0) bordered by 1
+    assert psd_pivots([{0: 2, 1: 1}, {0: 1}]) is None
+    P, det_p = psd_pivots(_sparse_rows(IntMatrix([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])))
+    assert P == [0, 1] and det_p == 3
+
+
+def _seeded_gram_matrices(rng):
+    """Bench-generator incidence forms of types A, D and C; random forms with zero,
+    negative and positive diagonals, many of them indefinite; and A, D and C at
+    n = 25..100."""
+    for _ in range(120):
+        m, extra = rng.randint(3, 16), rng.randint(0, 3)
+        for make in (lambda: gen.switched_quiver(rng, m, extra),
+                     lambda: gen.negative_cycle_graph(rng, m, 1 + extra % 3),
+                     lambda: gen.bidirected_loop_graph(rng, m, extra % 3, 1 + extra % 2)):
+            _, ends = make()
+            yield BidirectedGraph(m, ends).incidence_form().gram()
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        off = {(i, j): rng.randint(-3, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+               if rng.random() < 0.5}
+        yield IntegralQuadraticForm([rng.randint(-1, 2) for _ in range(n)], off).gram()
+    for n in (25, 50, 100):
+        path = [((i, 1), (i + 1, -1)) for i in range(1, n)]
+        yield BidirectedGraph(n + 1, path + [((n, 1), (n + 1, -1))]).incidence_form().gram()
+        yield BidirectedGraph(n, path + [((1, 1), (2, 1))]).incidence_form().gram()
+        yield canonical_c(n, n // 4, n // 4).incidence_form().gram()
+
+
+def test_sparse_psd_pivots_match_the_dense_oracle():
+    seen = {"positive": 0, "corank > 0": 0, "not PSD": 0, "n >= 25": 0}
+    for G in _seeded_gram_matrices(random.Random(1701)):
+        found, want = psd_pivots(_sparse_rows(G)), _dense_psd_pivots(G)
+        assert (found is None) == (want is None), G
+        if found is None:
+            seen["not PSD"] += 1
+            continue
+        radical = integer_kernel(G) if len(want[0]) < G.rows else []
+        assert len(found[0]) == len(want[0]) and sorted(set(found[0])) == sorted(found[0])
+        assert quotient_det(*found, radical) == quotient_det(*want, radical)
+        seen["corank > 0" if radical else "positive"] += 1
+        seen["n >= 25"] += G.rows >= 25
+    assert min(seen.values()) >= 9 and seen["not PSD"] > 200, seen
 
 
 def _principal_minor_gcd(G, r):
@@ -176,7 +281,8 @@ def test_quotient_det_is_the_gcd_of_principal_minors():
                 for j in range(i, n):
                     G[i][j] = G[j][i] = rng.randint(-3, 3)
             G = IntMatrix(G)
-        found = psd_pivots(G)
+        found = psd_pivots(_sparse_rows(G))
+        assert (found is None) == (_dense_psd_pivots(G) is None)
         if found is None:
             assert not psd_rank(G)[0]
             seen["indefinite"] += 1
