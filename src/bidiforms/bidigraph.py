@@ -9,15 +9,14 @@ smaller sign) so graph equality is decidable.
 Each graph builds, the first time it is asked, one index from a vertex to its
 arrows (`BidirectedGraph.adjacency`). Connectivity, balance and the tree paths
 of witness walks run on it through the one search helper `qform.traverse`,
-without recursion, and switching equivalence reads vertex images and signs
-off it directly.
+without recursion. Switching equivalence reads vertex images and signs off
+an index of the vertices that arrows touch, so an untouched vertex costs it
+only its entry in the answer.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
@@ -316,27 +315,10 @@ def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
 def _with_arrow(B, j, ends):
     """B with the ends of arrow j, a valid index, replaced; the rest is not checked again.
 
-    A vertex index that B has built is carried over, with arrow j moved in
-    the lists at its old and new ends only, so a chain of such steps builds
-    the index once.
+    The new graph builds its own vertex index when it is first asked for one.
     """
     ends = _norm_ends(ends)
-    B2 = BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (ends,) + B.ends[j:])
-    adj = getattr(B, "_adjacency", None)
-    if adj is not None:
-        (u, _), (u2, _) = B.ends[j - 1]
-        (w, _), (w2, _) = ends
-        if (u, u2) != (w, w2):
-            adj = list(adj)
-            for v in {u, u2}:
-                adj[v] = tuple(p for p in adj[v] if p[1] != j)
-            for v, other in {(w, w2), (w2, w)}:  # one entry for a loop
-                at = list(adj[v])
-                insort(at, (other, j), key=itemgetter(1))
-                adj[v] = tuple(at)
-            adj = tuple(adj)
-        object.__setattr__(B2, "_adjacency", adj)
-    return B2
+    return BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (ends,) + B.ends[j:])
 
 
 def _oriented_at(B, i, shared):
@@ -563,6 +545,20 @@ def loops_graph(p: int, s: int, t: int) -> BidirectedGraph:
 
 # -- switching equivalence -------------------------------------------------
 
+# the most vertices without an arrow that `switching_equivalent` maps: its
+# answer lists the image and sign of every vertex
+MAX_UNTOUCHED = 10**6
+
+
+def _arrows_at(B):
+    """Each vertex an arrow touches -> the arrows at it, smallest first (a loop once)."""
+    at = {}
+    for i, ((u, _), (u2, _)) in enumerate(B.ends, start=1):
+        at.setdefault(u, []).append(i)
+        if u2 != u:
+            at.setdefault(u2, []).append(i)
+    return {u: tuple(arrows) for u, arrows in at.items()}
+
 
 def switching_equivalent(
     B: BidirectedGraph, B2: BidirectedGraph
@@ -570,43 +566,59 @@ def switching_equivalent(
     """Some O with B^O = B2, or None if no switching exists.
 
     A switching keeps arrow indices, so u must go to the vertex of B2 with
-    the same incident arrows. Only isolated vertices and the two ends of a
-    component of parallel arrows can tie: they are paired in ascending
-    order, and such a component is swapped only if its arrows fail. The
-    sign of u is read off its first arrow that is not a directed loop, and
-    is +1 where nothing forces it. Of all switchings from B to B2 this is
-    the first by image, then by sign (+1 first), vertex by vertex; it takes
-    O(m + n) steps besides the closing check B^O == B2.
+    the same incident arrows. Only the vertices that arrows touch are
+    indexed; the untouched ones are paired in ascending order, as are the
+    two ends of a component of parallel arrows, and such a component is
+    swapped only if its arrows fail. The sign of u is read off its first
+    arrow that is not a directed loop, and is +1 where nothing forces it.
+    Of all switchings from B to B2 this is the first by image, then by sign
+    (+1 first), vertex by vertex; it takes O(m + n) steps besides the
+    closing check B^O == B2. Graphs that touch different numbers of
+    vertices are not equivalent, however many vertices they have; if more
+    than `MAX_UNTOUCHED` vertices are untouched, O is too large to list and
+    InvalidInput is raised.
     """
     if B.m != B2.m or B.n != B2.n:
         return None
+    at, at2 = _arrows_at(B), _arrows_at(B2)
+    if len(at) != len(at2):
+        return None
     m = B.m
-    adj = B.adjacency()
-    arrows = [tuple(i for _, i in at) for at in adj]
+    if m - len(at) > MAX_UNTOUCHED:
+        raise InvalidInput(
+            f"switching equivalence lists every vertex image, and more than {MAX_UNTOUCHED} "
+            "vertices carry no arrow"
+        )
     pools = {}  # incident arrows -> the vertices of B2 with them, largest first
-    for w in range(m, 0, -1):
-        pools.setdefault(tuple(B2.incident_arrows(w)), []).append(w)
+    for w in sorted(at2, reverse=True):
+        pools.setdefault(at2[w], []).append(w)
     perm = [0] * (m + 1)
-    for u in range(1, m + 1):
-        pool = pools.get(arrows[u])
+    signs = [1] * (m + 1)
+    for u in sorted(at):
+        pool = pools.get(at[u])
         if not pool:
             return None
         perm[u] = pool.pop()
-    signs = [0] + [_forced_sign(B, B2, u, perm[u]) for u in range(1, m + 1)]
+        signs[u] = _forced_sign(B, B2, at[u], u, perm[u])
+    untouched2 = (w for w in range(1, m + 1) if w not in at2)
     for u in range(1, m + 1):
-        u2 = adj[u][0][0] if adj[u] else u
-        if u < u2 and arrows[u2] == arrows[u]:  # a tie: the ends of parallel arrows
-            if not all(_maps_onto(B, B2, perm, signs, i) for i in arrows[u]):
+        if u not in at:
+            perm[u] = next(untouched2)
+    for u in sorted(at):
+        (a, _), (b, _) = B.ends[at[u][0] - 1]
+        u2 = b if a == u else a
+        if u < u2 and at[u2] == at[u]:  # a tie: the ends of parallel arrows
+            if not all(_maps_onto(B, B2, perm, signs, i) for i in at[u]):
                 perm[u], perm[u2] = perm[u2], perm[u]
-                signs[u] = _forced_sign(B, B2, u, perm[u])
-                signs[u2] = _forced_sign(B, B2, u2, perm[u2])
+                signs[u] = _forced_sign(B, B2, at[u], u, perm[u])
+                signs[u2] = _forced_sign(B, B2, at[u2], u2, perm[u2])
     O = OrthogonalMatrix(signs[1:], perm[1:])
     return O if switch(B, O) == B2 else None
 
 
-def _forced_sign(B, B2, u, w):
-    """The s with (u, e) -> (w, e s) on u's first arrow that is not a directed loop, else 1."""
-    for _, i in B.adjacency()[u]:
+def _forced_sign(B, B2, arrows, u, w):
+    """The s with (u, e) -> (w, e s) on the first of u's `arrows` that is not a directed loop, else 1."""
+    for i in arrows:
         (a, e), (b, f) = B.ends[i - 1]
         if a == b and e != f:
             continue

@@ -16,16 +16,21 @@ mutable rows (`_Rows`: the diagonal, the coefficient map and the neighbours
 of each variable), so a Gabrielov, rewrite or sign step costs O(deg) on the
 form, and is frozen into an `IntegralQuadraticForm` only when read; its
 matrix is a list of columns, one O(n) column update per step. Once it
-carries a graph, a step that rewrites arrow j is checked in O(deg) on row j
-of the form and arrow j of the graph, all that the step changes; by
-induction that is as strong as a check of the whole incidence form. The
-public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run the
-same row update on a thawed copy. A chase's result is a `GTransform` built
-without the determinant check (`GTransform._trusted`): its matrix is a
-product of elementary steps. Transforms from outside the chase keep it.
-The star realization that starts every type-C chase is kept as a frozen
-snapshot of the last form (`_star_snapshot`); each caller resumes a fresh
-chase from it.
+carries a graph, a step that rewrites arrow j is checked on row j of the
+form and arrow j of the graph, all that the step changes, read off the new
+graph's vertex index; by induction that is as strong as a check of the
+whole incidence form. The public coefficient updates (`gabrielov_update`,
+`GTransform.then_*`) run the same row update on a thawed copy. A chase's
+result is a `GTransform` built without the determinant check
+(`GTransform._trusted`): its matrix is a product of elementary steps.
+Transforms from outside the chase keep it.
+The star realization that starts every type-C function is built and checked
+once per form and kept as a frozen snapshot of the last form
+(`_star_snapshot`): one pass over the saturated form writes its partition
+and the arrows of the star graph B' together (`_star_graph`), and the
+partition's whole coefficient law is the one check that the form is the
+incidence form of B'. `realize` and `star_realization` read the snapshot as
+it is; only `_directed_star` resumes a fresh chase from it.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt
+from math import isqrt
 
 from .bidigraph import (
     BidirectedGraph,
@@ -157,13 +162,6 @@ class _Rows:
             off[key] = -off[key]
 
 
-def _sign_update(q: IntegralQuadraticForm, i: int) -> IntegralQuadraticForm:
-    """q with x_i replaced by -x_i: the off-diagonal terms at i change sign."""
-    f = _Rows(q)
-    f.negate(i)
-    return f.freeze()
-
-
 class _Chase:
     """A chain of steps from a form: the product M of their matrices, the
     steps, the current form q∘M and, once set, a graph B realizing it.
@@ -227,7 +225,8 @@ def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
 
     Only arrows at an end of arrow j can have a nonzero product with it, so
     the row of B is read off the arrows at those ends and compared with q_j
-    and the coefficients at the neighbours of j, in O(deg).
+    and the coefficients at the neighbours of j, in O(deg) once B has built
+    its vertex index.
     """
     row = {}  # the incidence row of arrow j
     for v, e in B.ends[j - 1]:
@@ -586,9 +585,9 @@ def _greedy_core(q, rep):
 
     q is PSD, so q^X has kernel {z in the radical : z_d = 0 for d in D}, D the
     deleted set: q^X keeps rank r iff the rows at D of the radical basis are
-    linearly independent, and has corank 0 once |D| = crk q. Each node of the
-    search extends an integer echelon form of those rows by one row, and
-    checks connectivity with `traverse` on X; no restriction is analyzed.
+    linearly independent, which each node of the search tests by their
+    (Bareiss) rank, and has corank 0 once |D| = crk q. Connectivity is
+    checked with `traverse` on X; no restriction is analyzed.
     At a leaf the rows at D must be unimodular: then Z^X maps onto
     Z^n / rad q, so q^X is Z-equivalent to the positive part of q and has
     its Dynkin type (by Barot and de la Peña such an X exists). A leaf
@@ -604,47 +603,26 @@ def _greedy_core(q, rep):
         within = {v: [(w, edge) for w, edge in adj[v] if w in X] for v in X}
         return len(traverse(within, min(X))[0]) == len(X)
 
-    # one level per deleted variable: (X, echelon rows of the deleted radical rows, v left)
-    levels = [(frozenset(range(1, n + 1)), [], iter(range(1, n + 1)))]
+    # one level per deleted variable: (X, the radical rows at the deleted variables, v left)
+    levels = [(frozenset(range(1, n + 1)), (), iter(range(1, n + 1)))]
     while levels:
-        X, echelon, rest = levels[-1]
+        X, deleted, rest = levels[-1]
         for v in rest:
-            grown = _extend_echelon(echelon, radical_rows[v])
-            if grown is None:
+            rows = IntMatrix._trusted(deleted + (radical_rows[v],))
+            if rows.rank() < rows.rows:
                 continue
             Y = X - {v}
             if not connected(Y):
                 continue
-            if len(grown) == c:
-                if abs(IntMatrix([radical_rows[u] for u in range(1, n + 1) if u not in Y]).det()) == 1:
+            if rows.rows == c:
+                if abs(rows.det()) == 1:
                     return sorted(Y)
                 continue
-            levels.append((Y, grown, iter(sorted(Y))))
+            levels.append((Y, rows.entries, iter(sorted(Y))))
             break
         else:
             levels.pop()
     raise AssertionError("no positive connected core found")
-
-
-def _extend_echelon(echelon, row):
-    """echelon plus row reduced against it, or None if row lies in its span.
-
-    `echelon` lists (pivot column, integer row) with every row zero at the
-    pivots of the rows before it; reduction is fraction-free, divided by the
-    content.
-    """
-    w = row
-    for p, e in echelon:
-        if w[p]:
-            a, b = e[p], w[p]
-            w = [a * x - b * y for x, y in zip(w, e)]
-            g = gcd(*w)
-            if g > 1:
-                w = [x // g for x in w]
-    p = next((k for k, x in enumerate(w) if x), None)
-    if p is None:
-        return None
-    return echelon + [(p, tuple(w))]
 
 
 # -- the pivot/partition machinery for type C --------------------------------
@@ -704,29 +682,42 @@ class TechCPartition:
     u2: tuple  # indices of class U^2_{1,-1}
     groups: tuple  # entry v-2 is (plus, minus) for vertex v = 2..m
 
-    def all_parts(self):
-        yield (2, 1, -1), self.u2
-        for v, (plus, minus) in enumerate(self.groups, start=2):
-            yield (1, v, 1), plus
-            yield (1, v, -1), minus
-
 
 def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
     """Inductive partition of a saturated type-C form (pivot at index 1).
 
-    Index t joins: the loop class if q_t = 2; the class of a neighbour i with
-    q_it = 2; the opposite side of a neighbour i with q_it = 0; or a fresh
-    class when q_it = 1 throughout. The coefficient law is verified at the
-    end and failure signals that the input was not of type C.
+    The partition of `_star_graph`; NotTypeC unless q is the incidence form
+    of its star graph B', which is the coefficient law of the partition.
     """
     if q.diag[0] != 2 or any(q.coefficient(1, j) <= 0 for j in range(2, q.n + 1)):
         raise InvalidInput("techc_partition needs q_1 = 2 and q_1j > 0 for all j")
+    B, part = _star_graph(q)
+    if B.incidence_form() != q:
+        raise NotTypeC("form is not the incidence form of the star graph of its partition")
+    return part
+
+
+def _star_graph(q: IntegralQuadraticForm):
+    """The star graph B' of a saturated form and its partition, not yet checked against q.
+
+    Index t joins: the loop class if q_t = 2; the class of a neighbour i with
+    q_it = 2; the opposite side of a neighbour i with q_it = 0; or a fresh
+    class when q_it = 1 throughout. Its arrow of B' is a two-head loop at 1,
+    or, in the class of vertex v, the arrow v -> 1 (plus side) or v -- 1
+    (minus side). Every class is non-empty and the loop class holds 1 by
+    construction, so q is of type C with this partition exactly when it is
+    the incidence form of B': loop by loop 4, loop by arrow 2, two arrows at
+    one vertex 2 (same side) or 0, at two vertices 1, and diagonals 2 and 1.
+    """
+    loop = ((1, -1), (1, -1))
     u2 = [1]
+    ends = [loop]
     groups: list[tuple[list, list]] = []
     where = {}  # each index placed in a group, ascending -> (group, 0 plus or 1 minus side)
     for t in range(2, q.n + 1):
         if q.diag[t - 1] == 2:
             u2.append(t)
+            ends.append(loop)
             continue
         if q.diag[t - 1] != 1:
             raise NotTypeC(f"diagonal coefficient q_{t} not in {{1, 2}}")
@@ -744,40 +735,13 @@ def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
             raise NotTypeC(f"coefficient pattern at index {t} fits no case")
         groups[g][side].append(t)
         where[t] = (g, side)
+        ends.append(((g + 2, 1 - 2 * side), (1, -1)))
     part = TechCPartition(
         m=len(groups) + 1,
         u2=tuple(u2),
         groups=tuple((tuple(p), tuple(mn)) for p, mn in groups),
     )
-    _verify_partition_law(q, part)
-    return part
-
-
-def _verify_partition_law(q, part):
-    where = {}
-    for key, members in part.all_parts():
-        for i in members:
-            where[i] = key
-    if set(where) != set(range(1, q.n + 1)):
-        raise NotTypeC("partition does not cover all indices")
-    if not part.u2:
-        raise NotTypeC("loop class is empty")
-    for v, (plus, minus) in enumerate(part.groups, start=2):
-        if not plus and not minus:
-            raise NotTypeC(f"class of vertex {v} is empty")
-    for i in range(1, q.n + 1):
-        for j in range(i, q.n + 1):
-            k, v, eps = where[i]
-            k2, v2, eps2 = where[j]
-            if v == v2:
-                expected = (k * abs(eps + eps2)) // (2 if i == j else 1)
-            else:
-                expected = k * k2
-            if q.coefficient(i, j) != expected:
-                raise NotTypeC(
-                    f"coefficient law fails at ({i}, {j}): "
-                    f"{q.coefficient(i, j)} != {expected}"
-                )
+    return BidirectedGraph(part.m, ends), part
 
 
 def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
@@ -786,23 +750,18 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    ch, part = _star_chase(q, rep)
-    return GTransform._trusted(ch.M, ch.steps), ch.q, ch.B, part
+    cols, steps, form, B, part = _checked_star(q, rep)
+    return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, B, part
 
 
-def _star_chase(q: IntegralQuadraticForm, rep: FormAnalysis | None):
-    """A fresh chase from q that has taken the steps of `star_realization`
-    and ends at B', and the partition."""
+def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis | None):
+    """The star snapshot of q, once q is known to be of type C."""
     rep = rep or analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("type-C realization needs a non-negative form")
     if not _is_type_c(rep, q):
         raise NotTypeC("form is not of Dynkin type C")
-    cols, steps, form, B, part = _star_snapshot(q)
-    ch = _Chase(form, list(cols))
-    ch.steps = list(steps)
-    ch.B = B
-    return ch, part
+    return _star_snapshot(q)
 
 
 @lru_cache(maxsize=1)
@@ -824,12 +783,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
         ch.push("perm", tuple(pi))
     _saturate(ch, 1)
     form = ch.q
-    part = techc_partition(form)
-    ends = [None] * q.n
-    for (k, v, eps), members in part.all_parts():
-        for i in members:  # a two-head loop at 1, or an arrow v -> 1 or v -- 1
-            ends[i - 1] = ((1, -1), (1, -1)) if k == 2 else ((v, eps), (1, -1))
-    B = BidirectedGraph(part.m, ends)
+    B, part = _star_graph(form)
     assert B.incidence_form() == form
     form = IntegralQuadraticForm._trusted(form.diag, dict(sorted(form.off.items())))
     return tuple(ch.cols), tuple(ch.steps), form, B, part
@@ -858,9 +812,8 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
             raise AssertionError("backtracking realizer found no graph")
         assert B.incidence_form() == q
         return B
-    ch, _ = _star_chase(q, rep)
-    B = ch.B
-    for step in reversed(ch.steps):
+    _, steps, _, B, _ = _checked_star(q, rep)
+    for step in reversed(steps):
         B = apply(B, undo(step))
     assert B.incidence_form() == q
     return B
@@ -970,7 +923,8 @@ class _UnitRows:
         """The rows for arrow i, with `used` vertices placed, that its products force,
         sorted in the search order; among them is every row that fits.
 
-        The row meets the first placed neighbour j0 with product c. For |c| = 2
+        The row meets the first placed neighbour j0 with product c, nonzero and,
+        in a non-negative unit form, at most 2 in absolute value. For |c| = 2
         it is c/2 times the row of j0. For |c| = 1 it has one end x at j0, with
         sign c times the sign of j0 there, and its other end y off j0. If a
         placed neighbour is not at x, y is one of its two ends. Else a placed
@@ -985,8 +939,6 @@ class _UnitRows:
         if c in (2, -2):
             (a, ea), (b, eb) = rows[j0]
             return [((a, c // 2 * ea), (b, c // 2 * eb))]
-        if c not in (1, -1):
-            return []
         fresh = used + 1 if used < self.m else None
         found = set()
         ends0 = (rows[j0][0][0], rows[j0][1][0])
@@ -1036,8 +988,11 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     for each vertex v >= 3 as arrows 2..r-1, the c1 + 1 parallel arrows
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
-    # step 1: the star realization
-    ch, part = _star_chase(q, rep)
+    # step 1: the star realization, resumed as a fresh chase
+    cols, steps, form, B, part = _checked_star(q, rep)
+    ch = _Chase(form, list(cols))
+    ch.steps = list(steps)
+    ch.B = B
     loop_arrow = part.u2[0]
     # step 2: turn every two-head arrow v--1 into a directed arrow v->1
     for _, minus in part.groups:

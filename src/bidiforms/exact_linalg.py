@@ -318,8 +318,6 @@ def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
     _row_hnf_in_place(krows)
     basis = []
     for row in krows:
-        if not any(row):
-            continue
         g = 0
         for x in row:
             g = gcd(g, x)

@@ -258,6 +258,43 @@ def test_techc_partition_rejects_unit_form():
         techc_partition(q_a(3))
 
 
+def test_techc_partition_refuses_every_perturbed_saturated_form():
+    # every coefficient of a star graph's incidence form is in {0, 1, 2, 4}, so a
+    # saturated type-C form with one coefficient moved off those values is none
+    from tests.test_typec_golden import SHAPES, _scrambled
+
+    rng = random.Random(1806)
+    refusals = set()
+    for k in range(150):
+        q = _scrambled(rng, *SHAPES[k % len(SHAPES)])
+        i0 = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
+        if i0 != 1:
+            pi = list(range(1, q.n + 1))
+            pi[0], pi[i0 - 1] = i0, 1
+            q = q.permuted(pi)
+        sat, _ = pivot_saturate(q, 1)
+        techc_partition(sat)
+        diag, off = list(sat.diag), dict(sat.off)
+        i, j = sorted(rng.choices(range(1, sat.n + 1), k=2))
+        if i == j:
+            diag[i - 1] = rng.choice((-1, 0, 3))
+        else:
+            off[(i, j)] = rng.choice((-1, 3, 5))
+        with pytest.raises((NotTypeC, InvalidInput)) as refused:
+            techc_partition(IntegralQuadraticForm(diag, off))
+        why = str(refused.value)
+        refusals.add((refused.type, next(w for w in WHY if w in why)))
+    assert refusals == {
+        (InvalidInput, "needs q_1 = 2"),
+        (NotTypeC, "not in {1, 2}"),
+        (NotTypeC, "fits no case"),
+        (NotTypeC, "star graph"),
+    }
+
+
+WHY = ("needs q_1 = 2", "not in {1, 2}", "fits no case", "star graph")
+
+
 def test_star_realization_round_trip():
     T, sat, B, part = star_realization(Q_ALGO)
     assert B.incidence_form() == sat

@@ -16,8 +16,8 @@ constructor's checks (`IntegralQuadraticForm._trusted`,
 same data sent through the constructor, and the chase's row check after a
 Gabrielov step against the full incidence form it replaced.
 The large-n tests run with little stack to spare, so that a recursion over
-arrows or variables fails, and no function in the package may call itself
-by name.
+arrows or variables fails, no function in the package may call itself by
+name, and every private module-level function must be used in the package.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import ast
 import inspect
 import pathlib
 import random
+import re
 import time
 from fractions import Fraction
 from math import isqrt
@@ -44,7 +45,6 @@ from bidiforms.bidigraph import (
 from bidiforms.classify import (
     _row_matches,
     _Rows,
-    _sign_update,
     canonical_c,
     dynkin_plus_zero,
     dynkin_type,
@@ -62,6 +62,7 @@ from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, analyze
 from tests.test_graph_layer import _random_graph, _shallow_stack
+from tests.test_qform import _sign_update
 
 # -- the references: the recursive searches before the rewrite -------------------
 
@@ -522,6 +523,23 @@ def test_no_function_in_the_package_calls_itself():
     assert calls == []
 
 
+def test_every_private_function_of_the_package_is_used_in_the_package():
+    # a module-level private function that only tests call belongs beside its tests
+    paths = sorted(pathlib.Path(classify.__file__).parent.glob("*.py"))
+    texts = {path: path.read_text() for path in paths}
+    unused = []
+    for path, text in texts.items():
+        for f in ast.parse(text).body:
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name.startswith("_") \
+                    and not f.name.startswith("__"):
+                word = re.compile(rf"\b{f.name}\b")
+                own = ast.get_source_segment(text, f)
+                uses = sum(len(word.findall(t)) for t in texts.values()) - len(word.findall(own))
+                if not uses:
+                    unused.append(f"{path.name}:{f.lineno} {f.name}")
+    assert unused == []
+
+
 # -- forms built without the constructor's checks -----------------------------------
 
 
@@ -706,7 +724,7 @@ def test_trusted_matrices_equal_the_checked_constructor():
     _same_matrix(IntMatrix([[], []]) @ IntMatrix([]), IntMatrix([[], []]))
     for B in _type_c_graphs(rng, 60):
         q = B.incidence_form()
-        ch, _ = classify._star_chase(q, analyze(q))
+        ch, *_ = classify._directed_star(q, analyze(q))
         _same_matrix(ch.M, IntMatrix(zip(*ch.cols)))
 
 

@@ -10,6 +10,7 @@ import time
 import pytest
 
 import bidiforms
+from bidiforms import bidigraph as bg
 from bidiforms.cli import run
 
 FIX = "fixtures"
@@ -34,6 +35,19 @@ def test_qf_info_text_format(capsys):
     code, out = run_capture(capsys, ["qf-info", f"{FIX}/c4_form.json", "--format", "text"])
     assert code == 0
     assert "rank: 4" in out and "dynkin: C4" in out
+
+
+def test_qf_info_notes_why_a_form_has_no_dynkin_type(capsys, tmp_path):
+    path = tmp_path / "indefinite.json"
+    path.write_text(json.dumps({"n": 2, "diag": [1, 1], "off": [[1, 2, -3]]}))
+    code, out = run_capture(capsys, ["qf-info", str(path)])
+    payload = json.loads(out)
+    assert code == 0 and payload["dynkin"] is None and payload["non_negative"] is False
+    assert payload["dynkin_note"] == "dynkin_type needs a non-negative form"
+    code, out = run_capture(capsys, ["qf-info", str(path), "--format", "text"])
+    assert code == 0
+    assert out == ("q(x) = x1^2 + x2^2 - 3x1x2\nrank: 2\ncorank: 0\ndynkin: None\n"
+                   "flags: connected, irreducible, unit, cox_regular, fully_regular, classic\n")
 
 
 def test_qf_realize_round_trip(capsys, tmp_path):
@@ -185,6 +199,44 @@ def test_graph_with_untouched_vertices_is_refused_at_once(capsys, tmp_path, comm
     captured = capsys.readouterr()
     assert code == 1 and time.perf_counter() - start < 1.0
     assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
+def test_switch_equiv_with_too_many_untouched_vertices_is_refused(tmp_path):
+    # two copies of a 2-arrow graph on 10^20 vertices: the answer would list every
+    # vertex image, so it is refused before any per-vertex list is built
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"vertices": 10**20, "arrows": [{"ends": [[1, 1], [2, -1]]},
+                                                              {"ends": [[2, 1], [3, -1]]}]}))
+    start = time.monotonic()
+    proc = _in_subprocess("-m", "bidiforms.cli", "bg-switch-equiv", str(path), str(path),
+                          preexec_fn=_cap_address_space)
+    assert time.monotonic() - start < 10
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert str(bg.MAX_UNTOUCHED) in proc.stderr
+
+
+def test_switch_equiv_refusal_starts_above_the_untouched_limit(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(bg, "MAX_UNTOUCHED", 4)
+    arrows = [{"ends": [[1, 1], [2, -1]]}, {"ends": [[2, 1], [3, -1]]}]
+    paths = {}
+    for m in (7, 8):  # 4 and 5 untouched vertices
+        paths[m] = tmp_path / f"m{m}.json"
+        paths[m].write_text(json.dumps({"vertices": m, "arrows": arrows}))
+    code, out = run_capture(capsys, ["bg-switch-equiv", str(paths[7]), str(paths[7])])
+    assert code == 0
+    assert json.loads(out) == {"equivalent": True, "signs": [1] * 7, "perm": list(range(1, 8))}
+    assert run(["bg-switch-equiv", str(paths[8]), str(paths[8])]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    # graphs that touch different numbers of vertices differ however many vertices they have
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"vertices": 10**20, "arrows": [{"ends": [[1, 1], [2, -1]]},
+                                                               {"ends": [[1, 1], [2, -1]]}]}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"vertices": 10**20, "arrows": arrows}))
+    code, out = run_capture(capsys, ["bg-switch-equiv", str(huge), str(other)])
+    assert code == 0 and json.loads(out) == {"equivalent": False, "signs": None, "perm": None}
 
 
 def test_bg_switch_equiv(capsys):

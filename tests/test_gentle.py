@@ -51,6 +51,23 @@ def test_validate_degree_violation():
     assert any("outdegree" in p for p in problems)
 
 
+@pytest.mark.parametrize(
+    "m, arrows, relations, message",
+    [
+        (4, [("a", 1, 4), ("b", 2, 4), ("c", 3, 4)], [], "vertex 4: indegree 3 exceeds 2"),
+        (4, [("a", 1, 2), ("b", 2, 3), ("c", 2, 4)], [("a", "b"), ("a", "c")],
+         "arrow a: 2 relation successors"),
+        (4, [("a", 1, 3), ("b", 2, 3), ("c", 3, 4)], [("a", "c"), ("b", "c")],
+         "arrow c: 2 relation predecessors"),
+        (4, [("a", 1, 2), ("b", 2, 3), ("c", 2, 4)], [], "arrow a: 2 permitted successors"),
+        (4, [("a", 1, 3), ("b", 2, 3), ("c", 3, 4)], [], "arrow c: 2 permitted predecessors"),
+        (3, [("a", 1, 2)], [], "quiver is not connected"),
+    ],
+)
+def test_validate_names_each_violation(m, arrows, relations, message):
+    assert message in validate(GentlePresentation(m, arrows, relations))
+
+
 def test_validate_noncomposable_relation():
     pres = GentlePresentation(3, [("a", 1, 2), ("b", 1, 3)], [("a", "b")])
     assert any("not composable" in p for p in validate(pres))

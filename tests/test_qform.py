@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bidiforms.bidigraph import canonical_c as canonical_c_graph
-from bidiforms.classify import _sign_update, gabrielov_update
+from bidiforms.classify import _Rows, gabrielov_update
 from bidiforms.errors import InvalidInput
 from bidiforms.exact_linalg import IntMatrix, integer_kernel
 from bidiforms.qform import (
@@ -20,6 +20,14 @@ from bidiforms.qform import (
 def q_a(r):
     """Unit form of the Dynkin path A_r."""
     return IntegralQuadraticForm([1] * r, {(i, i + 1): -1 for i in range(1, r)})
+
+
+def _sign_update(q, i):
+    """q with x_i replaced by -x_i, by the chase's own row update: the off-diagonal
+    terms at i change sign."""
+    f = _Rows(q)
+    f.negate(i)
+    return f.freeze()
 
 
 Q_A3 = q_a(3)

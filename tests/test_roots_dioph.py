@@ -9,9 +9,9 @@ import pytest
 from bidiforms import roots_dioph
 from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph
 from bidiforms.classify import canonical_c
-from bidiforms.errors import InvalidInput, RadicalRoot, UnrepresentedWithinBound
+from bidiforms.errors import InvalidInput, NotTypeC, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
-from bidiforms.qform import IntegralQuadraticForm, _box_roots, zero_form
+from bidiforms.qform import IntegralQuadraticForm, _box_roots, analyze, zero_form
 from bidiforms.roots_dioph import (
     LAGRANGE_BRIDGE,
     companion,
@@ -242,6 +242,20 @@ def test_solve_small_form_brute():
     rep = solve(q, 3)
     assert q.evaluate(rep.x) == 3
     assert rep.strategy == "brute-force"
+
+
+def test_solve_falls_back_to_the_box_when_a_non_unit_form_is_not_type_c():
+    # non-negative, connected, irreducible and of rank 5, but not fully regular:
+    # canonical_c refuses it, and the route falls through to the box search
+    q = IntegralQuadraticForm([1, 1, 1, 1, 2], {(i, i + 1): -1 for i in range(1, 5)})
+    rep = analyze(q)
+    assert rep.non_negative and rep.connected and rep.irreducible and rep.rank == 5
+    assert not rep.unit and not rep.fully_regular
+    with pytest.raises(NotTypeC):
+        canonical_c(q)
+    roots_dioph._route.cache_clear()
+    rep = solve(q, 7)
+    assert rep.strategy == "brute-force" and q.evaluate(rep.x) == 7
 
 
 def test_solve_unrepresented_within_bound():
