@@ -6,12 +6,13 @@ bidirected ones equal signs (two-tail +, two-head -). Vertices and arrows are
 1-based. Endpoint pairs are stored normalized (smaller vertex first, then
 smaller sign) so graph equality is decidable.
 
-Each graph builds, the first time it is asked, one index from a vertex to its
-arrows (`BidirectedGraph.adjacency`). Connectivity, balance and the tree paths
-of witness walks run on it through the one search helper `qform.traverse`,
-without recursion. Switching equivalence reads vertex images and signs off
-an index of the vertices that arrows touch, so an untouched vertex costs it
-only its entry in the answer.
+Each graph builds, the first time it is asked, one index from each vertex that
+an arrow touches to its arrows (`BidirectedGraph.adjacency`). Incident arrows,
+connectivity, balance, switching equivalence and the tree paths of witness
+walks all read it, the searches through the one helper `qform.traverse`,
+without recursion. A vertex no arrow touches is isolated: it costs nothing
+until the graph is known to be connected, except in an answer that lists
+every vertex.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from typing import Optional
 from .errors import InvalidInput, as_int, int_tuple, json_int
 from .exact_linalg import IntMatrix
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
-
-
-def _touches_every_vertex(B) -> bool:
-    """Whether every vertex carries an arrow: one that does not is isolated, which
-    the arrows tell in O(n), however large m is."""
-    return len({u for ends in B.ends for u, _ in ends}) == B.m
 
 
 def _norm_ends(ends):
@@ -123,33 +118,34 @@ class BidirectedGraph:
     def bidirected_loops(self) -> list[int]:
         return [i for i in range(1, self.n + 1) if self.is_bidirected_loop(i)]
 
-    def adjacency(self) -> tuple:
-        """v -> ((w, i), ...): every arrow i at v with its other end w (w = v
-        for a loop), smallest i first; entry 0 is empty. Built once, then cached."""
+    def adjacency(self) -> dict:
+        """{v: [(w, i), ...]} for each vertex v an arrow touches: every arrow i
+        at v with its other end w (w = v for a loop, listed once), smallest i
+        first. Built once and cached, so callers read it and never change it."""
         try:
             return self._adjacency
         except AttributeError:
             pass
-        adj = [[] for _ in range(self.m + 1)]
+        adj = {}
         for i, ((u, _), (u2, _)) in enumerate(self.ends, start=1):
-            adj[u].append((u2, i))
+            adj.setdefault(u, []).append((u2, i))
             if u2 != u:
-                adj[u2].append((u, i))
-        adj = tuple(map(tuple, adj))
+                adj.setdefault(u2, []).append((u, i))
         object.__setattr__(self, "_adjacency", adj)
         return adj
 
     def incident_arrows(self, u: int) -> list[int]:
         if not (1 <= u <= self.m):
             raise InvalidInput(f"vertex {u} out of range")
-        return [i for _, i in self.adjacency()[u]]
+        return [i for _, i in self.adjacency().get(u, ())]
 
     def is_quiver(self) -> bool:
         return all(self.sigma(i) == 1 for i in range(1, self.n + 1))
 
     def is_connected(self) -> bool:
-        """Connectivity; a vertex no arrow touches answers no without the vertex index."""
-        return _touches_every_vertex(self) and len(traverse(self.adjacency(), 1)[0]) == self.m
+        """Connectivity; a vertex no arrow touches answers no before any search."""
+        adj = self.adjacency()
+        return len(adj) == self.m and len(traverse(adj, 1)[0]) == self.m
 
     # -- incidence ---------------------------------------------------------
 
@@ -439,8 +435,9 @@ def balance(B: BidirectedGraph) -> BalanceReport:
     otherwise a negative closed walk is returned. beta equals Null(I(B)) for
     connected B.
     """
+    adj = B.adjacency()
     # a last-in-first-out search: its tree fixes the witness walk that `bg-balance` prints
-    order, parent = traverse(B.adjacency(), 1, lifo=True) if _touches_every_vertex(B) else ((), None)
+    order, parent = traverse(adj, 1, lifo=True) if len(adj) == B.m else ((), None)
     if len(order) != B.m:
         raise InvalidInput("balance is defined for connected graphs")
     loops = B.bidirected_loops()
@@ -550,24 +547,14 @@ def loops_graph(p: int, s: int, t: int) -> BidirectedGraph:
 MAX_UNTOUCHED = 10**6
 
 
-def _arrows_at(B):
-    """Each vertex an arrow touches -> the arrows at it, smallest first (a loop once)."""
-    at = {}
-    for i, ((u, _), (u2, _)) in enumerate(B.ends, start=1):
-        at.setdefault(u, []).append(i)
-        if u2 != u:
-            at.setdefault(u2, []).append(i)
-    return {u: tuple(arrows) for u, arrows in at.items()}
-
-
 def switching_equivalent(
     B: BidirectedGraph, B2: BidirectedGraph
 ) -> Optional[OrthogonalMatrix]:
     """Some O with B^O = B2, or None if no switching exists.
 
     A switching keeps arrow indices, so u must go to the vertex of B2 with
-    the same incident arrows. Only the vertices that arrows touch are
-    indexed; the untouched ones are paired in ascending order, as are the
+    the same incident arrows, read off the two vertex indices; the
+    untouched vertices are paired in ascending order, as are the
     two ends of a component of parallel arrows, and such a component is
     swapped only if its arrows fail. The sign of u is read off its first
     arrow that is not a directed loop, and is +1 where nothing forces it.
@@ -580,7 +567,7 @@ def switching_equivalent(
     """
     if B.m != B2.m or B.n != B2.n:
         return None
-    at, at2 = _arrows_at(B), _arrows_at(B2)
+    at, at2 = ({u: tuple(i for _, i in adj) for u, adj in G.adjacency().items()} for G in (B, B2))
     if len(at) != len(at2):
         return None
     m = B.m

@@ -835,7 +835,7 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     first arrows; every later arrow has few candidates.
     """
     n = q.n
-    order = _bigraph_bfs_order(q)
+    order = traverse(form_adjacency(q), 1)[0]  # `realize` has checked that q is connected
     placed = _UnitRows(q, m, order)
     # one level per placed arrow: (candidates left, vertices used before it)
     levels = [(iter((((1, 1), (2, -1)),)), 0)]
@@ -969,13 +969,6 @@ class _UnitRows:
                 for ey in signs:
                     found.add(((x, c * ex), (y, ey)) if x < y else ((y, ey), (x, c * ex)))
         return sorted(found, key=_row_order)
-
-
-def _bigraph_bfs_order(q):
-    order, _ = traverse(form_adjacency(q), 1)
-    if len(order) != q.n:
-        raise InvalidInput("form is not connected")
-    return order
 
 
 # -- canonical reduction of type C (seven steps) ----------------------------

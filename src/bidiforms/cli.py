@@ -128,6 +128,8 @@ def _cmd_qf_info(args):
         lines = [f"q(x) = {_form_text(q)}"]
         for k in ("rank", "corank", "dynkin"):
             lines.append(f"{k}: {p[k]}")
+        if "dynkin_note" in p:
+            lines[-1] += f" ({p['dynkin_note']})"
         flags = [k for k in ("non_negative", "connected", "irreducible", "unit",
                              "cox_regular", "fully_regular", "classic") if p[k]]
         lines.append("flags: " + (", ".join(flags) if flags else "none"))

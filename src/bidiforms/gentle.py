@@ -7,7 +7,9 @@ form of its thread graph: one graph vertex per forbidden thread, and one
 arrow per quiver vertex, whose two ends are the vertex's two occurrences in
 the forbidden threads, each signed by the parity of its position.
 
-Each presentation indexes its arrows by name and by vertex once. A pipeline
+Each presentation indexes its arrows by name, and by each vertex that an
+arrow touches, once; a quiver with a vertex outside that index is not
+connected, however many vertices it has. A pipeline
 validates it once, and the successor maps and the Cartan matrix built by
 validation serve the threads, their matching and the Euler form.
 """
@@ -47,13 +49,12 @@ class GentlePresentation:
         by_name = {a[0]: a for a in arr}
         if len(by_name) != len(arr):
             raise InvalidInput("arrow names must be unique")
-        out_of = {v: [] for v in range(1, m + 1)}  # vertex -> the arrows from it, in order
-        into = {v: [] for v in range(1, m + 1)}
+        out_of, into = {}, {}  # vertex -> the arrows from it, resp. into it, in order
         for a, s, t in arr:
             if not (1 <= s <= m and 1 <= t <= m):
                 raise InvalidInput(f"arrow {a} endpoint out of range")
-            out_of[s].append(a)
-            into[t].append(a)
+            out_of.setdefault(s, []).append(a)
+            into.setdefault(t, []).append(a)
         rel = frozenset((str(a), str(b)) for a, b in relations)
         for a, b in rel:
             if a not in by_name or b not in by_name:
@@ -111,7 +112,7 @@ class GentlePresentation:
             arrows = [
                 (a["name"], json_int(a["src"]), json_int(a["tgt"])) for a in data["arrows"]
             ]
-            relations = [tuple(p) for p in data.get("relations", [])]
+            relations = [(a, b) for a, b in data.get("relations", [])]
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed quiver JSON: {exc}") from exc
         return GentlePresentation(m, arrows, relations)
@@ -129,10 +130,10 @@ def _validate(pres):
     for a, s, t in pres.arrows:
         if s == t:
             problems.append(f"arrow {a}: loops are excluded (infinite global dimension)")
-    for v in range(1, pres.m + 1):
-        if len(pres._in[v]) > 2:
+    for v in sorted(pres._in.keys() | pres._out.keys()):
+        if len(pres._in.get(v, ())) > 2:
             problems.append(f"vertex {v}: indegree {len(pres._in[v])} exceeds 2")
-        if len(pres._out[v]) > 2:
+        if len(pres._out.get(v, ())) > 2:
             problems.append(f"vertex {v}: outdegree {len(pres._out[v])} exceeds 2")
     succ_rel = Counter(a for a, _ in pres.relations)
     pred_rel = Counter(b for _, b in pres.relations)
@@ -140,8 +141,8 @@ def _validate(pres):
         if pres.tgt(a) != pres.src(b):
             problems.append(f"relation ({a}, {b}): arrows are not composable")
     for a, s, t in pres.arrows:
-        succ_ok = sum((a, b) not in pres.relations for b in pres._out[t])
-        pred_ok = sum((b, a) not in pres.relations for b in pres._in[s])
+        succ_ok = sum((a, b) not in pres.relations for b in pres._out.get(t, ()))
+        pred_ok = sum((b, a) not in pres.relations for b in pres._in.get(s, ()))
         if succ_rel[a] > 1:
             problems.append(f"arrow {a}: {succ_rel[a]} relation successors")
         if pred_rel[a] > 1:
@@ -177,10 +178,13 @@ def ensure_valid(pres: GentlePresentation):
 
 
 def _quiver_connected(pres) -> bool:
-    adj = [[] for _ in range(pres.m + 1)]
-    for a, s, t in pres.arrows:
-        adj[s].append((t, a))
-        adj[t].append((s, a))
+    """A vertex without arrows is isolated, so a quiver with one is connected
+    only if it is that one vertex; else one search over the arrows decides."""
+    touched = pres._out.keys() | pres._in.keys()
+    if len(touched) != pres.m:
+        return pres.m == 1
+    adj = {v: [(pres.tgt(a), a) for a in pres._out.get(v, ())]
+           + [(pres.src(a), a) for a in pres._in.get(v, ())] for v in touched}
     return len(traverse(adj, 1)[0]) == pres.m
 
 
@@ -190,7 +194,7 @@ def _successor_maps(pres):
     to None."""
     permitted, forbidden = {}, {}
     for a, _, t in pres.arrows:
-        nxt = pres._out[t]
+        nxt = pres._out.get(t, ())
         permitted[a] = next((b for b in nxt if (a, b) not in pres.relations), None)
         forbidden[a] = next((b for b in nxt if (a, b) in pres.relations), None)
     return permitted, forbidden
@@ -290,7 +294,7 @@ def _maximal_threads(pres, succ, kind: str):
 def _trivial_threads(pres, kind: str):
     out = []
     for v in range(1, pres.m + 1):
-        ins, outs = pres._in[v], pres._out[v]
+        ins, outs = pres._in.get(v, ()), pres._out.get(v, ())
         if len(ins) > 1 or len(outs) > 1:
             continue
         if ins and outs:

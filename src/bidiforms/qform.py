@@ -343,18 +343,9 @@ class Bigraph:
     def __repr__(self):
         return f"Bigraph(n={self.n}, edges={dict(sorted(self.edges.items()))})"
 
-    def adjacency(self) -> list:
-        """v -> [(w, (mult, sign))] over the edges that are not loops, smallest w first."""
-        adj = [[] for _ in range(self.n + 1)]
-        for (i, j), edge in sorted(self.edges.items()):  # i < j, so every list grows in order
-            if i != j:
-                adj[i].append((j, edge))
-                adj[j].append((i, edge))
-        return adj
-
     def is_connected(self) -> bool:
         """Connectivity of the underlying multigraph, loops ignored."""
-        return len(traverse(self.adjacency(), 1)[0]) == self.n
+        return len(traverse(form_adjacency(form_of(self)), 1)[0]) == self.n
 
 
 def traverse(adj, root, lifo=False):

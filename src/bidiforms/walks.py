@@ -493,9 +493,7 @@ def _tree_incs(B, root):
     step along its tree arrow a to the parent v, then the walk from v, so
     inc_w = d(w, a) E_a + sigma(a) inc_v and sigma_w = sigma(a) sigma_v.
     """
-    order, parent = traverse(B.adjacency(), root)
-    if len(order) != B.m:
-        raise NotPositive("graph is not connected")
+    order, parent = traverse(B.adjacency(), root)  # B is connected, as `roots_positive` checks
     incs = {root: ((0,) * B.n, 1)}
     for w in order[1:]:  # a parent is discovered before its children
         v, a = parent[w]

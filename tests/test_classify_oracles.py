@@ -60,7 +60,7 @@ from bidiforms.classify import (
 )
 from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
 from bidiforms.exact_linalg import IntMatrix
-from bidiforms.qform import IntegralQuadraticForm, analyze
+from bidiforms.qform import IntegralQuadraticForm, analyze, form_adjacency, traverse
 from tests.test_graph_layer import _random_graph, _shallow_stack
 from tests.test_qform import _sign_update
 
@@ -80,7 +80,7 @@ def _reference_realize_unit(q, m):
     """Recursive backtracking over incidence rows, each candidate checked
     against every placed row."""
     n = q.n
-    order = classify._bigraph_bfs_order(q)
+    order = traverse(form_adjacency(q), 1)[0]
     G = q.gram()
     rows = {}
 
@@ -676,7 +676,7 @@ def test_trusted_graphs_equal_the_checked_constructor():
         B = _random_graph(rng)
         seen["loop"] += any(u == u2 for (u, _), (u2, _) in B.ends)
         seen["parallel"] += len(set(map(B.underlying, range(1, B.n + 1)))) < B.n
-        if rng.random() < 0.5:  # a built index is carried over to the derived graphs
+        if rng.random() < 0.5:  # built or not, B's index is not shared with the derived graphs
             B.adjacency()
         derived = [sign_flip(B, rng.randint(1, B.n))]
         if B.n >= 2:

@@ -46,7 +46,8 @@ def test_qf_info_notes_why_a_form_has_no_dynkin_type(capsys, tmp_path):
     assert payload["dynkin_note"] == "dynkin_type needs a non-negative form"
     code, out = run_capture(capsys, ["qf-info", str(path), "--format", "text"])
     assert code == 0
-    assert out == ("q(x) = x1^2 + x2^2 - 3x1x2\nrank: 2\ncorank: 0\ndynkin: None\n"
+    assert out == ("q(x) = x1^2 + x2^2 - 3x1x2\nrank: 2\ncorank: 0\n"
+                   "dynkin: None (dynkin_type needs a non-negative form)\n"
                    "flags: connected, irreducible, unit, cox_regular, fully_regular, classic\n")
 
 
@@ -201,19 +202,26 @@ def test_graph_with_untouched_vertices_is_refused_at_once(capsys, tmp_path, comm
     assert captured.out == "" and captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
-def test_switch_equiv_with_too_many_untouched_vertices_is_refused(tmp_path):
-    # two copies of a 2-arrow graph on 10^20 vertices: the answer would list every
-    # vertex image, so it is refused before any per-vertex list is built
+@pytest.mark.parametrize("command", ["bg-switch-equiv", "gentle-euler"])
+def test_switch_equiv_with_too_many_untouched_vertices_is_refused(tmp_path, command):
+    # bg-switch-equiv on two copies of a 2-arrow graph on 10^20 vertices: the answer
+    # would list every vertex image, so it is refused before any per-vertex list is
+    # built; gentle-euler on a 1-arrow quiver on 10^20 vertices: the quiver is not
+    # connected, which its arrows tell before any per-vertex list is built
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"vertices": 10**20, "arrows": [{"ends": [[1, 1], [2, -1]]},
-                                                              {"ends": [[2, 1], [3, -1]]}]}))
+    if command == "bg-switch-equiv":
+        doc = {"vertices": 10**20, "arrows": [{"ends": [[1, 1], [2, -1]]}, {"ends": [[2, 1], [3, -1]]}]}
+        argv, message = [str(path), str(path)], str(bg.MAX_UNTOUCHED)
+    else:
+        doc = {"vertices": 10**20, "arrows": [{"name": "a", "src": 1, "tgt": 2}], "relations": []}
+        argv, message = [str(path)], "error: quiver is not connected\n"
+    path.write_text(json.dumps(doc))
     start = time.monotonic()
-    proc = _in_subprocess("-m", "bidiforms.cli", "bg-switch-equiv", str(path), str(path),
-                          preexec_fn=_cap_address_space)
+    proc = _in_subprocess("-m", "bidiforms.cli", command, *argv, preexec_fn=_cap_address_space)
     assert time.monotonic() - start < 10
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert str(bg.MAX_UNTOUCHED) in proc.stderr
+    assert message in proc.stderr
 
 
 def test_switch_equiv_refusal_starts_above_the_untouched_limit(capsys, tmp_path, monkeypatch):
@@ -321,10 +329,15 @@ def test_json_round_trip_of_emitted_graph(capsys):
             "gentle-euler",
             {"vertices": 2, "arrows": [{"name": "a", "src": 1, "tgt": "2"}], "relations": []},
         ),
+        (
+            "gentle-euler",
+            {"vertices": 2, "arrows": [{"name": "a", "src": 1, "tgt": 2}], "relations": [["a", "a", "a"]]},
+        ),
     ],
 )
 def test_non_integer_json_numbers_exit_2(capsys, tmp_path, command, payload):
-    # bool, float and str are refused, not truncated or coerced by int()
+    # bool, float and str are refused, not truncated or coerced by int(), as are
+    # ends and relation pairs of the wrong length
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     assert run([command, str(path)]) == 2

@@ -316,7 +316,7 @@ def _has_oriented_cycle(pres):
     indeg = Counter(t for _, _, t in pres.arrows)
     ready = [v for v in range(1, pres.m + 1) if not indeg[v]]
     for v in ready:  # grows while it is read
-        for a in pres._out[v]:
+        for a in pres._out.get(v, ()):
             indeg[pres.tgt(a)] -= 1
             if not indeg[pres.tgt(a)]:
                 ready.append(pres.tgt(a))
