@@ -13,6 +13,11 @@ walks all read it, the searches through the one helper `qform.traverse`,
 without recursion. A vertex no arrow touches is isolated: it costs nothing
 until the graph is known to be connected, except in an answer that lists
 every vertex.
+
+The steps that rewrite one arrow (Gabrielov, sign flip, endpoint rewrite)
+are each written once, as a rule on the ends of the arrows involved. The
+public functions build a new graph from it; `_Arrows`, the graph of the
+type-C chase, applies it in place, with its vertex index.
 """
 
 from __future__ import annotations
@@ -296,8 +301,7 @@ def switch(B: BidirectedGraph, O: OrthogonalMatrix) -> BidirectedGraph:
 
 def sign_flip(B: BidirectedGraph, i: int) -> BidirectedGraph:
     """Flip both endpoint signs of arrow i (form-level sign inversion T_i)."""
-    (u, e), (u2, e2) = B.arrow_ends(i)
-    return _with_arrow(B, i, ((u, -e), (u2, -e2)))
+    return _with_arrow(B, i, _flipped(B.arrow_ends(i)))
 
 
 def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
@@ -309,20 +313,12 @@ def arrow_permutation(B: BidirectedGraph, pi) -> BidirectedGraph:
 
 
 def _with_arrow(B, j, ends):
-    """B with the ends of arrow j, a valid index, replaced; the rest is not checked again.
+    """B with the ends of arrow j, a valid index, replaced by normalized ends;
+    nothing is checked again.
 
     The new graph builds its own vertex index when it is first asked for one.
     """
-    ends = _norm_ends(ends)
     return BidirectedGraph._trusted(B.m, B.ends[:j - 1] + (ends,) + B.ends[j:])
-
-
-def _oriented_at(B, i, shared):
-    """Endpoints of arrow i written as ((shared, e0), (other, e1))."""
-    (a, ea), (b, eb) = B.arrow_ends(i)
-    if a == shared:
-        return (a, ea), (b, eb)
-    return (b, eb), (a, ea)
 
 
 def graph_gabrielov(B: BidirectedGraph, i: int, j: int) -> BidirectedGraph:
@@ -333,23 +329,9 @@ def graph_gabrielov(B: BidirectedGraph, i: int, j: int) -> BidirectedGraph:
     """
     if i == j:
         raise InvalidInput("graph Gabrielov needs two distinct arrows")
-    si = set(B.underlying(i))
-    sj = set(B.underlying(j))
-    shared = sorted(si & sj)
-    if not shared:
-        return B
-    v0 = shared[0]
-    (_, e0), (v1, _) = _oriented_at(B, i, v0)
-    (_, n0), (w1, n1) = _oriented_at(B, j, v0)
-    sig = B.sigma(i)
-    if w1 == v0:
-        # (a3): j is a loop at the shared vertex; move it to v1
-        return _with_arrow(B, j, ((v1, sig * n0), (v1, sig * n1)))
-    if w1 == v1 and v1 != v0:
-        # (a2): i and j parallel between v0 and v1
-        return _with_arrow(B, j, ((v0, sig * n1), (v1, sig * n0)))
-    # (a1): transfer j's end at the shared vertex to the other end of i
-    return _with_arrow(B, j, ((v1, sig * n0), (w1, n1)))
+    ends_i, ends_j = B.arrow_ends(i), B.arrow_ends(j)
+    new = _gabrielov_ends(ends_i, ends_j)
+    return B if new is ends_j else _with_arrow(B, j, new)  # B itself when they share no vertex
 
 
 def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> BidirectedGraph:
@@ -367,42 +349,116 @@ def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> Bidirected
         raise InvalidInput("eps must be +-1")
     if i == j:
         raise InvalidInput("endpoint rewrite needs two distinct arrows")
-    ei = B.arrow_ends(i)
-    ej = B.arrow_ends(j)
-    if eps == 1 and ei == ej and not B.is_loop(i) and B.sigma(i) == 1:
-        head = next(u for (u, e) in ei if e == -1)
-        return _with_arrow(B, j, ((head, 1), (head, -1)))
-    if eps == 1 and ei == ej and B.is_bidirected_loop(i):
-        u = B.underlying(i)[0]
-        return _with_arrow(B, j, ((u, 1), (u, -1)))
-    if B.is_bidirected_loop(j) and not B.is_loop(i):
-        u = B.underlying(j)[0]
-        if u in B.underlying(i):
-            (_, eu), (v, ev) = _oriented_at(B, i, u)
-            (_, eloop), _ = ej
-            if eps == eloop * eu:
-                return _with_arrow(B, j, ((u, eloop), (v, -eps * ev)))
+    return _with_arrow(B, j, _rewrite_ends(B.arrow_ends(i), B.arrow_ends(j), eps))
+
+
+# the rules of the steps that rewrite one arrow: each returns its new normalized ends
+
+
+def _ordered(end, end2):
+    return (end, end2) if end <= end2 else (end2, end)
+
+
+def _flipped(ends):
+    (u, e), (u2, e2) = ends
+    return _ordered((u, -e), (u2, -e2))
+
+
+def _gabrielov_ends(ends_i, ends_j):
+    """Arrow j after a Gabrielov step at (i, j); unchanged if the arrows share no vertex.
+
+    With v0 the smallest shared vertex, v1 the other end of i, w1 that of j
+    and sigma the sign of i: a loop j at v0 moves to v1 (a3); a j parallel
+    to i swaps its two end signs (a2); else j moves its end at v0 to v1 (a1).
+    Each end that moves or swaps has its sign multiplied by sigma.
+    """
+    (a, ea), (b, eb) = ends_i
+    (c, ec), (d, ed) = ends_j
+    v0 = min({a, b} & {c, d}, default=None)
+    if v0 is None:
+        return ends_j
+    v1 = b if a == v0 else a
+    n0, w1, n1 = (ec, d, ed) if c == v0 else (ed, c, ec)
+    sig = -ea * eb
+    if w1 == v0:  # (a3)
+        return _ordered((v1, sig * n0), (v1, sig * n1))
+    if w1 == v1 != v0:  # (a2)
+        return _ordered((v0, sig * n1), (v1, sig * n0))
+    return _ordered((v1, sig * n0), (w1, n1))  # (a1)
+
+
+def _rewrite_ends(ends_i, ends_j, eps):
+    """Arrow j after the rewrite row_j -= eps row_i of `endpoint_rewrite`;
+    InvalidInput for a configuration outside its table."""
+    (a, ea), (b, eb) = ends_i
+    # j equal to a directed arrow i, or to a bidirected loop i
+    if eps == 1 and ends_i == ends_j and (a != b and ea != eb or a == b and ea == eb):
+        u = a if ea == -1 or a == b else b  # the head of the arrow, or the loop's vertex
+        return ((u, -1), (u, 1))
+    (u, el), (u2, el2) = ends_j
+    if u == u2 and el == el2 and a != b and u in (a, b):  # a bidirected loop j at an end of i
+        eu, v, ev = (ea, b, eb) if a == u else (eb, a, ea)
+        if eps == el * eu:
+            return _ordered((u, el), (v, -eps * ev))
     raise InvalidInput("endpoint rewrite: configuration not in the allowed table")
 
 
-def apply(B: BidirectedGraph, t) -> BidirectedGraph:
-    """Dispatch an elementary transformation given as a tagged tuple."""
-    tag = t[0]
-    if tag == "gabrielov":
-        return graph_gabrielov(B, t[1], t[2])
-    if tag == "sign":
-        return sign_flip(B, t[1])
-    if tag == "perm":
-        return arrow_permutation(B, t[1])
-    if tag == "rewrite":
-        return endpoint_rewrite(B, t[1], t[2], t[3])
-    if tag == "switch":
-        return switch(B, t[1])
-    raise InvalidInput(f"unknown transformation {tag!r}")
+class _Arrows:
+    """A graph changed in place, as `classify._Rows` holds a form: the ends of
+    its arrows as a list and, for each vertex an arrow touches, the set of its
+    arrows.
+
+    A Gabrielov, sign or rewrite step changes one arrow, and the index at its
+    at most four ends; a perm, which is rare, rebuilds both. `freeze` wraps
+    the ends in a `BidirectedGraph` without the checks, kept until the next
+    change.
+    """
+
+    __slots__ = ("m", "ends", "at", "_B")
+
+    def __init__(self, B: BidirectedGraph):
+        self._load(B)
+
+    def _load(self, B):
+        self.m = B.m
+        self.ends = list(B.ends)
+        self.at = {v: {i for _, i in arrows} for v, arrows in B.adjacency().items()}
+        self._B = B
+
+    def freeze(self) -> BidirectedGraph:
+        if self._B is None:
+            self._B = BidirectedGraph._trusted(self.m, tuple(self.ends))
+        return self._B
+
+    def incident_arrows(self, v: int):
+        return self.at.get(v, ())
+
+    def push(self, t) -> None:
+        """Apply a tagged step in place: ("gabrielov", i, j), ("sign", i),
+        ("rewrite", i, j, eps) or ("perm", pi), with valid indices."""
+        tag, ends = t[0], self.ends
+        if tag == "perm":
+            self._load(arrow_permutation(self.freeze(), t[1]))
+            return
+        if tag == "sign":
+            j = t[1]
+            new = _flipped(ends[j - 1])
+        else:
+            j = t[2]
+            new = (_gabrielov_ends(ends[t[1] - 1], ends[j - 1]) if tag == "gabrielov"
+                   else _rewrite_ends(ends[t[1] - 1], ends[j - 1], t[3]))
+        old = ends[j - 1]
+        if new != old:
+            for v, _ in old:
+                self.at[v].discard(j)
+            for v, _ in new:
+                self.at.setdefault(v, set()).add(j)
+            ends[j - 1] = new
+            self._B = None
 
 
 def undo(t):
-    """The tagged step that reverses t on graphs: apply(apply(B, t), undo(t)) == B.
+    """The tagged step that reverses t on graphs: pushing t, then undo(t), gives B back.
 
     Gabrielov steps and sign flips are involutions on graphs; a perm is inverted.
     """

@@ -16,14 +16,14 @@ mutable rows (`_Rows`: the diagonal, the coefficient map and the neighbours
 of each variable), so a Gabrielov, rewrite or sign step costs O(deg) on the
 form, and is frozen into an `IntegralQuadraticForm` only when read; its
 matrix is a list of columns, one O(n) column update per step. Once it
-carries a graph, a step that rewrites arrow j is checked on row j of the
-form and arrow j of the graph, all that the step changes, read off the new
-graph's vertex index; by induction that is as strong as a check of the
-whole incidence form. The public coefficient updates (`gabrielov_update`,
-`GTransform.then_*`) run the same row update on a thawed copy. A chase's
-result is a `GTransform` built without the determinant check
-(`GTransform._trusted`): its matrix is a product of elementary steps.
-Transforms from outside the chase keep it.
+carries a graph, the graph too is changed in place (`bidigraph._Arrows`: its
+ends and vertex index), and a step that rewrites arrow j is checked on row j
+of the form and arrow j of the graph, all that the step changes, in O(deg);
+by induction that is as strong as a check of the whole incidence form. The
+public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run
+the same row update on a thawed copy. A chase's result is a `GTransform`
+built without the determinant check (`GTransform._trusted`): its matrix is
+a product of elementary steps. Transforms from outside the chase keep it.
 The star realization that starts every type-C function is built and checked
 once per form and kept as a frozen snapshot of the last form
 (`_star_snapshot`): one pass over the saturated form writes its partition
@@ -53,7 +53,7 @@ from math import isqrt
 
 from .bidigraph import (
     BidirectedGraph,
-    apply,
+    _Arrows,
     canonical_c as canonical_c_graph,
     undo,
 )
@@ -171,12 +171,15 @@ class _Chase:
     M is kept as a list of columns: a Gabrielov or rewrite step is one O(n)
     column update, a sign step negates one column and a perm reorders the
     list; the `IntMatrix` is built only when `M` is read, and the form is
-    frozen only when `q` is read. Once B is set, each step is applied to it
-    too, and a step that rewrites arrow j is checked on row j alone. The
-    chain starts from the columns `cols` of a matrix, by default the identity.
+    frozen only when `q` is read. Once `graph` is set (`bidigraph._Arrows`),
+    each step is applied to it in place too: a Gabrielov, rewrite or sign
+    step rewrites one arrow and is checked on row j alone (`_row_matches`),
+    in O(deg), and a perm rebuilds it; the graph is frozen into a
+    `BidirectedGraph` only when `B` is read. The chain starts from the
+    columns `cols` of a matrix, by default the identity.
     """
 
-    __slots__ = ("cols", "steps", "form", "B")
+    __slots__ = ("cols", "steps", "form", "graph")
 
     def __init__(self, q: IntegralQuadraticForm, cols=None):
         if cols is None:
@@ -185,11 +188,15 @@ class _Chase:
         self.cols = cols
         self.steps = []
         self.form = _Rows(q)
-        self.B = None
+        self.graph = None
 
     @property
     def M(self) -> IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self.cols)))
+
+    @property
+    def B(self) -> BidirectedGraph | None:
+        return None if self.graph is None else self.graph.freeze()
 
     @property
     def q(self) -> IntegralQuadraticForm:
@@ -215,9 +222,9 @@ class _Chase:
             self.form = _Rows(f.freeze().permuted(pi))
             cols[:] = [cols[p - 1] for p in pi]
         self.steps.append(step)
-        if self.B is not None:
-            self.B = apply(self.B, step)
-            assert tag not in ("gabrielov", "rewrite") or _row_matches(self.B, self.form, step[2])
+        if self.graph is not None:
+            self.graph.push(step)
+            assert tag not in ("gabrielov", "rewrite") or _row_matches(self.graph, self.form, step[2])
 
 
 def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
@@ -225,17 +232,18 @@ def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
 
     Only arrows at an end of arrow j can have a nonzero product with it, so
     the row of B is read off the arrows at those ends and compared with q_j
-    and the coefficients at the neighbours of j, in O(deg) once B has built
-    its vertex index.
+    and the coefficients at the neighbours of j, in O(deg). B is a
+    `BidirectedGraph` or the chase's `_Arrows`: both give `ends` and
+    `incident_arrows`, from a vertex index that the graph builds once or the
+    chase keeps in place.
     """
     row = {}  # the incidence row of arrow j
     for v, e in B.ends[j - 1]:
         row[v] = row.get(v, 0) + e
-    adj = B.adjacency()
     got = {}
     for v, c in row.items():
         if c:
-            for _, k in adj[v]:
+            for k in B.incident_arrows(v):
                 (u, e), (u2, e2) = B.ends[k - 1]
                 got[k] = got.get(k, 0) + c * ((e if u == v else 0) + (e2 if u2 == v else 0))
     want = {k: f.coefficient(j, k) for k in f.nbrs[j]}
@@ -795,7 +803,8 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
     Unit forms of type A/D are realized by a depth-first search over
     incidence rows, indexed by vertex (`_realize_unit_backtracking`); type E
     is rejected. Non-unit type-C forms go through the saturated
-    partition and are pulled back with inverse graph transformations.
+    partition and are pulled back with inverse graph transformations,
+    applied in place (`_Arrows`) and frozen once.
     """
     rep = rep or analyze(q)
     if not rep.non_negative:
@@ -813,8 +822,10 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
         assert B.incidence_form() == q
         return B
     _, steps, _, B, _ = _checked_star(q, rep)
+    graph = _Arrows(B)
     for step in reversed(steps):
-        B = apply(B, undo(step))
+        graph.push(undo(step))
+    B = graph.freeze()
     assert B.incidence_form() == q
     return B
 
@@ -985,7 +996,7 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     cols, steps, form, B, part = _checked_star(q, rep)
     ch = _Chase(form, list(cols))
     ch.steps = list(steps)
-    ch.B = B
+    ch.graph = _Arrows(B)
     loop_arrow = part.u2[0]
     # step 2: turn every two-head arrow v--1 into a directed arrow v->1
     for _, minus in part.groups:

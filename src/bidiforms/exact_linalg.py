@@ -3,11 +3,14 @@
 Everything here works over arbitrary-precision integers: eliminations are
 fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact and
 no `fractions.Fraction` or floating point is used. The PSD test runs on
-sparse rows, so a sparse form is never expanded into its dense Gram matrix.
+sparse rows, and the radical of a PSD matrix is read off the rows that test
+leaves, so a sparse form is never expanded into its dense Gram matrix; the
+dense `integer_kernel` is kept for any integer matrix and as their oracle.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import InvalidInput, int_tuple
@@ -175,7 +178,9 @@ def psd_pivots(rows):
     gcd. G is PSD iff every diagonal entry met is >= 0 and nothing is left
     once only zero diagonals remain. P lists the 0-based pivot indices in
     pivot order, |P| = rank G, and det G_P > 0 (1 when P is empty) is the
-    product of the pivots pi / s_p, an exact division.
+    product of the pivots pi / s_p, an exact division. A pivot row is not
+    changed after its step, so on return rows[p], p in P, are the rows of a
+    factor of G, which `psd_radical` back-substitutes through.
     """
     scale = [1] * len(rows)
     left = list(range(len(rows)))  # the rows not yet pivoted, ascending
@@ -218,6 +223,97 @@ def psd_pivots(rows):
         den *= scale[piv]
 
 
+def psd_radical(rows, pivots: list[int]) -> tuple[list[tuple[int, ...]], int]:
+    """(Z, index) for a PSD matrix G from the rows and pivots `psd_pivots` left:
+    Z the basis of the radical {x in Z^n : G x = 0} in Hermite form, the
+    basis `integer_kernel(G)` gives, and index = |det Z_D| for the indices D
+    outside P, the index `quotient_det` divides out twice.
+
+    The rows r_p = rows[p], p in P, are those of a factor of G (`psd_pivots`),
+    each zero at the columns of earlier pivots, and G x = 0 iff r_p . x = 0
+    for every p. For each k in D, x = e_k is completed by back substitution
+    in reverse pivot order, x_p = -(sum_{j != p} r_p[j] x_j) / r_p[p],
+    scaled to stay integral and then divided by its content; only the
+    pivots whose rows meet a nonzero x_j are visited. The c vectors A so found span the radical over Q, and
+    A_D = diag(d) with d > 0. The columns of A generate a lattice L Z^c with
+    L lower triangular; it holds each d_k e_k, so it is read modulo d, and
+    the k with d_k = 1 give columns e_k of L. L^-1 A is then integral and
+    spans Q A meet Z^n (Cohen, A Course in Computational Algebraic Number
+    Theory, 2.4.3), and |det Z_D| = prod d / det L.
+    """
+    n = len(rows)
+    P = set(pivots)
+    D = [k for k in range(n) if k not in P]
+    users = {}  # column j -> the pivot rows p != j that meet it, keyed -(place of p)
+    for t, p in enumerate(pivots):
+        for j in rows[p]:
+            if j != p:
+                users.setdefault(j, []).append(-t)
+    A = []
+    for k in D:
+        x = {k: 1}
+        todo = list(users.get(k, ()))
+        seen = set(todo)
+        heapify(todo)
+        while todo:  # the latest pivot first: its row meets only later ones
+            p = pivots[-heappop(todo)]
+            r = rows[p]
+            s = sum(v * x[j] for j, v in r.items() if j in x)
+            if not s:
+                continue
+            g = gcd(s, r[p])
+            if g != r[p]:
+                f = r[p] // g
+                for j in x:
+                    x[j] *= f
+            x[p] = -s // g
+            for t in users.get(p, ()):
+                if t not in seen:
+                    seen.add(t)
+                    heappush(todo, t)
+        g = gcd(*x.values())
+        A.append({j: v // g for j, v in x.items()} if g > 1 else x)
+    K = [i for i, k in enumerate(D) if A[i][k] > 1]
+    d = [A[i][D[i]] for i in K]
+    cols = {}  # column j of A at the rows K
+    for t, i in enumerate(K):
+        for j, v in A[i].items():
+            cols.setdefault(j, {})[t] = v
+    L = [[0] * t + [dt] + [0] * (len(K) - t - 1) for t, dt in enumerate(d)]  # L[t]: column t
+    for col in cols.values():
+        a = [col.get(t, 0) % dt for t, dt in enumerate(d)]
+        for t in range(len(K)):
+            if a[t]:  # Euclid on column t of L and a, all of it kept modulo d
+                h = L[t]
+                while a[t]:
+                    c = h[t] // a[t]
+                    h, a = a, [hu - c * au for hu, au in zip(h, a)]
+                L[t] = h[:t + 1] + [hu % du for hu, du in zip(h[t + 1:], d[t + 1:])]
+                a = [au % du for au, du in zip(a, d)]
+    below = [{u: v for u, v in enumerate(h) if v and u > t} for t, h in enumerate(L)]
+    solved = [{} for _ in K]
+    for j, a in cols.items():  # L y = column j, by forward substitution
+        for t in range(min(a), len(K)):
+            v = a.get(t)
+            if v:
+                y, rest = divmod(v, L[t][t])
+                assert not rest, "the columns of A lie in the lattice of L"
+                solved[t][j] = y
+                for u, h in below[t].items():
+                    a[u] = a.get(u, 0) - y * h
+    for t, i in enumerate(K):
+        A[i] = solved[t]
+    Z = [[0] * n for _ in A]
+    for z, x in zip(Z, A):
+        for j, v in x.items():
+            z[j] = v
+    _row_hnf_in_place(Z)
+    index = 1
+    for t, dt in enumerate(d):
+        index = index * dt // L[t][t]
+    return [tuple(z) for z in Z], index
+
+
 def quotient_det(pivots: list[int], det_p: int, radical) -> int:
     """The determinant of a PSD form on Z^n / rad, from `psd_pivots`' (P, det G_P)
     and a basis of the radical (c = n - |P| integer rows of length n).
@@ -243,7 +339,8 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     """Reduce `rows` to row-style Hermite normal form; return pivot column list.
 
     Nonzero rows come first, each with a positive leading entry; entries above
-    a pivot are reduced into [0, pivot).
+    a pivot are reduced into [0, pivot). Rows from r on are zero before the
+    column c where the r-th pivot is sought, so row operations start at c.
     """
     if not rows:
         return []
@@ -254,10 +351,11 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
             continue
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
+        tail = rows[r][c:]
         for k in range(r):
-            qout = rows[k][c] // rows[r][c]
+            qout = rows[k][c] // tail[0]
             if qout != 0:
-                rows[k] = [x - qout * y for x, y in zip(rows[k], rows[r])]
+                rows[k][c:] = [x - qout * y for x, y in zip(rows[k][c:], tail)]
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -277,12 +375,11 @@ def _pivot_down(rows, r, c) -> bool:
         return False
     while piv is not None:
         rows[r], rows[piv] = rows[piv], rows[r]
-        prow = rows[r]
-        p = prow[c]
+        tail = rows[r][c:]
         for k in range(r + 1, len(rows)):
             if rows[k][c] != 0:
-                qout = rows[k][c] // p
-                rows[k] = [x - qout * y for x, y in zip(rows[k], prow)]
+                qout = rows[k][c] // tail[0]
+                rows[k][c:] = [x - qout * y for x, y in zip(rows[k][c:], tail)]
         piv = _smallest_at(rows, r + 1, c)
     return True
 

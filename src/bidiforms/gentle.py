@@ -45,7 +45,7 @@ class GentlePresentation:
         m = as_int(m)
         if m < 1:
             raise InvalidInput("quiver needs at least one vertex")
-        arr = tuple((str(a), as_int(s), as_int(t)) for a, s, t in arrows)
+        arr = tuple((_name(a), as_int(s), as_int(t)) for a, s, t in arrows)
         by_name = {a[0]: a for a in arr}
         if len(by_name) != len(arr):
             raise InvalidInput("arrow names must be unique")
@@ -55,7 +55,7 @@ class GentlePresentation:
                 raise InvalidInput(f"arrow {a} endpoint out of range")
             out_of.setdefault(s, []).append(a)
             into.setdefault(t, []).append(a)
-        rel = frozenset((str(a), str(b)) for a, b in relations)
+        rel = frozenset((_name(a), _name(b)) for a, b in relations)
         for a, b in rel:
             if a not in by_name or b not in by_name:
                 raise InvalidInput(f"relation ({a}, {b}) uses unknown arrows")
@@ -116,6 +116,14 @@ class GentlePresentation:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed quiver JSON: {exc}") from exc
         return GentlePresentation(m, arrows, relations)
+
+
+def _name(value) -> str:
+    """`value` itself if it is a string; InvalidInput otherwise, as `as_int` refuses
+    a non-integer, so that `null` or `1` never becomes the arrow "None" or "1"."""
+    if not isinstance(value, str):
+        raise InvalidInput(f"arrow names must be strings, got {value!r}")
+    return value
 
 
 def validate(pres: GentlePresentation) -> list[str]:

@@ -15,7 +15,7 @@ from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
-from .exact_linalg import IntMatrix, integer_kernel, psd_pivots, quotient_det
+from .exact_linalg import IntMatrix, integer_kernel, psd_pivots, psd_radical
 
 
 class IntegralQuadraticForm:
@@ -430,10 +430,12 @@ class FormAnalysis:
 def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     """Structural and regularity report for a form (pure; results are cached).
 
-    The PSD test, the rank and the pivots behind `positive_det` come from one
-    sparse elimination on the rows of q (`exact_linalg.psd_pivots`). The dense
-    Gram matrix is built only for the rank of a form that is not
-    non-negative, and for the radical (`integer_kernel`) when rank < n.
+    The PSD test, the rank, the pivots behind `positive_det` and the radical
+    come from one sparse elimination on the rows of q: `exact_linalg.psd_pivots`,
+    then `psd_radical` on the rows it leaves, which also gives the index that
+    `positive_det` divides out. Each radical vector is checked against the
+    rows of q at its support. The dense Gram matrix is built only for a form
+    that is not non-negative, for its rank and its radical.
     """
     n = q.n
     unit = all(d == 1 for d in q.diag)
@@ -452,12 +454,29 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         rows[i - 1][j - 1] = v
         rows[j - 1][i - 1] = v
     found = psd_pivots(rows)
-    non_negative = found is not None
-    G = None if non_negative and len(found[0]) == n else q.gram()
-    rank = len(found[0]) if non_negative else G.rank()
-    radical = tuple(integer_kernel(G)) if rank < n else ()
+    adj = form_adjacency(q)
+    if found is None:
+        G = q.gram()
+        rank = G.rank()
+        radical = tuple(integer_kernel(G)) if rank < n else ()
+        positive_det = None
+    else:
+        pivots, det_p = found
+        rank = len(pivots)
+        radical, index = psd_radical(rows, pivots)
+        for z in radical:  # G z = 0, read off the rows of q at the support of z
+            Gz = {}
+            for k, x in enumerate(z, start=1):
+                if x:
+                    Gz[k] = Gz.get(k, 0) + 2 * q.diag[k - 1] * x
+                    for w, v in adj[k]:
+                        Gz[w] = Gz.get(w, 0) + v * x
+            assert not any(Gz.values()), "a radical vector is in the kernel of the Gram matrix"
+        radical = tuple(radical)
+        assert det_p % (index * index) == 0, "det G_P must be a multiple of the index squared"
+        positive_det = det_p // (index * index)
     return FormAnalysis(
-        connected=len(traverse(form_adjacency(q), 1)[0]) == n,
+        connected=len(traverse(adj, 1)[0]) == n,
         irreducible=content == 1,
         content=content,
         unit=unit,
@@ -465,10 +484,10 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         fully_regular=fully_regular,
         cox_regular=cox_regular,
         classic=classic,
-        non_negative=non_negative,
+        non_negative=found is not None,
         rank=rank,
         corank=n - rank,
         radical_basis=radical,
         dotted_loops=sum(d - 1 for d in q.diag),
-        positive_det=quotient_det(*found, radical) if non_negative else None,
+        positive_det=positive_det,
     )

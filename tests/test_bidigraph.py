@@ -5,7 +5,7 @@ import pytest
 from bidiforms.bidigraph import (
     BidirectedGraph,
     OrthogonalMatrix,
-    apply,
+    _Arrows,
     arrow_permutation,
     balance,
     canonical_a,
@@ -99,14 +99,21 @@ def test_incidence_form_equals_dense_gram_oracle():
     assert min(kinds.values()) > 20
 
 
+def _pushed(B, *steps):
+    graph = _Arrows(B)
+    for step in steps:
+        graph.push(step)
+    return graph.freeze()
+
+
 def test_undo_reverses_each_graph_step():
     B = canonical_c(4, 1, 1)
     three_cycle = ("perm", (2, 3, 1) + tuple(range(4, B.n + 1)))
     assert undo(three_cycle) == ("perm", (3, 1, 2) + tuple(range(4, B.n + 1)))
     # a 3-cycle is not its own inverse, so applying it twice does not undo it
-    assert apply(apply(B, three_cycle), three_cycle) != B
+    assert _pushed(B, three_cycle, three_cycle) != B
     for step in (three_cycle, ("sign", 2), ("gabrielov", 1, 2), ("gabrielov", 3, 2)):
-        assert apply(apply(B, step), undo(step)) == B
+        assert _pushed(B, step, undo(step)) == B
     with pytest.raises(InvalidInput):
         undo(("rewrite", 1, 2, 1))
 
@@ -369,15 +376,51 @@ def test_line_bigraph_local_patterns():
     assert B.line_bigraph().edges == {(1, 1): (1, 1), (1, 2): (2, -1)}
 
 
-def test_apply_dispatcher():
-    B = canonical_a(3, 1)
-    assert apply(B, ("sign", 2)) == sign_flip(B, 2)
-    assert apply(B, ("gabrielov", 1, 2)) == graph_gabrielov(B, 1, 2)
-    assert apply(B, ("perm", (2, 1, 3, 4))) == arrow_permutation(B, (2, 1, 3, 4))
-    O = OrthogonalMatrix.identity(4)
-    assert apply(B, ("switch", O)) == B
-    with pytest.raises(InvalidInput):
-        apply(B, ("nonsense",))
+def test_arrows_push_matches_the_graph_functions():
+    """The graph of the type-C chase, changed in place step after step, against
+    the functions that build a new graph, and its vertex index against the one
+    the new graph builds."""
+    from tests.test_graph_layer import _random_graph
+
+    rng = random.Random(2006)
+    seen = {"gabrielov": 0, "sign": 0, "rewrite": 0, "perm": 0, "refused": 0}
+    for _ in range(400):
+        B = _random_graph(rng, connected=True)
+        graph = _Arrows(B)
+        for _ in range(12):
+            kind = rng.choice(("gabrielov", "gabrielov", "sign", "rewrite", "perm") if B.n > 1 else ("sign",))
+            if kind == "sign":
+                step = ("sign", rng.randint(1, B.n))
+                B = sign_flip(B, step[1])
+            elif kind == "perm":
+                step = ("perm", tuple(rng.sample(range(1, B.n + 1), B.n)))
+                B = arrow_permutation(B, step[1])
+            elif kind == "gabrielov":
+                step = ("gabrielov", *rng.sample(range(1, B.n + 1), 2))
+                B = graph_gabrielov(B, *step[1:])
+            else:  # a legal rewrite where the graph has one, else a refused one
+                steps = [("rewrite", i, j, eps) for i in range(1, B.n + 1) for j in range(1, B.n + 1)
+                         for eps in (1, -1) if i != j]
+                legal = []
+                for step in steps:
+                    try:
+                        legal.append((step, endpoint_rewrite(B, *step[1:])))
+                    except InvalidInput:
+                        pass
+                if legal:
+                    step, B = rng.choice(legal)
+                else:
+                    with pytest.raises(InvalidInput):
+                        graph.push(rng.choice(steps))
+                    seen["refused"] += 1
+                    kind = None
+            if kind:
+                graph.push(step)
+                seen[kind] += 1
+            assert graph.freeze() == B
+            assert {v: s for v, s in graph.at.items() if s} == {
+                v: {i for _, i in arrows} for v, arrows in B.adjacency().items()}
+    assert min(seen.values()) > 30, seen
 
 
 def test_line_bigraph_restriction_compatibility():

@@ -34,12 +34,14 @@ from math import isqrt
 import pytest
 
 from bidiforms import classify
+from bench import gen
 from bidiforms.bidigraph import (
     BidirectedGraph,
     arrow_permutation,
     canonical_c as canonical_c_graph,
     endpoint_rewrite,
     graph_gabrielov,
+    loops_graph,
     sign_flip,
 )
 from bidiforms.classify import (
@@ -59,7 +61,8 @@ from bidiforms.classify import (
     star_realization,
 )
 from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
-from bidiforms.exact_linalg import IntMatrix
+from bidiforms.exact_linalg import IntMatrix, integer_kernel
+from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, analyze, form_adjacency, traverse
 from tests.test_graph_layer import _random_graph, _shallow_stack
 from tests.test_qform import _sign_update
@@ -972,3 +975,104 @@ def test_searches_hold_no_recursive_function(name):
         called = {c.func.id for c in ast.walk(f) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
         # the outer function may call its helpers; nothing may call back into itself or them
         assert not called & ({name} if f is outer else banned), f"{name}: {f.name} recurses"
+
+
+# -- the radical from the sparse elimination, and the graph of the chase --------
+
+
+def _generator_forms(rng):
+    """The forms of the bench generators: the classify workload's graphs of types
+    A, D and C and its gentle Euler forms, and the solve_sweep workload's type-C
+    graphs, trees, one-trees and small graphs."""
+    for m in range(8, 17):
+        for extra in range(4):
+            yield BidirectedGraph(*gen.switched_quiver(rng, m, extra)).incidence_form()
+            yield BidirectedGraph(*gen.negative_cycle_graph(rng, m, 1 + extra % 3)).incidence_form()
+            yield BidirectedGraph(*gen.bidirected_loop_graph(rng, m, extra % 3, 1 + extra % 2)).incidence_form()
+        yield euler_pipeline(GentlePresentation(*gen.gentle_presentation(rng, m))).form
+    for r in range(4, 11):
+        for j in range(3):
+            yield BidirectedGraph(*gen.bidirected_loop_graph(rng, r, j, 1 + j % 2)).incidence_form()
+        yield BidirectedGraph(*gen.tree_graph(rng, r)).incidence_form()
+        yield BidirectedGraph(*gen.unbalanced_one_tree(rng, r, allow_loop=False)).incidence_form()
+    for n in (1, 2, 3):
+        for m in range(1, n + 2):
+            for _ in range(10):
+                yield BidirectedGraph(*gen.small_graph(rng, m, n)).incidence_form()
+
+
+def _zero_variable_forms(rng, count):
+    """Incidence forms with zero variables: connected graphs with one or two directed
+    loops added, and one-vertex graphs of loops."""
+    out = [loops_graph(*pst).incidence_form() for pst in ((1, 0, 0), (3, 0, 0), (2, 1, 0), (1, 1, 1), (2, 0, 2))]
+    for _ in range(count):
+        B = _random_graph(rng, connected=True)
+        u = rng.randint(1, B.m)
+        out.append(BidirectedGraph(B.m, list(B.ends) + [((u, 1), (u, -1))] * rng.randint(1, 2)).incidence_form())
+    return out
+
+
+def test_radical_is_the_dense_integer_kernel():
+    rng = random.Random(2001)
+    forms = list(_generator_forms(rng))
+    forms += [q for _, q in _seeded_forms(2002, 400)]
+    forms += _zero_variable_forms(rng, 200)
+    forms += [canonical_c_graph(n, n // 4, n // 4).incidence_form() for n in (25, 50, 100, 200)]
+    seen = {"corank 0": 0, "corank 1-4": 0, "corank > 4": 0, "zero variable": 0}
+    for q in forms:
+        rep = analyze(q)
+        assert rep.non_negative and rep.radical_basis == tuple(integer_kernel(q.gram())), q
+        if rep.corank:
+            seen["corank 1-4" if rep.corank <= 4 else "corank > 4"] += 1
+            seen["zero variable"] += 0 in q.diag
+        else:
+            seen["corank 0"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_analyze_builds_no_gram_matrix_for_a_non_negative_form(monkeypatch):
+    rng = random.Random(2003)
+    forms = [q for _, q in _seeded_forms(2004, 200)] + _zero_variable_forms(rng, 50)
+    forms += [canonical_c_graph(n, n // 4, n // 4).incidence_form() for n in (8, 40)]
+    forms = [q for q in forms if analyze(q).non_negative and analyze(q).corank]
+    assert len(forms) > 100
+
+    def no_gram(q):
+        raise AssertionError("the dense Gram matrix was built")
+
+    analyze.cache_clear()
+    monkeypatch.setattr(IntegralQuadraticForm, "gram", no_gram)
+    for q in forms:
+        assert analyze(q).corank
+    # a form that is not non-negative takes the dense rank, and the dense kernel with it
+    with pytest.raises(AssertionError, match="dense Gram"):
+        analyze(IntegralQuadraticForm([1, 1], {(1, 2): 3}))
+
+
+def test_type_c_chase_builds_a_bounded_number_of_graphs(monkeypatch):
+    built = []
+    trusted, init = BidirectedGraph._trusted.__func__, BidirectedGraph.__init__
+
+    def counted_trusted(cls, m, ends):
+        built.append(m)
+        return trusted(cls, m, ends)
+
+    def counted_init(self, m, ends):
+        built.append(m)
+        init(self, m, ends)
+
+    monkeypatch.setattr(BidirectedGraph, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(BidirectedGraph, "__init__", counted_init)
+    counts, steps = {}, {}
+    for n in (20, 100):
+        q = canonical_c_graph(n, n // 4, n // 4).incidence_form()
+        for f in (realize, canonical_c):
+            classify._star_snapshot.cache_clear()
+            built.clear()
+            out = f(q)
+            counts[f.__name__, n] = len(built)
+        steps[n] = len(out[0].steps)
+    assert steps[100] > 4 * steps[20] > 400
+    # the star graph, a perm and the frozen result; canonical_c also builds its target
+    assert counts["realize", 20] == counts["realize", 100] <= 3, counts
+    assert counts["canonical_c", 20] == counts["canonical_c", 100] <= 4, counts

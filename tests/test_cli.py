@@ -345,6 +345,25 @@ def test_non_integer_json_numbers_exit_2(capsys, tmp_path, command, payload):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "names, relation",
+    [
+        ((None, "b"), ["None", "b"]),  # read with str() it was the arrow "None", typed A3
+        ((1, "b"), ["1", "b"]),
+        (("1", "b"), [1, "b"]),
+    ],
+)
+def test_gentle_arrow_names_must_be_strings_exit_2(capsys, tmp_path, names, relation):
+    arrows = [{"name": names[0], "src": 1, "tgt": 2}, {"name": names[1], "src": 2, "tgt": 3}]
+    path = tmp_path / "quiver.json"
+    path.write_text(json.dumps({"vertices": 3, "arrows": arrows, "relations": [relation]}))
+    assert run(["gentle-euler", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: arrow names must be strings, got ")
+    assert captured.err.count("\n") == 1
+
+
 def test_repeated_off_pair_exit_2(capsys, tmp_path):
     # read as x1x2 - x1x2 it would be typed A2 with exit 0
     path = tmp_path / "repeated.json"

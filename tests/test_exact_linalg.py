@@ -12,6 +12,7 @@ from bidiforms.exact_linalg import (
     _row_hnf_in_place,
     integer_kernel,
     psd_pivots,
+    psd_radical,
     psd_rank,
     quotient_det,
 )
@@ -254,6 +255,26 @@ def test_sparse_psd_pivots_match_the_dense_oracle():
         seen["corank > 0" if radical else "positive"] += 1
         seen["n >= 25"] += G.rows >= 25
     assert min(seen.values()) >= 9 and seen["not PSD"] > 200, seen
+
+
+def test_psd_radical_is_the_integer_kernel_with_its_index():
+    """The radical from the rows `psd_pivots` leaves is the Hermite basis of the
+    dense `integer_kernel`, and its index is |det Z_D| over the non-pivots D."""
+    seen = {"corank > 0": 0, "index > 1": 0, "n >= 25": 0}
+    for G in _seeded_gram_matrices(random.Random(2005)):
+        rows = _sparse_rows(G)
+        found = psd_pivots(rows)
+        if found is None:
+            continue
+        P = found[0]
+        Z, index = psd_radical(rows, P)
+        assert Z == integer_kernel(G), G
+        D = [k for k in range(G.rows) if k not in P]
+        assert index == (abs(IntMatrix([[z[k] for k in D] for z in Z]).det()) if Z else 1)
+        seen["corank > 0"] += bool(Z)
+        seen["index > 1"] += index > 1
+        seen["n >= 25"] += G.rows >= 25 and bool(Z)
+    assert seen["corank > 0"] > 200 and seen["index > 1"] > 20 and seen["n >= 25"] >= 3, seen
 
 
 def _principal_minor_gcd(G, r):

@@ -353,3 +353,16 @@ def test_exact_inverse_over_the_integers():
 def test_presentations_refuse_non_integers(build):
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         build()
+
+
+@pytest.mark.parametrize(
+    "arrows, relations",
+    [
+        ([(None, 1, 2), ("b", 2, 3)], [("None", "b")]),
+        ([(1, 1, 2), ("b", 2, 3)], [("1", "b")]),
+        ([("1", 1, 2), ("b", 2, 3)], [(1, "b")]),
+    ],
+)
+def test_presentations_refuse_non_string_names(arrows, relations):
+    with pytest.raises(InvalidInput, match="arrow names must be strings, got"):
+        GentlePresentation(3, arrows, relations)
