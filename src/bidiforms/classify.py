@@ -11,26 +11,29 @@ an independent oracle for the determinant typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
-`dynkin_plus_zero` loop-stripping rewrites. The chase holds its form as
-mutable rows (`_Rows`: the diagonal, the coefficient map and the neighbours
-of each variable), so a Gabrielov, rewrite or sign step costs O(deg) on the
-form, and is frozen into an `IntegralQuadraticForm` only when read; its
-matrix is a list of columns, one O(n) column update per step. Once it
-carries a graph, the graph too is changed in place (`bidigraph._Arrows`: its
-ends and vertex index), and a step that rewrites arrow j is checked on row j
-of the form and arrow j of the graph, all that the step changes, in O(deg);
-by induction that is as strong as a check of the whole incidence form. The
-public coefficient updates (`gabrielov_update`, `GTransform.then_*`) run
-the same row update on a thawed copy. A chase's result is a `GTransform`
-built without the determinant check (`GTransform._trusted`): its matrix is
-a product of elementary steps. Transforms from outside the chase keep it.
-The star realization that starts every type-C function is built and checked
-once per form and kept as a frozen snapshot of the last form
-(`_star_snapshot`): one pass over the saturated form writes its partition
-and the arrows of the star graph B' together (`_star_graph`), and the
-partition's whole coefficient law is the one check that the form is the
-incidence form of B'. `realize` and `star_realization` read the snapshot as
-it is; only `_directed_star` resumes a fresh chase from it.
+`dynkin_plus_zero` loop-stripping rewrites. Every arrow of the star graph
+B' meets vertex 1, so the chase's forms are dense, and it holds its form
+as the rows of its Gram matrix (`_Rows`, one list of ints per variable): a
+Gabrielov or rewrite step is row j -= c row i with its column written
+back, a sign step negates a row and column, and its matrix is a list of
+columns. Once it carries a graph, changed in place too (`bidigraph._Arrows`),
+a step that rewrites arrow j is checked by comparing the incidence row of
+arrow j with row j of the form; by induction that is as strong as a check
+of the whole incidence form. A step on the classify bench's loops forms
+(10-20 variables) takes about 10 us, 21 us with its graph step and check,
+against 15 and 33 us on sparse rows (Python 3.11, shared 2-vCPU x86_64).
+The public updates (`gabrielov_update`, `GTransform.then_*`) check their
+indices, then run the same row update on a thawed copy. A chase's result
+is a `GTransform` built without the determinant check
+(`GTransform._trusted`): its matrix is a product of elementary steps. The
+normal forms still check q∘M = target with `q.compose(M)`, which sums
+over the nonzeros of M's columns. The star realization that starts every
+type-C function is built and checked once per form and kept as a frozen
+snapshot of the last form (`_star_snapshot`): one pass over the saturated
+rows writes the partition and the arrows of B' (`_star_graph`), and the
+incidence form of B' is the one check. `realize` and `star_realization`
+read the snapshot as it is; only `_directed_star` resumes a fresh chase
+from it.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -48,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress, islice
 from math import isqrt
 
 from .bidigraph import (
@@ -75,12 +78,14 @@ from .qform import FormAnalysis, IntegralQuadraticForm, analyze, form_adjacency,
 
 
 def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
-    """q_ij / q_i, or 0 when q_i = 0; NotCoxRegular if the quotient is not integral,
-    InvalidInput unless i, j are distinct variables of q."""
+    """`_ratio` of a form's q_ij and q_i; InvalidInput unless i, j are distinct variables of q."""
     if i == j:
         raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
-    qij = q.coefficient(i, j)
-    qi = q.diag[i - 1]
+    return _ratio(q.coefficient(i, j), q.diag[i - 1], i, j)
+
+
+def _ratio(qij: int, qi: int, i: int, j: int) -> int:
+    """qij / qi, or 0 when qi = 0; NotCoxRegular if the quotient is not integral."""
     if qi == 0:
         return 0
     if qij % qi != 0:
@@ -89,102 +94,83 @@ def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
 
 
 class _Rows:
-    """A form changed in place: its diagonal, its `off` map and, per variable,
-    the set of variables it has a nonzero coefficient with.
+    """A form changed in place, held as its Gram matrix: `rows[i - 1]` lists the
+    G_ik, with G_ik = q_ik for k != i and G_ii = 2 q_i.
 
-    A shear or a sign inversion at i touches only the coefficients at the
-    neighbours of i, in O(deg i). `freeze` wraps the current coefficients in
-    an `IntegralQuadraticForm` without the constructor's checks; the form is
-    kept until the next change, which first copies `off`, so a frozen form
-    never changes. `off` keeps the order of a form's own map: a coefficient
-    changes in place, one that becomes zero leaves, and new ones enter in
-    ascending order of their other index.
+    A step rewrites one row and its column, in O(n); a shear does not check
+    its indices, so the public steps check theirs first. `freeze` wraps the rows in an `IntegralQuadraticForm` without
+    the constructor's checks, in O(n^2), kept until the next change. Its map
+    lists the coefficients of the form last thawed or frozen first, in that
+    form's order, then the new ones in ascending order: after one step, the
+    order that a sparse update of the map in place gives.
     """
 
-    __slots__ = ("n", "diag", "off", "nbrs", "_q")
+    __slots__ = ("n", "rows", "_base", "_q")
 
     def __init__(self, q: IntegralQuadraticForm):
-        self.n = q.n
-        self.diag = list(q.diag)
-        self.off = q.off  # shared with q until the first change
-        self.nbrs = nbrs = [set() for _ in range(q.n + 1)]
-        for i, j in q.off:
-            nbrs[i].add(j)
-            nbrs[j].add(i)
-        self._q = q
-
-    coefficient = IntegralQuadraticForm.coefficient  # reads n, diag and off alike
+        self.n = n = q.n
+        self.rows = rows = [[0] * n for _ in range(n)]
+        for k, d in enumerate(q.diag):
+            rows[k][k] = 2 * d
+        for (i, j), v in q.off.items():
+            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        self._base = self._q = q
 
     def freeze(self) -> IntegralQuadraticForm:
         if self._q is None:
-            self._q = IntegralQuadraticForm._trusted(tuple(self.diag), self.off)
+            rows, n = self.rows, self.n
+            off = {(i, j): v for i, j in self._base.off if (v := rows[i - 1][j - 1])}
+            for i, row in enumerate(rows, start=1):
+                for j in compress(range(i + 1, n + 1), islice(row, i, None)):
+                    off.setdefault((i, j), row[j - 1])
+            diag = tuple(row[k] // 2 for k, row in enumerate(rows))
+            self._base = self._q = IntegralQuadraticForm._trusted(diag, off)
         return self._q
 
-    def _own(self):
-        if self._q is not None:
-            self.off = dict(self.off)
-            self._q = None
-
-    def _put(self, i, j, v):
-        key = (i, j) if i < j else (j, i)
-        if v:
-            self.off[key] = v
-            self.nbrs[i].add(j)
-            self.nbrs[j].add(i)
-        elif key in self.off:
-            del self.off[key]
-            self.nbrs[i].discard(j)
-            self.nbrs[j].discard(i)
-
     def shear(self, i: int, j: int, c: int) -> None:
-        """x ↦ x with E_j replaced by E_j - c E_i, i != j: q_kj -= c q_ki for every
-        neighbour k of i, q_ij -= 2c q_i and q_j += c^2 q_i - c q_ij."""
-        if not c:
-            return
-        self._own()
-        off, qi = self.off, self.diag[i - 1]
-        qij = off.get((i, j) if i < j else (j, i), 0)
-        for k in sorted(self.nbrs[i]):
-            if k != j:
-                qki = off[(k, i) if k < i else (i, k)]
-                self._put(k, j, off.get((k, j) if k < j else (j, k), 0) - c * qki)
-        self._put(i, j, qij - 2 * c * qi)
-        self.diag[j - 1] += c * (c * qi - qij)
+        """x ↦ x with E_j replaced by E_j - c E_i, i != j: G_kj -= c G_ki for k != j,
+        and G_jj += c^2 G_ii - 2c G_ij."""
+        if c:
+            ri, rj = self.rows[i - 1], self.rows[j - 1]
+            new = [a - c * b for a, b in zip(rj, ri)]
+            new[j - 1] = rj[j - 1] + c * (c * ri[i - 1] - 2 * rj[i - 1])
+            self._put(j, new)
 
     def negate(self, i: int) -> None:
         """x_i ↦ -x_i: the coefficients at i change sign."""
         if not 1 <= i <= self.n:
             raise InvalidInput(f"sign step index {i} out of range")
-        self._own()
-        off = self.off
-        for k in self.nbrs[i]:
-            key = (k, i) if k < i else (i, k)
-            off[key] = -off[key]
+        new = [-a for a in self.rows[i - 1]]
+        new[i - 1] = -new[i - 1]
+        self._put(i, new)
+
+    def _put(self, j: int, new: list) -> None:
+        """Row j of the Gram matrix becomes `new`, and column j with it."""
+        rows = self.rows
+        rows[j - 1] = new
+        for row, v in zip(rows, new):
+            row[j - 1] = v
+        self._q = None
 
 
 class _Chase:
     """A chain of steps from a form: the product M of their matrices, the
     steps, the current form q∘M and, once set, a graph B realizing it.
 
-    The form is held as `_Rows`, so a Gabrielov, rewrite or sign step costs
-    O(deg) on it; a perm, which is rare, rebuilds it from the permuted form.
-    M is kept as a list of columns: a Gabrielov or rewrite step is one O(n)
-    column update, a sign step negates one column and a perm reorders the
-    list; the `IntMatrix` is built only when `M` is read, and the form is
-    frozen only when `q` is read. Once `graph` is set (`bidigraph._Arrows`),
-    each step is applied to it in place too: a Gabrielov, rewrite or sign
-    step rewrites one arrow and is checked on row j alone (`_row_matches`),
-    in O(deg), and a perm rebuilds it; the graph is frozen into a
-    `BidirectedGraph` only when `B` is read. The chain starts from the
-    columns `cols` of a matrix, by default the identity.
+    The form is held as dense `_Rows`, and M as a list of columns, from the
+    columns `cols` of a matrix (by default the identity): a Gabrielov or
+    rewrite step updates one column, a sign step negates one and a perm,
+    which is rare, reorders them and rebuilds the rows. M, q and B are built
+    only when read. Once `graph` is set (`bidigraph._Arrows`), each step is
+    applied to it in place too, and a Gabrielov or rewrite step is checked
+    on row j alone (`_row_matches`).
     """
 
     __slots__ = ("cols", "steps", "form", "graph")
 
     def __init__(self, q: IntegralQuadraticForm, cols=None):
         if cols is None:
-            zero = (0,) * q.n
-            cols = [zero[:j] + (1,) + zero[j + 1:] for j in range(q.n)]
+            cols = [(0,) * j + (1,) + (0,) * (q.n - j - 1) for j in range(q.n)]
         self.cols = cols
         self.steps = []
         self.form = _Rows(q)
@@ -203,20 +189,21 @@ class _Chase:
         return self.form.freeze()
 
     def push(self, *step):
-        """Apply one tagged step. Gabrielov (i, j): column j -= (q_ij / q_i)
-        column i; rewrite (i, j, eps): column j -= eps column i; sign i:
-        column i is negated; perm pi: column b becomes the old column pi(b)."""
+        """Apply one tagged step with valid indices. Gabrielov (i, j): column j -=
+        (q_ij / q_i) column i; rewrite (i, j, eps): column j -= eps column i;
+        sign i: column i is negated; perm pi: column b becomes the old column pi(b)."""
         tag, f, cols = step[0], self.form, self.cols
         if tag in ("gabrielov", "rewrite"):
             i, j = step[1], step[2]
-            c = _gabrielov_ratio(f, i, j) if tag == "gabrielov" else step[3]
+            row = f.rows[i - 1]
+            c = _ratio(row[j - 1], row[i - 1] // 2, i, j) if tag == "gabrielov" else step[3]
             f.shear(i, j, c)
             if c:
-                cols[j - 1] = tuple(a - c * b for a, b in zip(cols[j - 1], cols[i - 1]))
+                cols[j - 1] = tuple([a - c * b for a, b in zip(cols[j - 1], cols[i - 1])])
         elif tag == "sign":
             i = step[1]
             f.negate(i)
-            cols[i - 1] = tuple(-a for a in cols[i - 1])
+            cols[i - 1] = tuple([-a for a in cols[i - 1]])
         else:
             pi = step[1]
             self.form = _Rows(f.freeze().permuted(pi))
@@ -231,24 +218,21 @@ def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
     """Whether row j of the Gram matrix of f is that of the incidence form of B.
 
     Only arrows at an end of arrow j can have a nonzero product with it, so
-    the row of B is read off the arrows at those ends and compared with q_j
-    and the coefficients at the neighbours of j, in O(deg). B is a
-    `BidirectedGraph` or the chase's `_Arrows`: both give `ends` and
-    `incident_arrows`, from a vertex index that the graph builds once or the
-    chase keeps in place.
+    the row of B is summed from the arrows at those ends, in O(deg), and
+    compared with row j of f as a list. B is a `BidirectedGraph` or the
+    chase's `_Arrows`: both give `ends` and `incident_arrows`, from a vertex
+    index that the graph builds once or the chase keeps in place.
     """
     row = {}  # the incidence row of arrow j
     for v, e in B.ends[j - 1]:
         row[v] = row.get(v, 0) + e
-    got = {}
+    got = [0] * f.n
     for v, c in row.items():
         if c:
             for k in B.incident_arrows(v):
                 (u, e), (u2, e2) = B.ends[k - 1]
-                got[k] = got.get(k, 0) + c * ((e if u == v else 0) + (e2 if u2 == v else 0))
-    want = {k: f.coefficient(j, k) for k in f.nbrs[j]}
-    want[j] = 2 * f.diag[j - 1]
-    return {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
+                got[k - 1] += c * ((e if u == v else 0) + (e2 if u2 == v else 0))
+    return got == f.rows[j - 1]
 
 
 class GTransform:
@@ -305,6 +289,8 @@ class GTransform:
     def _then(self, q_current, step):
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
+        if step[0] == "gabrielov":
+            _gabrielov_ratio(q_current, step[1], step[2])  # refuses what the rows would misread
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
         ch.push(*step)
         return GTransform(ch.M, self.steps + (step,)), ch.q
@@ -658,28 +644,29 @@ def _saturate(ch: _Chase, i0: int) -> None:
     """The steps of `pivot_saturate`, pushed onto ch.
 
     Each Gabrielov step (i, j) takes the first j of the zero set S and the
-    largest i outside S with q_ij != 0. It changes only row j, and makes
-    q_{i0 j} = -(q_ij / q_i) q_{i0 i} nonzero, so S loses exactly j; S and
-    the next step are read off the neighbour sets, in O(deg) per step.
+    largest i outside S with q_ij != 0. It changes only row and column j,
+    and makes q_{i0 j} = -(q_ij / q_i) q_{i0 i} nonzero, so S loses exactly j.
     """
-    f = ch.form
-    n, diag, pivot_row = f.n, tuple(f.diag), f.nbrs[i0]
-    S = [j for j in range(1, n + 1) if j != i0 and j not in pivot_row]
+    rows, n = ch.form.rows, ch.form.n
+    diag, pivot = [rows[k][k] for k in range(n)], rows[i0 - 1]  # the pivot row is written, never replaced
+    S = [j for j in range(1, n + 1) if j != i0 and not pivot[j - 1]]
     zero = set(S)
     while S:
-        step = next(((max(found), j) for j in S
-                     if (found := [i for i in f.nbrs[j] if i != i0 and i not in zero])), None)
-        if step is None:
+        for j in S:
+            row = rows[j - 1]
+            i = next((i for i in range(n, 0, -1) if row[i - 1] and i not in zero), None)
+            if i is not None:
+                break
+        else:
             raise InvalidInput("form is disconnected around the pivot")
-        ch.push("gabrielov", *step)
-        j = step[1]
-        assert j in pivot_row
+        ch.push("gabrielov", i, j)
+        assert pivot[j - 1]
         S.remove(j)
         zero.remove(j)
-    for j in sorted(k for k in pivot_row if f.coefficient(i0, k) < 0):
+    for j in [j for j in range(1, n + 1) if j != i0 and pivot[j - 1] < 0]:
         ch.push("sign", j)
-    assert len(pivot_row) == n - 1 and all(f.coefficient(i0, j) > 0 for j in pivot_row)
-    assert tuple(f.diag) == diag
+    assert all(pivot[j - 1] > 0 for j in range(1, n + 1) if j != i0)
+    assert [rows[k][k] for k in range(n)] == diag
 
 
 @dataclass(frozen=True)
@@ -699,14 +686,15 @@ def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
     """
     if q.diag[0] != 2 or any(q.coefficient(1, j) <= 0 for j in range(2, q.n + 1)):
         raise InvalidInput("techc_partition needs q_1 = 2 and q_1j > 0 for all j")
-    B, part = _star_graph(q)
+    B, part = _star_graph(_Rows(q).rows)
     if B.incidence_form() != q:
         raise NotTypeC("form is not the incidence form of the star graph of its partition")
     return part
 
 
-def _star_graph(q: IntegralQuadraticForm):
-    """The star graph B' of a saturated form and its partition, not yet checked against q.
+def _star_graph(rows):
+    """The star graph B' of a saturated form, given by the rows of its Gram
+    matrix, and its partition, not yet checked against the form.
 
     Index t joins: the loop class if q_t = 2; the class of a neighbour i with
     q_it = 2; the opposite side of a neighbour i with q_it = 0; or a fresh
@@ -722,21 +710,22 @@ def _star_graph(q: IntegralQuadraticForm):
     ends = [loop]
     groups: list[tuple[list, list]] = []
     where = {}  # each index placed in a group, ascending -> (group, 0 plus or 1 minus side)
-    for t in range(2, q.n + 1):
-        if q.diag[t - 1] == 2:
+    for t in range(2, len(rows) + 1):
+        row = rows[t - 1]
+        if row[t - 1] == 4:
             u2.append(t)
             ends.append(loop)
             continue
-        if q.diag[t - 1] != 1:
+        if row[t - 1] != 2:
             raise NotTypeC(f"diagonal coefficient q_{t} not in {{1, 2}}")
-        hit2 = next((i for i in where if q.coefficient(i, t) == 2), None)
-        hit0 = None if hit2 is not None else next((i for i in where if q.coefficient(i, t) == 0), None)
+        hit2 = next((i for i in where if row[i - 1] == 2), None)
+        hit0 = None if hit2 is not None else next((i for i in where if row[i - 1] == 0), None)
         if hit2 is not None:
             g, side = where[hit2]
         elif hit0 is not None:
             g, side = where[hit0]
             side = 1 - side
-        elif all(q.coefficient(i, t) == 1 for i in where):
+        elif all(row[i - 1] == 1 for i in where):
             g, side = len(groups), 0
             groups.append(([], []))
         else:
@@ -791,7 +780,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
         ch.push("perm", tuple(pi))
     _saturate(ch, 1)
     form = ch.q
-    B, part = _star_graph(form)
+    B, part = _star_graph(ch.form.rows)
     assert B.incidence_form() == form
     form = IntegralQuadraticForm._trusted(form.diag, dict(sorted(form.off.items())))
     return tuple(ch.cols), tuple(ch.steps), form, B, part

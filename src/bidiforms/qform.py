@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import mul
 from types import MappingProxyType
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
@@ -123,19 +122,30 @@ class IntegralQuadraticForm:
         return IntegralQuadraticForm(diag, off)
 
     def compose(self, T: IntMatrix) -> "IntegralQuadraticForm":
-        """The form q∘T with Gram matrix T^tr G T: G T column by column from the sparse q."""
+        """The form q∘T with Gram matrix T^tr G T: G t summed from the sparse rows of q
+        over the nonzeros of each column t of T, and t^tr (G t') over those of t."""
         n = self.n
         if T.rows != n or T.cols != n:
             raise InvalidInput("composition matrix has wrong size")
-        cols = list(zip(*T.entries))
-        gcols = [[2 * c * ti for c, ti in zip(self.diag, t)] for t in cols]
-        for (i, j), v in self.off.items():
-            for t, g in zip(cols, gcols):
-                g[i - 1] += v * t[j - 1]
-                g[j - 1] += v * t[i - 1]
-        diag = tuple(sum(map(mul, t, g)) // 2 for t, g in zip(cols, gcols))
-        off = {(a + 1, b + 1): v for a in range(n) for b in range(a + 1, n)
-               if (v := sum(map(mul, cols[a], gcols[b])))}
+        adj = form_adjacency(self)
+        nonzeros = [[(k, x) for k, x in enumerate(t) if x] for t in zip(*T.entries)]
+        gcols = []
+        for nz in nonzeros:
+            g = [0] * n
+            for k, x in nz:
+                g[k] += 2 * self.diag[k] * x
+                for w, v in adj[k + 1]:
+                    g[w - 1] += v * x
+            gcols.append(g)
+        diag = tuple(sum([x * g[k] for k, x in nz]) // 2 for nz, g in zip(nonzeros, gcols))
+        off = {}
+        for a, nz in enumerate(nonzeros):
+            for b in range(a + 1, n):
+                g, v = gcols[b], 0
+                for k, x in nz:
+                    v += x * g[k]
+                if v:
+                    off[(a + 1, b + 1)] = v
         return IntegralQuadraticForm._trusted(diag, off)
 
     def restrict(self, X) -> "IntegralQuadraticForm":

@@ -629,11 +629,21 @@ def test_gtransform_gabrielov_step_refuses_a_form_of_another_size():
 
 
 def test_gabrielov_step_checks_its_indices_when_q_i_is_zero():
-    z = zero_form(3)
-    with pytest.raises(InvalidInput, match=r"index out of range: \(1, 99\)"):
-        GTransform.identity(3).then_gabrielov(z, 1, 99)
-    with pytest.raises(InvalidInput, match=r"bad off-diagonal index pair \(1, 1\)"):
-        gabrielov_update(z, 1, 1)
-    # with q_i != 0 the same pairs are refused as before
-    with pytest.raises(InvalidInput, match=r"bad off-diagonal index pair \(2, 2\)"):
-        gabrielov_update(q_a(3), 2, 2)
+    # each public single step refuses an index <= 0 or > n with its own message,
+    # with q_i = 0 and with q_i != 0 as before: a negative index must not wrap round
+    for q in (zero_form(3), q_a(3)):
+        T = GTransform.identity(3)
+        steps = (gabrielov_update, lambda q, i, j: T.then_gabrielov(q, i, j))
+        for i, j in ((1, 99), (0, 2), (2, 0), (-1, 2), (2, -1), (-3, 1), (4, 2), (2, 4)):
+            for step in steps:
+                with pytest.raises(InvalidInput, match=rf"^index out of range: \({i}, {j}\)$"):
+                    step(q, i, j)
+        for i in (1, 2, 0, -1, -3, 4, 99):
+            for step in steps:
+                with pytest.raises(InvalidInput, match=rf"^bad off-diagonal index pair \({i}, {i}\)$"):
+                    step(q, i, i)
+            if not 1 <= i <= 3:
+                with pytest.raises(InvalidInput, match=rf"^sign step index {i} out of range$"):
+                    T.then_sign(q, i)
+                with pytest.raises(InvalidInput, match=rf"^index out of range: \({i}, {i}\)$"):
+                    pivot_saturate(q_a(3), i)

@@ -329,6 +329,53 @@ def test_compose_matches_the_dense_product():
         Q_A3.compose(IntMatrix.identity(4))
 
 
+def _congruence(G, S):
+    """S^tr G S on plain lists of ints."""
+    n = len(G)
+    GS = [[sum(G[a][k] * S[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+    return [[sum(S[k][a] * GS[k][b] for k in range(n)) for b in range(n)] for a in range(n)]
+
+
+def test_compose_matches_a_plain_list_product():
+    """q.compose(T) on dense and sparse T, with zero columns and negative entries,
+    against T^tr G T computed on lists: the coefficients, in ascending order,
+    and the hash of the checked constructor's form."""
+    rng = random.Random(7121)
+    kinds = {"dense": 0, "sparse": 0, "zero column": 0}
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        q = _random_form(rng, n)
+        kind = rng.choice(tuple(kinds))
+        density = 1.0 if kind == "dense" else 0.2
+        T = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+        if kind == "zero column":
+            b = rng.randrange(n)
+            for row in T:
+                row[b] = 0
+        kinds[kind] += 1
+        G = [[0] * n for _ in range(n)]
+        for i, d in enumerate(q.diag):
+            G[i][i] = 2 * d
+        for (i, j), v in q.off.items():
+            G[i - 1][j - 1] = G[j - 1][i - 1] = v
+        R = _congruence(G, T)
+        want = IntegralQuadraticForm(
+            [R[a][a] // 2 for a in range(n)],
+            {(a + 1, b + 1): R[a][b] for a in range(n) for b in range(a + 1, n) if R[a][b]},
+        )
+        got = q.compose(IntMatrix(T))
+        assert got == want and hash(got) == hash(want)
+        assert list(got.off.items()) == sorted(want.off.items())
+        assert type(got.diag) is tuple and all(type(v) is int and v for v in got.off.values())
+    assert min(kinds.values()) > 150, kinds
+    for n in (1, 3, 12):
+        q = _random_form(rng, n)
+        for shape in ((n + 1, n + 1), (n, n + 1), (n + 1, n)):
+            T = IntMatrix([[1] * shape[1] for _ in range(shape[0])])
+            with pytest.raises(InvalidInput, match="composition matrix has wrong size"):
+                q.compose(T)
+
+
 def test_hash_is_the_sorted_key_for_every_producer():
     # the hash is cached on first use; it must equal the key the uncached hash used,
     # on the constructor's forms and on every form built without its checks
