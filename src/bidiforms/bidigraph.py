@@ -405,40 +405,41 @@ def _rewrite_ends(ends_i, ends_j, eps):
 
 class _Arrows:
     """A graph changed in place, as `classify._Rows` holds a form: the ends of
-    its arrows as a list and, for each vertex an arrow touches, the set of its
-    arrows.
+    its arrows as a list and, per vertex v an arrow touches, column v of the
+    incidence matrix on its arrows (`at[v][k]`, 0 for a directed loop).
 
     A Gabrielov, sign or rewrite step changes one arrow, and the index at its
-    at most four ends; a perm, which is rare, rebuilds both. `freeze` wraps
-    the ends in a `BidirectedGraph` without the checks, kept until the next
-    change.
+    at most four ends; a perm reorders the ends and renames the arrows in the
+    index, in place. `freeze` wraps the ends in a `BidirectedGraph` without
+    the checks, kept until the next change.
     """
 
     __slots__ = ("m", "ends", "at", "_B")
 
     def __init__(self, B: BidirectedGraph):
-        self._load(B)
+        self.m, self.ends, self.at, self._B = B.m, list(B.ends), {}, B
+        for k, ends in enumerate(B.ends, start=1):
+            self._enter(k, ends)
 
-    def _load(self, B):
-        self.m = B.m
-        self.ends = list(B.ends)
-        self.at = {v: {i for _, i in arrows} for v, arrows in B.adjacency().items()}
-        self._B = B
+    def _enter(self, k, ends):
+        for v, e in ends:
+            at = self.at.setdefault(v, {})
+            at[k] = at.get(k, 0) + e
 
     def freeze(self) -> BidirectedGraph:
         if self._B is None:
             self._B = BidirectedGraph._trusted(self.m, tuple(self.ends))
         return self._B
 
-    def incident_arrows(self, v: int):
-        return self.at.get(v, ())
-
     def push(self, t) -> None:
         """Apply a tagged step in place: ("gabrielov", i, j), ("sign", i),
         ("rewrite", i, j, eps) or ("perm", pi), with valid indices."""
         tag, ends = t[0], self.ends
         if tag == "perm":
-            self._load(arrow_permutation(self.freeze(), t[1]))
+            renamed = dict(zip(t[1], range(1, len(ends) + 1)))
+            ends[:] = [ends[p - 1] for p in t[1]]
+            self.at = {v: {renamed[i]: s for i, s in arrows.items()} for v, arrows in self.at.items()}
+            self._B = None
             return
         if tag == "sign":
             j = t[1]
@@ -450,9 +451,8 @@ class _Arrows:
         old = ends[j - 1]
         if new != old:
             for v, _ in old:
-                self.at[v].discard(j)
-            for v, _ in new:
-                self.at.setdefault(v, set()).add(j)
+                self.at[v].pop(j, None)
+            self._enter(j, new)
             ends[j - 1] = new
             self._B = None
 

@@ -12,28 +12,24 @@ an independent oracle for the determinant typing.
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
 `dynkin_plus_zero` loop-stripping rewrites. Every arrow of the star graph
-B' meets vertex 1, so the chase's forms are dense, and it holds its form
-as the rows of its Gram matrix (`_Rows`, one list of ints per variable): a
-Gabrielov or rewrite step is row j -= c row i with its column written
-back, a sign step negates a row and column, and its matrix is a list of
-columns. Once it carries a graph, changed in place too (`bidigraph._Arrows`),
-a step that rewrites arrow j is checked by comparing the incidence row of
-arrow j with row j of the form; by induction that is as strong as a check
-of the whole incidence form. A step on the classify bench's loops forms
-(10-20 variables) takes about 10 us, 21 us with its graph step and check,
-against 15 and 33 us on sparse rows (Python 3.11, shared 2-vCPU x86_64).
-The public updates (`gabrielov_update`, `GTransform.then_*`) check their
-indices, then run the same row update on a thawed copy. A chase's result
-is a `GTransform` built without the determinant check
-(`GTransform._trusted`): its matrix is a product of elementary steps. The
-normal forms still check q∘M = target with `q.compose(M)`, which sums
-over the nonzeros of M's columns. The star realization that starts every
-type-C function is built and checked once per form and kept as a frozen
-snapshot of the last form (`_star_snapshot`): one pass over the saturated
-rows writes the partition and the arrows of B' (`_star_graph`), and the
-incidence form of B' is the one check. `realize` and `star_realization`
-read the snapshot as it is; only `_directed_star` resumes a fresh chase
-from it.
+B' meets vertex 1, so the forms are dense, and a type-C pass keeps one set
+of Gram rows (`_Rows`) from its first thaw to its last check: a Gabrielov
+or rewrite step is row j -= c row i with its column written back, a sign
+step negates a row and column, a perm reorders both in place, and the
+matrix is a list of columns. The graph changes in place too
+(`bidigraph._Arrows`, each vertex's arrows with their incidence entries),
+and a step that rewrites arrow j is checked on row j alone (`_row_matches`),
+by induction as strong as a check of the whole incidence form. The star
+realization that starts every type-C function is built once per form and
+kept, with its saturated rows, for the last form (`_star_snapshot`): one
+pass over the rows writes the partition and B' (`_star_graph`), which is
+checked against them arrow by arrow, and `_directed_star` resumes a chase
+from a copy of them. The target of `canonical_c` and its rows are built
+once per (r, c1, c2) (`_canonical_target`); q∘M = target is still checked
+with `q.compose(M)`. The public updates (`gabrielov_update`,
+`GTransform.then_*`) check their indices, then run the same row update on
+a thawed copy. A chase's result is a `GTransform` built without the
+determinant check: its matrix is a product of elementary steps.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -94,38 +90,48 @@ def _ratio(qij: int, qi: int, i: int, j: int) -> int:
 
 
 class _Rows:
-    """A form changed in place, held as its Gram matrix: `rows[i - 1]` lists the
-    G_ik, with G_ik = q_ik for k != i and G_ii = 2 q_i.
+    """A form changed in place, held as its Gram matrix (thawed from q, or
+    given): `rows[i - 1]` lists the G_ik, G_ik = q_ik for k != i, G_ii = 2 q_i.
 
-    A step rewrites one row and its column, in O(n); a shear does not check
-    its indices, so the public steps check theirs first. `freeze` wraps the rows in an `IntegralQuadraticForm` without
-    the constructor's checks, in O(n^2), kept until the next change. Its map
-    lists the coefficients of the form last thawed or frozen first, in that
-    form's order, then the new ones in ascending order: after one step, the
-    order that a sparse update of the map in place gives.
+    A step rewrites one row and its column, in O(n), a perm reorders rows and
+    columns in place; a shear does not check its indices, so the public steps
+    check theirs first. `freeze` wraps the rows in a form without the checks,
+    in O(n^2), kept until the next change. Its map lists the coefficients of
+    the form last thawed or frozen first, in its order renamed by the perms
+    since, then new ones ascending: the order of a sparse update in place, or
+    of `permuted`, after one step.
     """
 
-    __slots__ = ("n", "rows", "_base", "_q")
+    __slots__ = ("n", "rows", "_base", "_inv", "_q")
 
-    def __init__(self, q: IntegralQuadraticForm):
+    def __init__(self, q: IntegralQuadraticForm, rows=None):
         self.n = n = q.n
-        self.rows = rows = [[0] * n for _ in range(n)]
-        for k, d in enumerate(q.diag):
-            rows[k][k] = 2 * d
-        for (i, j), v in q.off.items():
-            rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        if rows is None:
+            rows = [[0] * n for _ in range(n)]
+            for k, d in enumerate(q.diag):
+                rows[k][k] = 2 * d
+            for (i, j), v in q.off.items():
+                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+        self.rows = rows
         self._base = self._q = q
+        self._inv = None  # {base variable: current variable} once a perm renamed them
 
     def freeze(self) -> IntegralQuadraticForm:
         if self._q is None:
-            rows, n = self.rows, self.n
-            off = {(i, j): v for i, j in self._base.off if (v := rows[i - 1][j - 1])}
-            for i, row in enumerate(rows, start=1):
-                for j in compress(range(i + 1, n + 1), islice(row, i, None)):
-                    off.setdefault((i, j), row[j - 1])
-            diag = tuple(row[k] // 2 for k, row in enumerate(rows))
-            self._base = self._q = IntegralQuadraticForm._trusted(diag, off)
+            keys, inv = self._base.off, self._inv
+            if inv is not None:
+                keys = [(a, b) if a < b else (b, a) for a, b in ((inv[i], inv[j]) for i, j in keys)]
+            self._base = self._q = _rows_form(self.rows, keys)
+            self._inv = None
         return self._q
+
+    def permute(self, pi) -> None:
+        """x ↦ x with new variable k the old variable pi(k), pi a permutation."""
+        rows, idx = self.rows, [p - 1 for p in pi]
+        rows[:] = [list(map(row.__getitem__, idx)) for row in map(rows.__getitem__, idx)]
+        renamed = dict(zip(pi, range(1, self.n + 1)))
+        self._inv = renamed if self._inv is None else {b: renamed[c] for b, c in self._inv.items()}
+        self._q = None
 
     def shear(self, i: int, j: int, c: int) -> None:
         """x ↦ x with E_j replaced by E_j - c E_i, i != j: G_kj -= c G_ki for k != j,
@@ -153,27 +159,38 @@ class _Rows:
         self._q = None
 
 
+def _rows_form(rows, keys=()) -> IntegralQuadraticForm:
+    """The form with Gram rows `rows`, unchecked: its map lists the nonzero
+    coefficients at `keys` in that order, then the other nonzero ones ascending."""
+    n = len(rows)
+    off = {(i, j): v for i, j in keys if (v := rows[i - 1][j - 1])}
+    for i, row in enumerate(rows, start=1):
+        for j in compress(range(i + 1, n + 1), islice(row, i, None)):
+            off.setdefault((i, j), row[j - 1])
+    return IntegralQuadraticForm._trusted(tuple(row[k] // 2 for k, row in enumerate(rows)), off)
+
+
 class _Chase:
     """A chain of steps from a form: the product M of their matrices, the
     steps, the current form q∘M and, once set, a graph B realizing it.
 
-    The form is held as dense `_Rows`, and M as a list of columns, from the
-    columns `cols` of a matrix (by default the identity): a Gabrielov or
-    rewrite step updates one column, a sign step negates one and a perm,
-    which is rare, reorders them and rebuilds the rows. M, q and B are built
-    only when read. Once `graph` is set (`bidigraph._Arrows`), each step is
-    applied to it in place too, and a Gabrielov or rewrite step is checked
-    on row j alone (`_row_matches`).
+    The form is held as dense `_Rows` (thawed from q, or given as its Gram
+    `rows`), and M as a list of columns, from the columns `cols` of a matrix
+    (by default the identity): a Gabrielov or rewrite step updates one
+    column, a sign step negates one and a perm reorders them, and the rows,
+    in place. M, q and B are built only when read. Once `graph` is set
+    (`bidigraph._Arrows`), each step is applied to it in place too, and a
+    Gabrielov or rewrite step is checked on row j alone (`_row_matches`).
     """
 
     __slots__ = ("cols", "steps", "form", "graph")
 
-    def __init__(self, q: IntegralQuadraticForm, cols=None):
+    def __init__(self, q: IntegralQuadraticForm, cols=None, rows=None):
         if cols is None:
             cols = [(0,) * j + (1,) + (0,) * (q.n - j - 1) for j in range(q.n)]
         self.cols = cols
         self.steps = []
-        self.form = _Rows(q)
+        self.form = _Rows(q, rows)
         self.graph = None
 
     @property
@@ -206,7 +223,7 @@ class _Chase:
             cols[i - 1] = tuple([-a for a in cols[i - 1]])
         else:
             pi = step[1]
-            self.form = _Rows(f.freeze().permuted(pi))
+            f.permute(pi)
             cols[:] = [cols[p - 1] for p in pi]
         self.steps.append(step)
         if self.graph is not None:
@@ -214,24 +231,20 @@ class _Chase:
             assert tag not in ("gabrielov", "rewrite") or _row_matches(self.graph, self.form, step[2])
 
 
-def _row_matches(B: BidirectedGraph, f: _Rows, j: int) -> bool:
+def _row_matches(B: _Arrows, f: _Rows, j: int) -> bool:
     """Whether row j of the Gram matrix of f is that of the incidence form of B.
 
     Only arrows at an end of arrow j can have a nonzero product with it, so
-    the row of B is summed from the arrows at those ends, in O(deg), and
-    compared with row j of f as a list. B is a `BidirectedGraph` or the
-    chase's `_Arrows`: both give `ends` and `incident_arrows`, from a vertex
-    index that the graph builds once or the chase keeps in place.
+    the row of B is summed from the incidence entries of the arrows at those
+    ends (`_Arrows.at`), in O(deg), and compared with row j of f as a list.
+    Checked for every j, it is the check that B realizes f.
     """
-    row = {}  # the incidence row of arrow j
-    for v, e in B.ends[j - 1]:
-        row[v] = row.get(v, 0) + e
-    got = [0] * f.n
-    for v, c in row.items():
+    got, at = [0] * f.n, B.at
+    for v in {v for v, _ in B.ends[j - 1]}:  # each end vertex of arrow j once
+        c = at[v][j]
         if c:
-            for k in B.incident_arrows(v):
-                (u, e), (u2, e2) = B.ends[k - 1]
-                got[k - 1] += c * ((e if u == v else 0) + (e2 if u2 == v else 0))
+            for k, s in at[v].items():
+                got[k - 1] += c * s
     return got == f.rows[j - 1]
 
 
@@ -254,8 +267,8 @@ class GTransform:
         """The matrix M and steps of a `_Chase` from the identity, without the determinant.
 
         `_Chase.push` takes only elementary steps (a shear with i != j, a sign
-        step inside 1..n, a checked permutation), so M, their product, is
-        unimodular by construction.
+        step inside 1..n, a permutation that the chase builds or `_then`
+        checks), so M, their product, is unimodular by construction.
         """
         T = object.__new__(cls)
         object.__setattr__(T, "matrix", matrix)
@@ -291,6 +304,8 @@ class GTransform:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
         if step[0] == "gabrielov":
             _gabrielov_ratio(q_current, step[1], step[2])  # refuses what the rows would misread
+        elif step[0] == "perm" and sorted(step[1]) != list(range(1, self.n + 1)):
+            raise InvalidInput("not a permutation of 1..n")
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
         ch.push(*step)
         return GTransform(ch.M, self.steps + (step,)), ch.q
@@ -654,7 +669,7 @@ def _saturate(ch: _Chase, i0: int) -> None:
     while S:
         for j in S:
             row = rows[j - 1]
-            i = next((i for i in range(n, 0, -1) if row[i - 1] and i not in zero), None)
+            i = next((i for i in compress(range(n, 0, -1), reversed(row)) if i not in zero), None)
             if i is not None:
                 break
         else:
@@ -732,13 +747,13 @@ def _star_graph(rows):
             raise NotTypeC(f"coefficient pattern at index {t} fits no case")
         groups[g][side].append(t)
         where[t] = (g, side)
-        ends.append(((g + 2, 1 - 2 * side), (1, -1)))
+        ends.append(((1, -1), (g + 2, 1 - 2 * side)))  # normalized: vertex 1 first
     part = TechCPartition(
         m=len(groups) + 1,
         u2=tuple(u2),
         groups=tuple((tuple(p), tuple(mn)) for p, mn in groups),
     )
-    return BidirectedGraph(part.m, ends), part
+    return BidirectedGraph._trusted(part.m, tuple(ends)), part
 
 
 def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
@@ -747,7 +762,7 @@ def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, form, B, part = _checked_star(q, rep)
+    cols, steps, _, form, B, part = _checked_star(q, rep)
     return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, B, part
 
 
@@ -763,14 +778,14 @@ def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis | None):
 
 @lru_cache(maxsize=1)
 def _star_snapshot(q: IntegralQuadraticForm):
-    """The star chase of a type-C form, frozen: (columns of M, steps, q∘M, B', partition).
+    """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M, q∘M, B', partition).
 
     Every type-C function on q starts from it, so a pass of them over one
     form, such as `realize` and then `canonical_c`, runs it once; the last
-    form is all such a pass needs kept. Its steps and graph depend only on
-    the value of q, not on the order of `q.off`; q∘M is frozen with its map
-    in ascending key order, so equal forms get equal snapshots, whichever of
-    them filled the cache.
+    form is all such a pass needs kept; a chase resumes from a copy of its
+    rows. Its steps and graph depend only on the value of q, not on the order
+    of `q.off`; q∘M is written from the rows with its map in ascending key
+    order, so equal forms get equal snapshots, whichever filled the cache.
     """
     ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
@@ -779,11 +794,10 @@ def _star_snapshot(q: IntegralQuadraticForm):
         pi[0], pi[pivot - 1] = pi[pivot - 1], pi[0]
         ch.push("perm", tuple(pi))
     _saturate(ch, 1)
-    form = ch.q
     B, part = _star_graph(ch.form.rows)
-    assert B.incidence_form() == form
-    form = IntegralQuadraticForm._trusted(form.diag, dict(sorted(form.off.items())))
-    return tuple(ch.cols), tuple(ch.steps), form, B, part
+    graph = _Arrows(B)  # the check of B's incidence form, one row at a time
+    assert all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1))
+    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, _rows_form(ch.form.rows), B, part
 
 
 def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> BidirectedGraph:
@@ -810,7 +824,7 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
             raise AssertionError("backtracking realizer found no graph")
         assert B.incidence_form() == q
         return B
-    _, steps, _, B, _ = _checked_star(q, rep)
+    _, steps, _, _, B, _ = _checked_star(q, rep)
     graph = _Arrows(B)
     for step in reversed(steps):
         graph.push(undo(step))
@@ -981,9 +995,9 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     for each vertex v >= 3 as arrows 2..r-1, the c1 + 1 parallel arrows
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
-    # step 1: the star realization, resumed as a fresh chase
-    cols, steps, form, B, part = _checked_star(q, rep)
-    ch = _Chase(form, list(cols))
+    # step 1: the star realization, resumed as a fresh chase on a copy of its rows
+    cols, steps, rows, form, B, part = _checked_star(q, rep)
+    ch = _Chase(form, list(cols), [row[:] for row in rows])
     ch.steps = list(steps)
     ch.graph = _Arrows(B)
     loop_arrow = part.u2[0]
@@ -1014,6 +1028,13 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     return ch, len(singles) + 2, len(multi) - 1, len(extra_loops)
 
 
+@lru_cache(maxsize=64)
+def _canonical_target(r: int, c1: int, c2: int):
+    """The incidence form of C_r^{c1,c2} and its Gram rows, only ever compared."""
+    target = canonical_c_graph(r, c1, c2).incidence_form()
+    return target, _Rows(target).rows
+
+
 def canonical_c(q: IntegralQuadraticForm):
     """G-transformation onto the canonical (c1,c2)-extension of type C.
 
@@ -1032,9 +1053,9 @@ def canonical_c(q: IntegralQuadraticForm):
     # step 7: flip remaining loops from two-head to two-tail
     for k in range(1, c2 + 1):
         ch.push("sign", r + c1 + k)
-    target = canonical_c_graph(r, c1, c2).incidence_form()
+    target, target_rows = _canonical_target(r, c1, c2)
     M = ch.M
-    assert ch.q == target
+    assert ch.form.rows == target_rows
     assert q.compose(M) == target
     assert c1 + c2 == rep.corank
     assert c2 == rep.dotted_loops - 1
@@ -1060,7 +1081,7 @@ def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
     for i in range(1, r):
         ch.push("gabrielov", i + 1, i)
     if variant == "C":
-        target = canonical_c_graph(r, 0, 0).incidence_form()
+        target = _canonical_target(r, 0, 0)[0]
     elif r < 4:
         raise InvalidInput("variant 'D' needs rank >= 4")
     else:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bidigraph import BidirectedGraph, _tree_path
+from .bidigraph import BidirectedGraph, _tree_path, balance
 from .errors import InvalidInput, NotPositive, as_int, int_tuple
 from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
 
@@ -323,7 +323,7 @@ class _WalkStates:
         """{x, -x} for the inc vector x of every key, decoded one digit at a time."""
         base, prune = self.base, self.prune
         keys = list(keys)
-        digits = [[k // base**i % base - prune for k in keys] for i in range(self.n)]
+        digits = [[k // w % base - prune for k in keys] for w in [base**i for i in range(self.n)]]
         negated = [[-c for c in column] for column in digits]
         return frozenset(chain(zip(*digits), zip(*negated)))
 
@@ -336,8 +336,8 @@ def theorem_c_roots(
     d=0: positive closed walks; d=1: open walks; d=2: negative closed walks
     (the walk-generated subset of the 2-roots). Enumeration is a BFS over
     (vertex, sign, inc) states up to `length_cap` steps, coordinates pruned at
-    `prune` (default: maximal |inc| entry reachable under the cap). A
-    negative `length_cap` is refused.
+    `prune` (default: maximal |inc| entry reachable under the cap). A negative
+    `length_cap` is refused. A balanced graph has no negative closed walk.
     """
     if d not in (0, 1, 2):
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
@@ -345,6 +345,8 @@ def theorem_c_roots(
         raise InvalidInput(f"length_cap must be >= 0, got {length_cap}")
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
+    if d == 2 and balance(B).beta:
+        return RootSet(2, frozenset())
     states = _WalkStates(B, length_cap if prune is None else prune)
     m2, zero, mirror = states.m2, states.zero, states.mirror
     keys = set()  # one per {x, -x}

@@ -418,9 +418,35 @@ def test_arrows_push_matches_the_graph_functions():
                 graph.push(step)
                 seen[kind] += 1
             assert graph.freeze() == B
-            assert {v: s for v, s in graph.at.items() if s} == {
-                v: {i for _, i in arrows} for v, arrows in B.adjacency().items()}
+            assert {v: s for v, s in graph.at.items() if s} == _incidence_columns(B)
     assert min(seen.values()) > 30, seen
+
+
+def test_arrows_perm_in_place_equals_arrow_permutation():
+    """A perm on the chase's graph, after other steps or not, gives the graph
+    and the vertex index of `arrow_permutation`."""
+    from tests.test_graph_layer import _random_graph
+
+    rng = random.Random(2007)
+    for _ in range(600):
+        B = _random_graph(rng)
+        graph = _Arrows(B)
+        if rng.random() < 0.5:
+            k = rng.randint(1, B.n)
+            graph.push(("sign", k))
+            B = sign_flip(B, k)
+        for _ in range(rng.randint(1, 2)):
+            pi = tuple(rng.sample(range(1, B.n + 1), B.n))
+            graph.push(("perm", pi))
+            B = arrow_permutation(B, pi)
+            assert graph.freeze() == B and graph.freeze().ends == B.ends
+            assert {v: s for v, s in graph.at.items() if s} == _incidence_columns(B)
+
+
+def _incidence_columns(B):
+    """{v: {k: entry of arrow k at v}} for each vertex an arrow touches, from the
+    incidence rows and the graph's own vertex index."""
+    return {v: {i: B.incidence_row(i)[v - 1] for _, i in arrows} for v, arrows in B.adjacency().items()}
 
 
 def test_line_bigraph_restriction_compatibility():

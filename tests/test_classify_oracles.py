@@ -36,6 +36,7 @@ import pytest
 from bidiforms import classify
 from bench import gen
 from bidiforms.bidigraph import (
+    _Arrows,
     BidirectedGraph,
     arrow_permutation,
     canonical_c as canonical_c_graph,
@@ -664,6 +665,43 @@ def test_trusted_forms_equal_the_checked_constructor():
         _same_form(form, _checked(form))
 
 
+def test_a_perm_reorders_the_rows_in_place_as_the_permuted_form():
+    """A perm on the rows gives the rows of q.permuted(pi); rows changed by
+    perms alone freeze to q.permuted(pi) with its map order, as `then_perm`
+    returns it, and after a step too they freeze to the right value."""
+    rng = random.Random(7108)
+    for _ in range(800):
+        q = _random_form(rng)
+        pi, sigma = (tuple(rng.sample(range(1, q.n + 1), q.n)) for _ in range(2))
+        want = q.permuted(pi)
+        f = _Rows(q)
+        f.permute(pi)
+        assert f.rows == _Rows(want).rows
+        _same_form(f.freeze(), want)
+        f = _Rows(q)
+        f.permute(pi)
+        f.permute(sigma)  # two perms rename through both
+        _same_form(f.freeze(), want.permuted(sigma))
+        T, got = GTransform.identity(q.n).then_perm(q, pi)
+        _same_form(got, want)
+        assert T.matrix == _step_matrix(q, ("perm", pi))
+        i = rng.randint(1, q.n)
+        f = _Rows(q)
+        f.negate(i)
+        f.permute(pi)
+        got = f.freeze()
+        assert got == _sign_update(q, i).permuted(pi)
+        _same_form(got, _checked(got))
+
+
+def test_then_perm_refuses_what_is_not_a_permutation():
+    # the rows would take 0 as the last variable and fail on n + 1 without the check
+    q = IntegralQuadraticForm([2, 1, 1], {(1, 2): 1})
+    for pi in ((1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4), (2, 3, 1, 4)):
+        with pytest.raises(InvalidInput, match="not a permutation of 1..n"):
+            GTransform.identity(3).then_perm(q, pi)
+
+
 def _same_graph(got, B_ref):
     """Equal in value, in its ends, in hash and in its vertex index, and
     normalized as the constructor leaves it."""
@@ -775,20 +813,55 @@ def _flip_end(B, k, side):
     return BidirectedGraph(B.m, ends)
 
 
+def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arrow(monkeypatch):
+    """B' is built unchecked from normalized ends: it equals the constructor's
+    graph. Checked arrow by arrow against the saturated rows it passes; with
+    one arrow flipped it fails, in the snapshot too, and with one end flipped
+    it fails exactly when the incidence form changes."""
+    refused = 0
+    for B in _type_c_graphs(random.Random(7109), 150):
+        q = B.incidence_form()
+        _, _, rows, form, star, _ = classify._star_snapshot(q)
+        _same_graph(star, BidirectedGraph(star.m, star.ends))
+        assert star.incidence_form() == form and _Rows(form).rows == rows
+        f = _Rows(form)
+        assert all(_row_matches(_Arrows(star), f, j) for j in range(1, star.n + 1))
+        for k in range(1, star.n + 1):
+            wrong = sign_flip(star, k)  # every arrow meets the loop at 1, so its row changes
+            assert not all(_row_matches(_Arrows(wrong), f, j) for j in range(1, star.n + 1))
+            refused += 1
+            for side in (0, 1):  # one end: a switching at a vertex of one arrow keeps the form
+                wrong = _flip_end(star, k, side)
+                same = wrong.incidence_form() == form
+                assert all(_row_matches(_Arrows(wrong), f, j) for j in range(1, star.n + 1)) == same
+                refused += not same
+    assert refused > 2000
+    q = canonical_c_graph(5, 1, 1).incidence_form().permuted((3, 1, 2, 4, 5, 6, 7))
+    star_graph = classify._star_graph
+
+    def flipped_star_graph(rows):
+        B, part = star_graph(rows)
+        return sign_flip(B, 2), part
+
+    monkeypatch.setattr(classify, "_star_graph", flipped_star_graph)
+    with pytest.raises(AssertionError):
+        classify._star_snapshot.__wrapped__(q)
+
+
 def test_row_check_rejects_a_flipped_end_sign():
     rejected = {"j": 0, "k": 0}
     for B in _type_c_graphs(random.Random(7107), 120):
         q = B.incidence_form()
         for j in range(1, B.n + 1):
-            assert _row_matches(B, _Rows(q), j)
+            assert _row_matches(_Arrows(B), _Rows(q), j)
             diag = list(q.diag)
             diag[j - 1] += 1
-            assert not _row_matches(B, _Rows(IntegralQuadraticForm(diag, q.off)), j)
+            assert not _row_matches(_Arrows(B), _Rows(IntegralQuadraticForm(diag, q.off)), j)
             # only row j of the incidence form can change, so the row check is the full check
             for side in (0, 1):
                 B2 = _flip_end(B, j, side)
                 same = B2.incidence_form() == q
-                assert _row_matches(B2, _Rows(q), j) == same
+                assert _row_matches(_Arrows(B2), _Rows(q), j) == same
                 rejected["j"] += not same
             # an end of another arrow k at a vertex where arrow j has a nonzero entry changes q_jk
             entry = {}
@@ -797,7 +870,7 @@ def test_row_check_rejects_a_flipped_end_sign():
             for k in range(1, B.n + 1):
                 for side, (v, _) in enumerate(B.ends[k - 1]):
                     if k != j and entry.get(v):
-                        assert not _row_matches(_flip_end(B, k, side), _Rows(q), j)
+                        assert not _row_matches(_Arrows(_flip_end(B, k, side)), _Rows(q), j)
                         rejected["k"] += 1
     assert rejected["j"] > 1000 and rejected["k"] > 3000
 
@@ -907,7 +980,9 @@ def test_public_steps_are_the_composition_with_their_matrix():
 
 def test_canonical_c_builds_a_fixed_number_of_forms(monkeypatch):
     """A deterministic work guard: the chase freezes its rows a fixed number
-    of times, however many steps it takes."""
+    of times, however many steps it takes. The caches start empty, so the
+    count does not depend on what ran before: the snapshot's form, the
+    target and the closing q∘M."""
     built = []
     trusted = IntegralQuadraticForm._trusted
     monkeypatch.setattr(IntegralQuadraticForm, "_trusted",
@@ -915,10 +990,48 @@ def test_canonical_c_builds_a_fixed_number_of_forms(monkeypatch):
     counts = []
     for n in (16, 64):
         q = canonical_c_graph(n, n // 4, n // 4).incidence_form()
+        classify._canonical_target.cache_clear()
+        classify._star_snapshot.cache_clear()
         del built[:]
         canonical_c(q)
         counts.append(len(built))
-    assert counts[0] == counts[1] < 16, counts
+    assert counts == [3, 3], counts
+
+
+def test_type_c_pass_thaws_freezes_and_builds_incidence_forms_a_fixed_number_of_times(monkeypatch):
+    """A deterministic work guard on the type-C pass: `canonical_c` and a type-C
+    `realize` each thaw, freeze and build incidence forms as often on C_16 as
+    on C_64, the input given as is and with its variables reversed (which
+    takes perm steps)."""
+    counts = dict.fromkeys(("__init__", "freeze", "incidence_form"), 0)
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(self, *args):
+            counts[name] += name != "__init__" or not args[1:] or args[1] is None  # a thaw builds rows
+            return method(self, *args)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(classify._Rows, "__init__")
+    counted(classify._Rows, "freeze")
+    counted(BidirectedGraph, "incidence_form")
+    seen = {}
+    for n in (16, 64):
+        q = canonical_c_graph(n, n // 4, n // 4).incidence_form()
+        for form in (q, q.permuted(range(q.n, 0, -1))):
+            for f in (canonical_c, realize):
+                classify._canonical_target.cache_clear()
+                classify._star_snapshot.cache_clear()
+                analyze(form)  # outside the count
+                counts.update(dict.fromkeys(("__init__", "freeze", "incidence_form"), 0))
+                f(form)
+                seen.setdefault((f.__name__, form == q), []).append(dict(counts))
+    # canonical_c thaws q and its target, realize thaws q; each builds one incidence form
+    want = {"canonical_c": {"__init__": 2, "freeze": 0, "incidence_form": 1},
+            "realize": {"__init__": 1, "freeze": 0, "incidence_form": 1}}
+    for (name, as_is), runs in seen.items():
+        assert runs == [want[name]] * 2, (name, as_is, runs)
 
 
 def test_incidence_form_drops_products_that_cancel():

@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
-from bidiforms.bidigraph import BidirectedGraph, canonical_a, loops_graph
+from bidiforms.bidigraph import BidirectedGraph, balance, canonical_a, loops_graph
 from bidiforms.errors import InvalidInput, NotPositive
 from bidiforms.qform import IntegralQuadraticForm
+from bidiforms import walks
 from bidiforms.walks import (
+    RootSet,
     Walk,
     _WalkStates,
     brute_force_roots,
@@ -562,3 +564,38 @@ def test_roots_positive_matches_walk_composition():
 def test_walks_refuse_non_integers(build):
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         build()
+
+
+def _random_balanced(rng, m, n):
+    """A connected balanced graph with a directed loop: a quiver on a spanning
+    path, extra arrows and a directed loop, switched at random vertices."""
+    pairs = [(v, v + 1) for v in range(1, m)] + [(rng.randint(1, m),) * 2]
+    while len(pairs) < n:
+        pairs.append((rng.randint(1, m), rng.randint(1, m)))
+    flip = [None] + [rng.choice((1, -1)) for _ in range(m)]
+    return BidirectedGraph(m, [((u, flip[u]), (w, -flip[w])) for u, w in pairs])
+
+
+def test_theorem_c_two_roots_of_a_balanced_graph_are_empty_without_a_search(monkeypatch):
+    # every closed walk of a balanced graph is positive: the BFS finds no negative one either
+    rng = random.Random(4703)
+    graphs = []
+    for m in range(1, 6):
+        for _ in range(6):
+            B = _random_balanced(rng, m, rng.randint(m, m + 3))
+            assert balance(B).beta == 1 and B.directed_loops() and B.is_connected()
+            graphs.append(B)
+    runs = []
+    for B in graphs:
+        cap = rng.randint(1, 7)
+        for prune in (None, cap + 1, rng.randint(0, cap - 1)):  # the prune cannot bind, or binds
+            runs.append((B, cap, prune))
+            assert _all_starts_theorem_c(B, 2, cap, prune) == frozenset()
+    monkeypatch.setattr(walks, "_WalkStates", None)  # the shortcut builds no walk states
+    for B, cap, prune in runs:
+        assert theorem_c_roots(B, 2, cap, prune) == RootSet(2, frozenset())
+    B = graphs[-1]
+    for args, message in (((B, 3, 2), "handles d in"), ((B, 2, -1), "length_cap must be >= 0"),
+                          ((BidirectedGraph(3, [((1, 1), (2, -1))]), 2, 2), "needs a connected graph")):
+        with pytest.raises(InvalidInput, match=message):
+            theorem_c_roots(*args)
