@@ -186,8 +186,8 @@ class BidirectedGraph:
             for k, (i, c) in enumerate(arrows):
                 for j, c2 in arrows[k + 1:]:
                     off[(i, j)] = off.get((i, j), 0) + c * c2
-        # sorted, so `off` iterates in the same order as `from_gram` builds it;
-        # products that cancel (parallel arrows of opposite kinds) are dropped
+        # sorted, as `_trusted` takes it; products that cancel (parallel arrows
+        # of opposite kinds) are dropped
         off = {k: v for k, v in sorted(off.items()) if v}
         return IntegralQuadraticForm._trusted(tuple(diag), off)
 

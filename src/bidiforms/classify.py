@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from math import isqrt
 
 from .bidigraph import (
@@ -67,7 +67,8 @@ from .errors import (
     json_int,
 )
 from .exact_linalg import IntMatrix
-from .qform import FormAnalysis, IntegralQuadraticForm, analyze, form_adjacency, traverse, zero_form
+from .qform import (FormAnalysis, IntegralQuadraticForm, _gram_rows, _rows_form, analyze, form_adjacency,
+                    traverse, zero_form)
 
 
 # -- elementary transformations on rows and columns ------------------------
@@ -96,41 +97,25 @@ class _Rows:
     A step rewrites one row and its column, in O(n), a perm reorders rows and
     columns in place; a shear does not check its indices, so the public steps
     check theirs first. `freeze` wraps the rows in a form without the checks,
-    in O(n^2), kept until the next change. Its map lists the coefficients of
-    the form last thawed or frozen first, in its order renamed by the perms
-    since, then new ones ascending: the order of a sparse update in place, or
-    of `permuted`, after one step.
+    in O(n^2), kept until the next change.
     """
 
-    __slots__ = ("n", "rows", "_base", "_inv", "_q")
+    __slots__ = ("n", "rows", "_q")
 
     def __init__(self, q: IntegralQuadraticForm, rows=None):
-        self.n = n = q.n
-        if rows is None:
-            rows = [[0] * n for _ in range(n)]
-            for k, d in enumerate(q.diag):
-                rows[k][k] = 2 * d
-            for (i, j), v in q.off.items():
-                rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
-        self.rows = rows
-        self._base = self._q = q
-        self._inv = None  # {base variable: current variable} once a perm renamed them
+        self.n = q.n
+        self.rows = _gram_rows(q) if rows is None else rows
+        self._q = q
 
     def freeze(self) -> IntegralQuadraticForm:
         if self._q is None:
-            keys, inv = self._base.off, self._inv
-            if inv is not None:
-                keys = [(a, b) if a < b else (b, a) for a, b in ((inv[i], inv[j]) for i, j in keys)]
-            self._base = self._q = _rows_form(self.rows, keys)
-            self._inv = None
+            self._q = _rows_form(self.rows)
         return self._q
 
     def permute(self, pi) -> None:
         """x ↦ x with new variable k the old variable pi(k), pi a permutation."""
         rows, idx = self.rows, [p - 1 for p in pi]
         rows[:] = [list(map(row.__getitem__, idx)) for row in map(rows.__getitem__, idx)]
-        renamed = dict(zip(pi, range(1, self.n + 1)))
-        self._inv = renamed if self._inv is None else {b: renamed[c] for b, c in self._inv.items()}
         self._q = None
 
     def shear(self, i: int, j: int, c: int) -> None:
@@ -157,17 +142,6 @@ class _Rows:
         for row, v in zip(rows, new):
             row[j - 1] = v
         self._q = None
-
-
-def _rows_form(rows, keys=()) -> IntegralQuadraticForm:
-    """The form with Gram rows `rows`, unchecked: its map lists the nonzero
-    coefficients at `keys` in that order, then the other nonzero ones ascending."""
-    n = len(rows)
-    off = {(i, j): v for i, j in keys if (v := rows[i - 1][j - 1])}
-    for i, row in enumerate(rows, start=1):
-        for j in compress(range(i + 1, n + 1), islice(row, i, None)):
-            off.setdefault((i, j), row[j - 1])
-    return IntegralQuadraticForm._trusted(tuple(row[k] // 2 for k, row in enumerate(rows)), off)
 
 
 class _Chase:
@@ -701,7 +675,7 @@ def techc_partition(q: IntegralQuadraticForm) -> TechCPartition:
     """
     if q.diag[0] != 2 or any(q.coefficient(1, j) <= 0 for j in range(2, q.n + 1)):
         raise InvalidInput("techc_partition needs q_1 = 2 and q_1j > 0 for all j")
-    B, part = _star_graph(_Rows(q).rows)
+    B, part = _star_graph(_gram_rows(q))
     if B.incidence_form() != q:
         raise NotTypeC("form is not the incidence form of the star graph of its partition")
     return part
@@ -783,9 +757,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
     Every type-C function on q starts from it, so a pass of them over one
     form, such as `realize` and then `canonical_c`, runs it once; the last
     form is all such a pass needs kept; a chase resumes from a copy of its
-    rows. Its steps and graph depend only on the value of q, not on the order
-    of `q.off`; q∘M is written from the rows with its map in ascending key
-    order, so equal forms get equal snapshots, whichever filled the cache.
+    rows.
     """
     ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
@@ -837,7 +809,7 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
 
     Arrows are processed in the breadth-first order of the form's bigraph,
-    read off `q.off`, so each arrow after the first has a placed bigraph
+    so each arrow after the first has a placed bigraph
     neighbour; fresh vertices are used in increasing order with their first
     sign pinned to +1 (switching symmetry). The depth-first search runs on
     an explicit stack over the rows that `_UnitRows.candidates` forces, in
@@ -886,7 +858,7 @@ class _UnitRows:
     """The incidence rows placed so far by `_realize_unit_backtracking`, indexed
     by vertex: `rows` maps an arrow to its normalized ends, `at[v]` maps each
     arrow at v to its end sign there, and `earlier[i]` lists the bigraph
-    neighbours of i placed before it, in search order.
+    neighbours of i placed before it, smallest first.
     """
 
     __slots__ = ("off", "m", "earlier", "rows", "at")
@@ -1032,7 +1004,7 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
 def _canonical_target(r: int, c1: int, c2: int):
     """The incidence form of C_r^{c1,c2} and its Gram rows, only ever compared."""
     target = canonical_c_graph(r, c1, c2).incidence_form()
-    return target, _Rows(target).rows
+    return target, _gram_rows(target)
 
 
 def canonical_c(q: IntegralQuadraticForm):

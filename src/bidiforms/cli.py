@@ -63,7 +63,7 @@ def _form_text(q: IntegralQuadraticForm) -> str:
     for i, d in enumerate(q.diag, start=1):
         if d:
             terms.append((d, f"x{i}^2"))
-    for (i, j), v in sorted(q.off.items()):
+    for (i, j), v in q.off.items():
         terms.append((v, f"x{i}x{j}"))
     if not terms:
         return "0"
@@ -89,7 +89,7 @@ def _graph_text(B: bg.BidirectedGraph) -> str:
 
 def _bigraph_text(delta) -> str:
     lines = [f"vertices: {delta.n}"]
-    for (i, j), (mult, sign) in sorted(delta.edges.items()):
+    for (i, j), (mult, sign) in delta.edges.items():
         style = "dotted" if sign > 0 else "solid"
         kind = "loop" if i == j else "edge"
         lines.append(f"{kind} {i}--{j}: {mult} {style}")
@@ -166,6 +166,8 @@ def _step_text(step):
 
 
 def _cmd_qf_solve(args):
+    if args.d < 0:
+        raise _InputError("argument -d: d must be >= 0")
     if args.bound is not None and args.bound < 0:
         raise _InputError("argument --bound: bound must be >= 0")
     q = _load(IntegralQuadraticForm, args.form)
@@ -225,7 +227,7 @@ def _cmd_bg_line(args):
     delta = B.line_bigraph()
     payload = {
         "vertices": delta.n,
-        "edges": [[i, j, mult, sign] for (i, j), (mult, sign) in sorted(delta.edges.items())],
+        "edges": [[i, j, mult, sign] for (i, j), (mult, sign) in delta.edges.items()],
     }
     return _emit(payload, args.format, lambda p: _bigraph_text(delta))
 

@@ -1,8 +1,10 @@
 """Integral quadratic forms and their bigraphs.
 
 A form q(x) = sum_i q_i x_i^2 + sum_{i<j} q_ij x_i x_j is stored by its diagonal
-coefficients and a sparse, read-only map of off-diagonal ones. Variable indices are 1-based
-throughout, matching the Gram-matrix convention G_ii = 2 q_i, G_ij = q_ij.
+coefficients and a sparse, read-only map of off-diagonal ones, keyed (i, j) with i < j in
+ascending order; a bigraph stores its edges the same way. Variable indices are 1-based
+throughout, matching the Gram-matrix convention G_ii = 2 q_i, G_ij = q_ij. The Gram rows of
+a form are thawed in one place (`_gram_rows`) and frozen in one (`_rows_form`).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
 from math import gcd, isqrt
 from types import MappingProxyType
 
@@ -36,7 +39,7 @@ class IntegralQuadraticForm:
                 i, j = j, i
             if v != 0:
                 clean[(i, j)] = clean.get((i, j), 0) + v
-        clean = {k: v for k, v in clean.items() if v != 0}
+        clean = {k: v for k, v in sorted(clean.items()) if v != 0}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "diag", diag)
         # read-only, so that the hash and the `analyze` cache key cannot go stale
@@ -47,7 +50,7 @@ class IntegralQuadraticForm:
         """A form built from data derived from valid forms, without the checks.
 
         `diag` is a tuple of ints and `off` a dict of nonzero ints keyed by
-        (i, j) with 1 <= i < j <= len(diag); `off` keeps its iteration order.
+        (i, j) with 1 <= i < j <= len(diag), in ascending order.
         Input from outside the library goes through the constructor.
         """
         q = object.__new__(cls)
@@ -73,11 +76,11 @@ class IntegralQuadraticForm:
         try:  # computed on first use: every cache keyed by a form looks it up
             return self._hash
         except AttributeError:
-            object.__setattr__(self, "_hash", hash((self.diag, tuple(sorted(self.off.items())))))
+            object.__setattr__(self, "_hash", hash((self.diag, tuple(self.off.items()))))
             return self._hash
 
     def __repr__(self):
-        return f"IntegralQuadraticForm(diag={self.diag}, off={dict(sorted(self.off.items()))})"
+        return f"IntegralQuadraticForm(diag={self.diag}, off={dict(self.off)})"
 
     def coefficient(self, i: int, j: int) -> int:
         """q_ij with q_ii = q_i and q_ji = q_ij."""
@@ -102,14 +105,7 @@ class IntegralQuadraticForm:
         return total
 
     def gram(self) -> IntMatrix:
-        n = self.n
-        G = [[0] * n for _ in range(n)]
-        for i in range(n):
-            G[i][i] = 2 * self.diag[i]
-        for (i, j), v in self.off.items():
-            G[i - 1][j - 1] = v
-            G[j - 1][i - 1] = v
-        return IntMatrix._trusted(tuple(map(tuple, G)))
+        return IntMatrix._trusted(tuple(map(tuple, _gram_rows(self))))
 
     @staticmethod
     def from_gram(G: IntMatrix) -> "IntegralQuadraticForm":
@@ -117,9 +113,9 @@ class IntegralQuadraticForm:
             raise InvalidInput("Gram matrix must be symmetric")
         if any(G[i, i] % 2 != 0 for i in range(G.rows)):
             raise InvalidInput("Gram matrix must have even diagonal")
-        diag = [G[i, i] // 2 for i in range(G.rows)]
-        off = {(i + 1, j + 1): G[i, j] for i in range(G.rows) for j in range(i + 1, G.cols)}
-        return IntegralQuadraticForm(diag, off)
+        if G.rows < 1:
+            raise InvalidInput("a form needs at least one variable")
+        return _rows_form(G.entries)
 
     def compose(self, T: IntMatrix) -> "IntegralQuadraticForm":
         """The form q∘T with Gram matrix T^tr G T: G t summed from the sparse rows of q
@@ -180,13 +176,13 @@ class IntegralQuadraticForm:
         for (i, j), v in self.off.items():
             i, j = inv[i], inv[j]
             off[(i, j) if i < j else (j, i)] = v
-        return IntegralQuadraticForm._trusted(diag, off)
+        return IntegralQuadraticForm._trusted(diag, dict(sorted(off.items())))
 
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
             "diag": list(self.diag),
-            "off": [[i, j, v] for (i, j), v in sorted(self.off.items())],
+            "off": [[i, j, v] for (i, j), v in self.off.items()],
         }
 
     @staticmethod
@@ -217,6 +213,27 @@ def zero_form(c: int) -> IntegralQuadraticForm:
     if c < 1:
         raise InvalidInput("zero form needs at least one variable")
     return IntegralQuadraticForm([0] * c)
+
+
+def _gram_rows(q: IntegralQuadraticForm) -> list:
+    """The Gram matrix of q as a list of n row lists, for a caller to change."""
+    n = q.n
+    rows = [[0] * n for _ in range(n)]
+    for k, d in enumerate(q.diag):
+        rows[k][k] = 2 * d
+    for (i, j), v in q.off.items():
+        rows[i - 1][j - 1] = rows[j - 1][i - 1] = v
+    return rows
+
+
+def _rows_form(rows) -> IntegralQuadraticForm:
+    """The form whose Gram matrix has the rows `rows`, symmetric with even diagonal, unchecked."""
+    n = len(rows)
+    off = {}
+    for i, row in enumerate(rows, start=1):
+        for j in compress(range(i + 1, n + 1), islice(row, i, None)):
+            off[(i, j)] = row[j - 1]
+    return IntegralQuadraticForm._trusted(tuple(row[k] // 2 for k, row in enumerate(rows)), off)
 
 
 def _value(q: IntegralQuadraticForm, x: tuple) -> int:
@@ -335,8 +352,8 @@ class Bigraph:
             if mult:
                 clean[(i, j)] = (mult, sign)
         object.__setattr__(self, "n", n)
-        # read-only, as `IntegralQuadraticForm.off` is, so that the hash cannot go stale
-        object.__setattr__(self, "edges", MappingProxyType(clean))
+        # read-only and ascending, as `IntegralQuadraticForm.off` is: the hash cannot go stale
+        object.__setattr__(self, "edges", MappingProxyType(dict(sorted(clean.items()))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Bigraph is immutable")
@@ -348,10 +365,10 @@ class Bigraph:
         return isinstance(other, Bigraph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self.edges.items()))))
+        return hash((self.n, tuple(self.edges.items())))
 
     def __repr__(self):
-        return f"Bigraph(n={self.n}, edges={dict(sorted(self.edges.items()))})"
+        return f"Bigraph(n={self.n}, edges={dict(self.edges)})"
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying multigraph, loops ignored."""
@@ -385,10 +402,10 @@ def traverse(adj, root, lifo=False):
 def form_adjacency(q: IntegralQuadraticForm) -> list:
     """v -> [(w, q_vw), ...] over the w != v with q_vw != 0, smallest w first;
     entry 0 is empty. It is the adjacency of the form's bigraph without its
-    loops, for `traverse`, read off `q.off` in ascending key order.
+    loops, for `traverse`.
     """
     adj = [[] for _ in range(q.n + 1)]
-    for (i, j), v in sorted(q.off.items()):  # i < j, so every list grows in order
+    for (i, j), v in q.off.items():  # ascending with i < j, so every list grows in order
         adj[i].append((j, v))
         adj[j].append((i, v))
     return adj

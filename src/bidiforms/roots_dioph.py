@@ -22,6 +22,8 @@ from .errors import (
     NotTypeC,
     RadicalRoot,
     UnrepresentedWithinBound,
+    as_int,
+    int_tuple,
 )
 from .exact_linalg import IntMatrix
 from .qform import IntegralQuadraticForm, _box_roots, _value, analyze
@@ -62,6 +64,7 @@ class ReflectionReport:
 
 def companion(B: BidirectedGraph, x) -> ReflectionReport:
     """Orthogonal O^x with I(B)^tr s_x = O^x I(B)^tr for an incidence root x."""
+    x = int_tuple(x)
     I = B.incidence_matrix()
     alpha = I.transpose().matvec(x)
     norm2 = sum(a * a for a in alpha)
@@ -156,7 +159,7 @@ def four_squares(d: int) -> tuple[int, int, int, int]:
     An a whose remainder d - a^2 has the form 4^k (8m + 7) is skipped: no
     three squares make it up (Legendre), so the search under it finds nothing.
     """
-    if d < 0:
+    if (d := as_int(d)) < 0:
         raise InvalidInput("four_squares needs d >= 0")
     for a in range(isqrt(d), -1, -1):
         r1 = d - a * a
@@ -198,9 +201,9 @@ def solve(
     UnrepresentedWithinBound(d, 0): no x reaches it. The strategy and its
     data are worked out once per form, by `_route`.
     """
-    if d < 0:
+    if (d := as_int(d)) < 0:
         raise InvalidInput("solve needs d >= 0")
-    if bound is not None and bound < 0:
+    if bound is not None and (bound := as_int(bound)) < 0:
         raise InvalidInput("bound must be >= 0")
     if d == 0:
         return Representation(0, (0,) * q.n, "zero")

@@ -224,6 +224,7 @@ class RootSet:
 
 def brute_force_roots(q: IntegralQuadraticForm, d: int, bound: int) -> RootSet:
     """Independent oracle: all x with |x_i| <= bound and q(x) = d, by `qform._box_roots`."""
+    d, bound = as_int(d), as_int(bound)
     if bound < 0:
         raise InvalidInput("bound must be >= 0")
     return RootSet(d, frozenset(_box_roots(q, d, bound)))
@@ -339,6 +340,7 @@ def theorem_c_roots(
     `prune` (default: maximal |inc| entry reachable under the cap). A negative
     `length_cap` is refused. A balanced graph has no negative closed walk.
     """
+    d, length_cap = as_int(d), as_int(length_cap)
     if d not in (0, 1, 2):
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
     if length_cap < 0:
@@ -347,7 +349,7 @@ def theorem_c_roots(
         raise InvalidInput("theorem_c_roots needs a connected graph")
     if d == 2 and balance(B).beta:
         return RootSet(2, frozenset())
-    states = _WalkStates(B, length_cap if prune is None else prune)
+    states = _WalkStates(B, length_cap if prune is None else as_int(prune))
     m2, zero, mirror = states.m2, states.zero, states.mirror
     keys = set()  # one per {x, -x}
     # when the prune cannot bind, an open walk w from vertex m is, reversed, one from its

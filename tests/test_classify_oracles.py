@@ -544,6 +544,27 @@ def test_every_private_function_of_the_package_is_used_in_the_package():
     assert unused == []
 
 
+def _is_layout_map(node):
+    """Whether `node` is a form's `.off` or a bigraph's `.edges`, or its items, keys or values."""
+    if isinstance(node, ast.Call) and not node.args and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("items", "keys", "values"):
+        node = node.func.value
+    return isinstance(node, ast.Attribute) and node.attr in ("off", "edges")
+
+
+def test_no_code_in_the_package_sorts_a_coefficient_map():
+    # the constructors store `off` and `edges` ascending; a reader that sorts them again
+    # would make the layout a policy that every producer has to keep
+    sorts = []
+    for path in sorted(pathlib.Path(classify.__file__).parent.glob("*.py")):
+        for c in ast.walk(ast.parse(path.read_text())):
+            if isinstance(c, ast.Call) and isinstance(c.func, ast.Name) and c.func.id == "sorted" and c.args:
+                arg = c.args[0]  # a map, or a comprehension over one
+                if any(_is_layout_map(it) for it in [g.iter for g in getattr(arg, "generators", ())] or [arg]):
+                    sorts.append(f"{path.name}:{c.lineno}")
+    assert sorts == []
+
+
 # -- forms built without the constructor's checks -----------------------------------
 
 
@@ -1003,17 +1024,17 @@ def test_type_c_pass_thaws_freezes_and_builds_incidence_forms_a_fixed_number_of_
     `realize` each thaw, freeze and build incidence forms as often on C_16 as
     on C_64, the input given as is and with its variables reversed (which
     takes perm steps)."""
-    counts = dict.fromkeys(("__init__", "freeze", "incidence_form"), 0)
+    counts = dict.fromkeys(("_gram_rows", "freeze", "incidence_form"), 0)
 
-    def counted(cls, name):
-        method = getattr(cls, name)
+    def counted(owner, name):
+        function = getattr(owner, name)
 
-        def wrapper(self, *args):
-            counts[name] += name != "__init__" or not args[1:] or args[1] is None  # a thaw builds rows
-            return method(self, *args)
-        monkeypatch.setattr(cls, name, wrapper)
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted(classify._Rows, "__init__")
+    counted(classify, "_gram_rows")  # the one thaw
     counted(classify._Rows, "freeze")
     counted(BidirectedGraph, "incidence_form")
     seen = {}
@@ -1024,12 +1045,12 @@ def test_type_c_pass_thaws_freezes_and_builds_incidence_forms_a_fixed_number_of_
                 classify._canonical_target.cache_clear()
                 classify._star_snapshot.cache_clear()
                 analyze(form)  # outside the count
-                counts.update(dict.fromkeys(("__init__", "freeze", "incidence_form"), 0))
+                counts.update(dict.fromkeys(("_gram_rows", "freeze", "incidence_form"), 0))
                 f(form)
                 seen.setdefault((f.__name__, form == q), []).append(dict(counts))
     # canonical_c thaws q and its target, realize thaws q; each builds one incidence form
-    want = {"canonical_c": {"__init__": 2, "freeze": 0, "incidence_form": 1},
-            "realize": {"__init__": 1, "freeze": 0, "incidence_form": 1}}
+    want = {"canonical_c": {"_gram_rows": 2, "freeze": 0, "incidence_form": 1},
+            "realize": {"_gram_rows": 1, "freeze": 0, "incidence_form": 1}}
     for (name, as_is), runs in seen.items():
         assert runs == [want[name]] * 2, (name, as_is, runs)
 

@@ -491,6 +491,14 @@ def test_qf_solve_refuses_a_negative_bound(capsys, bound):
     assert zero[0] == 0
 
 
+@pytest.mark.parametrize("d", ["-1", "-7"])
+def test_qf_solve_refuses_a_negative_d(capsys, d):
+    # a usage error like a negative --bound, not a domain rejection
+    assert run(["qf-solve", f"{FIX}/typec_rank3_form.json", "-d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: argument -d: d must be >= 0\n"
+
+
 def test_qf_solve_terminates_outside_the_content_lattice(tmp_path):
     # 2(x1^2 + ... + x5^2) = 1 has no solution; the command must say so, not search forever
     proc = _qf_solve_in_subprocess(tmp_path, [2] * 5, 1)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from bidiforms.bidigraph import canonical_c as canonical_c_graph
-from bidiforms.classify import _Rows, gabrielov_update
+from bidiforms.classify import _Rows, dynkin_plus_zero, gabrielov_update, pivot_saturate, star_realization
 from bidiforms.errors import InvalidInput
 from bidiforms.exact_linalg import IntMatrix, integer_kernel
 from bidiforms.qform import (
@@ -15,6 +15,8 @@ from bidiforms.qform import (
     form_of,
     zero_form,
 )
+from bidiforms.roots_dioph import companion, four_squares, solve
+from bidiforms.walks import brute_force_roots, theorem_c_roots
 
 
 def q_a(r):
@@ -378,7 +380,8 @@ def test_compose_matches_a_plain_list_product():
 
 def test_hash_is_the_sorted_key_for_every_producer():
     # the hash is cached on first use; it must equal the key the uncached hash used,
-    # on the constructor's forms and on every form built without its checks
+    # on the constructor's forms and on every form built without its checks, and
+    # every producer stores its coefficient map, and a bigraph its edges, ascending
     rng = random.Random(7111)
     for _ in range(100):
         n = rng.randint(2, 6)
@@ -387,19 +390,35 @@ def test_hash_is_the_sorted_key_for_every_producer():
         i, j = rng.sample(range(1, n + 1), 2)
         pi = list(range(1, n + 1))
         rng.shuffle(pi)
+        C = canonical_c_graph(rng.randint(2, 4), rng.randint(0, 2), rng.randint(0, 2)).incidence_form()
+        sigma = list(range(1, C.n + 1))
+        rng.shuffle(sigma)
+        Cp = C.permuted(sigma)  # the same type-C form, its variables shuffled
         made = [
             q,
+            IntegralQuadraticForm(q.diag, dict(reversed(list(q.off.items())))),
+            IntegralQuadraticForm.from_gram(q.gram()),
+            IntegralQuadraticForm.from_json_dict({**q.to_json_dict(), "off": q.to_json_dict()["off"][::-1]}),
+            q.direct_sum(Cp),
             gabrielov_update(q, i, j),
             _sign_update(q, i),
             q.restrict(rng.sample(range(1, n + 1), rng.randint(1, n))),
             q.permuted(pi),
             q.compose(_unimodular(rng, n)),
-            canonical_c_graph(rng.randint(2, 4), rng.randint(0, 2), rng.randint(0, 2)).incidence_form(),
+            C,
+            pivot_saturate(Cp, rng.randint(1, C.n))[0],
+            star_realization(Cp)[1],
+            dynkin_plus_zero(Cp)[1],
         ]
         made += [back for p in made for back in _round_trips(p)]
         for p in made:
             want = hash((p.diag, tuple(sorted(p.off.items()))))
             assert hash(p) == want and hash(p) == want
+            assert list(p.off) == sorted(p.off)
+        edges = dict(bigraph_of(q).edges)
+        graphs = [bigraph_of(q), bigraph_of(Cp), Bigraph(n, dict(reversed(list(edges.items()))))]
+        for delta in graphs + [back for g in graphs for back in _round_trips(g)]:
+            assert list(delta.edges) == sorted(delta.edges)
 
 
 @pytest.mark.parametrize(
@@ -417,6 +436,12 @@ def test_hash_is_the_sorted_key_for_every_producer():
         lambda: Bigraph(2, {(1, 2): (1.5, -1)}),
         lambda: Bigraph(2, {(1, 2.0): (1, -1)}),
         lambda: Bigraph(2, {(1, 2): (1, 1.0)}),
+        lambda: solve(Q_C4, 2.5),
+        lambda: solve(IntegralQuadraticForm([1, 1, 1]), 3, bound=1.5),
+        lambda: brute_force_roots(Q_A3, 1, 1.5),
+        lambda: four_squares("7"),
+        lambda: theorem_c_roots(canonical_c_graph(3, 0, 0), 1, 2.5),
+        lambda: companion(canonical_c_graph(3, 0, 0), ["1", 0, 0]),
     ],
 )
 def test_forms_and_vectors_refuse_non_integers(build):
