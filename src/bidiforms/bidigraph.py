@@ -560,6 +560,7 @@ def rank_corank(B: BidirectedGraph) -> tuple[int, int]:
 
 def canonical_a(r: int, c: int) -> BidirectedGraph:
     """A_r^c: directed path on r+1 vertices plus c return arrows (r>=1, c>=0)."""
+    r, c = as_int(r), as_int(c)
     if r < 1 or c < 0:
         raise InvalidInput("canonical_a requires r >= 1, c >= 0")
     ends = [((i, 1), (i + 1, -1)) for i in range(1, r + 1)]
@@ -569,6 +570,7 @@ def canonical_a(r: int, c: int) -> BidirectedGraph:
 
 def canonical_d(r: int, c: int) -> BidirectedGraph:
     """D_r^c: two-head + directed double start, directed path, c two-tail extras (r>=3)."""
+    r, c = as_int(r), as_int(c)
     if r < 3 or c < 0:
         raise InvalidInput("canonical_d requires r >= 3, c >= 0")
     ends = [((1, -1), (2, -1)), ((1, 1), (2, -1))]
@@ -579,6 +581,7 @@ def canonical_d(r: int, c: int) -> BidirectedGraph:
 
 def canonical_c(r: int, c1: int, c2: int) -> BidirectedGraph:
     """C_r^{c1,c2}: two-head loop, directed path, c1 two-tail extras, c2 two-tail loops."""
+    r, c1, c2 = as_int(r), as_int(c1), as_int(c2)
     if r < 2 or c1 < 0 or c2 < 0:
         raise InvalidInput("canonical_c requires r >= 2, c1, c2 >= 0")
     ends = [((1, -1), (1, -1))]
@@ -590,6 +593,7 @@ def canonical_c(r: int, c1: int, c2: int) -> BidirectedGraph:
 
 def loops_graph(p: int, s: int, t: int) -> BidirectedGraph:
     """L^{p,s,t}: one vertex with p directed, s two-tail and t two-head loops."""
+    p, s, t = as_int(p), as_int(s), as_int(t)
     if p < 0 or s < 0 or t < 0 or p + s + t < 1:
         raise InvalidInput("loops_graph requires p, s, t >= 0 with p+s+t >= 1")
     ends = [((1, 1), (1, -1))] * p + [((1, 1), (1, 1))] * s + [((1, -1), (1, -1))] * t

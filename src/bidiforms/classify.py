@@ -63,6 +63,7 @@ from .errors import (
     NotNonNegative,
     NotPositive,
     NotTypeC,
+    as_int,
     int_tuple,
     json_int,
 )
@@ -440,6 +441,7 @@ class DynkinType:
     rank: int
 
     def __post_init__(self):
+        object.__setattr__(self, "rank", as_int(self.rank))
         fam, r = self.family, self.rank
         ok = (
             (fam == "A" and r >= 1)
@@ -456,6 +458,7 @@ class DynkinType:
 
 def dynkin_unit_form(family: str, r: int) -> IntegralQuadraticForm:
     """Unit form of a simply laced Dynkin graph (solid edges only)."""
+    r = as_int(r)
     if family == "A" and r >= 1:
         edges = [(i, i + 1) for i in range(1, r)]
     elif family == "D" and r >= 4:

@@ -2,10 +2,11 @@
 
 Everything here works over arbitrary-precision integers: eliminations are
 fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact and
-no `fractions.Fraction` or floating point is used. The PSD test runs on
-sparse rows, and the radical of a PSD matrix is read off the rows that test
-leaves, so a sparse form is never expanded into its dense Gram matrix; the
-dense `integer_kernel` is kept for any integer matrix and as their oracle.
+no `fractions.Fraction` or floating point is used. One sparse elimination
+gives every rank and integer kernel: the PSD test `psd_pivots` runs on
+sparse rows, and `psd_radical` reads the radical of a PSD matrix off the rows
+it leaves. Any other integer matrix M has the kernel of the PSD matrix
+M^tr M (`column_gram`), so its rank and kernel come from the same two steps.
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise InvalidInput("determinant of non-square matrix")
-        return _det(self.entries)
+        rank, last = _bareiss(self.entries)
+        return last if rank == self.rows else 0
 
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) row elimination."""
@@ -146,22 +148,38 @@ def _bareiss(rows) -> tuple[int, int]:
     return rank, sign * prev
 
 
-def _det(rows) -> int:
-    """Determinant of a square matrix given by its rows (`_bareiss`)."""
-    rank, last = _bareiss(rows)
-    return last if rank == len(rows) else 0
-
-
 def psd_rank(G: IntMatrix) -> tuple[bool, int]:
     """Decide positive semi-definiteness of a symmetric integer matrix and give its rank.
 
-    A PSD matrix has as rank its number of pivots in `psd_pivots`; only a
-    matrix that is not PSD pays for a second elimination in `rank`.
+    The rank is the number of pivots of `psd_pivots`: on G when G is PSD, and
+    otherwise on the PSD matrix G^tr G of `column_gram`, which has the rank of G.
     """
     if not G.is_symmetric():
         raise InvalidInput("psd_rank requires a symmetric matrix")
-    found = psd_pivots([{j: x for j, x in enumerate(row) if x} for row in G.entries])
-    return (False, G.rank()) if found is None else (True, len(found[0]))
+    found = psd_pivots(_sparse_rows(G))
+    if found is not None:
+        return True, len(found[0])
+    return False, len(psd_pivots(column_gram(_sparse_rows(G), G.cols))[0])
+
+
+def _sparse_rows(M: IntMatrix) -> list[dict]:
+    return [{j: x for j, x in enumerate(row) if x} for row in M.entries]
+
+
+def column_gram(rows, n: int) -> list[dict]:
+    """The sparse rows of M^tr M for the sparse rows `rows` of an integer matrix M
+    with n columns: (M^tr M)_jk is the sum over the rows r of M of r[j] r[k].
+
+    M^tr M is PSD, and M^tr M x = 0 iff |M x|^2 = 0 iff M x = 0, so `psd_pivots`
+    gives the rank of M and `psd_radical` its kernel, over Q and over Z.
+    """
+    out = [{} for _ in range(n)]
+    for row in rows:
+        for j, x in row.items():
+            o = out[j]
+            for k, y in row.items():
+                o[k] = o.get(k, 0) + x * y
+    return [{k: v for k, v in o.items() if v} for o in out]
 
 
 def psd_pivots(rows):
@@ -225,9 +243,9 @@ def psd_pivots(rows):
 
 def psd_radical(rows, pivots: list[int]) -> tuple[list[tuple[int, ...]], int]:
     """(Z, index) for a PSD matrix G from the rows and pivots `psd_pivots` left:
-    Z the basis of the radical {x in Z^n : G x = 0} in Hermite form, the
-    basis `integer_kernel(G)` gives, and index = |det Z_D| for the indices D
-    outside P, the index `quotient_det` divides out twice.
+    Z the basis of the radical {x in Z^n : G x = 0} in Hermite form, and
+    index = |det Z_D| for the indices D outside P: the form G gives on
+    Z^n / rad has determinant det G_P / index^2.
 
     The rows r_p = rows[p], p in P, are those of a factor of G (`psd_pivots`),
     each zero at the columns of earlier pivots, and G x = 0 iff r_p . x = 0
@@ -314,27 +332,6 @@ def psd_radical(rows, pivots: list[int]) -> tuple[list[tuple[int, ...]], int]:
     return [tuple(z) for z in Z], index
 
 
-def quotient_det(pivots: list[int], det_p: int, radical) -> int:
-    """The determinant of a PSD form on Z^n / rad, from `psd_pivots`' (P, det G_P)
-    and a basis of the radical (c = n - |P| integer rows of length n).
-
-    Let D be the indices outside P. The radical rows at D form a c x c matrix
-    R_D, and R_D is nonsingular: a radical vector that is zero on D lives on P,
-    where G_P is positive definite, so it is zero. Hence Z^P maps injectively
-    into Z^n / rad, with cokernel Z^n / (Z^P + rad) = Z^D / (row lattice of
-    R_D) of order |det R_D|. A sublattice of index k has k^2 times the
-    determinant, so the form on Z^n / rad has determinant det G_P / det(R_D)^2,
-    an exact division. With c = 0 this is det G.
-    """
-    if not radical:
-        return det_p
-    P = set(pivots)
-    D = [k for k in range(len(radical[0])) if k not in P]
-    index = _det([[z[k] for k in D] for z in radical])
-    assert index and det_p % (index * index) == 0, "det G_P must be a multiple of det(R_D)^2 != 0"
-    return det_p // (index * index)
-
-
 def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     """Reduce `rows` to row-style Hermite normal form; return pivot column list.
 
@@ -347,8 +344,17 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     r = 0
     pivots = []
     for c in range(len(rows[0])):
-        if not _pivot_down(rows, r, c):
+        piv = _smallest_at(rows, r, c)
+        if piv is None:
             continue
+        while piv is not None:  # Euclid in column c: the gcd, up to sign, at row r, zeros below
+            rows[r], rows[piv] = rows[piv], rows[r]
+            tail = rows[r][c:]
+            for k in range(r + 1, len(rows)):
+                if rows[k][c] != 0:
+                    qout = rows[k][c] // tail[0]
+                    rows[k][c:] = [x - qout * y for x, y in zip(rows[k][c:], tail)]
+            piv = _smallest_at(rows, r + 1, c)
         if rows[r][c] < 0:
             rows[r] = [-x for x in rows[r]]
         tail = rows[r][c:]
@@ -363,27 +369,6 @@ def _row_hnf_in_place(rows: list[list[int]]) -> list[int]:
     return pivots
 
 
-def _pivot_down(rows, r, c) -> bool:
-    """Euclid in column c over rows r, r+1, ...: leave their gcd, up to sign, at
-    row r and zeros below it; False, with nothing changed, if all are zero.
-
-    Each round reduces every row below by the row with the smallest entry,
-    then moves the smallest remainder up, until none is left.
-    """
-    piv = _smallest_at(rows, r, c)
-    if piv is None:
-        return False
-    while piv is not None:
-        rows[r], rows[piv] = rows[piv], rows[r]
-        tail = rows[r][c:]
-        for k in range(r + 1, len(rows)):
-            if rows[k][c] != 0:
-                qout = rows[k][c] // tail[0]
-                rows[k][c:] = [x - qout * y for x, y in zip(rows[k][c:], tail)]
-        piv = _smallest_at(rows, r + 1, c)
-    return True
-
-
 def _smallest_at(rows, start, c):
     """The row from `start` on with the smallest nonzero entry in column c, or None."""
     piv = None
@@ -394,33 +379,14 @@ def _smallest_at(rows, start, c):
 
 
 def integer_kernel(M: IntMatrix) -> list[tuple[int, ...]]:
-    """Basis of the pure subgroup {x in Z^cols : Mx = 0}, in Hermite echelon form.
-
-    Works on the stacked matrix [M^tr | I]: row operations turn a row into
-    [(Mx)^tr | x^tr], so once the left block is in echelon form (no reduction
-    above its pivots is needed), the rows whose left block vanished carry a
-    basis of the kernel in the right block. The Hermite normal form of that
-    basis is unique for the lattice (Cohen, A Course in Computational
-    Algebraic Number Theory, 2.4.3), so it is the basis a full reduction of
-    [M^tr | I] gives.
+    """Basis of the pure subgroup {x in Z^cols : Mx = 0}, in Hermite form: the
+    radical of the PSD matrix M^tr M (`column_gram`), by `psd_pivots` and
+    `psd_radical`. The Hermite form is unique for the lattice (Cohen, A Course
+    in Computational Algebraic Number Theory, 2.4.3).
     """
-    m, n = M.rows, M.cols
-    aug = [[M.entries[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
-           for j in range(n)]
-    r = 0
-    for c in range(m):
-        if r < n and _pivot_down(aug, r, c):
-            r += 1
-    krows = [row[m:] for row in aug[r:]]
-    _row_hnf_in_place(krows)
-    basis = []
-    for row in krows:
-        g = 0
-        for x in row:
-            g = gcd(g, x)
-        assert g == 1, "kernel of an integer matrix is pure; content must be 1"
-        basis.append(tuple(row))
-    sparse = [[(k, x) for k, x in enumerate(row) if x] for row in M.entries]
+    sparse = _sparse_rows(M)
+    rows = column_gram(sparse, M.cols)
+    basis = psd_radical(rows, psd_pivots(rows)[0])[0]
     for v in basis:
-        assert all(sum(x * v[k] for k, x in row) == 0 for row in sparse)
+        assert all(sum(x * v[k] for k, x in row.items()) == 0 for row in sparse)
     return basis

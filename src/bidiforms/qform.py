@@ -17,7 +17,7 @@ from math import gcd, isqrt
 from types import MappingProxyType
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
-from .exact_linalg import IntMatrix, integer_kernel, psd_pivots, psd_radical
+from .exact_linalg import IntMatrix, column_gram, psd_pivots, psd_radical
 
 
 class IntegralQuadraticForm:
@@ -210,6 +210,7 @@ class IntegralQuadraticForm:
 
 def zero_form(c: int) -> IntegralQuadraticForm:
     """The zero form on c >= 1 variables."""
+    c = as_int(c)
     if c < 1:
         raise InvalidInput("zero form needs at least one variable")
     return IntegralQuadraticForm([0] * c)
@@ -449,7 +450,7 @@ class FormAnalysis:
     dotted_loops: int
     # det of q on Z^n / rad q, or None when q is not non-negative: det G at
     # corank 0, and the Gram determinant of q^X for every positive core X whose
-    # deleted radical rows are unimodular (`exact_linalg.quotient_det`)
+    # deleted radical rows are unimodular
     positive_det: int | None
 
 
@@ -460,9 +461,10 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     The PSD test, the rank, the pivots behind `positive_det` and the radical
     come from one sparse elimination on the rows of q: `exact_linalg.psd_pivots`,
     then `psd_radical` on the rows it leaves, which also gives the index that
-    `positive_det` divides out. Each radical vector is checked against the
-    rows of q at its support. The dense Gram matrix is built only for a form
-    that is not non-negative, for its rank and its radical.
+    `positive_det` divides out. A form that is not non-negative takes the same
+    two steps on the rows of G^tr G (`column_gram`), which has the kernel of
+    its Gram matrix G. No form is expanded into its dense Gram matrix. Each
+    radical vector is checked against the rows of q at its support.
     """
     n = q.n
     unit = all(d == 1 for d in q.diag)
@@ -482,26 +484,20 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         rows[j - 1][i - 1] = v
     found = psd_pivots(rows)
     adj = form_adjacency(q)
-    if found is None:
-        G = q.gram()
-        rank = G.rank()
-        radical = tuple(integer_kernel(G)) if rank < n else ()
-        positive_det = None
-    else:
-        pivots, det_p = found
-        rank = len(pivots)
-        radical, index = psd_radical(rows, pivots)
-        for z in radical:  # G z = 0, read off the rows of q at the support of z
-            Gz = {}
-            for k, x in enumerate(z, start=1):
-                if x:
-                    Gz[k] = Gz.get(k, 0) + 2 * q.diag[k - 1] * x
-                    for w, v in adj[k]:
-                        Gz[w] = Gz.get(w, 0) + v * x
-            assert not any(Gz.values()), "a radical vector is in the kernel of the Gram matrix"
-        radical = tuple(radical)
-        assert det_p % (index * index) == 0, "det G_P must be a multiple of the index squared"
-        positive_det = det_p // (index * index)
+    if found is None:  # G x = 0 iff |G x|^2 = x^tr G^tr G x = 0, and G^tr G is PSD
+        G = [{k: 2 * d, **{w - 1: v for w, v in adj[k + 1]}} for k, d in enumerate(q.diag)]
+        rows = column_gram(G, n)
+    pivots, det_p = found or psd_pivots(rows)
+    radical, index = psd_radical(rows, pivots)
+    for z in radical:  # G z = 0, read off the rows of q at the support of z
+        Gz = {}
+        for k, x in enumerate(z, start=1):
+            if x:
+                Gz[k] = Gz.get(k, 0) + 2 * q.diag[k - 1] * x
+                for w, v in adj[k]:
+                    Gz[w] = Gz.get(w, 0) + v * x
+        assert not any(Gz.values()), "a radical vector is in the kernel of the Gram matrix"
+    assert found is None or det_p % (index * index) == 0, "det G_P must be a multiple of the index squared"
     return FormAnalysis(
         connected=len(traverse(adj, 1)[0]) == n,
         irreducible=content == 1,
@@ -512,9 +508,9 @@ def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
         cox_regular=cox_regular,
         classic=classic,
         non_negative=found is not None,
-        rank=rank,
-        corank=n - rank,
-        radical_basis=radical,
+        rank=len(pivots),
+        corank=n - len(pivots),
+        radical_basis=tuple(radical),
         dotted_loops=sum(d - 1 for d in q.diag),
-        positive_det=positive_det,
+        positive_det=None if found is None else det_p // (index * index),
     )

@@ -248,7 +248,7 @@ class _WalkStates:
     def __init__(self, B: BidirectedGraph, prune: int):
         n = B.n
         self.n = n
-        self.prune = prune = max(prune, 0)  # a negative prune admits no step, like 0
+        self.prune = prune
         self.m2 = m2 = 2 * B.m
         self.base = base = 2 * prune + 1
         self.zero = sum(prune * base**i for i in range(n))
@@ -338,18 +338,21 @@ def theorem_c_roots(
     (the walk-generated subset of the 2-roots). Enumeration is a BFS over
     (vertex, sign, inc) states up to `length_cap` steps, coordinates pruned at
     `prune` (default: maximal |inc| entry reachable under the cap). A negative
-    `length_cap` is refused. A balanced graph has no negative closed walk.
+    `length_cap` or `prune` is refused. A balanced graph has no negative closed walk.
     """
     d, length_cap = as_int(d), as_int(length_cap)
+    prune = length_cap if prune is None else as_int(prune)
     if d not in (0, 1, 2):
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
     if length_cap < 0:
         raise InvalidInput(f"length_cap must be >= 0, got {length_cap}")
+    if prune < 0:
+        raise InvalidInput(f"prune must be >= 0, got {prune}")
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
     if d == 2 and balance(B).beta:
         return RootSet(2, frozenset())
-    states = _WalkStates(B, length_cap if prune is None else as_int(prune))
+    states = _WalkStates(B, prune)
     m2, zero, mirror = states.m2, states.zero, states.mirror
     keys = set()  # one per {x, -x}
     # when the prune cannot bind, an open walk w from vertex m is, reversed, one from its
@@ -383,6 +386,9 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     """
     if not B.is_connected():
         raise InvalidInput("walk_root_cover needs a connected graph")
+    bound = as_int(bound)
+    if bound < 0:
+        raise InvalidInput("bound must be >= 0")
     q = B.incidence_form()
     states = _WalkStates(B, bound + 1)
     want0 = states.keys(brute_force_roots(q, 0, bound).vectors)

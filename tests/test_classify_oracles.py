@@ -33,7 +33,7 @@ from math import isqrt
 
 import pytest
 
-from bidiforms import classify
+from bidiforms import classify, qform
 from bench import gen
 from bidiforms.bidigraph import (
     _Arrows,
@@ -62,9 +62,10 @@ from bidiforms.classify import (
     star_realization,
 )
 from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
-from bidiforms.exact_linalg import IntMatrix, integer_kernel
+from bidiforms.exact_linalg import IntMatrix
 from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, analyze, form_adjacency, traverse
+from tests.test_exact_linalg import _reference_integer_kernel
 from tests.test_graph_layer import _random_graph, _shallow_stack
 from tests.test_qform import _congruence, _sign_update
 
@@ -1144,6 +1145,29 @@ def _zero_variable_forms(rng, count):
     return out
 
 
+def _c_prime(n):
+    """C'_n: the incidence form of C_n^{n/4,n/4} with q_1 set to 1, an indefinite form of corank > 0."""
+    q = canonical_c_graph(n, n // 4, n // 4).incidence_form()
+    return IntegralQuadraticForm((1,) + q.diag[1:], dict(q.off))
+
+
+def _indefinite_forms(rng, count):
+    """`count` forms that are not non-negative and have corank > 0: a random form on
+    k variables read through a random k x n integer matrix T with n > k, so the
+    Gram matrix T^tr G T is singular."""
+    out = []
+    while len(out) < count:
+        k = rng.randint(1, 5)
+        n = k + rng.randint(1, 3)
+        off = {(i, j): rng.randint(-3, 3) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+        G = IntegralQuadraticForm([rng.randint(-1, 2) for _ in range(k)], off).gram()
+        T = IntMatrix([[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)])
+        q = IntegralQuadraticForm.from_gram(T.transpose() @ G @ T)
+        if not analyze(q).non_negative:
+            out.append(q)
+    return out
+
+
 def test_radical_is_the_dense_integer_kernel():
     rng = random.Random(2001)
     forms = list(_generator_forms(rng))
@@ -1153,32 +1177,38 @@ def test_radical_is_the_dense_integer_kernel():
     seen = {"corank 0": 0, "corank 1-4": 0, "corank > 4": 0, "zero variable": 0}
     for q in forms:
         rep = analyze(q)
-        assert rep.non_negative and rep.radical_basis == tuple(integer_kernel(q.gram())), q
+        assert rep.non_negative and rep.radical_basis == tuple(_reference_integer_kernel(q.gram())), q
         if rep.corank:
             seen["corank 1-4" if rep.corank <= 4 else "corank > 4"] += 1
             seen["zero variable"] += 0 in q.diag
         else:
             seen["corank 0"] += 1
     assert min(seen.values()) >= 20, seen
+    # a form that is not non-negative: the rank is Bareiss's, the radical the full reduction's
+    for q in _indefinite_forms(random.Random(2006), 300) + [_c_prime(n) for n in (25, 50, 100)]:
+        rep, G = analyze(q), q.gram()
+        assert not rep.non_negative and rep.corank and rep.positive_det is None, q
+        assert rep.rank == G.rank() and rep.radical_basis == tuple(_reference_integer_kernel(G)), q
 
 
-def test_analyze_builds_no_gram_matrix_for_a_non_negative_form(monkeypatch):
+def test_analyze_builds_no_gram_matrix_for_any_form(monkeypatch):
     rng = random.Random(2003)
     forms = [q for _, q in _seeded_forms(2004, 200)] + _zero_variable_forms(rng, 50)
     forms += [canonical_c_graph(n, n // 4, n // 4).incidence_form() for n in (8, 40)]
     forms = [q for q in forms if analyze(q).non_negative and analyze(q).corank]
     assert len(forms) > 100
+    forms += [IntegralQuadraticForm([1, 1], {(1, 2): 3}), _c_prime(40)] + _indefinite_forms(rng, 50)
+    want = [analyze(q) for q in forms]
 
-    def no_gram(q):
-        raise AssertionError("the dense Gram matrix was built")
+    def dense(*args):
+        raise AssertionError("the dense Gram matrix was built or reduced")
 
     analyze.cache_clear()
-    monkeypatch.setattr(IntegralQuadraticForm, "gram", no_gram)
-    for q in forms:
-        assert analyze(q).corank
-    # a form that is not non-negative takes the dense rank, and the dense kernel with it
-    with pytest.raises(AssertionError, match="dense Gram"):
-        analyze(IntegralQuadraticForm([1, 1], {(1, 2): 3}))
+    monkeypatch.setattr(IntegralQuadraticForm, "gram", dense)
+    monkeypatch.setattr(qform, "_gram_rows", dense)
+    monkeypatch.setattr(IntMatrix, "rank", dense)
+    assert [analyze(q) for q in forms] == want
+    assert sum(not rep.non_negative for rep in want) == 52
 
 
 def test_type_c_chase_builds_a_bounded_number_of_graphs(monkeypatch):

@@ -14,7 +14,6 @@ from bidiforms.exact_linalg import (
     psd_pivots,
     psd_radical,
     psd_rank,
-    quotient_det,
 )
 from bidiforms.qform import IntegralQuadraticForm
 
@@ -67,6 +66,27 @@ def _dense_psd_pivots(G: IntMatrix):
 
 def _sparse_rows(G: IntMatrix):
     return [{j: x for j, x in enumerate(row) if x} for row in G.entries]
+
+
+def quotient_det(pivots: list[int], det_p: int, radical) -> int:
+    """The determinant of a PSD form on Z^n / rad, from `psd_pivots`' (P, det G_P)
+    and a basis of the radical (c = n - |P| integer rows of length n).
+
+    Let D be the indices outside P. The radical rows at D form a c x c matrix
+    R_D, and R_D is nonsingular: a radical vector that is zero on D lives on P,
+    where G_P is positive definite, so it is zero. Hence Z^P maps injectively
+    into Z^n / rad, with cokernel Z^n / (Z^P + rad) = Z^D / (row lattice of
+    R_D) of order |det R_D|. A sublattice of index k has k^2 times the
+    determinant, so the form on Z^n / rad has determinant det G_P / det(R_D)^2,
+    an exact division. With c = 0 this is det G.
+    """
+    if not radical:
+        return det_p
+    P = set(pivots)
+    D = [k for k in range(len(radical[0])) if k not in P]
+    index = IntMatrix([[z[k] for k in D] for z in radical]).det()
+    assert index and det_p % (index * index) == 0, "det G_P must be a multiple of det(R_D)^2 != 0"
+    return det_p // (index * index)
 
 
 def test_psd_rank_a3_gram():
@@ -258,8 +278,9 @@ def test_sparse_psd_pivots_match_the_dense_oracle():
 
 
 def test_psd_radical_is_the_integer_kernel_with_its_index():
-    """The radical from the rows `psd_pivots` leaves is the Hermite basis of the
-    dense `integer_kernel`, and its index is |det Z_D| over the non-pivots D."""
+    """The radical from the rows `psd_pivots` leaves is the Hermite basis that a
+    full reduction of [G^tr | I] gives, and its index is |det Z_D| over the
+    non-pivots D."""
     seen = {"corank > 0": 0, "index > 1": 0, "n >= 25": 0}
     for G in _seeded_gram_matrices(random.Random(2005)):
         rows = _sparse_rows(G)
@@ -268,7 +289,7 @@ def test_psd_radical_is_the_integer_kernel_with_its_index():
             continue
         P = found[0]
         Z, index = psd_radical(rows, P)
-        assert Z == integer_kernel(G), G
+        assert Z == _reference_integer_kernel(G), G
         D = [k for k in range(G.rows) if k not in P]
         assert index == (abs(IntMatrix([[z[k] for k in D] for z in Z]).det()) if Z else 1)
         seen["corank > 0"] += bool(Z)
@@ -388,8 +409,10 @@ def test_integer_kernel_of_a_large_gram_matrix_stays_small():
 
 
 def _reference_integer_kernel(M):
-    """The kernel basis by a full Hermite reduction of [M^tr | I], as computed
-    before the echelon-first pass."""
+    """The kernel basis by a full Hermite reduction of [M^tr | I]: row operations
+    turn a row into [(Mx)^tr | x^tr], so the rows whose left block vanished carry
+    the kernel. No elimination of the library's is shared with this oracle but
+    the Hermite form itself."""
     m, n = M.rows, M.cols
     aug = [[M.entries[i][j] for i in range(m)] + [1 if k == j else 0 for k in range(n)]
            for j in range(n)]

@@ -3,10 +3,18 @@ import random
 
 import pytest
 
-from bidiforms.bidigraph import canonical_c as canonical_c_graph
-from bidiforms.classify import _Rows, dynkin_plus_zero, gabrielov_update, pivot_saturate, star_realization
+from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph, canonical_d, loops_graph
+from bidiforms.classify import (
+    DynkinType,
+    _Rows,
+    dynkin_plus_zero,
+    dynkin_unit_form,
+    gabrielov_update,
+    pivot_saturate,
+    star_realization,
+)
 from bidiforms.errors import InvalidInput
-from bidiforms.exact_linalg import IntMatrix, integer_kernel
+from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import (
     Bigraph,
     IntegralQuadraticForm,
@@ -17,6 +25,7 @@ from bidiforms.qform import (
 )
 from bidiforms.roots_dioph import companion, four_squares, solve
 from bidiforms.walks import brute_force_roots, theorem_c_roots
+from tests.test_exact_linalg import _reference_integer_kernel
 
 
 def q_a(r):
@@ -117,7 +126,7 @@ def test_analyze_radical_is_the_kernel_of_the_gram_matrix():
         off = {(i, j): rng.randint(-2, 2) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
         q = IntegralQuadraticForm([rng.randint(0, 2) for _ in range(n)], off)
         rep = analyze(q)
-        assert rep.radical_basis == tuple(integer_kernel(q.gram()))
+        assert rep.radical_basis == tuple(_reference_integer_kernel(q.gram()))
         assert len(rep.radical_basis) == rep.corank
         full += rep.corank == 0
     assert 20 < full < 180
@@ -158,7 +167,7 @@ def test_restrict_identity_and_errors():
 
 
 def test_restrict_canonical_extension_to_c4():
-    from bidiforms.bidigraph import canonical_c as canonical_c_graph
+    from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph, canonical_d, loops_graph
 
     for r, c1, c2 in [(4, 1, 1), (5, 0, 2), (6, 2, 0)]:
         q = canonical_c_graph(r, c1, c2).incidence_form()
@@ -446,6 +455,24 @@ def test_hash_is_the_sorted_key_for_every_producer():
 )
 def test_forms_and_vectors_refuse_non_integers(build):
     # int() would truncate 1.9 to 1 and read "1" as 1; the JSON readers refuse both too
+    with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: DynkinType("A", 2.5),
+        lambda: zero_form(2.5),
+        lambda: dynkin_unit_form("A", 2.5),
+        lambda: canonical_a(2.5, 0),
+        lambda: canonical_c_graph(3, 0.5, 0),
+        lambda: canonical_d("4", 0),
+        lambda: loops_graph(1.5, 0, 0),
+    ],
+)
+def test_named_constructors_refuse_non_integer_sizes(build):
+    # a float size used to build an invalid type, or fail with a TypeError in range()
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         build()
 

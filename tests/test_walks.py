@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from bidiforms.bidigraph import BidirectedGraph, balance, canonical_a, loops_graph
+from bidiforms.bidigraph import BidirectedGraph, balance, canonical_a, canonical_c, loops_graph
 from bidiforms.errors import InvalidInput, NotPositive
 from bidiforms.qform import IntegralQuadraticForm
 from bidiforms import walks
@@ -198,6 +198,22 @@ def test_theorem_c_roots_refuses_a_negative_length_cap():
         with pytest.raises(InvalidInput):
             theorem_c_roots(B_3V, d, -1, prune=2)
     assert theorem_c_roots(canonical_a(3, 0), 0, 0).vectors == frozenset({(0, 0, 0)})
+
+
+def test_a_negative_prune_or_bound_is_refused_before_any_walk_state(monkeypatch):
+    B = canonical_c(3, 0, 0)
+    assert len(theorem_c_roots(B, 1, 3).vectors) == 10
+    for prune in (-1, -2):
+        with pytest.raises(InvalidInput, match="prune must be >= 0"):
+            theorem_c_roots(B, 1, 3, prune=prune)
+
+    def no_states(*args):
+        raise AssertionError("walk states were built")
+
+    monkeypatch.setattr(walks, "_WalkStates", no_states)
+    for bound in (-1, -3):
+        with pytest.raises(InvalidInput, match="bound must be >= 0"):
+            walk_root_cover(B, bound)
 
 
 def test_theorem_c_two_roots():
@@ -408,7 +424,7 @@ def test_walk_state_levels_match_reference_bfs_in_both_regimes():
     rng = random.Random(4513)
     for B in _with_two_regimes(rng):
         cap = rng.randint(2, 6)
-        for prune in (cap + rng.randint(1, 2), cap, rng.randint(1, cap - 1), -1):
+        for prune in (cap + rng.randint(1, 2), cap, rng.randint(1, cap - 1), 0):
             states = _WalkStates(B, prune)
             for start in range(1, B.m + 1):
                 got = [{_unpacked(states, s) for s in level} for level in states.levels(start, cap)]
@@ -449,7 +465,11 @@ def test_walk_roots_match_tuple_state_reference():
             cap = rng.randint(0, 6)
             assert theorem_c_roots(B, d, cap).vectors == _reference_theorem_c(B, d, cap, cap)
             prune = rng.randint(-1, 3)
-            assert theorem_c_roots(B, d, cap, prune).vectors == _reference_theorem_c(B, d, cap, prune)
+            if prune < 0:
+                with pytest.raises(InvalidInput, match="prune must be >= 0"):
+                    theorem_c_roots(B, d, cap, prune)
+            else:
+                assert theorem_c_roots(B, d, cap, prune).vectors == _reference_theorem_c(B, d, cap, prune)
         bound = rng.randint(0, 2)
         assert walk_root_cover(B, bound) == _reference_cover(B, bound)
     assert seen_kinds == {"directed loop", "bidirected loop", "parallel"}
@@ -480,6 +500,10 @@ def test_theorem_c_roots_match_the_all_starts_search():
             for d in (0, 1, 2):
                 cap = rng.randint(0, 7)
                 for prune in (None, cap, cap + 2, rng.randint(-1, cap - 1)):
+                    if prune is not None and prune < 0:
+                        with pytest.raises(InvalidInput, match="prune must be >= 0"):
+                            theorem_c_roots(B, d, cap, prune)
+                        continue
                     want = _all_starts_theorem_c(B, d, cap, prune)
                     assert theorem_c_roots(B, d, cap, prune).vectors == want, (B, d, cap, prune)
             if m == 1:
