@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import InvalidInput, as_int, int_tuple, json_int
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _size
 from .qform import Bigraph, IntegralQuadraticForm, bigraph_of, traverse
 
 
@@ -94,6 +94,7 @@ class BidirectedGraph:
     # -- structure ---------------------------------------------------------
 
     def arrow_ends(self, i: int):
+        i = as_int(i)
         if not (1 <= i <= self.n):
             raise InvalidInput(f"arrow index {i} out of range")
         return self.ends[i - 1]
@@ -140,6 +141,7 @@ class BidirectedGraph:
         return adj
 
     def incident_arrows(self, u: int) -> list[int]:
+        u = as_int(u)
         if not (1 <= u <= self.m):
             raise InvalidInput(f"vertex {u} out of range")
         return [i for _, i in self.adjacency().get(u, ())]
@@ -259,9 +261,13 @@ class OrthogonalMatrix:
 
     @staticmethod
     def identity(m: int) -> "OrthogonalMatrix":
+        m = _size(m)
         return OrthogonalMatrix((1,) * m, tuple(range(1, m + 1)))
 
     def apply_endpoint(self, u: int, e: int) -> tuple[int, int]:
+        u, e = as_int(u), as_int(e)
+        if not 1 <= u <= self.m:
+            raise InvalidInput(f"vertex {u} out of range")
         return (self.perm[u - 1], e * self.signs[u - 1])
 
     def to_matrix(self) -> IntMatrix:
@@ -301,6 +307,7 @@ def switch(B: BidirectedGraph, O: OrthogonalMatrix) -> BidirectedGraph:
 
 def sign_flip(B: BidirectedGraph, i: int) -> BidirectedGraph:
     """Flip both endpoint signs of arrow i (form-level sign inversion T_i)."""
+    i = as_int(i)
     return _with_arrow(B, i, _flipped(B.arrow_ends(i)))
 
 
@@ -327,6 +334,7 @@ def graph_gabrielov(B: BidirectedGraph, i: int, j: int) -> BidirectedGraph:
     Matches the form-level column operation E_j -> E_j - (q_ij/q_i) E_i on the
     incidence form; non-incident pairs act as the identity.
     """
+    i, j = as_int(i), as_int(j)
     if i == j:
         raise InvalidInput("graph Gabrielov needs two distinct arrows")
     ends_i, ends_j = B.arrow_ends(i), B.arrow_ends(j)
@@ -345,6 +353,7 @@ def endpoint_rewrite(B: BidirectedGraph, i: int, j: int, eps: int) -> Bidirected
       * eps = e*e_u, j a bidirected loop at u and i a non-loop arrow at u with
         end sign e_u and loop sign e: j becomes a bidirected arrow along i.
     """
+    i, j, eps = as_int(i), as_int(j), as_int(eps)
     if eps not in (1, -1):
         raise InvalidInput("eps must be +-1")
     if i == j:

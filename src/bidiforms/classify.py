@@ -28,8 +28,9 @@ from a copy of them. The target of `canonical_c` and its rows are built
 once per (r, c1, c2) (`_canonical_target`); q∘M = target is still checked
 with `q.compose(M)`. The public updates (`gabrielov_update`,
 `GTransform.then_*`) check their indices, then run the same row update on
-a thawed copy. A chase's result is a `GTransform` built without the
-determinant check: its matrix is a product of elementary steps.
+a thawed copy. Every `GTransform` the library builds skips the determinant
+check: its matrix is a product of elementary steps. The public functions
+take the form alone and read its analysis from the cache of `analyze`.
 
 Unit forms of type A/D are realized by a depth-first search over incidence
 rows that indexes the placed rows by vertex and generates only the rows
@@ -96,8 +97,8 @@ class _Rows:
     given): `rows[i - 1]` lists the G_ik, G_ik = q_ik for k != i, G_ii = 2 q_i.
 
     A step rewrites one row and its column, in O(n), a perm reorders rows and
-    columns in place; a shear does not check its indices, so the public steps
-    check theirs first. `freeze` wraps the rows in a form without the checks,
+    columns in place; no step checks its indices, so the public steps check
+    theirs first. `freeze` wraps the rows in a form without the checks,
     in O(n^2), kept until the next change.
     """
 
@@ -130,8 +131,6 @@ class _Rows:
 
     def negate(self, i: int) -> None:
         """x_i ↦ -x_i: the coefficients at i change sign."""
-        if not 1 <= i <= self.n:
-            raise InvalidInput(f"sign step index {i} out of range")
         new = [-a for a in self.rows[i - 1]]
         new[i - 1] = -new[i - 1]
         self._put(i, new)
@@ -171,10 +170,6 @@ class _Chase:
     @property
     def M(self) -> IntMatrix:
         return IntMatrix._trusted(tuple(zip(*self.cols)))
-
-    @property
-    def B(self) -> BidirectedGraph | None:
-        return None if self.graph is None else self.graph.freeze()
 
     @property
     def q(self) -> IntegralQuadraticForm:
@@ -239,11 +234,11 @@ class GTransform:
 
     @classmethod
     def _trusted(cls, matrix: IntMatrix, steps) -> "GTransform":
-        """The matrix M and steps of a `_Chase` from the identity, without the determinant.
+        """The matrix M and steps of a `_Chase` from a unimodular matrix, unchecked.
 
         `_Chase.push` takes only elementary steps (a shear with i != j, a sign
         step inside 1..n, a permutation that the chase builds or `_then`
-        checks), so M, their product, is unimodular by construction.
+        checks), so M, their product with it, is unimodular by construction.
         """
         T = object.__new__(cls)
         object.__setattr__(T, "matrix", matrix)
@@ -272,25 +267,28 @@ class GTransform:
 
     @staticmethod
     def identity(n: int) -> "GTransform":
-        return GTransform(IntMatrix.identity(n))
+        return GTransform._trusted(IntMatrix.identity(n), ())
 
     def _then(self, q_current, step):
+        """The one check of a step's indices before `_Chase.push` takes it."""
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
         if step[0] == "gabrielov":
             _gabrielov_ratio(q_current, step[1], step[2])  # refuses what the rows would misread
+        elif step[0] == "sign" and not 1 <= step[1] <= self.n:
+            raise InvalidInput(f"sign step index {step[1]} out of range")
         elif step[0] == "perm" and sorted(step[1]) != list(range(1, self.n + 1)):
             raise InvalidInput("not a permutation of 1..n")
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
         ch.push(*step)
-        return GTransform(ch.M, self.steps + (step,)), ch.q
+        return GTransform._trusted(ch.M, self.steps + (step,)), ch.q
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
-        return self._then(q_current, ("gabrielov", i, j))
+        return self._then(q_current, ("gabrielov", as_int(i), as_int(j)))
 
     def then_sign(self, q_current, i):
-        return self._then(q_current, ("sign", i))
+        return self._then(q_current, ("sign", as_int(i)))
 
     def then_perm(self, q_current, pi):
         return self._then(q_current, ("perm", int_tuple(pi)))
@@ -327,6 +325,7 @@ class GTransform:
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
+    i, j = as_int(i), as_int(j)
     c = _gabrielov_ratio(q, i, j)
     f = _Rows(q)
     f.shear(i, j, c)
@@ -335,8 +334,6 @@ def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadra
 
 def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
     """Elementary Gabrielov transformation of q at (i, j): returns (q', T)."""
-    if i == j or not (1 <= i <= q.n and 1 <= j <= q.n):
-        raise InvalidInput("gabrielov needs two distinct variable indices")
     T, q2 = GTransform.identity(q.n).then_gabrielov(q, i, j)
     return q2, T
 
@@ -481,7 +478,7 @@ def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
     )
 
 
-def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
+def dynkin_type(q: IntegralQuadraticForm):
     """Dynkin type and corank of a connected non-negative form.
 
     Unit forms are typed A/D/E by the determinant of q on Z^n / rad q, which
@@ -494,7 +491,7 @@ def dynkin_type(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
     conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
     `one_root_count` give the same typing and serve as its test oracle.
     """
-    rep = rep or analyze(q)
+    rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("dynkin_type needs a non-negative form")
     if not rep.connected:
@@ -535,7 +532,7 @@ def _assert_type_c_bounds(q):
             assert -2 <= v <= 2
 
 
-def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> list[int]:
+def positive_core(q: IntegralQuadraticForm) -> list[int]:
     """Index set X with q^X positive, connected and of full rank.
 
     For type C the core is the breadth-first spanning tree of a realization
@@ -545,7 +542,7 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
     deleted variables have determinant +-1, so q^X is Z-equivalent to the
     positive part of q and has the Dynkin type of q.
     """
-    rep = rep or analyze(q)
+    rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("positive_core needs a non-negative form")
     if not rep.connected:
@@ -555,7 +552,7 @@ def positive_core(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> 
     if rep.corank == 0:
         return list(range(1, q.n + 1))
     if not rep.unit and _is_type_c(rep, q):
-        B = realize(q, rep)
+        B = realize(q)
         _, parent = traverse(B.adjacency(), 1)
         X = sorted({p[1] for p in parent.values() if p} | {B.bidirected_loops()[0]})
         sub = analyze(q.restrict(X))
@@ -620,6 +617,7 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
     Gabrielov steps shrink the zero set S = {j : q_{i0 j} = 0}; sign
     inversions then fix the signs. Diagonal coefficients are untouched.
     """
+    i0 = as_int(i0)
     rep = analyze(q)
     if not rep.connected:
         raise InvalidInput("pivot_saturate needs a connected form")
@@ -733,19 +731,18 @@ def _star_graph(rows):
     return BidirectedGraph._trusted(part.m, tuple(ends)), part
 
 
-def star_realization(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
+def star_realization(q: IntegralQuadraticForm):
     """G-transformation T and graph B' with q∘T = incidence form of B'.
 
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, _, form, B, part = _checked_star(q, rep)
+    cols, steps, _, form, B, part = _checked_star(q, analyze(q))
     return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, B, part
 
 
-def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis | None):
-    """The star snapshot of q, once q is known to be of type C."""
-    rep = rep or analyze(q)
+def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
+    """The star snapshot of q, once its analysis `rep` shows that q is of type C."""
     if not rep.non_negative:
         raise NotNonNegative("type-C realization needs a non-negative form")
     if not _is_type_c(rep, q):
@@ -775,7 +772,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
     return tuple(ch.cols), tuple(ch.steps), ch.form.rows, _rows_form(ch.form.rows), B, part
 
 
-def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> BidirectedGraph:
+def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
     Unit forms of type A/D are realized by a depth-first search over
@@ -784,13 +781,13 @@ def realize(q: IntegralQuadraticForm, rep: FormAnalysis | None = None) -> Bidire
     partition and are pulled back with inverse graph transformations,
     applied in place (`_Arrows`) and frozen once.
     """
-    rep = rep or analyze(q)
+    rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("realize needs a non-negative form")
     if not rep.connected or not rep.irreducible:
         raise InvalidInput("realize needs a connected irreducible form")
     if rep.unit:
-        typ, _ = dynkin_type(q, rep)
+        typ, _ = dynkin_type(q)
         if typ.family == "E":
             raise NotIncidenceForm(f"unit forms of type {typ} are not incidence forms")
         m = rep.rank + 1 if typ.family == "A" else rep.rank

@@ -119,7 +119,7 @@ def _cmd_qf_info(args):
         "dynkin": None,
     }
     try:
-        typ, _ = classify.dynkin_type(q, rep)
+        typ, _ = classify.dynkin_type(q)
         payload["dynkin"] = str(typ)
     except BidiformsError as exc:
         payload["dynkin_note"] = str(exc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .errors import InvalidInput, int_tuple
+from .errors import InvalidInput, as_int, int_tuple
 
 
 class IntMatrix:
@@ -49,11 +49,13 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        n = _size(n)
+        return IntMatrix._trusted(tuple((0,) * i + (1,) + (0,) * (n - i - 1) for i in range(n)))
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        rows, cols = _size(rows), _size(cols)
+        return IntMatrix._trusted(((0,) * cols,) * rows)
 
     def __eq__(self, other):
         return isinstance(other, IntMatrix) and self.entries == other.entries
@@ -110,6 +112,14 @@ class IntMatrix:
     def rank(self) -> int:
         """Exact rank via fraction-free (Bareiss) row elimination."""
         return _bareiss(self.entries)[0]
+
+
+def _size(n) -> int:
+    """`as_int(n)`; InvalidInput if it is negative."""
+    n = as_int(n)
+    if n < 0:
+        raise InvalidInput(f"a matrix size must be >= 0, got {n}")
+    return n
 
 
 def _dot(u, v) -> int:

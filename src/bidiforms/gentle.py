@@ -420,7 +420,7 @@ def _component_types(q: IntegralQuadraticForm):
             typ, crk = dynkin_type(sub)
             out.append((tuple(comp), f"{rep.content}*{typ}", crk))
             continue
-        typ, crk = dynkin_type(sub, rep)
+        typ, crk = dynkin_type(sub)
         out.append((tuple(comp), str(typ), crk))
     return tuple(out)
 

@@ -84,6 +84,7 @@ class IntegralQuadraticForm:
 
     def coefficient(self, i: int, j: int) -> int:
         """q_ij with q_ii = q_i and q_ji = q_ij."""
+        i, j = as_int(i), as_int(j)
         if not (1 <= i <= self.n and 1 <= j <= self.n):
             raise InvalidInput(f"index out of range: ({i}, {j})")
         if i == j:

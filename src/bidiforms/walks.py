@@ -1,10 +1,10 @@
 """Walks in the extended bidirected graph and the roots they generate.
 
-A walk alternates vertices and arrows; only directed loops carry a formal
-inverse token (traversal of any other arrow is determined by the vertex
-sequence). The `inc` map sends a walk to an integer vector of the incidence
-form; open walks give 1-roots, positive closed walks 0-roots and negative
-closed walks certain 2-roots.
+A walk alternates vertices and arrows. Its start and its arrow steps fix
+the vertex sequence, so a `Walk` is built from those two alone; only
+directed loops carry a formal inverse token. The `inc` map sends a walk to
+an integer vector of the incidence form; open walks give 1-roots, positive
+closed walks 0-roots and negative closed walks certain 2-roots.
 
 The root enumerators never build `Walk` objects in their loops:
 
@@ -24,25 +24,21 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .bidigraph import BidirectedGraph, _tree_path, balance
-from .errors import InvalidInput, NotPositive, as_int, int_tuple
+from .errors import InvalidInput, NotPositive, as_int
 from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
 
 
 class Walk:
-    """Walk given by a start vertex and (arrow, is_inverse) steps."""
+    """Walk given by a start vertex and (arrow, is_inverse) steps; they fix its `vertices`."""
 
     __slots__ = ("graph", "start", "steps", "vertices")
 
-    def __init__(self, graph: BidirectedGraph, start: int, steps=(), vertices=None):
+    def __init__(self, graph: BidirectedGraph, start: int, steps=()):
         start = as_int(start)
         if not (1 <= start <= graph.m):
             raise InvalidInput("walk start vertex out of range")
         steps = tuple((as_int(a), bool(inv)) for a, inv in steps)
-        if vertices is None:
-            vertices = _infer_vertices(graph, start, steps)
-        else:
-            vertices = int_tuple(vertices)
-            _check_vertices(graph, start, steps, vertices)
+        vertices = _infer_vertices(graph, start, steps)
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "start", start)
         object.__setattr__(self, "steps", steps)
@@ -51,17 +47,16 @@ class Walk:
     def __setattr__(self, name, value):
         raise AttributeError("Walk is immutable")
 
-    def __eq__(self, other):
+    def __eq__(self, other):  # the vertices follow from the rest
         return (
             isinstance(other, Walk)
             and self.graph == other.graph
             and self.start == other.start
             and self.steps == other.steps
-            and self.vertices == other.vertices
         )
 
     def __hash__(self):
-        return hash((self.start, self.steps, self.vertices))
+        return hash((self.start, self.steps))
 
     def __repr__(self):
         return f"Walk({self.format_text()!r})"
@@ -97,19 +92,14 @@ class Walk:
             raise InvalidInput("walks live on different graphs")
         if self.end != other.start:
             raise InvalidInput("walks are not composable")
-        return Walk(
-            self.graph,
-            self.start,
-            self.steps + other.steps,
-            self.vertices + other.vertices[1:],
-        )
+        return Walk(self.graph, self.start, self.steps + other.steps)
 
     def inverse(self) -> "Walk":
         graph = self.graph
         steps = []
         for a, inv in reversed(self.steps):
             steps.append((a, not inv) if graph.is_directed_loop(a) else (a, False))
-        return Walk(graph, self.end, steps, tuple(reversed(self.vertices)))
+        return Walk(graph, self.end, steps)
 
     def reduce(self) -> "Walk":
         """Cancel adjacent step/anti-step pairs; preserves inc."""
@@ -120,11 +110,10 @@ class Walk:
                 stack.pop()
             else:
                 stack.append((a, inv, v_from, v_to))
-        steps = tuple((a, inv) for a, inv, _, _ in stack)
-        vertices = (self.start,) + tuple(t for _, _, _, t in stack)
-        return Walk(graph, self.start, steps, vertices)
+        return Walk(graph, self.start, [(a, inv) for a, inv, _, _ in stack])
 
     def power(self, k: int) -> "Walk":
+        k = as_int(k)
         if not self.is_closed():
             raise InvalidInput("powers are defined for closed walks")
         if k < 0:
@@ -157,7 +146,11 @@ class Walk:
                     steps.append((int(tok), False))
         except ValueError as exc:
             raise InvalidInput(f"bad walk token: {exc}") from exc
-        return Walk(graph, vertices[0], steps, vertices)
+        walk = Walk(graph, vertices[0], steps)
+        for (a, _), v, w, inferred in zip(steps, vertices, vertices[1:], walk.vertices[1:]):
+            if w != inferred:
+                raise InvalidInput(f"arrow {a} does not join {v} and {w}")
+        return walk
 
 
 def trivial_walk(graph: BidirectedGraph, v: int) -> Walk:
@@ -165,15 +158,12 @@ def trivial_walk(graph: BidirectedGraph, v: int) -> Walk:
 
 
 def _d(graph, v, arrow, inverse):
+    """d(v, arrow): the end sign of the arrow at v, one of its ends, which every
+    caller reads off the graph; +-1 by `inverse` on a directed loop."""
     (u, e), (u2, e2) = graph.arrow_ends(arrow)
-    if graph.is_directed_loop(arrow):
-        if v != u:
-            raise InvalidInput("vertex not on the loop")
+    if u == u2 and e != e2:
         return -1 if inverse else 1
-    candidates = [s for (w, s) in ((u, e), (u2, e2)) if w == v]
-    if not candidates:
-        raise InvalidInput(f"vertex {v} is not an endpoint of arrow {arrow}")
-    return candidates[0]
+    return e if v == u else e2
 
 
 def _infer_vertices(graph, start, steps):
@@ -190,16 +180,6 @@ def _infer_vertices(graph, start, steps):
         else:
             raise InvalidInput(f"arrow {a} is not incident to vertex {v}")
     return tuple(vertices)
-
-
-def _check_vertices(graph, start, steps, vertices):
-    if len(vertices) != len(steps) + 1 or vertices[0] != start:
-        raise InvalidInput("vertex sequence does not match steps")
-    for (a, inv), v, w in zip(steps, vertices, vertices[1:]):
-        if inv and not graph.is_directed_loop(a):
-            raise InvalidInput("formal inverses exist only for directed loops")
-        if {v, w} != set(graph.underlying(a)):
-            raise InvalidInput(f"arrow {a} does not join {v} and {w}")
 
 
 def _are_inverse_steps(graph, s1, s2):
@@ -523,4 +503,4 @@ def _unique_cycle_walk(B) -> Walk:
     a = next(i for i in range(1, B.n + 1) if i not in tree)
     (u, _), (u2, _) = B.ends[a - 1]
     seq = _tree_path(parent, u2, u) + (a, u2)
-    return Walk(B, u2, [(i, False) for i in seq[1::2]], seq[::2])
+    return Walk(B, u2, [(i, False) for i in seq[1::2]])

@@ -1,3 +1,4 @@
+import inspect
 import random
 
 import pytest
@@ -475,7 +476,7 @@ def _root_count_type(q):
     """Dynkin type of a connected non-negative unit form from its 1-root count."""
     rep = analyze(q)
     r = rep.rank
-    count = one_root_count(q.restrict(positive_core(q, rep)))
+    count = one_root_count(q.restrict(positive_core(q)))
     if count == r * (r + 1):
         fam = "A"
     elif r >= 4 and count == 2 * r * (r - 1):
@@ -610,6 +611,45 @@ def test_gtransform_rejects_non_unimodular_matrices():
         GTransform(IntMatrix([[1, 0, 0], [0, 1, 0]]))
     with pytest.raises(InvalidInput, match="unimodular"):
         GTransform.from_json_dict({"matrix": [[1, 1], [-1, 1]], "steps": []})
+    with pytest.raises(InvalidInput, match="unimodular"):
+        GTransform(IntMatrix([[1, 1], [1, 1]]), [("sign", 1)])
+    with pytest.raises(InvalidInput, match="square"):
+        GTransform.from_json_dict({"matrix": [[1, 0]], "steps": [{"op": "sign", "i": 1}]})
+
+
+def test_classify_entry_points_take_the_form_alone():
+    # they once took a caller's analysis on trust: dynkin_type(A4, analyze(D4)) gave D4
+    for f in (dynkin_type, positive_core, realize, star_realization):
+        assert list(inspect.signature(f).parameters) == ["q"]
+    assert dynkin_type(q_a(4)) == (DynkinType("A", 4), 0)
+
+
+def test_library_built_transforms_compute_no_determinant(monkeypatch):
+    # a product of elementary steps is unimodular by construction: only a matrix
+    # from outside the library is checked
+    q = q_a(3)
+    T = GTransform.identity(3)
+    T2, q2 = T.then_sign(q, 3)
+
+    def build():
+        return [
+            gabrielov(q, 1, 2),
+            T.then_gabrielov(q, 1, 2),
+            T.then_sign(q, 3),
+            T.then_perm(q, (2, 3, 1)),
+            T2.then_gabrielov(q2, 2, 3),
+            GTransform.identity(5),
+        ]
+
+    want = build()
+
+    def det(self):
+        raise AssertionError("a determinant was computed")
+
+    monkeypatch.setattr(IntMatrix, "det", det)
+    assert build() == want
+    with pytest.raises(AssertionError, match="determinant"):
+        GTransform(IntMatrix.identity(2))  # the constructor still checks
 
 
 def test_gtransform_perm_refuses_non_integers():

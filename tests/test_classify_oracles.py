@@ -327,9 +327,9 @@ def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
     for family, q in forms:
         rep = analyze(q)
         coranks.add(rep.corank)
-        assert dynkin_type(q, rep)[0].family == family
+        assert dynkin_type(q)[0].family == family
         if rep.corank:
-            X = positive_core(q, rep)
+            X = positive_core(q)
             assert X == _reference_greedy_core(q, rep), q
             cores += 1
             e_cores += family == "E"
@@ -362,10 +362,10 @@ def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
 # -- the determinant typing and the positive core it replaced ----------------------
 
 
-def _reference_positive_det(q, rep):
+def _reference_positive_det(q):
     """The Gram determinant of the unimodular positive core, which `dynkin_type`
     read before `analyze` gave the determinant of q on Z^n / rad q."""
-    return q.restrict(positive_core(q, rep)).gram().det()
+    return q.restrict(positive_core(q)).gram().det()
 
 
 def test_positive_det_matches_the_core_determinant():
@@ -378,7 +378,7 @@ def test_positive_det_matches_the_core_determinant():
     coranks = {}
     for q in forms:
         rep = analyze(q)
-        assert rep.positive_det == _reference_positive_det(q, rep), q
+        assert rep.positive_det == _reference_positive_det(q), q
         coranks[rep.corank] = coranks.get(rep.corank, 0) + 1
     assert set(coranks) == {0, 1, 2, 3, 4} and min(coranks.values()) > 200, coranks
 
@@ -808,8 +808,8 @@ def test_every_row_checked_gabrielov_push_also_passes_the_full_check(monkeypatch
 
     def push_and_check_all(self, *step):
         push(self, *step)
-        if self.B is not None and step[0] in ("gabrielov", "rewrite"):
-            assert self.B.incidence_form() == self.q
+        if self.graph is not None and step[0] in ("gabrielov", "rewrite"):
+            assert self.graph.freeze().incidence_form() == self.q
             checked.append(step[0])
 
     monkeypatch.setattr(classify._Chase, "push", push_and_check_all)
@@ -1094,7 +1094,7 @@ def test_positive_core_of_a_large_corank_three_form_without_recursion():
     rep = analyze(q)
     assert q.n == 63 and rep.connected and rep.corank == 3
     with _shallow_stack():
-        X = positive_core(q, rep)
+        X = positive_core(q)
     sub = analyze(q.restrict(X))
     assert len(X) == 60 and sub.corank == 0 and sub.connected and sub.rank == rep.rank
 

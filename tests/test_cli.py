@@ -288,8 +288,8 @@ def test_verify_missing_bundle():
 
 def test_verify_missing_fixture_file(tmp_path):
     # a present bundle directory with an absent file is malformed input
-    src = open(f"{FIX}/three_vertex_graph.json").read()
-    (tmp_path / "three_vertex_graph.json").write_text(src)
+    with open(f"{FIX}/three_vertex_graph.json") as fh:
+        (tmp_path / "three_vertex_graph.json").write_text(fh.read())
     # path_quiver.json is missing from the bundle
     assert run(["verify", str(tmp_path), "--only", "example-pair"]) == 2
 

@@ -3,12 +3,24 @@ import random
 
 import pytest
 
-from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph, canonical_d, loops_graph
+from bidiforms.bidigraph import (
+    BidirectedGraph,
+    OrthogonalMatrix,
+    canonical_a,
+    canonical_c as canonical_c_graph,
+    canonical_d,
+    endpoint_rewrite,
+    graph_gabrielov,
+    loops_graph,
+    sign_flip,
+)
 from bidiforms.classify import (
     DynkinType,
+    GTransform,
     _Rows,
     dynkin_plus_zero,
     dynkin_unit_form,
+    gabrielov,
     gabrielov_update,
     pivot_saturate,
     star_realization,
@@ -24,7 +36,7 @@ from bidiforms.qform import (
     zero_form,
 )
 from bidiforms.roots_dioph import companion, four_squares, solve
-from bidiforms.walks import brute_force_roots, theorem_c_roots
+from bidiforms.walks import Walk, brute_force_roots, theorem_c_roots
 from tests.test_exact_linalg import _reference_integer_kernel
 
 
@@ -430,6 +442,9 @@ def test_hash_is_the_sorted_key_for_every_producer():
             assert list(delta.edges) == sorted(delta.edges)
 
 
+_B_REWRITE = BidirectedGraph(2, [((1, 1), (2, -1)), ((1, 1), (1, 1))])
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -451,11 +466,46 @@ def test_hash_is_the_sorted_key_for_every_producer():
         lambda: four_squares("7"),
         lambda: theorem_c_roots(canonical_c_graph(3, 0, 0), 1, 2.5),
         lambda: companion(canonical_c_graph(3, 0, 0), ["1", 0, 0]),
+        # index and size arguments: a TypeError from deep inside, or a silent answer
+        lambda: Q_A3.coefficient(1.5, 2),  # returned 0
+        lambda: canonical_a(2, 0).arrow_ends(1.5),
+        lambda: canonical_a(2, 0).underlying(1.5),
+        lambda: canonical_a(2, 0).incident_arrows(1.5),  # returned []
+        lambda: pivot_saturate(Q_C4, 1.5),
+        lambda: gabrielov(Q_A3, 1, 2.5),
+        lambda: gabrielov_update(Q_A3, 1, 2.5),  # returned Q_A3
+        lambda: GTransform.identity(3).then_gabrielov(Q_A3, 1.0, 2),
+        lambda: GTransform.identity(3).then_sign(Q_A3, 1.5),
+        lambda: GTransform.identity(1.5),
+        lambda: IntMatrix.identity(1.5),
+        lambda: IntMatrix.zero(2, 1.5),
+        lambda: OrthogonalMatrix.identity(1.5),
+        lambda: OrthogonalMatrix.identity(2).apply_endpoint(1.5, 1),
+        lambda: sign_flip(canonical_a(2, 0), 1.5),
+        lambda: graph_gabrielov(canonical_a(2, 0), 1, 2.5),
+        lambda: endpoint_rewrite(_B_REWRITE, 1, 2, 1.0),  # returned a graph with the end (2, 1.0)
+        lambda: endpoint_rewrite(_B_REWRITE, 1.5, 2, 1),
+        lambda: Walk(canonical_a(2, 0), 1, [(1, False), (1, False)]).power(1.5),
     ],
 )
 def test_forms_and_vectors_refuse_non_integers(build):
     # int() would truncate 1.9 to 1 and read "1" as 1; the JSON readers refuse both too
     with pytest.raises(InvalidInput, match="expected an integer, got"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: IntMatrix.identity(-1), "size must be >= 0"),  # returned an empty matrix
+        (lambda: IntMatrix.zero(-1, 2), "size must be >= 0"),
+        (lambda: GTransform.identity(-2), "size must be >= 0"),
+        (lambda: OrthogonalMatrix.identity(-1), "size must be >= 0"),
+        (lambda: OrthogonalMatrix.identity(2).apply_endpoint(0, 1), "out of range"),  # read vertex 2
+    ],
+)
+def test_negative_sizes_and_indices_are_refused(build, message):
+    with pytest.raises(InvalidInput, match=message):
         build()
 
 
@@ -496,3 +546,4 @@ def test_forms_and_vectors_take_any_integer_type():
     delta = Bigraph(2, {(1, 2): (_Index(1), True), (1, 1): (2, _Index(-1))})
     assert dict(delta.edges) == {(1, 2): (1, 1), (1, 1): (2, -1)}
     assert all(type(x) is int for edge in delta.edges.values() for x in edge)
+    assert gabrielov_update(Q_A3, _Index(1), _Index(2)) == gabrielov_update(Q_A3, 1, 2)

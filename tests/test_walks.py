@@ -90,8 +90,7 @@ def random_walk(rng, B, max_len=6, start=None):
         if not options:
             break
         a, inv = rng.choice(options)
-        step_end = [u for u in B.underlying(a) if u != v] or [v]
-        w = w.compose(Walk(B, v, [(a, inv)], [v, step_end[0]]))
+        w = w.compose(Walk(B, v, [(a, inv)]))
     return w
 
 
@@ -178,6 +177,12 @@ def test_walk_validation_errors():
         Walk(B_3V, 1, [(2, False)])  # arrow 2 is not incident to vertex 1
     with pytest.raises(InvalidInput):
         Walk(B_3V, 1, [(1, True)])  # formal inverse of a non-directed-loop
+    # the steps fix the vertices, and a vertex token that disagrees with its arrow is refused
+    assert Walk.parse_text(B_3V, "1 1 2").vertices == (1, 2)
+    with pytest.raises(InvalidInput, match="^arrow 1 does not join 1 and 3$"):
+        Walk.parse_text(B_3V, "1 1 3")
+    with pytest.raises(InvalidInput, match="^arrow 3 does not join 2 and 2$"):
+        Walk.parse_text(B_3V, "1 1 2 3 2")
 
 
 def test_theorem_c_roots_a3():
@@ -582,7 +587,7 @@ def test_roots_positive_matches_walk_composition():
     [
         lambda: Walk(B_3V, 1.0),
         lambda: Walk(B_3V, 1, [(1.0, False)]),
-        lambda: Walk(B_3V, 1, [(1, False)], vertices=(1, 2.0)),
+        lambda: trivial_walk(B_3V, 2.0),
     ],
 )
 def test_walks_refuse_non_integers(build):
