@@ -227,6 +227,8 @@ class GTransform:
         steps = tuple(steps)
         if matrix.rows != matrix.cols:
             raise InvalidInput("G-transformation matrix must be square")
+        for step in steps:
+            _check_step(step, matrix.rows)
         if matrix.det() not in (1, -1):
             raise InvalidInput("G-transformation matrix must be unimodular")
         object.__setattr__(self, "matrix", matrix)
@@ -270,15 +272,13 @@ class GTransform:
         return GTransform._trusted(IntMatrix.identity(n), ())
 
     def _then(self, q_current, step):
-        """The one check of a step's indices before `_Chase.push` takes it."""
+        """The checks of a step before `_Chase.push` takes it: its indices, and
+        for a Gabrielov step the integral ratio on the current form."""
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
+        _check_step(step, self.n)
         if step[0] == "gabrielov":
-            _gabrielov_ratio(q_current, step[1], step[2])  # refuses what the rows would misread
-        elif step[0] == "sign" and not 1 <= step[1] <= self.n:
-            raise InvalidInput(f"sign step index {step[1]} out of range")
-        elif step[0] == "perm" and sorted(step[1]) != list(range(1, self.n + 1)):
-            raise InvalidInput("not a permutation of 1..n")
+            _gabrielov_ratio(q_current, step[1], step[2])
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
         ch.push(*step)
         return GTransform._trusted(ch.M, self.steps + (step,)), ch.q
@@ -321,6 +321,24 @@ class GTransform:
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"malformed GTransform JSON: {exc}") from exc
         return GTransform(matrix, steps)
+
+
+def _check_step(step, n: int) -> None:
+    """InvalidInput unless `step` is a G-step on variables 1..n: ("gabrielov",
+    i, j) with i != j, ("sign", i), or ("perm", pi) with pi a permutation."""
+    tag = step[0]
+    if tag == "gabrielov":
+        i, j = step[1:]
+        if i == j:
+            raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise InvalidInput(f"index out of range: ({i}, {j})")
+    elif tag == "sign" and not 1 <= step[1] <= n:
+        raise InvalidInput(f"sign step index {step[1]} out of range")
+    elif tag == "perm" and sorted(step[1]) != list(range(1, n + 1)):
+        raise InvalidInput("not a permutation of 1..n")
+    elif tag not in ("gabrielov", "sign", "perm"):
+        raise InvalidInput(f"unknown step op {tag!r}")
 
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:

@@ -268,8 +268,8 @@ class _WalkStates:
 
         A state of level j has |inc_i| <= j, so while j < prune no digit can
         sit at an edge and every step is taken without the prune test (with
-        the default prune = length_cap of `theorem_c_roots`, no step is ever
-        tested). From j = prune on each step is tested.
+        the prune = length_cap of `theorem_c_roots`, no step is ever tested).
+        From j = prune on each step is tested.
         """
         moves, deltas, m2, base = self.moves, self.deltas, self.m2, self.base
         before, level = set(), {self.start(start)}
@@ -309,35 +309,29 @@ class _WalkStates:
         return frozenset(chain(zip(*digits), zip(*negated)))
 
 
-def theorem_c_roots(
-    B: BidirectedGraph, d: int, length_cap: int, prune: int | None = None
-) -> RootSet:
+def theorem_c_roots(B: BidirectedGraph, d: int, length_cap: int) -> RootSet:
     """Walk-generated d-roots for d in {0,1,2}.
 
     d=0: positive closed walks; d=1: open walks; d=2: negative closed walks
     (the walk-generated subset of the 2-roots). Enumeration is a BFS over
-    (vertex, sign, inc) states up to `length_cap` steps, coordinates pruned at
-    `prune` (default: maximal |inc| entry reachable under the cap). A negative
-    `length_cap` or `prune` is refused. A balanced graph has no negative closed walk.
+    (vertex, sign, inc) states up to `length_cap` steps. A negative
+    `length_cap` is refused. A balanced graph has no negative closed walk.
     """
     d, length_cap = as_int(d), as_int(length_cap)
-    prune = length_cap if prune is None else as_int(prune)
     if d not in (0, 1, 2):
         raise InvalidInput("theorem_c_roots handles d in {0, 1, 2}")
     if length_cap < 0:
         raise InvalidInput(f"length_cap must be >= 0, got {length_cap}")
-    if prune < 0:
-        raise InvalidInput(f"prune must be >= 0, got {prune}")
     if not B.is_connected():
         raise InvalidInput("theorem_c_roots needs a connected graph")
     if d == 2 and balance(B).beta:
         return RootSet(2, frozenset())
-    states = _WalkStates(B, prune)
+    states = _WalkStates(B, length_cap)  # no walk within the cap leaves the window
     m2, zero, mirror = states.m2, states.zero, states.mirror
     keys = set()  # one per {x, -x}
-    # when the prune cannot bind, an open walk w from vertex m is, reversed, one from its
-    # end, with inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out
-    last = B.m - (d == 1 and states.prune >= length_cap)
+    # an open walk w from vertex m is, reversed, one from its end, with
+    # inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out
+    last = B.m - (d == 1)
     for start in range(1, last + 1):
         home = 2 * (start - 1) + (d == 2)  # closed walks of sign +1 for d = 0, -1 for d = 2
         for level in states.levels(start, length_cap):
@@ -421,58 +415,44 @@ def roots_positive(B: BidirectedGraph) -> PositiveRoots:
     if B.directed_loops():
         raise NotPositive("directed loops force a zero variable")
     if m == n + 1:
-        return _tree_roots(B)
-    if m == n:
-        return _one_tree_roots(B)
-    raise NotPositive("graph is neither a tree nor a 1-tree")
-
-
-def _tree_roots(B):
-    q = B.incidence_form()
-    incs = _tree_incs(B, root=1)
-    vectors = {(0,) * B.n}
-    counts = {0: 1, 1: 0}
-    for s in range(1, B.m + 1):
-        a_s, sig_s = incs[s]
-        for t in range(s + 1, B.m + 1):
-            a_t, sig_t = incs[t]
-            f = sig_s * sig_t
-            x = tuple(p - f * r for p, r in zip(a_s, a_t))  # inc(w_s w_t^-1)
-            assert _value(q, x) == 1
-            vectors.add(x)
-            vectors.add(tuple(-c for c in x))
-            counts[1] += 2
-    assert len(vectors) == B.n**2 + B.n + 1
-    return PositiveRoots(frozenset(vectors), counts)
-
-
-def _one_tree_roots(B):
+        return _positive_roots(B, 1, None)
+    if m != n:
+        raise NotPositive("graph is neither a tree nor a 1-tree")
     cycle = _unique_cycle_walk(B)
     sig_w = cycle.sigma()
     if sig_w != -1:
         raise NotPositive("balanced 1-tree; the incidence form is not positive")
+    return _positive_roots(B, cycle.start, (cycle.inc(), sig_w))
+
+
+def _positive_roots(B, root, cycle):
+    """inc(w_s w_t^-1) for s < t, from the tree walks w_s of every vertex s to
+    `root`; on a 1-tree also inc(w_s w w_t^-1) for s <= t, where `cycle` is
+    the (inc, sigma) of the cycle walk w at `root` (None on a tree)."""
     q = B.incidence_form()
-    w = cycle.inc()
-    incs = _tree_incs(B, root=cycle.start)
+    incs = _tree_incs(B, root)
+    values = (1,) if cycle is None else (1, 2)
     vectors = {(0,) * B.n}
-    counts = {0: 1, 1: 0, 2: 0}
+    counts = {0: 1, **dict.fromkeys(values, 0)}
     for s in range(1, B.m + 1):
         a_s, sig_s = incs[s]
         for t in range(s, B.m + 1):
             a_t, sig_t = incs[t]
             f = sig_s * sig_t
-            # inc(w_s w_t^-1), then inc(w_s w w_t^-1) for the cycle walk w
             xs = [] if s == t else [tuple(p - f * r for p, r in zip(a_s, a_t))]
-            f *= sig_w
-            xs.append(tuple(p + sig_s * e - f * r for p, e, r in zip(a_s, w, a_t)))
+            if cycle is not None:
+                w, sig_w = cycle
+                xs.append(tuple(p + sig_s * e - f * sig_w * r for p, e, r in zip(a_s, w, a_t)))
             for x in xs:
                 val = _value(q, x)
-                assert val in (1, 2)
+                assert val in values
                 vectors.add(x)
                 vectors.add(tuple(-c for c in x))
                 counts[val] += 2
-    assert len(vectors) == 2 * B.n**2 + 1
-    assert counts[2] == 2 * B.n
+    if cycle is None:
+        assert len(vectors) == B.n**2 + B.n + 1
+    else:
+        assert len(vectors) == 2 * B.n**2 + 1 and counts[2] == 2 * B.n
     return PositiveRoots(frozenset(vectors), counts)
 
 

@@ -34,6 +34,7 @@ from bidiforms.gentle import euler_pipeline, threads
 from bidiforms.qform import IntegralQuadraticForm
 from bidiforms.roots_dioph import (
     LAGRANGE_BRIDGE,
+    RootSystemReport,
     companion,
     reflect,
     root_system_report,
@@ -337,22 +338,29 @@ def test_criterion_8_theorem_a_predicate():
     print(PASS.format(n=8, what="type dichotomy on 100 random loop-less graphs: D iff unbalanced"))
 
 
-def test_criterion_9_root_systems():
+def criterion_9_graphs():
+    """The trees (family A) and unbalanced 1-trees (family C) of criterion 9, n <= 6."""
     rng = random.Random(901)
+    graphs = []
     for n in range(1, 7):
-        trees = [canonical_a(n, 0)] + _sample_trees(rng, n, count=2)
-        for B in trees:
-            rep = root_system_report(B)
-            assert rep.is_root_system and rep.family == "A"
-            assert rep.nonzero_count == n * n + n
-            _check_intertwining(B)
+        graphs += [(B, "A") for B in [canonical_a(n, 0)] + _sample_trees(rng, n, count=2)]
     for n in range(2, 7):
-        graphs = [canonical_c_graph(n, 0, 0), _unbalanced_one_tree(rng, n, min(3, n))]
-        for B in graphs:
-            rep = root_system_report(B)
-            assert rep.is_root_system and rep.family == "C"
-            assert rep.nonzero_count == 2 * n * n
-            _check_intertwining(B)
+        graphs += [(B, "C") for B in (canonical_c_graph(n, 0, 0), _unbalanced_one_tree(rng, n, min(3, n)))]
+    return graphs
+
+
+def test_criterion_9_root_systems():
+    for B, family in criterion_9_graphs():
+        n = B.n
+        rep = root_system_report(B)
+        assert rep.is_root_system and rep.family == family
+        assert rep.nonzero_count == (n * n + n if family == "A" else 2 * n * n)
+        _check_intertwining(B)
+    # n = 18, one tree and one unbalanced 1-tree: the report alone, in milliseconds
+    rng = random.Random(918)
+    for B, family, count in ((_sample_trees(rng, 18, count=1)[-1], "A", 18 * 19),
+                             (_unbalanced_one_tree(rng, 18, 5), "C", 2 * 18 * 18)):
+        assert root_system_report(B) == RootSystemReport(True, family, 18, count)
     print(PASS.format(n=9, what="root systems A_n / C_n with reflection intertwining"))
 
 

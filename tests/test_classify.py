@@ -617,6 +617,29 @@ def test_gtransform_rejects_non_unimodular_matrices():
         GTransform.from_json_dict({"matrix": [[1, 0]], "steps": [{"op": "sign", "i": 1}]})
 
 
+def test_gtransform_checks_its_steps_at_the_boundary():
+    # each of these was once accepted and written back out by `to_json_dict`
+    identity = [[1, 0], [0, 1]]
+    for steps, message in (
+        ([{"op": "sign", "i": 99}, {"op": "perm", "pi": [5, 5]}], "^sign step index 99 out of range$"),
+        ([{"op": "sign", "i": 0}], "^sign step index 0 out of range$"),
+        ([{"op": "perm", "pi": [5, 5]}], "^not a permutation of 1..n$"),
+        ([{"op": "perm", "pi": [1]}], "^not a permutation of 1..n$"),
+        ([{"op": "gabrielov", "i": 1, "j": 3}], r"^index out of range: \(1, 3\)$"),
+        ([{"op": "gabrielov", "i": 0, "j": 1}], r"^index out of range: \(0, 1\)$"),
+        ([{"op": "gabrielov", "i": 2, "j": 2}], r"^bad off-diagonal index pair \(2, 2\)$"),
+    ):
+        with pytest.raises(InvalidInput, match=message):
+            GTransform.from_json_dict({"matrix": identity, "steps": steps})
+    for step in (("shear", 1, 2), ("sign", 3), ("perm", (2, 2))):
+        with pytest.raises(InvalidInput):
+            GTransform(IntMatrix.identity(2), [step])
+    # the steps are checked against n alone: that they multiply to M needs the form
+    steps = [{"op": "gabrielov", "i": 2, "j": 1}, {"op": "sign", "i": 2}, {"op": "perm", "pi": [2, 1]}]
+    T = GTransform.from_json_dict({"matrix": identity, "steps": steps})
+    assert T.to_json_dict() == {"matrix": identity, "steps": steps}
+
+
 def test_classify_entry_points_take_the_form_alone():
     # they once took a caller's analysis on trust: dynkin_type(A4, analyze(D4)) gave D4
     for f in (dynkin_type, positive_core, realize, star_realization):

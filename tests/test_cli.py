@@ -458,9 +458,10 @@ def test_bg_switch_equiv_byte_identical_to_golden(capsys, fixture, fixture2, fmt
 
 
 def _in_subprocess(*argv, preexec_fn=None):
-    """Run `python argv...` with this checkout's package importable."""
+    """Run `python argv...` with this checkout's package importable, warnings as errors."""
     src = os.path.dirname(os.path.dirname(bidiforms.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+           "PYTHONWARNINGS": "error"}
     return subprocess.run(
         [sys.executable, *argv], capture_output=True, text=True, timeout=60, env=env,
         preexec_fn=preexec_fn,

@@ -6,14 +6,16 @@ from math import isqrt
 
 import pytest
 
+from bench import gen
 from bidiforms import roots_dioph
-from bidiforms.bidigraph import canonical_a, canonical_c as canonical_c_graph
+from bidiforms.bidigraph import BidirectedGraph, canonical_a, canonical_c as canonical_c_graph
 from bidiforms.classify import canonical_c
 from bidiforms.errors import InvalidInput, NotTypeC, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, _box_roots, analyze, zero_form
 from bidiforms.roots_dioph import (
     LAGRANGE_BRIDGE,
+    RootSystemReport,
     companion,
     four_squares,
     reflect,
@@ -21,7 +23,8 @@ from bidiforms.roots_dioph import (
     solve,
     walk_polarization,
 )
-from bidiforms.walks import Walk, roots_positive
+from bidiforms.walks import PositiveRoots, Walk, roots_positive
+from tests.test_acceptance import criterion_9_graphs
 from tests.test_bidigraph import B_3V, random_connected
 from tests.test_qform import Q_C4, q_a
 from tests.test_typec_golden import _scrambled
@@ -133,6 +136,82 @@ def test_root_system_one_tree():
 def test_root_system_single_arrow():
     rep = root_system_report(canonical_a(1, 0))
     assert rep.is_root_system and rep.family == "A" and rep.nonzero_count == 2
+
+
+def _reference_root_system_report(B):
+    """The axiom loop `root_system_report` ran before the I^tr certificate:
+    spanning rank, +-1 multiples only, integral Cartan numbers, closure under
+    all R^2 reflections, then the root count of the family."""
+    q = B.incidence_form()
+    rep = roots_positive(B)  # raises NotPositive when not a tree / 1-tree
+    roots = sorted(v for v in rep.vectors if any(v))
+    n = B.n
+    span = IntMatrix(roots)
+    if span.rank() != n:
+        return RootSystemReport(False, "?", n, len(roots))
+    rootset = set(roots)
+    for x in roots:
+        for a in (2, 3):
+            if tuple(a * c for c in x) in rootset:
+                return RootSystemReport(False, "?", n, len(roots))
+    for x in roots:
+        qxx = q.polarize(x, x)
+        for y in roots:
+            if (2 * q.polarize(y, x)) % qxx != 0:
+                return RootSystemReport(False, "?", n, len(roots))
+            img = reflect(q, x, y)
+            if not isinstance(img[0], int) or tuple(img) not in rootset:
+                return RootSystemReport(False, "?", n, len(roots))
+    if B.m == n + 1:
+        family = "A"
+        expected = n * n + n
+    else:
+        family = "C"
+        expected = 2 * n * n
+    ok = len(roots) == expected
+    if family == "C":
+        ok = ok and sum(1 for x in roots if q.evaluate(x) == 2) == 2 * n
+    return RootSystemReport(ok, family, n, len(roots))
+
+
+def test_root_system_certificate_matches_the_axiom_loop():
+    graphs = [B for B, _ in criterion_9_graphs()]
+    rng = random.Random(917)
+    for n in range(1, 9):
+        for _ in range(2):
+            graphs.append(BidirectedGraph(*gen.tree_graph(rng, n)))
+            if n == 1:
+                graphs.append(BidirectedGraph(1, [((1, rng.choice((1, -1))),) * 2]))
+            else:  # a bidirected loop, a parallel pair or a longer negative cycle
+                graphs.append(BidirectedGraph(*gen.unbalanced_one_tree(rng, n)))
+    for B in graphs:
+        assert root_system_report(B) == _reference_root_system_report(B), B
+
+
+def test_root_system_certificate_reflects_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the certificate reflects or takes a rank")
+
+    monkeypatch.setattr(roots_dioph, "reflect", refuse)
+    monkeypatch.setattr(IntMatrix, "rank", refuse)
+    assert root_system_report(canonical_a(6, 0)) == RootSystemReport(True, "A", 6, 42)
+    assert root_system_report(canonical_c_graph(6, 0, 0)) == RootSystemReport(True, "C", 6, 72)
+
+
+def test_root_system_certificate_refuses_a_corrupted_root_set(monkeypatch):
+    # one +-x pair dropped, or a doubled root 2x added: the certificate answers
+    # as the axiom loop does, with no family
+    for B in (canonical_a(4, 0), canonical_c_graph(4, 0, 0), B_3V):
+        rep = roots_positive(B)
+        x = max(rep.vectors)
+        for vectors in (rep.vectors - {x, tuple(-c for c in x)}, rep.vectors | {tuple(2 * c for c in x)}):
+            corrupted = PositiveRoots(vectors, rep.value_counts)
+            monkeypatch.setattr(roots_dioph, "roots_positive", lambda B: corrupted)
+            monkeypatch.setitem(globals(), "roots_positive", lambda B: corrupted)
+            want = RootSystemReport(False, "?", B.n, len(vectors) - 1)
+            assert root_system_report(B) == want
+            assert _reference_root_system_report(B) == want
+            monkeypatch.undo()
 
 
 def test_walk_polarization_matches_algebra():

@@ -200,17 +200,11 @@ def test_theorem_c_roots_refuses_a_negative_length_cap():
     for d in (0, 1, 2):
         with pytest.raises(InvalidInput):
             theorem_c_roots(canonical_a(3, 0), d, -3)
-        with pytest.raises(InvalidInput):
-            theorem_c_roots(B_3V, d, -1, prune=2)
     assert theorem_c_roots(canonical_a(3, 0), 0, 0).vectors == frozenset({(0, 0, 0)})
 
 
-def test_a_negative_prune_or_bound_is_refused_before_any_walk_state(monkeypatch):
+def test_a_negative_bound_is_refused_before_any_walk_state(monkeypatch):
     B = canonical_c(3, 0, 0)
-    assert len(theorem_c_roots(B, 1, 3).vectors) == 10
-    for prune in (-1, -2):
-        with pytest.raises(InvalidInput, match="prune must be >= 0"):
-            theorem_c_roots(B, 1, 3, prune=prune)
 
     def no_states(*args):
         raise AssertionError("walk states were built")
@@ -362,10 +356,10 @@ def _sign_closed(vectors):
     return frozenset(vectors) | {tuple(-c for c in x) for x in vectors}
 
 
-def _reference_theorem_c(B, d, length_cap, prune):
+def _reference_theorem_c(B, d, length_cap):
     vectors = set()
     for start in range(1, B.m + 1):
-        for level in _reference_states(B, start, length_cap, prune):
+        for level in _reference_states(B, start, length_cap, length_cap):
             vectors |= {state[2] for state in level if _reference_class(start, state) == d}
     vectors = _sign_closed(vectors)
     return vectors - {(0,) * B.n} if d else vectors
@@ -450,7 +444,7 @@ def test_walk_root_cover_matches_the_reference_at_the_workload_bound():
 def test_theorem_c_roots_match_the_reference_on_the_heavy_shape():
     B = loops_graph(4, 1, 0)  # one vertex, 4 directed loops and 1 bidirected loop
     for d in (0, 1, 2):
-        assert theorem_c_roots(B, d, 6).vectors == _reference_theorem_c(B, d, 6, 6)
+        assert theorem_c_roots(B, d, 6).vectors == _reference_theorem_c(B, d, 6)
 
 
 def test_walk_roots_match_tuple_state_reference():
@@ -468,21 +462,15 @@ def test_walk_roots_match_tuple_state_reference():
                 seen_kinds.add("parallel")
         for d in (0, 1, 2):
             cap = rng.randint(0, 6)
-            assert theorem_c_roots(B, d, cap).vectors == _reference_theorem_c(B, d, cap, cap)
-            prune = rng.randint(-1, 3)
-            if prune < 0:
-                with pytest.raises(InvalidInput, match="prune must be >= 0"):
-                    theorem_c_roots(B, d, cap, prune)
-            else:
-                assert theorem_c_roots(B, d, cap, prune).vectors == _reference_theorem_c(B, d, cap, prune)
+            assert theorem_c_roots(B, d, cap).vectors == _reference_theorem_c(B, d, cap)
         bound = rng.randint(0, 2)
         assert walk_root_cover(B, bound) == _reference_cover(B, bound)
     assert seen_kinds == {"directed loop", "bidirected loop", "parallel"}
 
 
-def _all_starts_theorem_c(B, d, length_cap, prune=None):
+def _all_starts_theorem_c(B, d, length_cap):
     """`theorem_c_roots` with a BFS from every start vertex, the last one included."""
-    states = _WalkStates(B, length_cap if prune is None else prune)
+    states = _WalkStates(B, length_cap)
     m2, keys = states.m2, set()
     for start in range(1, B.m + 1):
         home = 2 * (start - 1) + (d == 2)
@@ -497,20 +485,15 @@ def _all_starts_theorem_c(B, d, length_cap, prune=None):
 
 
 def test_theorem_c_roots_match_the_all_starts_search():
-    # open walks from the last vertex are left out only when the prune cannot bind
+    # open walks from the last vertex are left out: they are the others' reversed
     rng = random.Random(4701)
     for m in range(1, 6):
         for _ in range(8):
             B = random_connected(rng, m=m, n=rng.randint(max(1, m - 1), m + 1))
             for d in (0, 1, 2):
                 cap = rng.randint(0, 7)
-                for prune in (None, cap, cap + 2, rng.randint(-1, cap - 1)):
-                    if prune is not None and prune < 0:
-                        with pytest.raises(InvalidInput, match="prune must be >= 0"):
-                            theorem_c_roots(B, d, cap, prune)
-                        continue
-                    want = _all_starts_theorem_c(B, d, cap, prune)
-                    assert theorem_c_roots(B, d, cap, prune).vectors == want, (B, d, cap, prune)
+                want = _all_starts_theorem_c(B, d, cap)
+                assert theorem_c_roots(B, d, cap).vectors == want, (B, d, cap)
             if m == 1:
                 assert theorem_c_roots(B, 1, 7).vectors == frozenset()
 
@@ -617,12 +600,11 @@ def test_theorem_c_two_roots_of_a_balanced_graph_are_empty_without_a_search(monk
     runs = []
     for B in graphs:
         cap = rng.randint(1, 7)
-        for prune in (None, cap + 1, rng.randint(0, cap - 1)):  # the prune cannot bind, or binds
-            runs.append((B, cap, prune))
-            assert _all_starts_theorem_c(B, 2, cap, prune) == frozenset()
+        runs.append((B, cap))
+        assert _all_starts_theorem_c(B, 2, cap) == frozenset()
     monkeypatch.setattr(walks, "_WalkStates", None)  # the shortcut builds no walk states
-    for B, cap, prune in runs:
-        assert theorem_c_roots(B, 2, cap, prune) == RootSet(2, frozenset())
+    for B, cap in runs:
+        assert theorem_c_roots(B, 2, cap) == RootSet(2, frozenset())
     B = graphs[-1]
     for args, message in (((B, 3, 2), "handles d in"), ((B, 2, -1), "length_cap must be >= 0"),
                           ((BidirectedGraph(3, [((1, 1), (2, -1))]), 2, 2), "needs a connected graph")):
