@@ -224,11 +224,9 @@ class GTransform:
     __slots__ = ("matrix", "steps")
 
     def __init__(self, matrix: IntMatrix, steps=()):
-        steps = tuple(steps)
         if matrix.rows != matrix.cols:
             raise InvalidInput("G-transformation matrix must be square")
-        for step in steps:
-            _check_step(step, matrix.rows)
+        steps = tuple(_step(step, matrix.rows) for step in steps)
         if matrix.det() not in (1, -1):
             raise InvalidInput("G-transformation matrix must be unimodular")
         object.__setattr__(self, "matrix", matrix)
@@ -276,7 +274,7 @@ class GTransform:
         for a Gabrielov step the integral ratio on the current form."""
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
-        _check_step(step, self.n)
+        step = _step(step, self.n)
         if step[0] == "gabrielov":
             _gabrielov_ratio(q_current, step[1], step[2])
         ch = _Chase(q_current, list(zip(*self.matrix.entries)))
@@ -285,13 +283,13 @@ class GTransform:
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
-        return self._then(q_current, ("gabrielov", as_int(i), as_int(j)))
+        return self._then(q_current, ("gabrielov", i, j))
 
     def then_sign(self, q_current, i):
-        return self._then(q_current, ("sign", as_int(i)))
+        return self._then(q_current, ("sign", i))
 
     def then_perm(self, q_current, pi):
-        return self._then(q_current, ("perm", int_tuple(pi)))
+        return self._then(q_current, ("perm", pi))
 
     def to_json_dict(self) -> dict:
         steps = []
@@ -323,22 +321,31 @@ class GTransform:
         return GTransform(matrix, steps)
 
 
-def _check_step(step, n: int) -> None:
-    """InvalidInput unless `step` is a G-step on variables 1..n: ("gabrielov",
-    i, j) with i != j, ("sign", i), or ("perm", pi) with pi a permutation."""
-    tag = step[0]
+_STEP_FIELDS = {"gabrielov": 2, "sign": 1, "perm": 1}
+
+
+def _step(step, n: int) -> tuple:
+    """`step` as a G-step on variables 1..n with each index an int by `as_int`:
+    ("gabrielov", i, j) with i != j, ("sign", i), or ("perm", pi) with pi a
+    permutation. InvalidInput names a step of any other shape."""
+    tag = step[0] if isinstance(step, (tuple, list)) and step else None
+    if type(tag) is not str or len(step) != 1 + _STEP_FIELDS.get(tag, -1):
+        raise InvalidInput(f"malformed G-step {step!r}")
+    try:
+        fields = (int_tuple(step[1]),) if tag == "perm" else int_tuple(step[1:])
+    except TypeError:  # a perm that is not a sequence
+        raise InvalidInput(f"malformed G-step {step!r}") from None
     if tag == "gabrielov":
-        i, j = step[1:]
+        i, j = fields
         if i == j:
             raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
         if not (1 <= i <= n and 1 <= j <= n):
             raise InvalidInput(f"index out of range: ({i}, {j})")
-    elif tag == "sign" and not 1 <= step[1] <= n:
-        raise InvalidInput(f"sign step index {step[1]} out of range")
-    elif tag == "perm" and sorted(step[1]) != list(range(1, n + 1)):
+    elif tag == "sign" and not 1 <= fields[0] <= n:
+        raise InvalidInput(f"sign step index {fields[0]} out of range")
+    elif tag == "perm" and sorted(fields[0]) != list(range(1, n + 1)):
         raise InvalidInput("not a permutation of 1..n")
-    elif tag not in ("gabrielov", "sign", "perm"):
-        raise InvalidInput(f"unknown step op {tag!r}")
+    return (tag, *fields)
 
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:

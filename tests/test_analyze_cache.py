@@ -1,0 +1,97 @@
+"""The `analyze` cache holds one pass's working set, and no more.
+
+Its bound is `maxsize=64`: the functions of one pass over one form share one
+analysis (`dynkin_type` -> `realize` -> `canonical_c`, or the set-up of a
+`solve` route), and no operation of the benchmark analyzes more than one
+distinct form.
+"""
+
+from __future__ import annotations
+
+import sys
+import tracemalloc
+from pathlib import Path
+
+from bidiforms.bidigraph import canonical_a
+from bidiforms.classify import DynkinType, dynkin_type
+from bidiforms.qform import IntegralQuadraticForm, analyze
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _signed(q, t):
+    """q with x_k replaced by -x_k for each bit k of t: distinct forms for t < 2^(n-1)."""
+    s = [-1 if t >> k & 1 else 1 for k in range(q.n)]
+    return IntegralQuadraticForm(q.diag, {(i, j): v * s[i - 1] * s[j - 1] for (i, j), v in q.off.items()})
+
+
+def test_analyze_keeps_at_most_64_forms():
+    # the bound was 2048: a stream of distinct forms kept up to 2048 analyses alive
+    analyze.cache_clear()
+    a10 = canonical_a(10, 0).incidence_form()
+    for t in range(300):
+        assert dynkin_type(_signed(a10, t)) == (DynkinType("A", 10), 0)
+    info = analyze.cache_info()
+    assert info.misses == 300 and info.currsize <= 64
+
+
+def test_memory_held_by_analyze_stays_at_64_entries():
+    # the rank-1 forms (x_i + x_j)^2 on 50 variables: each analysis holds a
+    # radical basis of 49 vectors, and one entry holds about 22 KB (tracemalloc,
+    # Python 3.11). 96 distinct forms held 1.003 times what the first 64 did;
+    # with the old bound of 2048 they held 1.50 times as much
+    n = 50
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)][:96]
+    forms = []
+    for i, j in pairs:
+        diag = [0] * n
+        diag[i - 1] = diag[j - 1] = 1
+        forms.append(IntegralQuadraticForm(diag, {(i, j): 2}))
+    analyze.cache_clear()
+    tracemalloc.start()
+    try:
+        for q in forms[:64]:
+            analyze(q)
+        held_64 = tracemalloc.get_traced_memory()[0]
+        entries = analyze.cache_info().currsize
+        for q in forms[64:]:
+            analyze(q)
+        held_96 = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        analyze.cache_clear()
+    assert held_64 > entries * 15_000
+    assert held_96 < 1.1 * held_64
+
+
+def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
+    # the first two blocks of each benchmark workload, run in-process with a
+    # counting wrapper in every module that binds `analyze`: each distinct form
+    # is analyzed once, so the bound loses no hit on this traffic
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    lib = workloads.load_library()
+    seen = set()
+
+    def counting(q):
+        seen.add(q)
+        return analyze(q)
+
+    for name, module in list(sys.modules.items()):
+        if name == "bidiforms" or name.startswith("bidiforms."):
+            for attr, value in list(vars(module).items()):
+                if value is analyze:
+                    monkeypatch.setattr(module, attr, counting)
+    assert lib.classify.analyze is counting
+    distinct = {}
+    for workload in workloads.WORKLOADS:
+        analyze.cache_clear()
+        seen.clear()
+        for b in range(2):
+            for op in workloads.block(lib, workload, 7, b):
+                op.run(lib)
+        assert analyze.cache_info().misses == len(seen), workload
+        distinct[workload] = len(seen)
+    analyze.cache_clear()
+    assert distinct["classify"] > 64 and distinct["solve_sweep"] > 64 and distinct["walk_roots"] == 0

@@ -1,4 +1,5 @@
 import inspect
+import json
 import random
 
 import pytest
@@ -634,10 +635,30 @@ def test_gtransform_checks_its_steps_at_the_boundary():
     for step in (("shear", 1, 2), ("sign", 3), ("perm", (2, 2))):
         with pytest.raises(InvalidInput):
             GTransform(IntMatrix.identity(2), [step])
+    # a step of another shape raised ValueError, TypeError or IndexError, or was
+    # read by its first letter ("sign" as the op 's')
+    for step in (("gabrielov", 1), ("gabrielov", 1, 2, 3), ("sign",), ("sign", 1, 2), ("perm",),
+                 ("perm", 5), (), "sign", None, 7, ["sign"], ("SIGN", 1), ((), 1), ([1], 1)):
+        with pytest.raises(InvalidInput, match=r"^malformed G-step "):
+            GTransform(IntMatrix.identity(3), [step])
+    # an index that is not an integer is refused as every other entry point refuses it;
+    # each of the last three was accepted and written out, and its JSON then refused
+    for step in (("sign", "1"), ("perm", "123"), ("sign", 1.0), ("gabrielov", 1, 2.5), ("perm", (1, 2.0, 3))):
+        with pytest.raises(InvalidInput, match="^expected an integer, got "):
+            GTransform(IntMatrix.identity(3), [step])
+    # any integer type is stored as an int: True was written out as `"i": true`
+    T = GTransform(IntMatrix.identity(3), [("sign", True), ["gabrielov", 2, True], ("perm", [3, True, 2])])
+    assert T.steps == (("sign", 1), ("gabrielov", 2, 1), ("perm", (3, 1, 2)))
+    assert all(type(i) is int for s in T.steps for i in (s[1] if s[0] == "perm" else s[1:]))
     # the steps are checked against n alone: that they multiply to M needs the form
     steps = [{"op": "gabrielov", "i": 2, "j": 1}, {"op": "sign", "i": 2}, {"op": "perm", "pi": [2, 1]}]
-    T = GTransform.from_json_dict({"matrix": identity, "steps": steps})
-    assert T.to_json_dict() == {"matrix": identity, "steps": steps}
+    T2 = GTransform.from_json_dict({"matrix": identity, "steps": steps})
+    assert T2.to_json_dict() == {"matrix": identity, "steps": steps}
+    T3, q3 = GTransform.identity(3).then_gabrielov(q_a(3), 2, True)
+    T3, _ = T3.then_perm(q3, (True, 3, 2))
+    assert T3.steps == (("gabrielov", 2, 1), ("perm", (1, 3, 2)))
+    for t in (T, T2, T3, canonical_c(canonical_c_graph(3, 1, 1).incidence_form())[0]):
+        assert GTransform.from_json_dict(json.loads(json.dumps(t.to_json_dict()))) == t
 
 
 def test_classify_entry_points_take_the_form_alone():
