@@ -435,6 +435,14 @@ class _Arrows:
             at = self.at.setdefault(v, {})
             at[k] = at.get(k, 0) + e
 
+    def copy(self) -> "_Arrows":
+        """An independent copy, changed in place apart from this one: the ends
+        list and one map per vertex are copied, not indexed again."""
+        new = object.__new__(_Arrows)
+        new.m, new.ends, new._B = self.m, list(self.ends), self._B
+        new.at = {v: dict(arrows) for v, arrows in self.at.items()}
+        return new
+
     def freeze(self) -> BidirectedGraph:
         if self._B is None:
             self._B = BidirectedGraph._trusted(self.m, tuple(self.ends))

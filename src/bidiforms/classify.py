@@ -11,35 +11,39 @@ an independent oracle for the determinant typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
-`dynkin_plus_zero` loop-stripping rewrites. Every arrow of the star graph
-B' meets vertex 1, so the forms are dense, and a type-C pass keeps one set
-of Gram rows (`_Rows`) from its first thaw to its last check: a Gabrielov
-or rewrite step is row j -= c row i with its column written back, a sign
-step negates a row and column, a perm reorders both in place, and the
-matrix is a list of columns. The graph changes in place too
-(`bidigraph._Arrows`, each vertex's arrows with their incidence entries),
-and a step that rewrites arrow j is checked on row j alone (`_row_matches`),
-by induction as strong as a check of the whole incidence form. The star
-realization that starts every type-C function is built once per form and
-kept, with its saturated rows, for the last form (`_star_snapshot`): one
-pass over the rows writes the partition and B' (`_star_graph`), which is
-checked against them arrow by arrow, and `_directed_star` resumes a chase
-from a copy of them. The target of `canonical_c` and its rows are built
-once per (r, c1, c2) (`_canonical_target`); q∘M = target is still checked
-with `q.compose(M)`. The public updates (`gabrielov_update`,
-`GTransform.then_*`) check their indices, then run the same row update on
-a thawed copy. Every `GTransform` the library builds skips the determinant
-check: its matrix is a product of elementary steps. The public functions
-take the form alone and read its analysis from the cache of `analyze`.
+`dynkin_plus_zero` loop-stripping rewrites. Every arrow of the star graph B'
+meets vertex 1, so the forms are dense, and a type-C pass keeps one set of
+Gram rows (`_Rows`) from its first thaw to its last check: a Gabrielov or
+rewrite step is row j -= c row i with its column written back, a sign step
+negates a row and column, a perm reorders both in place, and the matrix is a
+list of columns. The graph changes in place too (`bidigraph._Arrows`, each
+vertex's arrows with their incidence entries), and a step that rewrites
+arrow j is checked on row j alone (`_row_matches`), by induction as strong
+as a check of the whole incidence form. The star realization that starts
+every type-C function is built once per form and kept, with its saturated
+rows, for the last form (`_star_snapshot`): one pass over the rows writes
+the partition and B' (`_star_graph`), which is checked against them arrow by
+arrow through one `_Arrows` index of B', kept too: `_directed_star` resumes
+a chase from a copy of the rows, and it and `realize`'s pull-back change
+copies of the index (`_Arrows.copy`). The target of `canonical_c` and its
+rows are built once per (r, c1, c2) (`_canonical_target`); q∘M = target is
+still checked with `q.compose(M)`. The public updates (`gabrielov_update`,
+`GTransform.then_*`) check their indices, then run the same row update on a
+thawed copy. Every `GTransform` the library builds, or unpickles, skips the
+determinant check: its matrix is a product of elementary steps. The public
+functions take the form alone and read its analysis from the cache of
+`analyze`.
 
-Unit forms of type A/D are realized by a depth-first search over incidence
-rows that indexes the placed rows by vertex and generates only the rows
-that the products with the placed rows force (`_UnitRows.candidates`): by
-the Whitney-type theorem for line graphs up to switching, a real choice is
-left only near the first arrows. Positive cores are found by a deletion
-search that reads the rank of each restriction off the radical. Both run on
-explicit stacks. Forms, graphs and matrices derived here from valid data
-are built without the constructors' checks (`IntegralQuadraticForm._trusted`,
+Unit forms of type A/D are realized arrow by arrow over incidence rows
+indexed by vertex. A depth-first search on an explicit stack, over the rows
+that the products with the placed rows force (`_UnitRows.candidates`), runs
+only while the placed rows are balanced and touch at most 4 vertices; once
+they are rigid, the Whitney-type theorem for line graphs up to switching
+leaves each later arrow at most one row that fits, and it is placed with no
+stack (`_UnitRows.forced`). Positive cores are found by a deletion search on
+an explicit stack that reads the rank of each restriction off the radical.
+Forms, graphs and matrices derived here from valid data are built without
+the constructors' checks (`IntegralQuadraticForm._trusted`,
 `BidirectedGraph._trusted`, `IntMatrix._trusted`).
 """
 
@@ -249,7 +253,8 @@ class GTransform:
         raise AttributeError("GTransform is immutable")
 
     def __reduce__(self):
-        return (GTransform, (self.matrix, self.steps))
+        # a pickled transform is one the library held, so it rebuilds without the determinant
+        return (GTransform._trusted, (self.matrix, self.steps))
 
     @property
     def n(self) -> int:
@@ -762,8 +767,8 @@ def star_realization(q: IntegralQuadraticForm):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, _, form, B, part = _checked_star(q, analyze(q))
-    return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, B, part
+    cols, steps, _, form, graph, part = _checked_star(q, analyze(q))
+    return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, graph.freeze(), part
 
 
 def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
@@ -777,12 +782,15 @@ def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
 
 @lru_cache(maxsize=1)
 def _star_snapshot(q: IntegralQuadraticForm):
-    """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M, q∘M, B', partition).
+    """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M,
+    q∘M, B' as the `_Arrows` index that checked it, partition).
 
     Every type-C function on q starts from it, so a pass of them over one
     form, such as `realize` and then `canonical_c`, runs it once; the last
-    form is all such a pass needs kept; a chase resumes from a copy of its
-    rows.
+    form is all such a pass needs kept. A chase resumes from a copy of its
+    rows, and a graph changed in place from a copy of its index
+    (`_Arrows.copy`), so B' is indexed once per pass. The rows and the index
+    are shared by every caller of the pass: copy them before any change.
     """
     ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
@@ -794,15 +802,16 @@ def _star_snapshot(q: IntegralQuadraticForm):
     B, part = _star_graph(ch.form.rows)
     graph = _Arrows(B)  # the check of B's incidence form, one row at a time
     assert all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1))
-    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, _rows_form(ch.form.rows), B, part
+    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, _rows_form(ch.form.rows), graph, part
 
 
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
-    Unit forms of type A/D are realized by a depth-first search over
-    incidence rows, indexed by vertex (`_realize_unit_backtracking`); type E
-    is rejected. Non-unit type-C forms go through the saturated
+    Unit forms of type A/D are realized by a short depth-first search over
+    incidence rows, indexed by vertex, and then by forced placement once the
+    placed rows are rigid (`_realize_unit_backtracking`); type E is
+    rejected. Non-unit type-C forms go through the saturated
     partition and are pulled back with inverse graph transformations,
     applied in place (`_Arrows`) and frozen once.
     """
@@ -821,8 +830,8 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
             raise AssertionError("backtracking realizer found no graph")
         assert B.incidence_form() == q
         return B
-    _, steps, _, _, B, _ = _checked_star(q, rep)
-    graph = _Arrows(B)
+    _, steps, _, _, star, _ = _checked_star(q, rep)
+    graph = star.copy()
     for step in reversed(steps):
         graph.push(undo(step))
     B = graph.freeze()
@@ -834,25 +843,46 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
 
     Arrows are processed in the breadth-first order of the form's bigraph,
-    so each arrow after the first has a placed bigraph
-    neighbour; fresh vertices are used in increasing order with their first
-    sign pinned to +1 (switching symmetry). The depth-first search runs on
-    an explicit stack over the rows that `_UnitRows.candidates` forces, in
-    lexicographic (u, u2, e, e2) order, each checked by `_UnitRows.fits`.
-    Those are the rows of a search that tries every row meeting a placed
-    neighbour that can fit, in the same order, so the first graph found is
-    the one a check of every row against every placed row finds. By the
-    Whitney-type theorem for line graphs the choice is real only near the
-    first arrows; every later arrow has few candidates.
+    so each arrow after the first has a placed bigraph neighbour and the
+    placed rows are connected on the vertices V' = {1..used} they touch;
+    fresh vertices are used in increasing order with their first sign
+    pinned to +1 (switching symmetry). The first graph found is the one of a
+    depth-first search that tries, in lexicographic (u, u2, e, e2) order,
+    every row that fits (`_UnitRows.fits`): its Gram product with every
+    placed row is the one q asks for.
+
+    That search runs on an explicit stack over the rows that
+    `_UnitRows.candidates` forces only while the placed rows are balanced and
+    touch at most 4 vertices. From the first placement after which they are
+    rigid (unbalanced, or touching 5 vertices or more) each later arrow has
+    at most one row that fits, the Whitney-type theorem for line graphs up
+    to switching, so the tail is placed without a stack (`_place_forced`):
+    - two rows r, r' that fit arrow i have (r - r')·p_j = 0 for every
+      placed row p_j;
+    - the placed rows, connected on V', span Q^{V'} if they are unbalanced
+      and the switched hyperplane s^⊥ if they are balanced (s the switching
+      signs of `_switched`), so r - r' restricted to V' is 0 or λs;
+    - r - r' has at most 4 nonzeros, so λs is impossible once |V'| >= 5;
+    - outside V' a row that fits has at most one end, the fresh vertex
+      used + 1 with its sign pinned to +1, so r = r'.
+    A tail that meets an arrow with no fitting row, or ends with fewer than
+    m vertices, is undone and the prefix search resumes at its last level.
+    In the prefix an arrow parallel to a placed one (product +-2) has one
+    row, and every other arrow takes a new pair of the at most 4 vertices,
+    so a path through the prefix chooses at no more than 7 arrows (6 pairs
+    and the arrow that makes the rows rigid), each among a bounded number of
+    rows: the search visits O(n) prefix nodes and O(n) tails of O(n deg)
+    work each, and needs no budget.
     """
     n = q.n
-    order = traverse(form_adjacency(q), 1)[0]  # `realize` has checked that q is connected
-    placed = _UnitRows(q, m, order)
-    # one level per placed arrow: (candidates left, vertices used before it)
-    levels = [(iter((((1, 1), (2, -1)),)), 0)]
+    placed = _UnitRows(q, m)
+    order = placed.order  # `realize` has checked that q is connected
+    # one level per arrow of the prefix: (candidates left, vertices used before it,
+    # the switching signs of the rows placed before it)
+    levels = [(iter((((1, 1), (2, -1)),)), 0, (0, 1))]
     while levels:
         k = len(levels) - 1
-        cands, used = levels[-1]
+        cands, used, signs = levels[-1]
         i = order[k]
         if i in placed.rows:  # back from a subtree that failed
             placed.unplace(i)
@@ -860,17 +890,49 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
             new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
             if new_used > m or not placed.fits(i, ends):
                 continue
-            if k + 1 == n:
-                if new_used == m:
-                    placed.place(i, ends)
-                    return BidirectedGraph._trusted(m, tuple(placed.rows[j] for j in range(1, n + 1)))
-                continue
             placed.place(i, ends)
-            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used))
+            new_signs = _switched(signs, ends)
+            if new_signs is None or new_used > 4 or k + 1 == n:  # rigid, or nothing left to place
+                if _place_forced(placed, order, k + 1, new_used):
+                    return BidirectedGraph._trusted(m, tuple(map(placed.rows.__getitem__, range(1, n + 1))))
+                placed.unplace(i)
+                continue
+            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used, new_signs))
             break
         else:
             levels.pop()
     return None
+
+
+def _switched(signs, ends):
+    """The switching signs s (s_1 = +1, indexed by vertex) that make the placed
+    rows and the row `ends` directed, e s_u = -e2 s_u2 at each arrow, or None
+    if these rows are unbalanced; `signs` are those of the placed rows."""
+    (u, e), (u2, e2) = ends
+    if u2 == len(signs):  # a fresh vertex takes the sign that directs the row
+        return signs + (-e * e2 * signs[u],)
+    return signs if e * signs[u] == -e2 * signs[u2] else None
+
+
+def _place_forced(placed, order, k, used) -> bool:
+    """Place the arrows order[k:] each by its one fitting row (`_UnitRows.forced`)
+    once the placed rows are rigid; True if every arrow is placed and the rows
+    use all m vertices, else the arrows placed here are taken off again."""
+    forced, place = placed.forced, placed.place
+    for t in range(k, len(order)):
+        i = order[t]
+        ends = forced(i, used)
+        if ends is None:
+            break
+        place(i, ends)
+        used = max(used, ends[1][0])
+    else:
+        if used == placed.m:
+            return True
+        t = len(order)
+    for i in order[k:t]:
+        placed.unplace(i)
+    return False
 
 
 def _row_order(ends):
@@ -882,13 +944,19 @@ def _row_order(ends):
 class _UnitRows:
     """The incidence rows placed so far by `_realize_unit_backtracking`, indexed
     by vertex: `rows` maps an arrow to its normalized ends, `at[v]` maps each
-    arrow at v to its end sign there, and `earlier[i]` lists the bigraph
-    neighbours of i placed before it, smallest first.
+    arrow at v to its end sign there, and `prod[i]` maps each bigraph
+    neighbour j of arrow i to q_ij. `order` is the breadth-first order of
+    `traverse` over those maps from arrow 1, and `earlier[i]` lists the
+    neighbours of i before it in that order, smallest first.
     """
 
-    __slots__ = ("off", "m", "earlier", "rows", "at")
+    __slots__ = ("prod", "m", "order", "earlier", "rows", "at")
 
-    def __init__(self, q: IntegralQuadraticForm, m: int, order):
+    def __init__(self, q: IntegralQuadraticForm, m: int):
+        self.prod = prod = [{} for _ in range(q.n + 1)]
+        for (a, b), v in q.off.items():  # ascending, so every map lists its neighbours smallest first
+            prod[a][b] = prod[b][a] = v
+        self.order = order = traverse([p.items() for p in prod], 1)[0]
         rank = {i: k for k, i in enumerate(order)}
         self.earlier = earlier = [[] for _ in range(q.n + 1)]
         for a, b in q.off:
@@ -896,7 +964,6 @@ class _UnitRows:
                 earlier[b].append(a)
             else:
                 earlier[a].append(b)
-        self.off = q.off
         self.m = m
         self.rows = {}
         self.at = [{} for _ in range(m + 1)]
@@ -918,15 +985,15 @@ class _UnitRows:
         i must be among them.
         """
         (u, e), (u2, e2) = ends
-        at_u, at_u2, off = self.at[u], self.at[u2], self.off
+        at_u, at_u2, prod = self.at[u], self.at[u2], self.prod[i]
         for j in self.earlier[i]:
             if j not in at_u and j not in at_u2:
                 return False
         for j, s in at_u.items():
-            if e * s + e2 * at_u2.get(j, 0) != off.get((i, j) if i < j else (j, i), 0):
+            if e * s + e2 * at_u2.get(j, 0) != prod.get(j, 0):
                 return False
         for j, s in at_u2.items():
-            if j not in at_u and e2 * s != off.get((i, j) if i < j else (j, i), 0):
+            if j not in at_u and e2 * s != prod.get(j, 0):
                 return False
         return True
 
@@ -944,9 +1011,9 @@ class _UnitRows:
         sign at y is read off the product with a row at y that is not at x;
         a fresh end keeps +1, and with no such row both signs are tried.
         """
-        off, rows, at, near = self.off, self.rows, self.at, self.earlier[i]
+        prod, rows, at, near = self.prod[i], self.rows, self.at, self.earlier[i]
         j0 = near[0]
-        c = off[(i, j0) if i < j0 else (j0, i)]
+        c = prod[j0]
         if c in (2, -2):
             (a, ea), (b, eb) = rows[j0]
             return [((a, c // 2 * ea), (b, c // 2 * eb))]
@@ -959,7 +1026,7 @@ class _UnitRows:
             if j is not None:
                 ys = [v for v, _ in rows[j]]
             else:
-                zero = next((k for k in at_x if not off.get((i, k) if i < k else (k, i))), None)
+                zero = next((k for k in at_x if k not in prod), None)
                 ys = [v for k in (at_x if zero is None else (zero,)) for v, _ in rows[k] if v != x]
                 if zero is None and fresh:
                     ys.append(fresh)
@@ -973,13 +1040,55 @@ class _UnitRows:
                     if k is None:
                         signs = (1, -1)
                     else:
-                        ck = off.get((i, k) if i < k else (k, i), 0)
+                        ck = prod.get(k, 0)
                         if ck not in (1, -1):
                             continue
                         signs = (ck * at[y][k],)
                 for ey in signs:
                     found.add(((x, c * ex), (y, ey)) if x < y else ((y, ey), (x, c * ex)))
         return sorted(found, key=_row_order)
+
+    def forced(self, i, used):
+        """The one row for arrow i that fits, with `used` vertices placed and the
+        placed rows rigid, or None; O(deg) work and at most four `fits` checks.
+
+        As in `candidates`, the product c with the first placed neighbour j0 is
+        +-2 for the row c/2 times that of j0, and else the row has one end x at
+        j0 with sign ex = c times the sign of j0 there. A placed row k at x
+        whose product is not ex times its own sign at x must meet the row at
+        its other end y, which fixes y and its sign (or rules x out). With no
+        such row y is off every row at x: an end of a placed neighbour not at
+        x, with the sign its product asks for, or else the fresh vertex.
+        """
+        prod, rows, near = self.prod[i], self.rows, self.earlier[i]
+        j0 = near[0]
+        c = prod[j0]
+        (a, sa), (b, sb) = rows[j0]
+        if c in (2, -2):
+            ends = ((a, c // 2 * sa), (b, c // 2 * sb))
+            return ends if self.fits(i, ends) else None
+        for x, ex, x2 in ((b, c * sb, a), (a, c * sa, b)):  # the later end first, more often the one
+            at_x = self.at[x]
+            for k, s in at_x.items():
+                d = prod.get(k, 0) - ex * s
+                if d:  # the row meets k at its other end y too, with the sign that makes up d
+                    (u, e), (u2, e2) = rows[k]
+                    y, t = (u2, e2) if u == x else (u, e)
+                    ys = ((y, d * t),) if d in (1, -1) else ()
+                    break
+            else:
+                for j in near:
+                    if j not in at_x:  # the row meets j at an end other than x2
+                        cj = prod[j]
+                        ys = [(y, cj * t) for y, t in rows[j] if y != x2] if cj in (1, -1) else ()
+                        break
+                else:
+                    ys = ((used + 1, 1),) if used < self.m else ()
+            for y, ey in ys:
+                ends = ((x, ex), (y, ey)) if x < y else ((y, ey), (x, ex))
+                if self.fits(i, ends):
+                    return ends
+        return None
 
 
 # -- canonical reduction of type C (seven steps) ----------------------------
@@ -993,10 +1102,10 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
     # step 1: the star realization, resumed as a fresh chase on a copy of its rows
-    cols, steps, rows, form, B, part = _checked_star(q, rep)
+    cols, steps, rows, form, star, part = _checked_star(q, rep)
     ch = _Chase(form, list(cols), [row[:] for row in rows])
     ch.steps = list(steps)
-    ch.graph = _Arrows(B)
+    ch.graph = star.copy()
     loop_arrow = part.u2[0]
     # step 2: turn every two-head arrow v--1 into a directed arrow v->1
     for _, minus in part.groups:

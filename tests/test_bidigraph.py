@@ -422,6 +422,35 @@ def test_arrows_push_matches_the_graph_functions():
     assert min(seen.values()) > 30, seen
 
 
+def test_a_copied_index_changes_apart_from_its_original():
+    """`_Arrows.copy` is the index a fresh `_Arrows` builds, and steps on the copy
+    leave the original as it was: the type-C snapshot hands out copies of B'."""
+    from tests.test_graph_layer import _random_graph
+
+    rng = random.Random(2008)
+    for _ in range(300):
+        B = _random_graph(rng, connected=True)
+        graph = _Arrows(B)
+        before = {v: dict(s) for v, s in graph.at.items()}
+        twin = graph.copy()
+        assert twin.freeze() is B and twin.at == _Arrows(B).at and twin.ends == list(B.ends)
+        B2 = B
+        for _ in range(6):
+            kind = rng.choice(("gabrielov", "sign", "perm") if B.n > 1 else ("sign",))
+            if kind == "sign":
+                step = ("sign", rng.randint(1, B.n))
+                B2 = sign_flip(B2, step[1])
+            elif kind == "perm":
+                step = ("perm", tuple(rng.sample(range(1, B.n + 1), B.n)))
+                B2 = arrow_permutation(B2, step[1])
+            else:
+                step = ("gabrielov", *rng.sample(range(1, B.n + 1), 2))
+                B2 = graph_gabrielov(B2, *step[1:])
+            twin.push(step)
+        assert twin.freeze() == B2 and {v: s for v, s in twin.at.items() if s} == _incidence_columns(B2)
+        assert graph.freeze() is B and graph.at == before and graph.ends == list(B.ends)
+
+
 def test_arrows_perm_in_place_equals_arrow_permutation():
     """A perm on the chase's graph, after other steps or not, gives the graph
     and the vertex index of `arrow_permutation`."""
@@ -557,7 +586,8 @@ def test_graphs_and_matrices_pickle_and_copy():
         def __reduce__(self):
             return (self.cls, self.args)
 
-    # unpickling goes through the checked constructors
+    # a pickle that calls a value type's constructor is checked (a pickled GTransform,
+    # one the library held, names `GTransform._trusted` instead)
     with pytest.raises(InvalidInput):
         pickle.loads(pickle.dumps(Forged(BidirectedGraph, (1, (((1, 1), (2, -1)),)))))
     with pytest.raises(InvalidInput):

@@ -618,6 +618,29 @@ def test_gtransform_rejects_non_unimodular_matrices():
         GTransform.from_json_dict({"matrix": [[1, 0]], "steps": [{"op": "sign", "i": 1}]})
 
 
+def test_a_pickled_gtransform_rebuilds_without_the_determinant(monkeypatch):
+    # a pickle holds a transform the library held; unpickling C_100^{25,25}'s 150 x 150
+    # Gabrielov transform through the checking constructor paid Bareiss again
+    import pickle
+
+    q = canonical_c_graph(100, 25, 25).incidence_form()
+    transforms = [gabrielov(q, 1, 2)[1], canonical_c(canonical_c_graph(5, 1, 1).incidence_form())[0]]
+    blobs = [pickle.dumps(T) for T in transforms]
+
+    def refuse(self):
+        raise AssertionError("determinant computed while unpickling")
+
+    monkeypatch.setattr(IntMatrix, "det", refuse)
+    for T, blob in zip(transforms, blobs):
+        back = pickle.loads(blob)
+        assert type(back) is GTransform and back == T and back.n == T.n
+    # the constructor and the JSON reader still check M
+    for build in (lambda: GTransform(IntMatrix([[2]])),
+                  lambda: GTransform.from_json_dict({"matrix": [[2]], "steps": []})):
+        with pytest.raises(AssertionError, match="determinant computed"):
+            build()
+
+
 def test_gtransform_checks_its_steps_at_the_boundary():
     # each of these was once accepted and written back out by `to_json_dict`
     identity = [[1, 0], [0, 1]]

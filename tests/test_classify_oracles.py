@@ -1,20 +1,24 @@
 """The classify kernels against the code they replaced, and at scale.
 
-`_realize_unit_backtracking` (a vertex-indexed search on an explicit stack
-over forced rows, whose generator is checked at every node against the one
-it replaced) and `_greedy_core` (a deletion search that reads rank off the
-radical) are checked against the recursive versions they replaced, kept
-below as the references, on seeded connected unit forms of types A, D and E
-with corank 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst
+`_realize_unit_backtracking` (a short search on an explicit stack over forced
+rows, whose generator is checked at every node against the one it replaced,
+then forced placement) and `_greedy_core` (a deletion search that reads rank
+off the radical) are checked against the recursive versions they replaced,
+kept below as the references, on seeded connected unit forms of types A, D and
+E with corank 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst
 enumeration behind `positive_roots_by_value` and `first_root_with_value`,
-against the two recursive searches it replaced. The determinant that
-`analyze` gives for the typing (`FormAnalysis.positive_det`) is checked
-against the Gram determinant of the positive core that `dynkin_type` took
-before. The forms, graphs and matrices that the library builds without the
-constructor's checks (`IntegralQuadraticForm._trusted`,
-`BidirectedGraph._trusted`, `IntMatrix._trusted`) are checked against the
-same data sent through the constructor, and the chase's row check after a
-Gabrielov step against the full incidence form it replaced.
+against the two recursive searches it replaced. The realizer is also checked
+against the stack search it replaced, on those forms, the bench generators'
+and scrambled A_n / D_n forms with n up to 200 and corank up to 60; the
+rigidity lemma behind its forced placement is checked on that search's own
+nodes, with a product check and `balance`. The determinant that `analyze`
+gives for the typing (`FormAnalysis.positive_det`) is checked against the Gram
+determinant of the positive core that `dynkin_type` took before. The forms,
+graphs and matrices that the library builds without the constructor's checks
+(`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`,
+`IntMatrix._trusted`) are checked against the same data sent through the
+constructor, and the chase's row check after a Gabrielov step against the full
+incidence form it replaced.
 The large-n tests run with little stack to spare, so that a recursion over
 arrows or variables fails, no function in the package may call itself by
 name, and every private module-level function must be used in the package.
@@ -27,6 +31,7 @@ import inspect
 import pathlib
 import random
 import re
+import textwrap
 import time
 from fractions import Fraction
 from math import isqrt
@@ -39,6 +44,7 @@ from bidiforms.bidigraph import (
     _Arrows,
     BidirectedGraph,
     arrow_permutation,
+    balance,
     canonical_c as canonical_c_graph,
     endpoint_rewrite,
     graph_gabrielov,
@@ -145,6 +151,38 @@ def _reference_candidates(placed, i, used):
         for e in (1, -1):
             for e2 in ((1,) if fresh else (1, -1)):
                 yield ((u, e), (u2, e2))
+
+
+def _reference_realize_unit_stack(q, m):
+    """The realizer before forced placement: a depth-first search on an explicit
+    stack over the rows that `_UnitRows.candidates` forces at every level, in
+    lexicographic (u, u2, e, e2) order, each checked by `_UnitRows.fits`."""
+    n = q.n
+    order = traverse(form_adjacency(q), 1)[0]
+    placed = classify._UnitRows(q, m)
+    # one level per placed arrow: (candidates left, vertices used before it)
+    levels = [(iter((((1, 1), (2, -1)),)), 0)]
+    while levels:
+        k = len(levels) - 1
+        cands, used = levels[-1]
+        i = order[k]
+        if i in placed.rows:  # back from a subtree that failed
+            placed.unplace(i)
+        for ends in cands:
+            new_used = max(used, ends[1][0])
+            if new_used > m or not placed.fits(i, ends):
+                continue
+            if k + 1 == n:
+                if new_used == m:
+                    placed.place(i, ends)
+                    return BidirectedGraph(m, [placed.rows[j] for j in range(1, n + 1)])
+                continue
+            placed.place(i, ends)
+            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used))
+            break
+        else:
+            levels.pop()
+    return None
 
 
 def _reference_greedy_core(q, rep):
@@ -323,7 +361,7 @@ def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
         nodes.append((len(got), len(want)))
         return got
 
-    monkeypatch.setattr(classify._UnitRows, "candidates", checked)
+    monkeypatch.setattr(classify._UnitRows, "candidates", checked)  # called only in the search prefix
     for family, q in forms:
         rep = analyze(q)
         coranks.add(rep.corank)
@@ -341,7 +379,8 @@ def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
             realized += 1
     assert coranks == {0, 1, 2, 3, 4}
     assert realized > 1200 and cores > 1200 and e_cores > 150
-    assert len(nodes) > 10000 and sum(g for g, _ in nodes) * 3 < sum(w for _, w in nodes)
+    # two realizer runs per form, each with a few prefix nodes
+    assert len(nodes) > 5 * realized and sum(g for g, _ in nodes) * 3 < sum(w for _, w in nodes)
 
 
 def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
@@ -354,9 +393,118 @@ def test_realizer_matches_the_recursive_search_when_it_finds_no_graph():
             continue
         for m in (2, analyze(q).rank):
             B = classify._realize_unit_backtracking(q, m)
-            assert B == _reference_realize_unit(q, m)
+            assert B == _reference_realize_unit(q, m) == _reference_realize_unit_stack(q, m)
             outcomes.append(B is None)
     assert sum(outcomes) > 40
+
+
+def _unit_a_d_forms(rng):
+    """(q, m) for the seeded forms of types A and D and the connected non-negative
+    unit forms of the bench generators other than type E, m the vertex count of
+    a graph that realizes q."""
+    forms = [q for family, q in _seeded_forms(7101, 2000) if family != "E"]
+    for q in _generator_forms(rng):
+        rep = analyze(q)
+        if rep.unit and rep.connected and rep.non_negative:
+            forms.append(q)
+    out = []
+    for q in forms:
+        family = dynkin_type(q)[0].family
+        if family != "E":
+            out.append((q, analyze(q).rank + (family == "A")))
+    return out
+
+
+def test_rigid_placed_rows_leave_at_most_one_fitting_row(monkeypatch):
+    # the lemma behind forced placement, at every node of the stack search it replaced:
+    # once the placed rows are unbalanced or touch 5 vertices, at most one row fits
+    generate = classify._UnitRows.candidates
+    form = {}
+    seen = {"rigid": 0, "rigid and one row fits": 0, "prefix": 0, "prefix and two rows fit": 0}
+
+    def checked(placed, i, used):
+        q = form["q"]
+        fitting = [r for r in _reference_candidates(placed, i, used)
+                   if all(_sparse_dot(r, p) == q.coefficient(i, j) for j, p in placed.rows.items())]
+        if used >= 5 or balance(BidirectedGraph(used, list(placed.rows.values()))).beta == 0:
+            assert len(fitting) <= 1, (q, placed.rows, i)
+            seen["rigid"] += 1
+            seen["rigid and one row fits"] += len(fitting)
+        else:
+            seen["prefix"] += 1
+            seen["prefix and two rows fit"] += len(fitting) > 1
+        return generate(placed, i, used)
+
+    monkeypatch.setattr(classify._UnitRows, "candidates", checked)
+    forms = _unit_a_d_forms(random.Random(2001))
+    for q, m in forms:
+        form["q"] = q
+        assert _reference_realize_unit_stack(q, m) is not None
+    assert len(forms) > 1500
+    assert seen["rigid and one row fits"] > 5000 and seen["prefix and two rows fit"] > 3000, seen
+
+
+def _scaled_unit_form(rng, family, n, corank):
+    """(q, m): the incidence form of a connected graph with n arrows on m vertices,
+    a switched quiver (type A_{m-1}, corank n - m + 1) or a graph with one negative
+    cycle (type D_m, corank n - m), scrambled by n Gabrielov steps on the graph."""
+    if family == "A":
+        B = BidirectedGraph(*gen.switched_quiver(rng, n - corank + 1, corank))
+    else:
+        B = BidirectedGraph(*gen.negative_cycle_graph(rng, n - corank, corank + 1))
+    for _ in range(n):
+        B = graph_gabrielov(B, *rng.sample(range(1, n + 1), 2))
+    return B.incidence_form(), B.m
+
+
+def test_realizer_matches_the_stack_search_at_scale():
+    rng = random.Random(7110)
+    checked = 0
+    for n in (20, 60, 120, 200):
+        for corank in (0, 1, 5, 20, 60):
+            for family in "AD" if 2 * corank < n else ():
+                q, m = _scaled_unit_form(rng, family, n, corank)
+                rep = analyze(q)
+                assert rep.corank == corank and dynkin_type(q)[0].family == family
+                B = realize(q)
+                assert B.m == m and B == _reference_realize_unit_stack(q, m)
+                for small in (m - 1, m // 2):  # too few vertices: neither search finds a graph
+                    assert classify._realize_unit_backtracking(q, small) is None
+                    assert _reference_realize_unit_stack(q, small) is None
+                checked += 1
+    assert checked == 32
+
+
+def test_prefix_search_visits_a_bounded_number_of_nodes(monkeypatch):
+    # the search runs on a stack only until the placed rows are rigid, whatever n; an
+    # arrow parallel to a placed one (product +-2) has one row, and its node no choice
+    generate = classify._UnitRows.candidates
+    form, nodes = {}, []
+
+    def counted(placed, i, used):
+        q = form["q"]
+        nodes.append(all(q.coefficient(i, j) not in (2, -2) for j in placed.rows))
+        return generate(placed, i, used)
+
+    monkeypatch.setattr(classify._UnitRows, "candidates", counted)
+    rng = random.Random(7111)
+    forms = _unit_a_d_forms(random.Random(2002))
+    forms += [_scaled_unit_form(rng, family, n, corank) for n in (60, 200) for corank in (0, 20, 60)
+              for family in "AD" if 2 * corank < n]
+    most = {}
+    for q, m in forms:
+        form["q"], nodes[:] = q, []
+        assert classify._realize_unit_backtracking(q, m) is not None
+        size = "n <= 16" if q.n <= 16 else "n > 16"
+        most[size] = max(most.get(size, 0), sum(nodes))
+    assert max(most.values()) <= 8, most
+    # copies of the first arrow meet the prefix first: one node each, none of them a choice
+    for copies in (5, 40):
+        path = [((v, 1), (v + 1, -1)) for v in range(2, 6)]
+        q = BidirectedGraph(6, [((1, 1), (2, -1))] * copies + path).incidence_form()
+        form["q"], nodes[:] = q, []
+        assert classify._realize_unit_backtracking(q, 6) is not None
+        assert len(nodes) >= copies - 1 and sum(nodes) <= 8
 
 
 # -- the determinant typing and the positive core it replaced ----------------------
@@ -839,11 +987,17 @@ def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arr
     """B' is built unchecked from normalized ends: it equals the constructor's
     graph. Checked arrow by arrow against the saturated rows it passes; with
     one arrow flipped it fails, in the snapshot too, and with one end flipped
-    it fails exactly when the incidence form changes."""
+    it fails exactly when the incidence form changes. The index is shared by
+    a pass: `realize` and `canonical_c` leave it as it was."""
     refused = 0
     for B in _type_c_graphs(random.Random(7109), 150):
         q = B.incidence_form()
-        _, _, rows, form, star, _ = classify._star_snapshot(q)
+        _, _, rows, form, graph, _ = classify._star_snapshot(q)
+        star = graph.freeze()
+        assert graph.at == _Arrows(star).at  # the index that checked B' is B''s
+        realize(q), canonical_c(q)
+        assert classify._star_snapshot(q)[4] is graph
+        assert graph.ends == list(star.ends) and graph.at == _Arrows(star).at
         _same_graph(star, BidirectedGraph(star.m, star.ends))
         assert star.incidence_form() == form and _Rows(form).rows == rows
         f = _Rows(form)
@@ -1099,15 +1253,22 @@ def test_positive_core_of_a_large_corank_three_form_without_recursion():
     assert len(X) == 60 and sub.corank == 0 and sub.connected and sub.rank == rep.rank
 
 
-@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_greedy_core"])
+@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_switched", "_place_forced",
+                                  "_UnitRows.candidates", "_UnitRows.forced", "_UnitRows.fits", "_greedy_core"])
 def test_searches_hold_no_recursive_function(name):
-    outer = ast.parse(inspect.getsource(getattr(classify, name))).body[0]
+    obj = classify
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    outer = ast.parse(textwrap.dedent(inspect.getsource(obj))).body[0]
     nested = [f for f in ast.walk(outer) if isinstance(f, ast.FunctionDef) and f is not outer]
-    banned = {name} | {f.name for f in nested}
+    own = name.split(".")[-1]
+    banned = {own} | {f.name for f in nested}
     for f in [outer] + nested:
-        called = {c.func.id for c in ast.walk(f) if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+        # a call by name, or a method called on anything (`self.forced`, `placed.forced`)
+        called = {c.func.id if isinstance(c.func, ast.Name) else c.func.attr for c in ast.walk(f)
+                  if isinstance(c, ast.Call) and isinstance(c.func, (ast.Name, ast.Attribute))}
         # the outer function may call its helpers; nothing may call back into itself or them
-        assert not called & ({name} if f is outer else banned), f"{name}: {f.name} recurses"
+        assert not called & ({own} if f is outer else banned), f"{name}: {f.name} recurses"
 
 
 # -- the radical from the sparse elimination, and the graph of the chase --------
