@@ -537,33 +537,21 @@ def balance(B: BidirectedGraph) -> BalanceReport:
 
 
 def _tree_path(parent, src, dst):
-    """Walk sequence (src, a, ..., dst) along spanning-tree arrows."""
-
-    def up(v):
-        chain = [v]
-        arrows = []
-        while parent[chain[-1]] is not None:
-            pv, a = parent[chain[-1]]
-            arrows.append(a)
-            chain.append(pv)
-        return chain, arrows
-
-    cs, as_ = up(src)
-    cd, ad = up(dst)
-    common = None
-    set_cd = {v: k for k, v in enumerate(cd)}
-    for k, v in enumerate(cs):
-        if v in set_cd:
-            common = (k, set_cd[v])
-            break
-    ks, kd = common
-    seq = []
-    for t in range(ks):
-        seq.extend([cs[t], as_[t]])
-    seq.append(cs[ks])
-    for t in range(kd - 1, -1, -1):
-        seq.extend([ad[t], cd[t]])
-    return tuple(seq)
+    """Walk sequence (src, a, ..., dst) along spanning-tree arrows, in O(depth):
+    climb from src, noting each ancestor's place in the walk, then from dst to
+    the first noted ancestor."""
+    seq, place = [src], {src: 0}
+    v = src
+    while parent[v] is not None:
+        v, a = parent[v]
+        seq += (a, v)
+        place[v] = len(seq) - 1
+    down = []  # dst, its arrow up, ..., up to the first noted ancestor
+    v = dst
+    while v not in place:
+        down += (v, parent[v][1])
+        v = parent[v][0]
+    return tuple(seq[:place[v] + 1] + down[::-1])
 
 
 def rank_corank(B: BidirectedGraph) -> tuple[int, int]:

@@ -35,13 +35,14 @@ functions take the form alone and read its analysis from the cache of
 `analyze`.
 
 Unit forms of type A/D are realized arrow by arrow over incidence rows
-indexed by vertex. A depth-first search on an explicit stack, over the rows
-that the products with the placed rows force (`_UnitRows.candidates`), runs
-only while the placed rows are balanced and touch at most 4 vertices; once
-they are rigid, the Whitney-type theorem for line graphs up to switching
-leaves each later arrow at most one row that fits, and it is placed with no
-stack (`_UnitRows.forced`). Positive cores are found by a deletion search on
-an explicit stack that reads the rank of each restriction off the radical.
+indexed by vertex, by one depth-first search on an explicit stack over the
+rows that fit (`_UnitRows.fitting`): at most four, worked out from the
+products with the placed rows. While the placed rows are balanced and touch
+at most 4 vertices a level tries its rows in lexicographic order; once they
+are rigid, the Whitney-type theorem for line graphs up to switching leaves
+each later arrow at most one, taken as it comes. Positive cores are found by
+a deletion search on an explicit stack that reads the rank of each
+restriction off the radical.
 Forms, graphs and matrices derived here from valid data are built without
 the constructors' checks (`IntegralQuadraticForm._trusted`,
 `BidirectedGraph._trusted`, `IntMatrix._trusted`).
@@ -371,9 +372,18 @@ def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
 # -- exact root enumeration for positive forms ------------------------------
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def _ldl(G: IntMatrix):
-    """Exact LDL data of a positive-definite Gram matrix: x^tr G x = sum d_i (x_i + sum_j u_ij x_j)^2."""
+    """Exact LDL data of a positive-definite Gram matrix: x^tr G x = sum d_i (x_i + sum_j u_ij x_j)^2.
+
+    The cache holds the factors of the last 64 matrices. `solve` asks for the
+    positive core of a form at each of its requests, and a core seldom comes
+    back once its form's requests are done: a solve_sweep block of seed 7
+    meets 19 distinct cores, and 2 of the 152 met in 8 blocks are met again.
+    So hits and misses are the same at 64 as at 512 (5,930 / 150 over 8
+    blocks, 8,895 / 225 over 12), and 12 blocks leave about 0.6 MB less held
+    (tracemalloc, 2.58 -> 2.01 MB).
+    """
     n = G.rows
     A = [[Fraction(x) for x in row] for row in G.entries]
     d = [Fraction(0)] * n
@@ -808,9 +818,9 @@ def _star_snapshot(q: IntegralQuadraticForm):
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
-    Unit forms of type A/D are realized by a short depth-first search over
-    incidence rows, indexed by vertex, and then by forced placement once the
-    placed rows are rigid (`_realize_unit_backtracking`); type E is
+    Unit forms of type A/D are realized by a depth-first search over the
+    incidence rows that fit, indexed by vertex, with a choice only until
+    the placed rows are rigid (`_realize_unit_backtracking`); type E is
     rejected. Non-unit type-C forms go through the saturated
     partition and are pulled back with inverse graph transformations,
     applied in place (`_Arrows`) and frozen once.
@@ -846,17 +856,17 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     so each arrow after the first has a placed bigraph neighbour and the
     placed rows are connected on the vertices V' = {1..used} they touch;
     fresh vertices are used in increasing order with their first sign
-    pinned to +1 (switching symmetry). The first graph found is the one of a
-    depth-first search that tries, in lexicographic (u, u2, e, e2) order,
-    every row that fits (`_UnitRows.fits`): its Gram product with every
-    placed row is the one q asks for.
+    pinned to +1 (switching symmetry). The graph found is the first of a
+    depth-first search on an explicit stack that tries, in lexicographic
+    (u, u2, e, e2) order, every row that fits: its Gram product with every
+    placed row is the one q asks for. In every state of the search
+    `_UnitRows.fitting` yields exactly those rows.
 
-    That search runs on an explicit stack over the rows that
-    `_UnitRows.candidates` forces only while the placed rows are balanced and
-    touch at most 4 vertices. From the first placement after which they are
-    rigid (unbalanced, or touching 5 vertices or more) each later arrow has
-    at most one row that fits, the Whitney-type theorem for line graphs up
-    to switching, so the tail is placed without a stack (`_place_forced`):
+    While the placed rows are balanced and touch at most 4 vertices, a level
+    takes them sorted (`_UnitRows.candidates`). From the first placement
+    after which they are rigid (unbalanced, or touching 5 vertices or more)
+    each later arrow has at most one row that fits, the Whitney-type theorem
+    for line graphs up to switching, so a level takes them as yielded:
     - two rows r, r' that fit arrow i have (r - r')·p_j = 0 for every
       placed row p_j;
     - the placed rows, connected on V', span Q^{V'} if they are unbalanced
@@ -865,39 +875,38 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     - r - r' has at most 4 nonzeros, so λs is impossible once |V'| >= 5;
     - outside V' a row that fits has at most one end, the fresh vertex
       used + 1 with its sign pinned to +1, so r = r'.
-    A tail that meets an arrow with no fitting row, or ends with fewer than
-    m vertices, is undone and the prefix search resumes at its last level.
-    In the prefix an arrow parallel to a placed one (product +-2) has one
+    Before that, an arrow parallel to a placed one (product +-2) has one
     row, and every other arrow takes a new pair of the at most 4 vertices,
-    so a path through the prefix chooses at no more than 7 arrows (6 pairs
-    and the arrow that makes the rows rigid), each among a bounded number of
-    rows: the search visits O(n) prefix nodes and O(n) tails of O(n deg)
+    so a path through the search chooses at no more than 7 arrows (6 pairs
+    and the arrow that makes the rows rigid), each among at most 4 rows: the
+    search visits O(n) nodes with a choice and O(n) rigid tails of O(n deg)
     work each, and needs no budget.
     """
+    if m < 2:  # the first row takes vertices 1 and 2
+        return None
     n = q.n
     placed = _UnitRows(q, m)
     order = placed.order  # `realize` has checked that q is connected
-    # one level per arrow of the prefix: (candidates left, vertices used before it,
-    # the switching signs of the rows placed before it)
+    # one level per placed arrow: (its rows left, vertices used before it, the
+    # switching signs of the rows placed before it, or None once they are rigid)
     levels = [(iter((((1, 1), (2, -1)),)), 0, (0, 1))]
     while levels:
         k = len(levels) - 1
-        cands, used, signs = levels[-1]
+        rows, used, signs = levels[-1]
         i = order[k]
         if i in placed.rows:  # back from a subtree that failed
             placed.unplace(i)
-        for ends in cands:
+        for ends in rows:
             new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
-            if new_used > m or not placed.fits(i, ends):
-                continue
             placed.place(i, ends)
-            new_signs = _switched(signs, ends)
-            if new_signs is None or new_used > 4 or k + 1 == n:  # rigid, or nothing left to place
-                if _place_forced(placed, order, k + 1, new_used):
+            if k + 1 == n:
+                if new_used == m:
                     return BidirectedGraph._trusted(m, tuple(map(placed.rows.__getitem__, range(1, n + 1))))
                 placed.unplace(i)
                 continue
-            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used, new_signs))
+            new_signs = _switched(signs, ends) if signs and new_used <= 4 else None
+            fitting = placed.fitting if new_signs is None else placed.candidates
+            levels.append((iter(fitting(order[k + 1], new_used)), new_used, new_signs))
             break
         else:
             levels.pop()
@@ -912,27 +921,6 @@ def _switched(signs, ends):
     if u2 == len(signs):  # a fresh vertex takes the sign that directs the row
         return signs + (-e * e2 * signs[u],)
     return signs if e * signs[u] == -e2 * signs[u2] else None
-
-
-def _place_forced(placed, order, k, used) -> bool:
-    """Place the arrows order[k:] each by its one fitting row (`_UnitRows.forced`)
-    once the placed rows are rigid; True if every arrow is placed and the rows
-    use all m vertices, else the arrows placed here are taken off again."""
-    forced, place = placed.forced, placed.place
-    for t in range(k, len(order)):
-        i = order[t]
-        ends = forced(i, used)
-        if ends is None:
-            break
-        place(i, ends)
-        used = max(used, ends[1][0])
-    else:
-        if used == placed.m:
-            return True
-        t = len(order)
-    for i in order[k:t]:
-        placed.unplace(i)
-    return False
 
 
 def _row_order(ends):
@@ -998,80 +986,40 @@ class _UnitRows:
         return True
 
     def candidates(self, i, used):
-        """The rows for arrow i, with `used` vertices placed, that its products force,
-        sorted in the search order; among them is every row that fits.
+        """The rows of `fitting`, sorted in the search order."""
+        return sorted(self.fitting(i, used), key=_row_order)
 
-        The row meets the first placed neighbour j0 with product c, nonzero and,
-        in a non-negative unit form, at most 2 in absolute value. For |c| = 2
-        it is c/2 times the row of j0. For |c| = 1 it has one end x at j0, with
-        sign c times the sign of j0 there, and its other end y off j0. If a
-        placed neighbour is not at x, y is one of its two ends. Else a placed
-        row at x with product 0 must cancel at y, so y is its other end. Else
-        every row at y is at x: y is fresh or the other end of a row at x. The
-        sign at y is read off the product with a row at y that is not at x;
-        a fresh end keeps +1, and with no such row both signs are tried.
+    def fitting(self, i, used):
+        """Yield every row for arrow i that fits, with `used` vertices placed: at
+        most four rows, worked out in O(deg) from the placed rows and each
+        checked by `fits`.
+
+        The product c with the first placed neighbour j0 is nonzero and, in a
+        non-negative unit form, at most 2 in absolute value. For c = +-2 the
+        row is c/2 times that of j0. Else it has one end x at j0, with sign ex =
+        c times the sign of j0 there, and its other end y off j0, and one of
+        three cases holds:
+        - a placed row k at x whose product is off by d = q_ik - ex s (s its
+          sign at x) meets the row at its other end too, so y is that end,
+          with sign d times the sign of k there;
+        - else y is on no row at x, and the first placed neighbour j not at x
+          puts y among its ends, with the sign its product asks for;
+        - else y meets no placed row, so it is the fresh vertex used + 1.
         """
-        prod, rows, at, near = self.prod[i], self.rows, self.at, self.earlier[i]
-        j0 = near[0]
-        c = prod[j0]
-        if c in (2, -2):
-            (a, ea), (b, eb) = rows[j0]
-            return [((a, c // 2 * ea), (b, c // 2 * eb))]
-        fresh = used + 1 if used < self.m else None
-        found = set()
-        ends0 = (rows[j0][0][0], rows[j0][1][0])
-        for x, ex in rows[j0]:
-            at_x = at[x]
-            j = next((j for j in near if j not in at_x), None)
-            if j is not None:
-                ys = [v for v, _ in rows[j]]
-            else:
-                zero = next((k for k in at_x if k not in prod), None)
-                ys = [v for k in (at_x if zero is None else (zero,)) for v, _ in rows[k] if v != x]
-                if zero is None and fresh:
-                    ys.append(fresh)
-            for y in ys:
-                if y in ends0:  # a row with both ends at j0 has product 0 or +-2 with it
-                    continue
-                if y == fresh:
-                    signs = (1,)
-                else:
-                    k = next((k for k in at[y] if k not in at_x), None)
-                    if k is None:
-                        signs = (1, -1)
-                    else:
-                        ck = prod.get(k, 0)
-                        if ck not in (1, -1):
-                            continue
-                        signs = (ck * at[y][k],)
-                for ey in signs:
-                    found.add(((x, c * ex), (y, ey)) if x < y else ((y, ey), (x, c * ex)))
-        return sorted(found, key=_row_order)
-
-    def forced(self, i, used):
-        """The one row for arrow i that fits, with `used` vertices placed and the
-        placed rows rigid, or None; O(deg) work and at most four `fits` checks.
-
-        As in `candidates`, the product c with the first placed neighbour j0 is
-        +-2 for the row c/2 times that of j0, and else the row has one end x at
-        j0 with sign ex = c times the sign of j0 there. A placed row k at x
-        whose product is not ex times its own sign at x must meet the row at
-        its other end y, which fixes y and its sign (or rules x out). With no
-        such row y is off every row at x: an end of a placed neighbour not at
-        x, with the sign its product asks for, or else the fresh vertex.
-        """
-        prod, rows, near = self.prod[i], self.rows, self.earlier[i]
+        prod, rows, near, fits = self.prod[i], self.rows, self.earlier[i], self.fits
         j0 = near[0]
         c = prod[j0]
         (a, sa), (b, sb) = rows[j0]
         if c in (2, -2):
             ends = ((a, c // 2 * sa), (b, c // 2 * sb))
-            return ends if self.fits(i, ends) else None
+            if fits(i, ends):
+                yield ends
+            return
         for x, ex, x2 in ((b, c * sb, a), (a, c * sa, b)):  # the later end first, more often the one
             at_x = self.at[x]
             for k, s in at_x.items():
                 d = prod.get(k, 0) - ex * s
-                if d:  # the row meets k at its other end y too, with the sign that makes up d
+                if d:
                     (u, e), (u2, e2) = rows[k]
                     y, t = (u2, e2) if u == x else (u, e)
                     ys = ((y, d * t),) if d in (1, -1) else ()
@@ -1084,11 +1032,10 @@ class _UnitRows:
                         break
                 else:
                     ys = ((used + 1, 1),) if used < self.m else ()
-            for y, ey in ys:
+            for y, ey in ys:  # built before the first yield: the search changes `at` between yields
                 ends = ((x, ex), (y, ey)) if x < y else ((y, ey), (x, ex))
-                if self.fits(i, ends):
-                    return ends
-        return None
+                if fits(i, ends):
+                    yield ends
 
 
 # -- canonical reduction of type C (seven steps) ----------------------------

@@ -228,6 +228,10 @@ def _route(q):
     R = M[:, :4] LAGRANGE_BRIDGE for the canonical_c matrix M, so that x =
     M (LAGRANGE_BRIDGE z, 0, ..., 0) = R z; ("canonical-D4-search", (X, q on X))
     for the positive core X; or ("brute-force", content) for the box search.
+
+    The cache holds 256 routes, more than a block of solve_sweep's 48 forms,
+    because small forms recur across blocks: over 8 blocks of seed 7, a bound
+    of 64 misses 377 times against 358 at 256.
     """
     rep = analyze(q)
     if rep.non_negative and rep.connected and rep.irreducible and rep.rank >= 4:

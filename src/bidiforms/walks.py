@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .bidigraph import BidirectedGraph, _tree_path, balance
+from .bidigraph import BidirectedGraph, balance
 from .errors import InvalidInput, NotPositive, as_int
 from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
 
@@ -418,11 +418,11 @@ def roots_positive(B: BidirectedGraph) -> PositiveRoots:
         return _positive_roots(B, 1, None)
     if m != n:
         raise NotPositive("graph is neither a tree nor a 1-tree")
-    cycle = _unique_cycle_walk(B)
-    sig_w = cycle.sigma()
-    if sig_w != -1:
+    witness = balance(B).witness  # on a 1-tree, its unique cycle as a closed walk
+    if witness is None:
         raise NotPositive("balanced 1-tree; the incidence form is not positive")
-    return _positive_roots(B, cycle.start, (cycle.inc(), sig_w))
+    cycle = Walk(B, witness[0], [(i, False) for i in witness[1::2]])
+    return _positive_roots(B, cycle.start, (cycle.inc(), cycle.sigma()))
 
 
 def _positive_roots(B, root, cycle):
@@ -473,14 +473,3 @@ def _tree_incs(B, root):
         y[a - 1] += _d(B, w, a, False)
         incs[w] = (tuple(y), sig_a * sig)
     return incs
-
-
-def _unique_cycle_walk(B) -> Walk:
-    """The unique cycle of a connected 1-tree as a closed walk: its one arrow
-    off a BFS tree (a loop, one of a parallel pair, or a chord), closed along the tree."""
-    _, parent = traverse(B.adjacency(), 1)
-    tree = {p[1] for p in parent.values() if p}
-    a = next(i for i in range(1, B.n + 1) if i not in tree)
-    (u, _), (u2, _) = B.ends[a - 1]
-    seq = _tree_path(parent, u2, u) + (a, u2)
-    return Walk(B, u2, [(i, False) for i in seq[1::2]])

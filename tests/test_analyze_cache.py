@@ -3,7 +3,8 @@
 Its bound is `maxsize=64`: the functions of one pass over one form share one
 analysis (`dynkin_type` -> `realize` -> `canonical_c`, or the set-up of a
 `solve` route), and no operation of the benchmark analyzes more than one
-distinct form.
+distinct form. The LDL cache of the solver's core search (`classify._ldl`)
+has the same bound, and loses no hit on the solve_sweep traffic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+from bidiforms import classify
 from bidiforms.bidigraph import canonical_a
 from bidiforms.classify import DynkinType, dynkin_type
 from bidiforms.qform import IntegralQuadraticForm, analyze
@@ -95,3 +97,27 @@ def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
         distinct[workload] = len(seen)
     analyze.cache_clear()
     assert distinct["classify"] > 64 and distinct["solve_sweep"] > 64 and distinct["walk_roots"] == 0
+
+
+def test_ldl_cache_factors_each_core_once(monkeypatch):
+    # the first two solve_sweep blocks: every Gram matrix of a positive core that the
+    # core search factors is factored once, within a bound of 64 entries
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    lib = workloads.load_library()
+    ldl, cores = classify._ldl, set()
+
+    def counting(G):
+        cores.add(G)
+        return ldl(G)
+
+    monkeypatch.setattr(classify, "_ldl", counting)
+    ldl.cache_clear()
+    for b in range(2):
+        for op in workloads.block(lib, "solve_sweep", 7, b):
+            op.run(lib)
+    info = ldl.cache_info()
+    ldl.cache_clear()
+    assert info.maxsize == 64 and info.misses == len(cores) > 20 and info.hits > 10 * len(cores)
+    assert info.currsize <= 64

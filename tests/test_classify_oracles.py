@@ -1,18 +1,18 @@
 """The classify kernels against the code they replaced, and at scale.
 
-`_realize_unit_backtracking` (a short search on an explicit stack over forced
-rows, whose generator is checked at every node against the one it replaced,
-then forced placement) and `_greedy_core` (a deletion search that reads rank
-off the radical) are checked against the recursive versions they replaced,
-kept below as the references, on seeded connected unit forms of types A, D and
-E with corank 0 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst
-enumeration behind `positive_roots_by_value` and `first_root_with_value`,
-against the two recursive searches it replaced. The realizer is also checked
-against the stack search it replaced, on those forms, the bench generators'
+`_realize_unit_backtracking` (a search on an explicit stack over the rows that
+fit, whose generator is checked at every node against the one it replaced)
+and `_greedy_core` (a deletion search that reads rank off the radical) are
+checked against the recursive versions they replaced, kept below as the
+references, on seeded connected unit forms of types A, D and E with corank 0
+to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration behind
+`positive_roots_by_value` and `first_root_with_value`, against the two
+recursive searches it replaced. The realizer is also checked against the stack
+search over the rows generated before, on those forms, the bench generators'
 and scrambled A_n / D_n forms with n up to 200 and corank up to 60; the
-rigidity lemma behind its forced placement is checked on that search's own
-nodes, with a product check and `balance`. The determinant that `analyze`
-gives for the typing (`FormAnalysis.positive_det`) is checked against the Gram
+rigidity lemma behind its taking the rows as generated is checked on that
+search's own nodes, with a product check and `balance`. The determinant that
+`analyze` gives for the typing (`FormAnalysis.positive_det`) is checked against the Gram
 determinant of the positive core that `dynkin_type` took before. The forms,
 graphs and matrices that the library builds without the constructor's checks
 (`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`,
@@ -136,7 +136,7 @@ def _reference_realize_unit(q, m):
 
 
 def _reference_candidates(placed, i, used):
-    """The rows the realizer generated before `_UnitRows.candidates`: every row with
+    """The rows the realizer generated before `_UnitRows.fitting`: every row with
     one end at the first placed neighbour whose other end is a vertex of a
     placed neighbour, of a row at its first end, or fresh, in (u, u2, e, e2) order."""
     rows, at, m = placed.rows, placed.at, placed.m
@@ -153,10 +153,11 @@ def _reference_candidates(placed, i, used):
                 yield ((u, e), (u2, e2))
 
 
-def _reference_realize_unit_stack(q, m):
-    """The realizer before forced placement: a depth-first search on an explicit
-    stack over the rows that `_UnitRows.candidates` forces at every level, in
-    lexicographic (u, u2, e, e2) order, each checked by `_UnitRows.fits`."""
+def _reference_realize_unit_stack(q, m, visit=None):
+    """The realizer before `_UnitRows.fitting`: a depth-first search on an explicit
+    stack over the rows of `_reference_candidates` at every level, in
+    lexicographic (u, u2, e, e2) order, each checked by `_UnitRows.fits`;
+    `visit(placed, i, used)` is called at every level after the first."""
     n = q.n
     order = traverse(form_adjacency(q), 1)[0]
     placed = classify._UnitRows(q, m)
@@ -178,7 +179,9 @@ def _reference_realize_unit_stack(q, m):
                     return BidirectedGraph(m, [placed.rows[j] for j in range(1, n + 1)])
                 continue
             placed.place(i, ends)
-            levels.append((iter(placed.candidates(order[k + 1], new_used)), new_used))
+            if visit is not None:
+                visit(placed, order[k + 1], new_used)
+            levels.append((_reference_candidates(placed, order[k + 1], new_used), new_used))
             break
         else:
             levels.pop()
@@ -349,12 +352,12 @@ def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
     forms = _seeded_forms(7101, 2000)
     coranks = set()
     realized = cores = e_cores = 0
-    forced = classify._UnitRows.candidates
+    generate = classify._UnitRows.candidates
     nodes = []
 
     def checked(placed, i, used):
-        # at every search node the forced rows drop no row that fits, and keep its place
-        got = forced(placed, i, used)
+        # at every node with a choice the rows drop no row that fits, and keep its place
+        got = generate(placed, i, used)
         want = list(_reference_candidates(placed, i, used))
         assert set(got) <= set(want)
         assert [c for c in got if placed.fits(i, c)] == [c for c in want if placed.fits(i, c)]
@@ -415,31 +418,48 @@ def _unit_a_d_forms(rng):
     return out
 
 
-def test_rigid_placed_rows_leave_at_most_one_fitting_row(monkeypatch):
-    # the lemma behind forced placement, at every node of the stack search it replaced:
-    # once the placed rows are unbalanced or touch 5 vertices, at most one row fits
-    generate = classify._UnitRows.candidates
-    form = {}
+def _fitting_rows(q, placed, i, used):
+    """The rows of `_reference_candidates` whose product with every placed row is
+    the coefficient of q; a placed row that shares no vertex with a row has
+    product 0 with it, so only the rows at its vertices are multiplied."""
+    rows = placed.rows
+    by_vertex = {}
+    for j, p in rows.items():
+        for v, _ in p:
+            by_vertex.setdefault(v, set()).add(j)
+    asked = {j for j in rows if q.coefficient(i, j)}
+    out = []
+    for r in _reference_candidates(placed, i, used):
+        near = set().union(*(by_vertex.get(v, ()) for v, _ in r))
+        if asked <= near and all(_sparse_dot(r, rows[j]) == q.coefficient(i, j) for j in near):
+            out.append(r)
+    return out
+
+
+def _rigid(placed, used):
+    """Whether the placed rows touch 5 vertices or more or are unbalanced."""
+    return used >= 5 or balance(BidirectedGraph(used, list(placed.rows.values()))).beta == 0
+
+
+def test_rigid_placed_rows_leave_at_most_one_fitting_row():
+    # the lemma behind taking the rows as generated, at every node of the search over
+    # the rows generated before: once the placed rows are unbalanced or touch 5
+    # vertices, at most one row fits
     seen = {"rigid": 0, "rigid and one row fits": 0, "prefix": 0, "prefix and two rows fit": 0}
 
-    def checked(placed, i, used):
-        q = form["q"]
-        fitting = [r for r in _reference_candidates(placed, i, used)
-                   if all(_sparse_dot(r, p) == q.coefficient(i, j) for j, p in placed.rows.items())]
-        if used >= 5 or balance(BidirectedGraph(used, list(placed.rows.values()))).beta == 0:
+    def visit(placed, i, used):
+        fitting = _fitting_rows(q, placed, i, used)
+        if _rigid(placed, used):
             assert len(fitting) <= 1, (q, placed.rows, i)
             seen["rigid"] += 1
             seen["rigid and one row fits"] += len(fitting)
         else:
             seen["prefix"] += 1
             seen["prefix and two rows fit"] += len(fitting) > 1
-        return generate(placed, i, used)
 
-    monkeypatch.setattr(classify._UnitRows, "candidates", checked)
     forms = _unit_a_d_forms(random.Random(2001))
     for q, m in forms:
-        form["q"] = q
-        assert _reference_realize_unit_stack(q, m) is not None
+        assert _reference_realize_unit_stack(q, m, visit) is not None
     assert len(forms) > 1500
     assert seen["rigid and one row fits"] > 5000 and seen["prefix and two rows fit"] > 3000, seen
 
@@ -473,6 +493,37 @@ def test_realizer_matches_the_stack_search_at_scale():
                     assert _reference_realize_unit_stack(q, small) is None
                 checked += 1
     assert checked == 32
+
+
+def test_fitting_yields_exactly_the_rows_that_fit(monkeypatch):
+    # the one rule of the realizer, at every node of its search, with a choice or
+    # rigid: `fitting` yields, once each, the rows generated before whose products
+    # with the placed rows are the ones q asks for, and at most one once they are rigid
+    fitting = classify._UnitRows.fitting
+    seen = {"choice": 0, "rigid": 0, "rigid and one row fits": 0, "choice and two rows fit": 0}
+
+    def checked(placed, i, used):
+        got = list(fitting(placed, i, used))
+        assert sorted(got) == sorted(_fitting_rows(q, placed, i, used)), (q, placed.rows, i)
+        if _rigid(placed, used):
+            assert len(got) <= 1
+            seen["rigid"] += 1
+            seen["rigid and one row fits"] += len(got)
+        else:
+            seen["choice"] += 1
+            seen["choice and two rows fit"] += len(got) > 1
+        return iter(got)
+
+    monkeypatch.setattr(classify._UnitRows, "fitting", checked)
+    rng = random.Random(7110)
+    forms = _unit_a_d_forms(random.Random(2001))
+    forms += [_scaled_unit_form(rng, family, n, corank) for n in (20, 60, 120, 200)
+              for corank in (0, 1, 5, 20, 60) for family in "AD" if 2 * corank < n]
+    for q, m in forms:
+        assert classify._realize_unit_backtracking(q, m).incidence_form() == q
+    assert len(forms) > 1500 + 32
+    assert seen["rigid and one row fits"] > 8000 and seen["choice and two rows fit"] > 3000, seen
+    assert seen["rigid"] > seen["rigid and one row fits"] + 500, seen  # and rigid nodes where none fits
 
 
 def test_prefix_search_visits_a_bounded_number_of_nodes(monkeypatch):
@@ -1253,8 +1304,8 @@ def test_positive_core_of_a_large_corank_three_form_without_recursion():
     assert len(X) == 60 and sub.corank == 0 and sub.connected and sub.rank == rep.rank
 
 
-@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_switched", "_place_forced",
-                                  "_UnitRows.candidates", "_UnitRows.forced", "_UnitRows.fits", "_greedy_core"])
+@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_switched", "_UnitRows.candidates",
+                                  "_UnitRows.fitting", "_UnitRows.fits", "_greedy_core"])
 def test_searches_hold_no_recursive_function(name):
     obj = classify
     for part in name.split("."):
@@ -1264,7 +1315,7 @@ def test_searches_hold_no_recursive_function(name):
     own = name.split(".")[-1]
     banned = {own} | {f.name for f in nested}
     for f in [outer] + nested:
-        # a call by name, or a method called on anything (`self.forced`, `placed.forced`)
+        # a call by name, or a method called on anything (`self.fits`, `placed.fitting`)
         called = {c.func.id if isinstance(c.func, ast.Name) else c.func.attr for c in ast.walk(f)
                   if isinstance(c, ast.Call) and isinstance(c.func, (ast.Name, ast.Attribute))}
         # the outer function may call its helpers; nothing may call back into itself or them
