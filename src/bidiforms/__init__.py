@@ -47,6 +47,7 @@ from .errors import (
     NotIncidenceForm,
     NotNonNegative,
     NotPositive,
+    NotRepresented,
     NotTypeC,
     RadicalRoot,
     UnrepresentedWithinBound,

@@ -513,21 +513,20 @@ def balance(B: BidirectedGraph) -> BalanceReport:
     order, parent = traverse(adj, 1, lifo=True) if len(adj) == B.m else ((), None)
     if len(order) != B.m:
         raise InvalidInput("balance is defined for connected graphs")
-    loops = B.bidirected_loops()
-    if loops:
-        i = loops[0]
-        u = B.underlying(i)[0]
-        return BalanceReport(0, (u, i, u), None)
+    ends = B.ends  # read directly: B is valid, and its arrows are 1..n
+    for i, ((u, e), (u2, e2)) in enumerate(ends, start=1):
+        if u == u2 and e == e2:  # a bidirected loop: a negative closed walk of length 1
+            return BalanceReport(0, (u, i, u), None)
     signs = {1: 1}
     for w in order[1:]:
         v, i = parent[w]
-        signs[w] = B.sigma(i) * signs[v]
+        (_, e), (_, e2) = ends[i - 1]
+        signs[w] = -e * e2 * signs[v]  # sigma(i) = -e e2
     tree = {p[1] for p in parent.values() if p}
-    for i in range(1, B.n + 1):
-        if i in tree or B.is_loop(i):
+    for i, ((u, e), (u2, e2)) in enumerate(ends, start=1):
+        if i in tree or u == u2:
             continue
-        u, u2 = B.underlying(i)
-        if signs[u] * signs[u2] != B.sigma(i):
+        if signs[u] * signs[u2] != -e * e2:
             path = _tree_path(parent, u2, u)
             witness = path + (i, u2)
             return BalanceReport(0, witness, None)

@@ -104,7 +104,8 @@ class _Rows:
     A step rewrites one row and its column, in O(n), a perm reorders rows and
     columns in place; no step checks its indices, so the public steps check
     theirs first. `freeze` wraps the rows in a form without the checks,
-    in O(n^2), kept until the next change.
+    in O(n^2), kept until the next change. Given rows, q gives only n, and
+    nothing is frozen until `freeze` is called.
     """
 
     __slots__ = ("n", "rows", "_q")
@@ -112,7 +113,7 @@ class _Rows:
     def __init__(self, q: IntegralQuadraticForm, rows=None):
         self.n = q.n
         self.rows = _gram_rows(q) if rows is None else rows
-        self._q = q
+        self._q = q if rows is None else None
 
     def freeze(self) -> IntegralQuadraticForm:
         if self._q is None:
@@ -777,8 +778,9 @@ def star_realization(q: IntegralQuadraticForm):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, _, form, graph, part = _checked_star(q, analyze(q))
-    return GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps), form, graph.freeze(), part
+    cols, steps, rows, graph, part = _checked_star(q, analyze(q))
+    T = GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps)
+    return T, _rows_form(rows), graph.freeze(), part
 
 
 def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
@@ -793,7 +795,8 @@ def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
 @lru_cache(maxsize=1)
 def _star_snapshot(q: IntegralQuadraticForm):
     """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M,
-    q∘M, B' as the `_Arrows` index that checked it, partition).
+    B' as the `_Arrows` index that checked it, partition). q∘M itself is
+    frozen only by `star_realization`, the one caller that returns it.
 
     Every type-C function on q starts from it, so a pass of them over one
     form, such as `realize` and then `canonical_c`, runs it once; the last
@@ -812,7 +815,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
     B, part = _star_graph(ch.form.rows)
     graph = _Arrows(B)  # the check of B's incidence form, one row at a time
     assert all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1))
-    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, _rows_form(ch.form.rows), graph, part
+    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, graph, part
 
 
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
@@ -840,7 +843,7 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
             raise AssertionError("backtracking realizer found no graph")
         assert B.incidence_form() == q
         return B
-    _, steps, _, _, star, _ = _checked_star(q, rep)
+    _, steps, _, star, _ = _checked_star(q, rep)
     graph = star.copy()
     for step in reversed(steps):
         graph.push(undo(step))
@@ -1049,8 +1052,8 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
     # step 1: the star realization, resumed as a fresh chase on a copy of its rows
-    cols, steps, rows, form, star, part = _checked_star(q, rep)
-    ch = _Chase(form, list(cols), [row[:] for row in rows])
+    cols, steps, rows, star, part = _checked_star(q, rep)
+    ch = _Chase(q, list(cols), [row[:] for row in rows])
     ch.steps = list(steps)
     ch.graph = star.copy()
     loop_arrow = part.u2[0]

@@ -76,6 +76,19 @@ class UnrepresentedWithinBound(BidiformsError):
         self.bound = bound
 
 
+class NotRepresented(UnrepresentedWithinBound):
+    """q(x)=d has no integer solution at all, which the search has certified.
+
+    A subclass, so that every caller of a bounded refusal still catches it;
+    its message names no bound, and its `bound` is None.
+    """
+
+    def __init__(self, d):
+        BidiformsError.__init__(self, f"{d} is not represented: q(x) = {d} has no integer solution")
+        self.d = d
+        self.bound = None
+
+
 class GentlenessViolation(BidiformsError):
     """A quiver presentation violates the gentle-algebra conditions."""
 

@@ -19,6 +19,7 @@ from .bidigraph import BidirectedGraph, balance
 from .classify import canonical_c, first_root_with_value, positive_core
 from .errors import (
     InvalidInput,
+    NotRepresented,
     NotTypeC,
     RadicalRoot,
     UnrepresentedWithinBound,
@@ -192,9 +193,11 @@ def solve(
     type-C forms of rank >= 4 go through the canonical C_4 block and four
     squares; unit forms with a positive core of rank >= 4 are solved on the
     core by exact enumeration; everything else falls through to a bounded
-    box search with escalating bound. A d that is not a multiple of the
-    content of q (the gcd of its coefficients) is refused at once with
-    UnrepresentedWithinBound(d, 0): no x reaches it. The strategy and its
+    box search with escalating bound. Two refusals are certified, and raise
+    NotRepresented(d): a d that is not a multiple of the content of q (the
+    gcd of its coefficients), refused at once since no x reaches it, and a d
+    that the core search found nowhere in its complete enumeration. The box
+    search's refusal names the last bound it searched. The strategy and its
     data are worked out once per form, by `_route`.
     """
     if (d := as_int(d)) < 0:
@@ -210,12 +213,12 @@ def solve(
     elif strategy == "canonical-D4-search":
         X, core = data
         y = first_root_with_value(core, d)
-        if y is None:
-            raise UnrepresentedWithinBound(d, 0)
+        if y is None:  # the core was enumerated completely
+            raise NotRepresented(d)
         on_core = dict(zip(X, y))
         x = tuple(on_core.get(i, 0) for i in range(1, q.n + 1))
     elif data == 0 or d % data:
-        raise UnrepresentedWithinBound(d, 0)
+        raise NotRepresented(d)
     else:
         return _solve_brute(q, d, bound)
     assert _value(q, x) == d

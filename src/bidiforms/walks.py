@@ -13,7 +13,10 @@ The root enumerators never build `Walk` objects in their loops:
   at a time (`_WalkStates`);
 - `roots_positive` forms each root from the (inc, sigma) of two tree walks
   to a root vertex, by inc(w1 w2) = inc(w1) + sigma(w1) inc(w2) and
-  inc(w^-1) = -sigma(w) inc(w);
+  inc(w^-1) = -sigma(w) inc(w), and checks its value through the incidence
+  images: q(x) = |I^tr x|^2 / 2, so a root x = y - f z costs
+  q(y) + q(z) - f <I^tr y, I^tr z>, with each image read once off the arrow
+  ends and no form built;
 - `brute_force_roots`, the independent oracle, is the box search
   `qform._box_roots` that the solver shares; it knows nothing of walks.
 """
@@ -22,10 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import add, neg, sub
 
 from .bidigraph import BidirectedGraph, balance
 from .errors import InvalidInput, NotPositive, as_int
-from .qform import IntegralQuadraticForm, _box_roots, _value, traverse
+from .qform import IntegralQuadraticForm, _box_roots, traverse
 
 
 class Walk:
@@ -428,32 +432,58 @@ def roots_positive(B: BidirectedGraph) -> PositiveRoots:
 def _positive_roots(B, root, cycle):
     """inc(w_s w_t^-1) for s < t, from the tree walks w_s of every vertex s to
     `root`; on a 1-tree also inc(w_s w w_t^-1) for s <= t, where `cycle` is
-    the (inc, sigma) of the cycle walk w at `root` (None on a tree)."""
-    q = B.incidence_form()
+    the (inc, sigma) of the cycle walk w at `root` (None on a tree).
+
+    Each root is x = y - f a_t, f = +-1, with y = a_s (the inc of w_s) or, on
+    a 1-tree, y = b_s = a_s + sigma_s inc(w). As q(x) = |I^tr x|^2 / 2, its
+    value is q(y) + q(a_t) - f <I^tr y, I^tr a_t>. The images are read off
+    the arrow ends from the vectors themselves (`_image`), once per vector,
+    so a wrong vector still fails the check; the theorem puts at most two
+    nonzeros in each, so a root costs O(1) to check beyond writing x and -x.
+    """
     incs = _tree_incs(B, root)
+    ends = B.ends
     values = (1,) if cycle is None else (1, 2)
     vectors = {(0,) * B.n}
     counts = {0: 1, **dict.fromkeys(values, 0)}
+    # per vertex s: (a_s, sigma_s, I^tr a_s, q(a_s)); heads[s] lists the same for
+    # the vectors y of the roots y - f a_t: a_s, and on a 1-tree b_s with
+    # sigma_s sigma_w in place of sigma_s
+    tree = {s: (a, sig, *_image(ends, a)) for s, (a, sig) in incs.items()}
+    heads = {s: [v] for s, v in tree.items()}
+    if cycle is not None:
+        w, sig_w = cycle
+        for s, (a, sig, _, _) in tree.items():
+            b = tuple(map(add, a, w) if sig > 0 else map(sub, a, w))
+            heads[s].append((b, sig * sig_w, *_image(ends, b)))
     for s in range(1, B.m + 1):
-        a_s, sig_s = incs[s]
         for t in range(s, B.m + 1):
-            a_t, sig_t = incs[t]
-            f = sig_s * sig_t
-            xs = [] if s == t else [tuple(p - f * r for p, r in zip(a_s, a_t))]
-            if cycle is not None:
-                w, sig_w = cycle
-                xs.append(tuple(p + sig_s * e - f * sig_w * r for p, e, r in zip(a_s, w, a_t)))
-            for x in xs:
-                val = _value(q, x)
+            z, sig_z, image_z, q_z = tree[t]
+            for y, sig_y, image_y, q_y in heads[s] if s < t else heads[s][1:]:
+                f = sig_y * sig_z
+                val = q_y + q_z - f * sum(c * image_z.get(v, 0) for v, c in image_y.items())
                 assert val in values
+                x = tuple(map(sub, y, z) if f > 0 else map(add, y, z))
                 vectors.add(x)
-                vectors.add(tuple(-c for c in x))
+                vectors.add(tuple(map(neg, x)))
                 counts[val] += 2
     if cycle is None:
         assert len(vectors) == B.n**2 + B.n + 1
     else:
         assert len(vectors) == 2 * B.n**2 + 1 and counts[2] == 2 * B.n
     return PositiveRoots(frozenset(vectors), counts)
+
+
+def _image(ends, x):
+    """(I^tr x as {vertex: nonzero entry}, q(x) = |I^tr x|^2 / 2), read off the
+    arrow ends over the nonzeros of x."""
+    y = {}
+    for c, ((u, e), (u2, e2)) in zip(x, ends):
+        if c:
+            y[u] = y.get(u, 0) + c * e
+            y[u2] = y.get(u2, 0) + c * e2
+    y = {v: c for v, c in y.items() if c}
+    return y, sum(c * c for c in y.values()) // 2
 
 
 def _tree_incs(B, root):

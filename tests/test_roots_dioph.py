@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -9,8 +10,9 @@ import pytest
 from bench import gen
 from bidiforms import roots_dioph
 from bidiforms.bidigraph import BidirectedGraph, canonical_a, canonical_c as canonical_c_graph
-from bidiforms.classify import canonical_c
-from bidiforms.errors import InvalidInput, NotTypeC, RadicalRoot, UnrepresentedWithinBound
+from bidiforms.classify import canonical_c, dynkin_unit_form
+from bidiforms.cli import run
+from bidiforms.errors import InvalidInput, NotRepresented, NotTypeC, RadicalRoot, UnrepresentedWithinBound
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.qform import IntegralQuadraticForm, _box_roots, analyze, zero_form
 from bidiforms.roots_dioph import (
@@ -353,6 +355,35 @@ def test_solve_rejects_d_outside_the_content_lattice():
     assert q.evaluate(solve(q, 6).x) == 6
     with pytest.raises(UnrepresentedWithinBound):
         solve(zero_form(2), 1)
+
+
+def test_certified_refusals_name_no_bound(monkeypatch, tmp_path, capsys):
+    # a d outside the content lattice, the zero form included, is refused before any search
+    for q, d in ((IntegralQuadraticForm([2] * 5), 3), (IntegralQuadraticForm([3, 6], {(1, 2): 3}), 7),
+                 (zero_form(2), 1), (zero_form(1), 5)):
+        with pytest.raises(NotRepresented) as info:
+            solve(q, d, bound=9)
+        assert isinstance(info.value, UnrepresentedWithinBound) and info.value.bound is None
+        assert info.value.d == d and "bound" not in str(info.value)
+        assert str(info.value) == f"{d} is not represented: q(x) = {d} has no integer solution"
+    # the D4 search refuses only after it has enumerated the whole core
+    q = dynkin_unit_form("D", 5)
+    roots_dioph._route.cache_clear()
+    assert solve(q, 3).strategy == "canonical-D4-search"
+    monkeypatch.setattr(roots_dioph, "first_root_with_value", lambda core, d: None)
+    with pytest.raises(NotRepresented) as info:
+        solve(q, 3)
+    assert info.value.d == 3 and info.value.bound is None and "bound" not in str(info.value)
+    # the box ladder keeps its bounded refusal
+    with pytest.raises(UnrepresentedWithinBound) as info:
+        solve(IntegralQuadraticForm([1]), 2)
+    assert not isinstance(info.value, NotRepresented) and info.value.bound == 56
+    # the CLI prints the certified refusal and exits 1
+    path = tmp_path / "twice5.json"
+    path.write_text(json.dumps(IntegralQuadraticForm([2] * 5).to_json_dict()))
+    assert run(["qf-solve", str(path), "-d", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: 3 is not represented: q(x) = 3 has no integer solution\n"
 
 
 def test_solve_brute_force_stops_at_the_point_budget():

@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
+from bench import gen
+from bidiforms import qform, walks
 from bidiforms.bidigraph import BidirectedGraph, balance, canonical_a, canonical_c, loops_graph
 from bidiforms.errors import InvalidInput, NotPositive
 from bidiforms.qform import IntegralQuadraticForm
-from bidiforms import walks
 from bidiforms.walks import (
     RootSet,
     Walk,
@@ -557,12 +558,73 @@ def test_roots_positive_matches_walk_composition():
             assert kind != "tree"
             continue
         kinds[kind] += 1
-        assert rep.vectors == _reference_positive_roots(B)
-        q = B.incidence_form()
-        counts = {}
-        for x in rep.vectors:
-            counts[q.evaluate(x)] = counts.get(q.evaluate(x), 0) + 1
-        assert rep.value_counts == counts
+        _check_positive_roots(B, rep)
+    # the bench's generators up to n = 30: trees and unbalanced 1-trees
+    rng = random.Random(4705)
+    for n in (2, 3, 5, 8, 13, 21, 30):
+        for B in (BidirectedGraph(*gen.tree_graph(rng, n)), BidirectedGraph(*gen.unbalanced_one_tree(rng, n))):
+            _check_positive_roots(B, roots_positive(B))
+
+
+def _check_positive_roots(B, rep):
+    """`rep` is the set of composed walks, and its counts are those of q, keys in value order."""
+    assert rep.vectors == _reference_positive_roots(B)
+    q = B.incidence_form()
+    counts = {}
+    for x in rep.vectors:
+        counts[q.evaluate(x)] = counts.get(q.evaluate(x), 0) + 1
+    assert list(rep.value_counts.items()) == sorted(counts.items())
+
+
+def test_roots_positive_checks_the_vectors_it_builds(monkeypatch):
+    """The value check reads the images of the tree-walk incs it is given, not
+    the theorem's I^tr a_s = e_s - sigma_s e_root: one inc with e_k added, for
+    an arrow k from its vertex to another, trips it on every tree and 1-tree.
+    (With k a bidirected loop the sum can be another walk's inc, which gives
+    the same root set and rightly passes.)"""
+    tree_incs = walks._tree_incs
+    rng = random.Random(4706)  # trees and unbalanced 1-trees on 2 to 7 vertices
+    graphs = [BidirectedGraph(*gen.tree_graph(rng, n)) for n in range(1, 7)]
+    graphs += [BidirectedGraph(*gen.unbalanced_one_tree(rng, rng.randint(2, 7))) for _ in range(12)]
+    assert {B.m - B.n for B in graphs} == {0, 1}
+    assert any(B.bidirected_loops() for B in graphs)
+    tripped = 0
+    for B in graphs:
+        roots_positive(B)
+        for s in range(1, B.m + 1):
+            for k in B.incident_arrows(s):
+                if B.is_loop(k):
+                    continue
+
+                def perturbed(graph, root, s=s, k=k):
+                    incs = tree_incs(graph, root)
+                    a, sig = incs[s]
+                    incs[s] = (a[:k - 1] + (a[k - 1] + 1,) + a[k:], sig)
+                    return incs
+
+                monkeypatch.setattr(walks, "_tree_incs", perturbed)
+                with pytest.raises(AssertionError):
+                    roots_positive(B)
+                tripped += 1
+        monkeypatch.setattr(walks, "_tree_incs", tree_incs)
+    assert tripped > 100
+
+
+def test_roots_positive_evaluates_no_form(monkeypatch):
+    """A deterministic work guard: the roots of path trees and path 1-trees are
+    checked through their incidence images, with no incidence form built and
+    no value of q evaluated."""
+    def refuse(*args):
+        raise RuntimeError("a form was built or evaluated")
+
+    monkeypatch.setattr(qform, "_value", refuse)
+    monkeypatch.setattr(walks, "_value", refuse, raising=False)
+    monkeypatch.setattr(BidirectedGraph, "incidence_form", refuse)
+    for n in (16, 64):
+        cycle = [((i, 1), (i + 1, -1)) for i in range(1, n)] + [((n, 1), (1, 1))]  # one two-tail arrow
+        for B, count in ((canonical_a(n, 0), n * n + n + 1), (canonical_c(n, 0, 0), 2 * n * n + 1),
+                         (BidirectedGraph(n, cycle), 2 * n * n + 1)):
+            assert len(roots_positive(B).vectors) == count
 
 
 @pytest.mark.parametrize(
