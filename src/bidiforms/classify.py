@@ -32,7 +32,11 @@ still checked with `q.compose(M)`. The public updates (`gabrielov_update`,
 thawed copy. Every `GTransform` the library builds, or unpickles, skips the
 determinant check: its matrix is a product of elementary steps. The public
 functions take the form alone and read its analysis from the cache of
-`analyze`.
+`analyze`, except on a connected unit form of rank >= 4 that is an incidence
+form: `dynkin_type` and `realize` take its graph from one realizer search
+(`_unit_graph`, cached for the last form), and the graph alone certifies
+q >= 0, the rank and the type A or D; `analyze` runs only when no graph is
+found.
 
 Unit forms of type A/D are realized arrow by arrow over incidence rows
 indexed by vertex, by one depth-first search on an explicit stack over the
@@ -522,16 +526,24 @@ def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
 def dynkin_type(q: IntegralQuadraticForm):
     """Dynkin type and corank of a connected non-negative form.
 
-    Unit forms are typed A/D/E by the determinant of q on Z^n / rad q, which
-    `analyze` reads off its own elimination (`FormAnalysis.positive_det`):
-    that lattice carries the positive part of q, of rank r. A connected
-    positive unit form is Z-equivalent to exactly one Dynkin form (Barot and
-    de la Peña), and Z-equivalence keeps the determinant, which is r+1 for
-    A_r, 4 for D_r and 9-r for E_r (no two agree at one rank). Non-unit forms
-    must be irreducible Cox-regular and are typed C by the direct coefficient
-    conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
-    `one_root_count` give the same typing and serve as its test oracle.
+    A connected unit form of rank >= 4 with a graph B on m vertices
+    (`_unit_graph`) is typed off it, with no elimination: A_{m-1} if B is
+    balanced, D_m if not. Other unit forms are typed A/D/E by the determinant
+    of q on Z^n / rad q, which `analyze` reads off its own elimination
+    (`FormAnalysis.positive_det`): that lattice carries the positive part of
+    q, of rank r. A connected positive unit form is Z-equivalent to exactly
+    one Dynkin form (Barot and de la Peña), and Z-equivalence keeps the
+    determinant, which is r+1 for A_r, 4 for D_r and 9-r for E_r (no two
+    agree at one rank). Non-unit forms must be irreducible Cox-regular and
+    are typed C by the direct coefficient conditions. The 1-root counts
+    r(r+1), 2r(r-1) and 72/126/240 of `one_root_count` give the same typing
+    and serve as its test oracle.
     """
+    found = _unit_graph(q)
+    if found is not None:
+        B, beta = found
+        r = B.m - beta
+        return DynkinType("A" if beta else "D", r), q.n - r
     rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("dynkin_type needs a non-negative form")
@@ -821,13 +833,16 @@ def _star_snapshot(q: IntegralQuadraticForm):
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
-    Unit forms of type A/D are realized by a depth-first search over the
-    incidence rows that fit, indexed by vertex, with a choice only until
-    the placed rows are rigid (`_realize_unit_backtracking`); type E is
-    rejected. Non-unit type-C forms go through the saturated
+    A connected unit form of rank >= 4 takes the graph of `_unit_graph`;
+    other unit forms of type A/D are realized by the same search
+    (`_realize_unit_backtracking`) on the vertex count of their type, and
+    type E is rejected. Non-unit type-C forms go through the saturated
     partition and are pulled back with inverse graph transformations,
     applied in place (`_Arrows`) and frozen once.
     """
+    found = _unit_graph(q)
+    if found is not None:
+        return found[0]
     rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("realize needs a non-negative form")
@@ -852,8 +867,54 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     return B
 
 
-def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
+@lru_cache(maxsize=1)
+def _unit_graph(q: IntegralQuadraticForm):
+    """(B, β) for a connected unit form q that the unit realizer realizes on m
+    vertices with rank m - β >= 4, β = 1 if B is balanced and 0 if not; else
+    None, and the callers take the path of `analyze`.
+
+    B is checked against q, so it certifies q >= 0, and by the first main
+    theorem the type: A_{m-1} if B is balanced, D_m if not. A_3 = D_3, which
+    `dynkin_type` names A_3 and `realize` realizes on 4 vertices, so a graph
+    of rank 3 or less is dropped. Only forms with every |q_ij| <= 2, which
+    every non-negative unit form has and `_UnitRows.fitting` needs, and with
+    a connected bigraph, which `_UnitRows` assumes, reach the search. β is
+    read off the rows in their placement order with `_switched` (`balance`
+    would build a witness). The cache keeps the last form: a pass types a
+    form, then realizes it, and never interleaves two.
+    """
+    n = q.n
+    if n < 4 or any(d != 1 for d in q.diag) or any(not -2 <= v <= 2 for v in q.off.values()):
+        return None
+    order = traverse(form_adjacency(q), 1)[0]
+    if len(order) < n:
+        return None
+    B = _realize_unit_backtracking(q)
+    if B is None:
+        return None
+    signs = (0, 1)
+    for i in order:
+        signs = _switched(signs, B.ends[i - 1])
+        if signs is None:
+            break
+    beta = int(signs is not None)
+    if B.m - beta < 4:
+        return None
+    assert B.incidence_form() == q
+    return B, beta
+
+
+def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
+
+    The rows use the vertices 1..m; with no bound m, fresh vertices run up
+    to n + 1, the search takes the first complete graph whatever its vertex
+    count, and returns it on the vertices it used. By the first main
+    theorem, at rank r >= 4, where det A_r = r + 1 != 4 = det D_r, every
+    graph that realizes q has the same balance and m = r + [balanced]
+    vertices. So the branches that the bound would cut need a vertex beyond
+    m and all fail, and the first complete graph is the first graph on m
+    vertices.
 
     Arrows are processed in the breadth-first order of the form's bigraph,
     so each arrow after the first has a placed bigraph neighbour and the
@@ -883,13 +944,13 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
     so a path through the search chooses at no more than 7 arrows (6 pairs
     and the arrow that makes the rows rigid), each among at most 4 rows: the
     search visits O(n) nodes with a choice and O(n) rigid tails of O(n deg)
-    work each, and needs no budget.
+    work each, and needs no budget, with or without a bound m.
     """
-    if m < 2:  # the first row takes vertices 1 and 2
+    if m is not None and m < 2:  # the first row takes vertices 1 and 2
         return None
     n = q.n
-    placed = _UnitRows(q, m)
-    order = placed.order  # `realize` has checked that q is connected
+    placed = _UnitRows(q, n + 1 if m is None else m)
+    order = placed.order  # the callers have checked that q is connected
     # one level per placed arrow: (its rows left, vertices used before it, the
     # switching signs of the rows placed before it, or None once they are rigid)
     levels = [(iter((((1, 1), (2, -1)),)), 0, (0, 1))]
@@ -903,8 +964,8 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int):
             new_used = max(used, ends[1][0])  # ends[0][0] < ends[1][0]
             placed.place(i, ends)
             if k + 1 == n:
-                if new_used == m:
-                    return BidirectedGraph._trusted(m, tuple(map(placed.rows.__getitem__, range(1, n + 1))))
+                if m is None or new_used == m:
+                    return BidirectedGraph._trusted(new_used, tuple(map(placed.rows.__getitem__, range(1, n + 1))))
                 placed.unplace(i)
                 continue
             new_signs = _switched(signs, ends) if signs and new_used <= 4 else None
@@ -997,8 +1058,10 @@ class _UnitRows:
         most four rows, worked out in O(deg) from the placed rows and each
         checked by `fits`.
 
-        The product c with the first placed neighbour j0 is nonzero and, in a
-        non-negative unit form, at most 2 in absolute value. For c = +-2 the
+        The product c with the first placed neighbour j0 is nonzero and at
+        most 2 in absolute value: the search runs on non-negative unit forms,
+        which have every |q_ij| <= 2, and on the forms `_unit_graph` lets
+        through, which it has checked to have them. For c = +-2 the
         row is c/2 times that of j0. Else it has one end x at j0, with sign ex =
         c times the sign of j0 there, and its other end y off j0, and one of
         three cases holds:

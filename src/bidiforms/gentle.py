@@ -358,9 +358,10 @@ def _cartan_matrix(pres, succ) -> IntMatrix:
 
 
 def cartan(pres: GentlePresentation) -> IntMatrix:
-    """Cartan matrix: C[j][i] counts relation-avoiding paths i -> j."""
-    if _has_cycle(_successor_maps(pres)[0]):
-        raise InfiniteDimensional("permitted cycle: path counts diverge")
+    """Cartan matrix: C[j][i] counts relation-avoiding paths i -> j.
+
+    GentlenessViolation for every presentation that `validate` refuses, a
+    permitted cycle (path counts that diverge) included."""
     return ensure_valid(pres)[1]
 
 
@@ -407,21 +408,21 @@ def _component_types(q: IntegralQuadraticForm):
     out = []
     for comp in comps:
         sub = q.restrict(comp)
-        rep = analyze(sub)
-        if all(d == 0 for d in sub.diag):
-            out.append((tuple(comp), "zero", rep.corank))
-            continue
-        if not rep.irreducible:
-            # one-vertex-graph components scale as q = a * qhat (loops only)
-            sub = IntegralQuadraticForm(
-                [d // rep.content for d in sub.diag],
-                {k: v // rep.content for k, v in sub.off.items()},
-            )
-            typ, crk = dynkin_type(sub)
-            out.append((tuple(comp), f"{rep.content}*{typ}", crk))
-            continue
+        scale = ""
+        if any(d != 1 for d in sub.diag):  # a unit component has content 1: `dynkin_type` alone types it
+            rep = analyze(sub)
+            if all(d == 0 for d in sub.diag):
+                out.append((tuple(comp), "zero", rep.corank))
+                continue
+            if not rep.irreducible:
+                # one-vertex-graph components scale as q = a * qhat (loops only)
+                sub = IntegralQuadraticForm(
+                    [d // rep.content for d in sub.diag],
+                    {k: v // rep.content for k, v in sub.off.items()},
+                )
+                scale = f"{rep.content}*"
         typ, crk = dynkin_type(sub)
-        out.append((tuple(comp), str(typ), crk))
+        out.append((tuple(comp), f"{scale}{typ}", crk))
     return tuple(out)
 
 

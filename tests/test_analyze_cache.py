@@ -32,7 +32,9 @@ def test_analyze_keeps_at_most_64_forms():
     analyze.cache_clear()
     a10 = canonical_a(10, 0).incidence_form()
     for t in range(300):
-        assert dynkin_type(_signed(a10, t)) == (DynkinType("A", 10), 0)
+        q = _signed(a10, t)
+        analyze(q)  # `dynkin_type` types these forms off their graphs, without `analyze`
+        assert dynkin_type(q) == (DynkinType("A", 10), 0)
     info = analyze.cache_info()
     assert info.misses == 300 and info.currsize <= 64
 
@@ -67,35 +69,47 @@ def test_memory_held_by_analyze_stays_at_64_entries():
 
 
 def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
-    # the first two blocks of each benchmark workload, run in-process with a
-    # counting wrapper in every module that binds `analyze`: each distinct form
-    # is analyzed once, so the bound loses no hit on this traffic
+    # the first blocks of each benchmark workload, run in-process with a counting
+    # wrapper in every module that binds `analyze`, and one around the unit-graph
+    # search: each distinct form is analyzed once, and searched once, so neither
+    # bound loses a hit on this traffic. Classify analyzes only its type-C forms
+    # (11 a block), so it runs 7 blocks to pass the bound of 64
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
     lib = workloads.load_library()
-    seen = set()
+    seen, searched = set(), set()
+    unit_graph = classify._unit_graph
 
     def counting(q):
         seen.add(q)
         return analyze(q)
+
+    def counting_search(q):
+        searched.add(q)
+        return unit_graph(q)
 
     for name, module in list(sys.modules.items()):
         if name == "bidiforms" or name.startswith("bidiforms."):
             for attr, value in list(vars(module).items()):
                 if value is analyze:
                     monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(classify, "_unit_graph", counting_search)
     assert lib.classify.analyze is counting
     distinct = {}
-    for workload in workloads.WORKLOADS:
+    for workload, blocks in (("classify", 7), ("walk_roots", 2), ("solve_sweep", 2)):
         analyze.cache_clear()
+        unit_graph.cache_clear()
         seen.clear()
-        for b in range(2):
+        searched.clear()
+        for b in range(blocks):
             for op in workloads.block(lib, workload, 7, b):
                 op.run(lib)
         assert analyze.cache_info().misses == len(seen), workload
+        assert unit_graph.cache_info().misses == len(searched), workload
         distinct[workload] = len(seen)
     analyze.cache_clear()
+    unit_graph.cache_clear()
     assert distinct["classify"] > 64 and distinct["solve_sweep"] > 64 and distinct["walk_roots"] == 0
 
 

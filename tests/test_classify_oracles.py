@@ -13,7 +13,9 @@ and scrambled A_n / D_n forms with n up to 200 and corank up to 60; the
 rigidity lemma behind its taking the rows as generated is checked on that
 search's own nodes, with a product check and `balance`. The determinant that
 `analyze` gives for the typing (`FormAnalysis.positive_det`) is checked against the Gram
-determinant of the positive core that `dynkin_type` took before. The forms,
+determinant of the positive core that `dynkin_type` took before, and the
+graph-first typing and realizing of unit forms (`_unit_graph`) against the path
+of `analyze` that it skips. The forms,
 graphs and matrices that the library builds without the constructor's checks
 (`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`,
 `IntMatrix._trusted`) are checked against the same data sent through the
@@ -55,6 +57,7 @@ from bidiforms.classify import (
     _row_matches,
     _Rows,
     canonical_c,
+    DynkinType,
     dynkin_plus_zero,
     dynkin_type,
     dynkin_unit_form,
@@ -67,13 +70,15 @@ from bidiforms.classify import (
     realize,
     star_realization,
 )
-from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular
+from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotIncidenceForm, NotNonNegative
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, _rows_form, analyze, form_adjacency, traverse
 from tests.test_exact_linalg import _reference_integer_kernel
 from tests.test_graph_layer import _random_graph, _shallow_stack
 from tests.test_qform import _congruence, _sign_update
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
 
 # -- the references: the recursive searches before the rewrite -------------------
 
@@ -514,11 +519,11 @@ def test_fitting_yields_exactly_the_rows_that_fit(monkeypatch):
             seen["choice and two rows fit"] += len(got) > 1
         return iter(got)
 
-    monkeypatch.setattr(classify._UnitRows, "fitting", checked)
     rng = random.Random(7110)
     forms = _unit_a_d_forms(random.Random(2001))
     forms += [_scaled_unit_form(rng, family, n, corank) for n in (20, 60, 120, 200)
               for corank in (0, 1, 5, 20, 60) for family in "AD" if 2 * corank < n]
+    monkeypatch.setattr(classify._UnitRows, "fitting", checked)  # after `dynkin_type` typed the forms
     for q, m in forms:
         assert classify._realize_unit_backtracking(q, m).incidence_form() == q
     assert len(forms) > 1500 + 32
@@ -537,11 +542,11 @@ def test_prefix_search_visits_a_bounded_number_of_nodes(monkeypatch):
         nodes.append(all(q.coefficient(i, j) not in (2, -2) for j in placed.rows))
         return generate(placed, i, used)
 
-    monkeypatch.setattr(classify._UnitRows, "candidates", counted)
     rng = random.Random(7111)
     forms = _unit_a_d_forms(random.Random(2002))
     forms += [_scaled_unit_form(rng, family, n, corank) for n in (60, 200) for corank in (0, 20, 60)
               for family in "AD" if 2 * corank < n]
+    monkeypatch.setattr(classify._UnitRows, "candidates", counted)  # after `dynkin_type` typed the forms
     most = {}
     for q, m in forms:
         form["q"], nodes[:] = q, []
@@ -626,6 +631,123 @@ def test_typing_and_realizing_unit_forms_search_no_core(monkeypatch):
     monkeypatch.setattr(classify, "positive_core", refuse)
     monkeypatch.setattr(classify, "_greedy_core", refuse)
     assert outcomes() == before
+
+
+# -- typing and realizing unit forms off their graphs ------------------------------
+
+
+def _classify_ops(monkeypatch, seed, blocks):
+    """The quiver, negative-cycle and loop-graph operations of the classify benchmark."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    lib = workloads.load_library()
+    return [op for b in blocks for op in workloads.block(lib, "classify", seed, b) if op.kind != "gentle"]
+
+
+def _random_unit_form(rng):
+    """A unit form on 1 to 9 variables with off-diagonal entries in {+-1, +-2, +-3}."""
+    n = rng.randint(1, 9)
+    off = {(i, j): rng.choice((1, -1, 2, -2, 3, -3))
+           for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4}
+    return IntegralQuadraticForm([1] * n, off)
+
+
+def _typed_and_realized(forms):
+    out = []
+    for q in forms:
+        for f in (dynkin_type, realize):
+            try:
+                out.append(f(q))
+            except BidiformsError as exc:
+                out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def test_graph_first_typing_matches_the_analysis_path(monkeypatch):
+    # with no graph found, every form takes the path of `analyze`: the same values and
+    # refusals on graph forms of every family, seeded forms of types A, D and E,
+    # random unit forms (disconnected, indefinite, of small rank) and Dynkin forms
+    forms = [op.args[0] for op in _classify_ops(monkeypatch, 7, range(4))]
+    forms += [q for _, q in _seeded_forms(7101, 300)]
+    rng = random.Random(3101)
+    forms += [_random_unit_form(rng) for _ in range(600)]
+    forms += [dynkin_unit_form(family, r) for family, ranks in (("A", range(1, 9)), ("D", range(4, 9)),
+                                                                 ("E", (6, 7, 8))) for r in ranks]
+    graphs = sum(classify._unit_graph(q) is not None for q in forms)
+    got = _typed_and_realized(forms)
+    monkeypatch.setattr(classify, "_unit_graph", lambda q: None)
+    assert _typed_and_realized(forms) == got
+    refusals = {x[0] for x in got if isinstance(x, tuple) and isinstance(x[0], str)}
+    assert {"NotNonNegative", "NotIncidenceForm", "InvalidInput"} <= refusals, refusals
+    assert graphs > 250, graphs
+
+
+def test_unit_forms_with_a_graph_are_typed_and_realized_without_analyze(monkeypatch):
+    ops = [op for op in _classify_ops(monkeypatch, 7, [0]) if op.kind in ("quiver", "negcycle")]
+    dynkin = [(DynkinType(family, n), dynkin_unit_form(family, n)) for family in "AD" for n in (16, 64, 200)]
+    e8 = dynkin_unit_form("E", 8)
+    k4 = IntegralQuadraticForm([1] * 4, {(i, j): -1 for i in range(1, 5) for j in range(i + 1, 5)})  # q(1,1,1,1) = -2
+
+    def refuse(q):
+        raise RuntimeError("analyze ran")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(classify, "analyze", refuse)
+        for op in ops:
+            q, (family, beta, m, n) = op.args[0], (op.expected[k] for k in ("family", "beta", "m", "n"))
+            typ, corank = dynkin_type(q)
+            assert (typ.family, typ.rank, corank) == (family, m - beta, n - m + beta)
+            assert realize(q).incidence_form() == q
+        for typ, q in dynkin:
+            assert dynkin_type(q) == (typ, 0)
+            assert realize(q).incidence_form() == q
+        for q in (e8, k4):  # no graph: these take the path of `analyze`
+            for f in (dynkin_type, realize):
+                with pytest.raises(RuntimeError):
+                    f(q)
+    assert len(ops) == 20
+    assert dynkin_type(e8) == (DynkinType("E", 8), 0)
+    with pytest.raises(NotIncidenceForm):
+        realize(e8)
+    for f in (dynkin_type, realize):
+        with pytest.raises(NotNonNegative):
+            f(k4)
+
+
+def test_rank_3_unit_forms_keep_their_graphs_on_4_vertices():
+    # A_3 = D_3: an unbalanced graph on 3 vertices and a balanced one on 4 realize
+    # the same forms; the type is named A_3, so the graph is the first on 4 vertices
+    graphs = [
+        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((3, 1), (4, -1)), ((1, 1), (2, -1))],
+        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))],
+        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((2, 1), (3, -1)), ((1, 1), (3, 1))],
+        [((1, 1), (2, -1)), ((1, 1), (3, -1)), ((1, 1), (4, -1)), ((1, 1), (4, -1))],
+    ]
+    first = []
+    for ends in graphs:
+        q = BidirectedGraph(max(u for _, (u, _) in ends), ends).incidence_form()
+        first.append(classify._realize_unit_backtracking(q).m)
+        assert classify._unit_graph(q) is None
+        assert dynkin_type(q) == (DynkinType("A", 3), q.n - 3)
+        assert realize(q) == classify._realize_unit_backtracking(q, 4) == _reference_realize_unit(q, 4)
+    assert first == [3, 4, 4, 4]  # the unbounded search can meet the graph on 3 vertices first
+    for family in "AD":  # rank 4 takes the graph
+        q = dynkin_unit_form(family, 4)
+        B, beta = classify._unit_graph(q)
+        assert (B.m, beta) == ((5, 1) if family == "A" else (4, 0))
+
+
+def test_a_coefficient_beyond_2_never_reaches_the_realizer(monkeypatch):
+    def refuse(q, m=None):
+        raise AssertionError("the realizer ran on a form with |q_ij| = 3")
+
+    monkeypatch.setattr(classify, "_realize_unit_backtracking", refuse)
+    for v in (3, -3):
+        q = IntegralQuadraticForm([1] * 5, {(1, 2): -1, (2, 3): v, (3, 4): -1, (4, 5): -1})
+        for f in (dynkin_type, realize):
+            with pytest.raises(NotNonNegative):
+                f(q)
 
 
 def test_type_c_functions_share_one_star_chase(monkeypatch):

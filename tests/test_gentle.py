@@ -239,6 +239,14 @@ def test_ensure_valid_raises():
         threads(bad)
 
 
+def test_cartan_refuses_a_permitted_cycle_as_validation_does():
+    # a: 1 -> 2, b: 2 -> 1 with no relation: the path counts diverge, one cause and one refusal
+    cycle = GentlePresentation(2, [("a", 1, 2), ("b", 2, 1)], [])
+    for f in (cartan, threads, euler_pipeline):
+        with pytest.raises(GentlenessViolation, match="^permitted cycle: the algebra is infinite dimensional$"):
+            f(cycle)
+
+
 def test_unknown_arrow_in_relation():
     with pytest.raises(InvalidInput):
         GentlePresentation(2, [("a", 1, 2)], [("a", "zzz")])
