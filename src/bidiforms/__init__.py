@@ -36,12 +36,9 @@ from .classify import (
     techc_partition,
 )
 from .errors import (
-    AmbiguousMatching,
     BidiformsError,
     GentlenessViolation,
     InconsistentPresentation,
-    InfiniteDimensional,
-    InfiniteGlobalDimensionSuspected,
     InvalidInput,
     NotCoxRegular,
     NotIncidenceForm,

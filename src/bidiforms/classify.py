@@ -889,7 +889,7 @@ def _unit_graph(q: IntegralQuadraticForm):
     order = traverse(form_adjacency(q), 1)[0]
     if len(order) < n:
         return None
-    B = _realize_unit_backtracking(q)
+    B = _realize_unit_backtracking(q, order=order)
     if B is None:
         return None
     signs = (0, 1)
@@ -904,7 +904,7 @@ def _unit_graph(q: IntegralQuadraticForm):
     return B, beta
 
 
-def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None):
+def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None, order=None):
     """Assign incidence rows e_u*eps + e_u2*eps2 matching all Gram products.
 
     The rows use the vertices 1..m; with no bound m, fresh vertices run up
@@ -917,10 +917,11 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None):
     vertices.
 
     Arrows are processed in the breadth-first order of the form's bigraph,
-    so each arrow after the first has a placed bigraph neighbour and the
-    placed rows are connected on the vertices V' = {1..used} they touch;
-    fresh vertices are used in increasing order with their first sign
-    pinned to +1 (switching symmetry). The graph found is the first of a
+    `order` if the caller has traversed it already, so each arrow after the
+    first has a placed bigraph neighbour and the placed rows are connected
+    on the vertices V' = {1..used} they touch; fresh vertices are used in
+    increasing order with their first sign pinned to +1 (switching
+    symmetry). The graph found is the first of a
     depth-first search on an explicit stack that tries, in lexicographic
     (u, u2, e, e2) order, every row that fits: its Gram product with every
     placed row is the one q asks for. In every state of the search
@@ -949,8 +950,8 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None):
     if m is not None and m < 2:  # the first row takes vertices 1 and 2
         return None
     n = q.n
-    placed = _UnitRows(q, n + 1 if m is None else m)
-    order = placed.order  # the callers have checked that q is connected
+    order = order or traverse(form_adjacency(q), 1)[0]  # the callers have checked that q is connected
+    placed = _UnitRows(q, n + 1 if m is None else m, order)
     # one level per placed arrow: (its rows left, vertices used before it, the
     # switching signs of the rows placed before it, or None once they are rigid)
     levels = [(iter((((1, 1), (2, -1)),)), 0, (0, 1))]
@@ -997,21 +998,20 @@ class _UnitRows:
     """The incidence rows placed so far by `_realize_unit_backtracking`, indexed
     by vertex: `rows` maps an arrow to its normalized ends, `at[v]` maps each
     arrow at v to its end sign there, and `prod[i]` maps each bigraph
-    neighbour j of arrow i to q_ij. `order` is the breadth-first order of
-    `traverse` over those maps from arrow 1, and `earlier[i]` lists the
-    neighbours of i before it in that order, smallest first.
+    neighbour j of arrow i to q_ij. `earlier[i]` lists the neighbours of i
+    before it in `order`, the breadth-first order of the form's bigraph from
+    arrow 1, smallest first.
     """
 
-    __slots__ = ("prod", "m", "order", "earlier", "rows", "at")
+    __slots__ = ("prod", "m", "earlier", "rows", "at")
 
-    def __init__(self, q: IntegralQuadraticForm, m: int):
+    def __init__(self, q: IntegralQuadraticForm, m: int, order):
         self.prod = prod = [{} for _ in range(q.n + 1)]
-        for (a, b), v in q.off.items():  # ascending, so every map lists its neighbours smallest first
+        for (a, b), v in q.off.items():
             prod[a][b] = prod[b][a] = v
-        self.order = order = traverse([p.items() for p in prod], 1)[0]
         rank = {i: k for k, i in enumerate(order)}
         self.earlier = earlier = [[] for _ in range(q.n + 1)]
-        for a, b in q.off:
+        for a, b in q.off:  # ascending, so every list holds its neighbours smallest first
             if rank[a] < rank[b]:
                 earlier[b].append(a)
             else:

@@ -93,17 +93,5 @@ class GentlenessViolation(BidiformsError):
     """A quiver presentation violates the gentle-algebra conditions."""
 
 
-class InfiniteDimensional(BidiformsError):
-    """The presentation admits arbitrarily long relation-avoiding paths."""
-
-
-class InfiniteGlobalDimensionSuspected(BidiformsError):
-    """Thread occurrence counts are off; the algebra likely has infinite global dimension."""
-
-
-class AmbiguousMatching(BidiformsError):
-    """The forbidden-to-permitted thread matching could not be resolved uniquely."""
-
-
 class InconsistentPresentation(BidiformsError):
     """Internal identities of the Euler-form pipeline failed for the presentation."""

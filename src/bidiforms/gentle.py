@@ -5,7 +5,9 @@ pair (a, b) always means the path a-then-b (composable: tgt(a) = src(b)).
 The Euler form of a finite-global-dimension gentle algebra is the incidence
 form of its thread graph: one graph vertex per forbidden thread, and one
 arrow per quiver vertex, whose two ends are the vertex's two occurrences in
-the forbidden threads, each signed by the parity of its position.
+the forbidden threads, each signed by the parity of its position. Each
+bigraph component of the form is typed off its arrows of the thread graph,
+by their loops and balance, with no elimination and no call into `classify`.
 
 Each presentation indexes its arrows by name, and by each vertex that an
 arrow touches, once; a quiver with a vertex outside that index is not
@@ -20,20 +22,11 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .bidigraph import BidirectedGraph
-from .classify import dynkin_type
-from .errors import (
-    AmbiguousMatching,
-    GentlenessViolation,
-    InconsistentPresentation,
-    InfiniteDimensional,
-    InfiniteGlobalDimensionSuspected,
-    InvalidInput,
-    as_int,
-    json_int,
-)
+from .bidigraph import BidirectedGraph, rank_corank
+from .errors import GentlenessViolation, InconsistentPresentation, InvalidInput, as_int, json_int
 from .exact_linalg import IntMatrix
-from .qform import IntegralQuadraticForm, analyze, form_adjacency, traverse
+from .qform import IntegralQuadraticForm, form_adjacency, traverse
+from .qform import analyze  # unused here; bench/test_bench.py reads `gentle.analyze`
 
 
 class GentlePresentation:
@@ -267,16 +260,9 @@ def _threads(pres, succ, C):
     forbidden += _trivial_threads(pres, "forbidden")
     permitted.sort(key=_thread_key)
     forbidden.sort(key=_thread_key)
-    for name, lst in (("permitted", permitted), ("forbidden", forbidden)):
-        counts = {v: 0 for v in range(1, pres.m + 1)}
-        for th in lst:
-            for v in th.vertices:
-                counts[v] += 1
-        bad = {v: c for v, c in counts.items() if c != 2}
-        if bad:
-            raise InfiniteGlobalDimensionSuspected(
-                f"vertex occurrence counts in {name} threads are {bad}, expected 2"
-            )
+    twice = Counter(dict.fromkeys(range(1, pres.m + 1), 2))
+    for lst in (permitted, forbidden):  # validation leaves each vertex on two threads of each kind
+        assert Counter(v for th in lst for v in th.vertices) == twice
     phi, J = _match_threads(pres, forbidden, permitted, C)
     return permitted, forbidden, phi, J
 
@@ -330,10 +316,7 @@ def _match_threads(pres, forbidden, permitted, C):
             col = tuple(map(operator.sub if t % 2 else operator.add, col, cols[v - 1]))
         key = (th.start, col)
         pi = next((pi for pi, k in free.items() if k == key), None)  # the first one not taken
-        if pi is None:
-            raise AmbiguousMatching(
-                f"no permitted thread matches forbidden thread {th.path or th.vertices}"
-            )
+        assert pi is not None, f"no permitted thread matches forbidden thread {th.path or th.vertices}"
         phi[fi] = pi
         J.append(col)
         del free[pi]
@@ -342,18 +325,19 @@ def _match_threads(pres, forbidden, permitted, C):
 
 def _cartan_matrix(pres, succ) -> IntMatrix:
     """One trivial path at each vertex, and from each arrow a the paths along
-    the permitted successor map `succ`, counted at their source and target."""
+    the permitted successor map `succ`, counted at their source and target.
+    Validation has refused a permitted cycle, so each path ends within
+    len(pres.arrows) arrows."""
     n = pres.m
     C = [[int(i == j) for j in range(n)] for i in range(n)]
     for a, s, _ in pres.arrows:
         cur = a
-        seen = 0
-        while cur is not None:
+        for _ in pres.arrows:
             C[pres.tgt(cur) - 1][s - 1] += 1
             cur = succ[cur]
-            seen += 1
-            if seen > len(pres.arrows):
-                raise InfiniteDimensional("permitted cycle while counting paths")
+            if cur is None:
+                break
+        assert cur is None, "permitted cycle past validation"
     return IntMatrix(C)
 
 
@@ -400,29 +384,43 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
             for (u, e), (u2, e2) in at[1:]]
     B = BidirectedGraph(len(forbidden), ends)
     q = B.incidence_form()
-    return EulerReport(q, C, B.incidence_matrix(), B, _component_types(q))
+    return EulerReport(q, C, B.incidence_matrix(), B, _component_types(B, q))
 
 
-def _component_types(q: IntegralQuadraticForm):
-    comps = _bigraph_components(q)
+def _component_types(B: BidirectedGraph, q: IntegralQuadraticForm):
+    """((variables, label, corank), ...) for each bigraph component X of q = q_B.
+
+    X is typed off B_X, the subgraph of the arrows in X on the vertices V_X
+    they touch, relabelled onto 1..|V_X|: q_X is the incidence form of B_X,
+    so it needs no non-negativity check, and the first two main theorems
+    give the label:
+    - a directed loop is a zero variable, alone in its component: "zero"
+      with corank 1;
+    - |V_X| = 1 leaves only bidirected loops: "2*A1";
+    - otherwise a bidirected loop makes it C_{|V_X|};
+    - otherwise a balanced B_X is A_{|V_X|-1}, and an unbalanced one is
+      D_{|V_X|}, except at |V_X| = 3, where it is A3, as
+      `classify.dynkin_type` names D_3.
+    The rank and corank are those of B_X (`rank_corank`).
+    """
     out = []
-    for comp in comps:
-        sub = q.restrict(comp)
-        scale = ""
-        if any(d != 1 for d in sub.diag):  # a unit component has content 1: `dynkin_type` alone types it
-            rep = analyze(sub)
-            if all(d == 0 for d in sub.diag):
-                out.append((tuple(comp), "zero", rep.corank))
-                continue
-            if not rep.irreducible:
-                # one-vertex-graph components scale as q = a * qhat (loops only)
-                sub = IntegralQuadraticForm(
-                    [d // rep.content for d in sub.diag],
-                    {k: v // rep.content for k, v in sub.off.items()},
-                )
-                scale = f"{rep.content}*"
-        typ, crk = dynkin_type(sub)
-        out.append((tuple(comp), f"{scale}{typ}", crk))
+    for comp in _bigraph_components(q):
+        ends = [B.ends[i - 1] for i in comp]
+        V = sorted({u for arrow in ends for u, _ in arrow})
+        m = len(V)
+        if m == 1:
+            label, crk = ("zero", 1) if q.diag[comp[0] - 1] == 0 else ("2*A1", len(comp) - 1)
+        else:
+            new = {u: k for k, u in enumerate(V, start=1)}  # increasing, so the ends stay normalized
+            rk, crk = rank_corank(BidirectedGraph._trusted(
+                m, tuple(((new[u], e), (new[u2], e2)) for (u, e), (u2, e2) in ends)))
+            if any(q.diag[i - 1] == 2 for i in comp):
+                label = f"C{m}"
+            elif rk < m or m == 3:
+                label = f"A{rk}"
+            else:
+                label = f"D{m}"
+        out.append((tuple(comp), label, crk))
     return tuple(out)
 
 

@@ -165,7 +165,7 @@ def _reference_realize_unit_stack(q, m, visit=None):
     `visit(placed, i, used)` is called at every level after the first."""
     n = q.n
     order = traverse(form_adjacency(q), 1)[0]
-    placed = classify._UnitRows(q, m)
+    placed = classify._UnitRows(q, m, order)
     # one level per placed arrow: (candidates left, vertices used before it)
     levels = [(iter((((1, 1), (2, -1)),)), 0)]
     while levels:

@@ -1,17 +1,22 @@
+import ast
 import copy
 import pickle
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from bench.gen import gentle_presentation
+from bidiforms import gentle
 from bidiforms.bidigraph import BidirectedGraph
+from bidiforms.classify import dynkin_type
 from bidiforms.errors import GentlenessViolation, InconsistentPresentation, InvalidInput
 from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place
 from bidiforms.gentle import (
     EulerReport,
     GentlePresentation,
+    _bigraph_components,
     _component_types,
     cartan,
     euler_pipeline,
@@ -284,6 +289,31 @@ def _graph_from_incidence(I: IntMatrix) -> BidirectedGraph:
     return BidirectedGraph(m, ends)
 
 
+def reference_component_types(q: IntegralQuadraticForm):
+    """The labels and coranks of q's bigraph components from the form alone:
+    `analyze` and `dynkin_type` on each, with the content split off a
+    component whose diagonal is not all 1."""
+    out = []
+    for comp in _bigraph_components(q):
+        sub = q.restrict(comp)
+        scale = ""
+        if any(d != 1 for d in sub.diag):  # a unit component has content 1: `dynkin_type` alone types it
+            rep = analyze(sub)
+            if all(d == 0 for d in sub.diag):
+                out.append((tuple(comp), "zero", rep.corank))
+                continue
+            if not rep.irreducible:
+                # one-vertex-graph components scale as q = a * qhat (loops only)
+                sub = IntegralQuadraticForm(
+                    [d // rep.content for d in sub.diag],
+                    {k: v // rep.content for k, v in sub.off.items()},
+                )
+                scale = f"{rep.content}*"
+        typ, crk = dynkin_type(sub)
+        out.append((tuple(comp), f"{scale}{typ}", crk))
+    return tuple(out)
+
+
 def reference_euler_pipeline(pres: GentlePresentation) -> EulerReport:
     """The Euler form by inverting C: the Gram matrix C^-1 + C^-tr, checked
     against the dense I I^tr, and the graph decoded from the rows of I."""
@@ -301,7 +331,7 @@ def reference_euler_pipeline(pres: GentlePresentation) -> EulerReport:
         raise InconsistentPresentation("C^-1 + C^-tr != I I^tr")
     for fi, th in enumerate(forbidden):
         assert C.matvec(th.floor_vector(n)) == permitted[phi[fi]].ceil_vector(n)
-    return EulerReport(q, C, I, _graph_from_incidence(I), _component_types(q))
+    return EulerReport(q, C, I, _graph_from_incidence(I), reference_component_types(q))
 
 
 def test_euler_pipeline_matches_the_inverse_based_reference():
@@ -329,6 +359,78 @@ def _has_oriented_cycle(pres):
             if not indeg[pres.tgt(a)]:
                 ready.append(pres.tgt(a))
     return len(ready) < pres.m
+
+
+def _label_kinds(B, components):
+    """The label kinds met: "zero", "2*A1", "A", "D", "C", "D3" for an A3 on 3
+    graph vertices, and "split" for two components on one graph vertex."""
+    kinds, owner = set(), {}
+    for comp, label, _ in components:
+        V = {u for i in comp for u, _ in B.ends[i - 1]}
+        kinds.add(label if label in ("zero", "2*A1") else "D3" if label == "A3" and len(V) == 3 else label[0])
+        if label != "zero" and any(owner.setdefault(u, comp) != comp for u in V):
+            kinds.add("split")
+    return kinds
+
+
+def test_component_types_match_the_analysis_reference_on_random_graphs():
+    rng = random.Random(3201)
+    kinds = set()
+    for _ in range(4000):
+        m = rng.randint(1, 6)
+        ends = [((rng.randint(1, m), rng.choice((1, -1))), (rng.randint(1, m), rng.choice((1, -1))))
+                for _ in range(rng.randint(1, 9))]
+        B = BidirectedGraph(m, ends)
+        q = B.incidence_form()
+        got = _component_types(B, q)
+        assert got == reference_component_types(q), (m, ends)
+        kinds |= _label_kinds(B, got)
+    assert kinds == {"zero", "2*A1", "A", "D3", "D", "C", "split"}
+
+
+def _random_quiver(rng):
+    """1-10 vertices, up to 15 arrows drawn at random (oriented cycles
+    included; loops and arrows past degree 2 are dropped), and each
+    composable pair a relation with probability 1/2."""
+    m = rng.randint(1, 10)
+    arrows, degree = [], Counter()
+    for _ in range(rng.randint(0, 15)):
+        s, t = rng.randint(1, m), rng.randint(1, m)
+        if s != t and degree["out", s] < 2 and degree["in", t] < 2:
+            arrows.append((f"a{len(arrows)}", s, t))
+            degree["out", s] += 1
+            degree["in", t] += 1
+    relations = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s and rng.randrange(2)]
+    return GentlePresentation(m, arrows, relations)
+
+
+def test_every_presentation_that_validates_runs_the_pipeline():
+    # the thread counts, the thread matching and the Cartan path walks are
+    # asserted, not refused: validation leaves no input that can fail them
+    rng = random.Random(3202)
+    valid, cyclic, cycles_refused = 0, 0, 0
+    for _ in range(5000):
+        pres = _random_quiver(rng)
+        problems = validate(pres)
+        if problems:
+            cycles_refused += any("cycle" in p for p in problems)
+            continue
+        rep = euler_pipeline(pres)
+        assert rep.components == reference_component_types(rep.form)
+        valid += 1
+        cyclic += _has_oriented_cycle(pres)
+    assert valid >= 800 and cyclic >= 60 and cycles_refused >= 50
+
+
+def test_gentle_types_its_forms_without_classify():
+    tree = ast.parse(Path(gentle.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    absolute = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level}
+    absolute |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    assert relative == {"bidigraph", "errors", "exact_linalg", "qform"}
+    assert not [name for name in absolute if name.split(".")[0] == "bidiforms"]
+    called = {node.func.id for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert not called & {"analyze", "dynkin_type"}
 
 
 def test_exact_inverse_over_the_integers():
