@@ -38,7 +38,6 @@ from .classify import (
 from .errors import (
     BidiformsError,
     GentlenessViolation,
-    InconsistentPresentation,
     InvalidInput,
     NotCoxRegular,
     NotIncidenceForm,

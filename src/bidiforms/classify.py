@@ -1,13 +1,13 @@
 """Dynkin-type classification, Gabrielov calculus and incidence realizations.
 
 Covers the form-level Gabrielov transformation with its coefficient update,
-A/D/E typing of unit forms by the determinant of q on Z^n / rad q, the
-type-C test, realization of forms as incidence forms, the canonical
-(c1,c2)-extension reduction and the Dynkin-plus-zero Z-equivalences. One
-Fincke-Pohst enumeration on an explicit stack lists the x with q(x) = d of a
-positive form: the solver takes its first hit (`first_root_with_value`), and
-the exact root sets (`positive_roots_by_value`, `one_root_count`) are kept as
-an independent oracle for the determinant typing.
+typing of unit forms (A/D off their graphs, E by the determinant of q on
+Z^n / rad q), the type-C test, realization of forms as incidence forms, the
+canonical (c1,c2)-extension reduction and the Dynkin-plus-zero
+Z-equivalences. One Fincke-Pohst enumeration on an explicit stack lists the
+x with q(x) = d of a positive form: the solver takes its first hit
+(`first_root_with_value`), and the exact root sets (`positive_roots_by_value`,
+`one_root_count`) are kept as an independent oracle for the typing.
 
 The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
@@ -32,11 +32,11 @@ still checked with `q.compose(M)`. The public updates (`gabrielov_update`,
 thawed copy. Every `GTransform` the library builds, or unpickles, skips the
 determinant check: its matrix is a product of elementary steps. The public
 functions take the form alone and read its analysis from the cache of
-`analyze`, except on a connected unit form of rank >= 4 that is an incidence
-form: `dynkin_type` and `realize` take its graph from one realizer search
+`analyze`, except on a connected unit form that is an incidence form, at any
+rank: `dynkin_type` and `realize` take its graph from one realizer search
 (`_unit_graph`, cached for the last form), and the graph alone certifies
 q >= 0, the rank and the type A or D; `analyze` runs only when no graph is
-found.
+found, and then types a connected non-negative unit form E.
 
 Unit forms of type A/D are realized arrow by arrow over incidence rows
 indexed by vertex, by one depth-first search on an explicit stack over the
@@ -526,18 +526,17 @@ def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
 def dynkin_type(q: IntegralQuadraticForm):
     """Dynkin type and corank of a connected non-negative form.
 
-    A connected unit form of rank >= 4 with a graph B on m vertices
-    (`_unit_graph`) is typed off it, with no elimination: A_{m-1} if B is
-    balanced, D_m if not. Other unit forms are typed A/D/E by the determinant
-    of q on Z^n / rad q, which `analyze` reads off its own elimination
-    (`FormAnalysis.positive_det`): that lattice carries the positive part of
-    q, of rank r. A connected positive unit form is Z-equivalent to exactly
-    one Dynkin form (Barot and de la Peña), and Z-equivalence keeps the
-    determinant, which is r+1 for A_r, 4 for D_r and 9-r for E_r (no two
-    agree at one rank). Non-unit forms must be irreducible Cox-regular and
-    are typed C by the direct coefficient conditions. The 1-root counts
-    r(r+1), 2r(r-1) and 72/126/240 of `one_root_count` give the same typing
-    and serve as its test oracle.
+    A connected unit form with a graph B on m vertices (`_unit_graph`) is
+    typed off it, with no elimination: A_{m-1} if B is balanced, D_m if not.
+    By the first main theorem every other connected non-negative unit form
+    is of type E; the determinant of q on Z^n / rad q, which `analyze` reads
+    off its own elimination (`FormAnalysis.positive_det`), certifies it:
+    that lattice carries the positive part of q, of rank r, which is
+    Z-equivalent to exactly one Dynkin form (Barot and de la Peña), and
+    Z-equivalence keeps the determinant, 9-r for E_r. Non-unit forms must be
+    irreducible Cox-regular and are typed C by the direct coefficient
+    conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
+    `one_root_count` give the same typing and serve as its test oracle.
     """
     found = _unit_graph(q)
     if found is not None:
@@ -552,18 +551,8 @@ def dynkin_type(q: IntegralQuadraticForm):
     r, c = rep.rank, rep.corank
     if rep.unit:
         det = rep.positive_det
-        if det == r + 1:
-            fam = "A"
-        elif r >= 4 and det == 4:
-            fam = "D"
-        elif r in (6, 7, 8) and det == 9 - r:
-            fam = "E"
-        else:
-            raise AssertionError(
-                f"unit-form classifier found no Dynkin graph with Gram determinant {det} "
-                f"in rank {r}"
-            )
-        return DynkinType(fam, r), c
+        assert r in (6, 7, 8) and det == 9 - r, f"a unit form with no graph has determinant {det} in rank {r}"
+        return DynkinType("E", r), c
     if not rep.irreducible or not rep.cox_regular:
         raise InvalidInput(
             "dynkin_type needs a unit form or an irreducible Cox-regular form"
@@ -833,12 +822,11 @@ def _star_snapshot(q: IntegralQuadraticForm):
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
-    A connected unit form of rank >= 4 takes the graph of `_unit_graph`;
-    other unit forms of type A/D are realized by the same search
-    (`_realize_unit_backtracking`) on the vertex count of their type, and
-    type E is rejected. Non-unit type-C forms go through the saturated
-    partition and are pulled back with inverse graph transformations,
-    applied in place (`_Arrows`) and frozen once.
+    A connected unit form takes the graph of `_unit_graph`; one with no
+    graph is of type E (`dynkin_type`) and is rejected. Non-unit type-C
+    forms go through the saturated partition and are pulled back with
+    inverse graph transformations, applied in place (`_Arrows`) and frozen
+    once.
     """
     found = _unit_graph(q)
     if found is not None:
@@ -849,15 +837,7 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     if not rep.connected or not rep.irreducible:
         raise InvalidInput("realize needs a connected irreducible form")
     if rep.unit:
-        typ, _ = dynkin_type(q)
-        if typ.family == "E":
-            raise NotIncidenceForm(f"unit forms of type {typ} are not incidence forms")
-        m = rep.rank + 1 if typ.family == "A" else rep.rank
-        B = _realize_unit_backtracking(q, m)
-        if B is None:
-            raise AssertionError("backtracking realizer found no graph")
-        assert B.incidence_form() == q
-        return B
+        raise NotIncidenceForm(f"unit forms of type {dynkin_type(q)[0]} are not incidence forms")
     _, steps, _, star, _ = _checked_star(q, rep)
     graph = star.copy()
     for step in reversed(steps):
@@ -870,21 +850,22 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
 @lru_cache(maxsize=1)
 def _unit_graph(q: IntegralQuadraticForm):
     """(B, β) for a connected unit form q that the unit realizer realizes on m
-    vertices with rank m - β >= 4, β = 1 if B is balanced and 0 if not; else
-    None, and the callers take the path of `analyze`.
+    vertices, β = 1 if B is balanced and 0 if not; else None, and the callers
+    take the path of `analyze`, where the form is of type E or refused.
 
     B is checked against q, so it certifies q >= 0, and by the first main
     theorem the type: A_{m-1} if B is balanced, D_m if not. A_3 = D_3, which
-    `dynkin_type` names A_3 and `realize` realizes on 4 vertices, so a graph
-    of rank 3 or less is dropped. Only forms with every |q_ij| <= 2, which
-    every non-negative unit form has and `_UnitRows.fitting` needs, and with
-    a connected bigraph, which `_UnitRows` assumes, reach the search. β is
-    read off the rows in their placement order with `_switched` (`balance`
-    would build a witness). The cache keeps the last form: a pass types a
-    form, then realizes it, and never interleaves two.
+    `dynkin_type` names A_3 and `realize` realizes on 4 vertices, so when the
+    first graph is unbalanced on 3 vertices the search runs again on 4, where
+    every graph of rank 3 is balanced. Only forms with every |q_ij| <= 2,
+    which every non-negative unit form has and `_UnitRows.fitting` needs,
+    and with a connected bigraph, which `_UnitRows` assumes, reach the
+    search. β is read off the rows in their placement order with `_switched`
+    (`balance` would build a witness). The cache keeps the last form: a pass
+    types a form, then realizes it, and never interleaves two.
     """
     n = q.n
-    if n < 4 or any(d != 1 for d in q.diag) or any(not -2 <= v <= 2 for v in q.off.values()):
+    if any(d != 1 for d in q.diag) or any(not -2 <= v <= 2 for v in q.off.values()):
         return None
     order = traverse(form_adjacency(q), 1)[0]
     if len(order) < n:
@@ -898,8 +879,9 @@ def _unit_graph(q: IntegralQuadraticForm):
         if signs is None:
             break
     beta = int(signs is not None)
-    if B.m - beta < 4:
-        return None
+    if B.m == 3 and not beta:
+        B, beta = _realize_unit_backtracking(q, 4, order), 1
+        assert B is not None, "a form of type A_3 has a graph on 4 vertices"
     assert B.incidence_form() == q
     return B, beta
 
@@ -914,7 +896,10 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None, o
     graph that realizes q has the same balance and m = r + [balanced]
     vertices. So the branches that the bound would cut need a vertex beyond
     m and all fail, and the first complete graph is the first graph on m
-    vertices.
+    vertices. The same holds at rank 1 and 2, where every graph is balanced
+    (an unbalanced one has r >= 2 vertices, and on 2 its form's bigraph is
+    disconnected); at rank 3 a graph is balanced on 4 vertices or unbalanced
+    on 3 (A_3 = D_3).
 
     Arrows are processed in the breadth-first order of the form's bigraph,
     `order` if the caller has traversed it already, so each arrow after the

@@ -91,7 +91,3 @@ class NotRepresented(UnrepresentedWithinBound):
 
 class GentlenessViolation(BidiformsError):
     """A quiver presentation violates the gentle-algebra conditions."""
-
-
-class InconsistentPresentation(BidiformsError):
-    """Internal identities of the Euler-form pipeline failed for the presentation."""

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .bidigraph import BidirectedGraph, rank_corank
-from .errors import GentlenessViolation, InconsistentPresentation, InvalidInput, as_int, json_int
+from .errors import GentlenessViolation, InvalidInput, as_int, json_int
 from .exact_linalg import IntMatrix
 from .qform import IntegralQuadraticForm, form_adjacency, traverse
 from .qform import analyze  # unused here; bench/test_bench.py reads `gentle.analyze`
@@ -363,7 +363,8 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
 
     The thread matching proves C I = J, with I = I(B) the floor vectors of
     the forbidden threads as columns, and validation proves C unimodular, so
-    the core identity C^-1 + C^-tr = I I^tr is checked as J J^tr = C + C^tr.
+    the core identity C^-1 + C^-tr = I I^tr is asserted as J J^tr = C + C^tr:
+    no presentation that validates fails it.
     An arrow whose two ends cancel is a directed loop at graph vertex 1.
     """
     succ, C = ensure_valid(pres)
@@ -374,8 +375,7 @@ def euler_pipeline(pres: GentlePresentation) -> EulerReport:
         for i, x in nz:
             for j, y in nz:
                 S[i][j] += x * y
-    if any(map(any, S)):
-        raise InconsistentPresentation("C^-1 + C^-tr != I I^tr")
+    assert not any(map(any, S)), "C^-1 + C^-tr != I I^tr"
     at = [[] for _ in range(pres.m + 1)]  # quiver vertex -> its signed thread ends
     for u, th in enumerate(forbidden, start=1):
         for t, v in enumerate(th.vertices):

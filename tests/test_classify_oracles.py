@@ -15,7 +15,8 @@ search's own nodes, with a product check and `balance`. The determinant that
 `analyze` gives for the typing (`FormAnalysis.positive_det`) is checked against the Gram
 determinant of the positive core that `dynkin_type` took before, and the
 graph-first typing and realizing of unit forms (`_unit_graph`) against the path
-of `analyze` that it skips. The forms,
+of `analyze` that it replaced, kept below as the reference (A/D/E by that
+determinant, then a search bounded to r + 1 or r vertices). The forms,
 graphs and matrices that the library builds without the constructor's checks
 (`IntegralQuadraticForm._trusted`, `BidirectedGraph._trusted`,
 `IntMatrix._trusted`) are checked against the same data sent through the
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import pathlib
 import random
 import re
@@ -70,7 +72,7 @@ from bidiforms.classify import (
     realize,
     star_realization,
 )
-from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotIncidenceForm, NotNonNegative
+from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotNonNegative
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, _rows_form, analyze, form_adjacency, traverse
@@ -664,10 +666,52 @@ def _typed_and_realized(forms):
     return out
 
 
+def _reference_typing(q, rep):
+    """The typing of a connected non-negative unit form by `positive_det` alone, as
+    `dynkin_type` did before every graph was taken: A_r at det r + 1, D_r at 4
+    (r >= 4), E_r at 9 - r."""
+    r, det = rep.rank, rep.positive_det
+    if det == r + 1:
+        return DynkinType("A", r)
+    if r >= 4 and det == 4:
+        return DynkinType("D", r)
+    assert r in (6, 7, 8) and det == 9 - r, q
+    return DynkinType("E", r)
+
+
+def _reference_typed_and_realized(forms):
+    """`_typed_and_realized` with unit forms on the path of `analyze` that `dynkin_type`
+    and `realize` took before the graph typed and realized every rank: the same refusal
+    ladders, the typing by `positive_det` and the bounded search on r + 1 vertices
+    (type A) or r (type D). Other forms take the library's own path."""
+    out = []
+    for q in forms:
+        rep = analyze(q)
+        if not rep.unit:
+            out += _typed_and_realized([q])
+            continue
+        if not rep.non_negative:
+            out += [("NotNonNegative", f"{f} needs a non-negative form") for f in ("dynkin_type", "realize")]
+            continue
+        if not rep.connected:
+            out += [("InvalidInput", "dynkin_type needs a connected form"),
+                    ("InvalidInput", "realize needs a connected irreducible form")]
+            continue
+        typ = _reference_typing(q, rep)
+        out.append((typ, rep.corank))
+        if typ.family == "E":
+            out.append(("NotIncidenceForm", f"unit forms of type {typ} are not incidence forms"))
+            continue
+        B = classify._realize_unit_backtracking(q, rep.rank + (typ.family == "A"))
+        assert B.incidence_form() == q
+        out.append(B)
+    return out
+
+
 def test_graph_first_typing_matches_the_analysis_path(monkeypatch):
-    # with no graph found, every form takes the path of `analyze`: the same values and
-    # refusals on graph forms of every family, seeded forms of types A, D and E,
-    # random unit forms (disconnected, indefinite, of small rank) and Dynkin forms
+    # the values and refusals of the path of `analyze` on graph forms of every family,
+    # seeded forms of types A, D and E, random unit forms (disconnected, indefinite, of
+    # small rank) and Dynkin forms
     forms = [op.args[0] for op in _classify_ops(monkeypatch, 7, range(4))]
     forms += [q for _, q in _seeded_forms(7101, 300)]
     rng = random.Random(3101)
@@ -676,18 +720,49 @@ def test_graph_first_typing_matches_the_analysis_path(monkeypatch):
                                                                  ("E", (6, 7, 8))) for r in ranks]
     graphs = sum(classify._unit_graph(q) is not None for q in forms)
     got = _typed_and_realized(forms)
-    monkeypatch.setattr(classify, "_unit_graph", lambda q: None)
-    assert _typed_and_realized(forms) == got
+    assert got == _reference_typed_and_realized(forms)
     refusals = {x[0] for x in got if isinstance(x, tuple) and isinstance(x[0], str)}
     assert {"NotNonNegative", "NotIncidenceForm", "InvalidInput"} <= refusals, refusals
     assert graphs > 250, graphs
+    small = {x[0] for x in got if isinstance(x, tuple) and isinstance(x[0], DynkinType) and x[0].rank <= 3}
+    assert {DynkinType("A", r) for r in (1, 2, 3)} <= small, small
+
+
+# graphs whose incidence forms have rank 3 (A_3 = D_3); on the form of the first,
+# the unbounded search meets a graph on 3 vertices first
+RANK_3_GRAPHS = [
+    [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((3, 1), (4, -1)), ((1, 1), (2, -1))],
+    [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))],
+    [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((2, 1), (3, -1)), ((1, 1), (3, 1))],
+    [((1, 1), (2, -1)), ((1, 1), (3, -1)), ((1, 1), (4, -1)), ((1, 1), (4, -1))],
+]
+
+
+def _rank_3_form(ends):
+    return BidirectedGraph(max(u for _, (u, _) in ends), ends).incidence_form()
+
+
+def _small_unit_forms():
+    """Every unit form on 1, 2 or 3 variables with off-diagonal entries in -2..2."""
+    out = []
+    for n in (1, 2, 3):
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        for vals in itertools.product(range(-2, 3), repeat=len(pairs)):
+            out.append(IntegralQuadraticForm([1] * n, {p: v for p, v in zip(pairs, vals) if v}))
+    return out
 
 
 def test_unit_forms_with_a_graph_are_typed_and_realized_without_analyze(monkeypatch):
     ops = [op for op in _classify_ops(monkeypatch, 7, [0]) if op.kind in ("quiver", "negcycle")]
     dynkin = [(DynkinType(family, n), dynkin_unit_form(family, n)) for family in "AD" for n in (16, 64, 200)]
-    e8 = dynkin_unit_form("E", 8)
+    dynkin += [(DynkinType("A", n), dynkin_unit_form("A", n)) for n in (1, 2, 3)]
+    small = _small_unit_forms()
+    with_graph = [q for q in small if classify._unit_graph(q) is not None]
+    expected = [(dynkin_type(q), realize(q)) for q in with_graph]
+    rank_3 = [_rank_3_form(ends) for ends in RANK_3_GRAPHS]
+    no_graph = [dynkin_unit_form("E", r) for r in (6, 7, 8)]
     k4 = IntegralQuadraticForm([1] * 4, {(i, j): -1 for i in range(1, 5) for j in range(i + 1, 5)})  # q(1,1,1,1) = -2
+    refusals = _typed_and_realized(no_graph + [k4])
 
     def refuse(q):
         raise RuntimeError("analyze ran")
@@ -702,35 +777,38 @@ def test_unit_forms_with_a_graph_are_typed_and_realized_without_analyze(monkeypa
         for typ, q in dynkin:
             assert dynkin_type(q) == (typ, 0)
             assert realize(q).incidence_form() == q
-        for q in (e8, k4):  # no graph: these take the path of `analyze`
+        assert [(dynkin_type(q), realize(q)) for q in with_graph] == expected
+        for q in rank_3:
+            assert dynkin_type(q) == (DynkinType("A", 3), q.n - 3)
+            assert realize(q).m == 4
+        for q in no_graph + [k4]:  # no graph: these take the path of `analyze`
             for f in (dynkin_type, realize):
                 with pytest.raises(RuntimeError):
                     f(q)
     assert len(ops) == 20
-    assert dynkin_type(e8) == (DynkinType("E", 8), 0)
-    with pytest.raises(NotIncidenceForm):
-        realize(e8)
-    for f in (dynkin_type, realize):
-        with pytest.raises(NotNonNegative):
-            f(k4)
+    # of the 131 forms on 1-3 variables, exactly the connected non-negative ones have a graph
+    assert with_graph == [q for q in small if analyze(q).connected and analyze(q).non_negative]
+    assert len(small) == 131 and len(with_graph) == 41, len(with_graph)
+    assert refusals == _typed_and_realized(no_graph + [k4]) == [
+        (DynkinType("E", 6), 0), ("NotIncidenceForm", "unit forms of type E6 are not incidence forms"),
+        (DynkinType("E", 7), 0), ("NotIncidenceForm", "unit forms of type E7 are not incidence forms"),
+        (DynkinType("E", 8), 0), ("NotIncidenceForm", "unit forms of type E8 are not incidence forms"),
+        ("NotNonNegative", "dynkin_type needs a non-negative form"),
+        ("NotNonNegative", "realize needs a non-negative form"),
+    ]
 
 
 def test_rank_3_unit_forms_keep_their_graphs_on_4_vertices():
     # A_3 = D_3: an unbalanced graph on 3 vertices and a balanced one on 4 realize
     # the same forms; the type is named A_3, so the graph is the first on 4 vertices
-    graphs = [
-        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((3, 1), (4, -1)), ((1, 1), (2, -1))],
-        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((1, 1), (2, -1))],
-        [((1, 1), (2, -1)), ((2, 1), (3, -1)), ((1, 1), (3, 1)), ((2, 1), (3, -1)), ((1, 1), (3, 1))],
-        [((1, 1), (2, -1)), ((1, 1), (3, -1)), ((1, 1), (4, -1)), ((1, 1), (4, -1))],
-    ]
     first = []
-    for ends in graphs:
-        q = BidirectedGraph(max(u for _, (u, _) in ends), ends).incidence_form()
+    for ends in RANK_3_GRAPHS:
+        q = _rank_3_form(ends)
         first.append(classify._realize_unit_backtracking(q).m)
-        assert classify._unit_graph(q) is None
+        B, beta = classify._unit_graph(q)
+        assert beta == 1
         assert dynkin_type(q) == (DynkinType("A", 3), q.n - 3)
-        assert realize(q) == classify._realize_unit_backtracking(q, 4) == _reference_realize_unit(q, 4)
+        assert B == realize(q) == classify._realize_unit_backtracking(q, 4) == _reference_realize_unit(q, 4)
     assert first == [3, 4, 4, 4]  # the unbounded search can meet the graph on 3 vertices first
     for family in "AD":  # rank 4 takes the graph
         q = dynkin_unit_form(family, 4)

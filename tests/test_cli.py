@@ -418,6 +418,22 @@ def test_output_is_byte_identical_to_golden(capsys, command, d, fixture, fmt):
         assert captured.out + captured.err == fh.read()
 
 
+# unit forms: a rank-3 form whose first graph has 3 vertices (A_3 = D_3, named A3 and
+# realized on 4 vertices), and E6, which has no graph (refused with exit 1)
+UNIT_GOLDEN_EXIT = {("qf-realize", "e6_form"): 1}
+
+
+@pytest.mark.parametrize("command", ["qf-info", "qf-realize"])
+@pytest.mark.parametrize("fixture", ["unit_rank3_form", "e6_form"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_unit_form_output_is_byte_identical_to_golden(capsys, command, fixture, fmt):
+    code = run([command, f"{FIX}/{fixture}.json", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == UNIT_GOLDEN_EXIT.get((command, fixture), 0)
+    with open(f"tests/golden/{command}__{fixture}.{fmt}.out") as fh:
+        assert captured.out + captured.err == fh.read()
+
+
 @pytest.mark.parametrize("fixture", ["three_vertex_graph", "path_quiver"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_bg_form_byte_identical_to_golden(capsys, fixture, fmt):

@@ -11,7 +11,7 @@ from bench.gen import gentle_presentation
 from bidiforms import gentle
 from bidiforms.bidigraph import BidirectedGraph
 from bidiforms.classify import dynkin_type
-from bidiforms.errors import GentlenessViolation, InconsistentPresentation, InvalidInput
+from bidiforms.errors import GentlenessViolation, InvalidInput
 from bidiforms.exact_linalg import IntMatrix, _row_hnf_in_place
 from bidiforms.gentle import (
     EulerReport,
@@ -257,6 +257,11 @@ def test_unknown_arrow_in_relation():
         GentlePresentation(2, [("a", 1, 2)], [("a", "zzz")])
 
 
+class InconsistentPresentation(Exception):
+    """The references' refusal of a presentation whose identities fail. The library
+    asserts them, since no presentation that validates fails them."""
+
+
 def _exact_inverse(M: IntMatrix):
     """Rows of M^-1 for a unimodular M: the Hermite form of [M | I] is [I | M^-1]."""
     n = M.rows
@@ -405,8 +410,9 @@ def _random_quiver(rng):
 
 
 def test_every_presentation_that_validates_runs_the_pipeline():
-    # the thread counts, the thread matching and the Cartan path walks are
-    # asserted, not refused: validation leaves no input that can fail them
+    # the thread counts, the thread matching, the Cartan path walks and the
+    # identity J J^tr = C + C^tr are asserted, not refused: validation leaves no
+    # input that can fail them
     rng = random.Random(3202)
     valid, cyclic, cycles_refused = 0, 0, 0
     for _ in range(5000):
