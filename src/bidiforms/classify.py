@@ -31,12 +31,14 @@ still checked with `q.compose(M)`. The public updates (`gabrielov_update`,
 `GTransform.then_*`) check their indices, then run the same row update on a
 thawed copy. Every `GTransform` the library builds, or unpickles, skips the
 determinant check: its matrix is a product of elementary steps. The public
-functions take the form alone and read its analysis from the cache of
-`analyze`, except on a connected unit form that is an incidence form, at any
-rank: `dynkin_type` and `realize` take its graph from one realizer search
-(`_unit_graph`, cached for the last form), and the graph alone certifies
-q >= 0, the rank and the type A or D; `analyze` runs only when no graph is
-found, and then types a connected non-negative unit form E.
+functions take the form alone, and a graph certifies each form they type or
+realize: a connected unit form that is an incidence form, at any rank, takes
+its graph from one realizer search (`_unit_graph`, cached for the last
+form), which certifies q >= 0, the rank and the type A or D; a form of type
+C takes its star graph B' from the star chase (`_star_snapshot`), which
+certifies q >= 0, the rank and the type C. `analyze` runs only when neither
+is found: it words the refusals, and types a connected non-negative unit
+form E.
 
 Unit forms of type A/D are realized arrow by arrow over incidence rows
 indexed by vertex, by one depth-first search on an explicit stack over the
@@ -512,15 +514,20 @@ def dynkin_unit_form(family: str, r: int) -> IntegralQuadraticForm:
     return IntegralQuadraticForm([1] * r, {(i, j): -1 for i, j in edges})
 
 
-def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
+def _type_c_shape(q: IntegralQuadraticForm) -> bool:
+    """The coefficient conditions of type C: q connected, fully regular, with
+    q_i in {1, 2} taking both values (not unit, content 1), and q_ij^2 <=
+    4 q_i q_j, which q >= 0 needs. Such a form is of type C iff q >= 0."""
+    d = q.diag
     return (
-        rep.non_negative
-        and rep.connected
-        and rep.irreducible
-        and not rep.unit
-        and all(1 <= d <= 2 for d in q.diag)
-        and rep.fully_regular
+        set(d) == {1, 2}
+        and all(not v % (p := d[i - 1] * d[j - 1]) and v * v <= 4 * p for (i, j), v in q.off.items())
+        and len(traverse(form_adjacency(q), 1)[0]) == q.n
     )
+
+
+def _is_type_c(rep: FormAnalysis, q: IntegralQuadraticForm) -> bool:
+    return rep.non_negative and _type_c_shape(q)
 
 
 def dynkin_type(q: IntegralQuadraticForm):
@@ -533,33 +540,37 @@ def dynkin_type(q: IntegralQuadraticForm):
     off its own elimination (`FormAnalysis.positive_det`), certifies it:
     that lattice carries the positive part of q, of rank r, which is
     Z-equivalent to exactly one Dynkin form (Barot and de la Peña), and
-    Z-equivalence keeps the determinant, 9-r for E_r. Non-unit forms must be
-    irreducible Cox-regular and are typed C by the direct coefficient
-    conditions. The 1-root counts r(r+1), 2r(r-1) and 72/126/240 of
-    `one_root_count` give the same typing and serve as its test oracle.
+    Z-equivalence keeps the determinant, 9-r for E_r. A form of type C is
+    typed off its star graph B' on m vertices (`_star_snapshot`), also with
+    no elimination: C_m, of corank n - m. Every other form is refused, with
+    the reason read off `analyze`. The 1-root counts r(r+1), 2r(r-1) and
+    72/126/240 of `one_root_count` give the same typing and serve as its
+    test oracle.
     """
     found = _unit_graph(q)
     if found is not None:
         B, beta = found
         r = B.m - beta
         return DynkinType("A" if beta else "D", r), q.n - r
+    star = _star_snapshot(q)
+    if star is not None:
+        _assert_type_c_bounds(q)
+        m = star[4].m  # the vertices of B', its partition's m
+        return DynkinType("C", m), q.n - m
     rep = analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("dynkin_type needs a non-negative form")
     if not rep.connected:
         raise InvalidInput("dynkin_type needs a connected form")
-    r, c = rep.rank, rep.corank
     if rep.unit:
-        det = rep.positive_det
+        r, det = rep.rank, rep.positive_det
         assert r in (6, 7, 8) and det == 9 - r, f"a unit form with no graph has determinant {det} in rank {r}"
-        return DynkinType("E", r), c
+        return DynkinType("E", r), rep.corank
     if not rep.irreducible or not rep.cox_regular:
         raise InvalidInput(
             "dynkin_type needs a unit form or an irreducible Cox-regular form"
         )
-    if _is_type_c(rep, q):
-        _assert_type_c_bounds(q)
-        return DynkinType("C", r), c
+    assert not _is_type_c(rep, q), "the analysis says type C, but the form has no star graph"
     raise NotTypeC("non-unit form does not satisfy the type-C conditions")
 
 
@@ -779,43 +790,50 @@ def star_realization(q: IntegralQuadraticForm):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, rows, graph, part = _checked_star(q, analyze(q))
+    cols, steps, rows, graph, part = _star_snapshot(q) or _not_type_c(q)
     T = GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps)
     return T, _rows_form(rows), graph.freeze(), part
 
 
-def _checked_star(q: IntegralQuadraticForm, rep: FormAnalysis):
-    """The star snapshot of q, once its analysis `rep` shows that q is of type C."""
+def _not_type_c(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
+    """Raise the refusal of a type-C function on a form with no star snapshot, off its analysis."""
+    rep = rep or analyze(q)
     if not rep.non_negative:
         raise NotNonNegative("type-C realization needs a non-negative form")
-    if not _is_type_c(rep, q):
-        raise NotTypeC("form is not of Dynkin type C")
-    return _star_snapshot(q)
+    assert not _is_type_c(rep, q), "the analysis says type C, but the form has no star graph"
+    raise NotTypeC("form is not of Dynkin type C")
 
 
 @lru_cache(maxsize=1)
 def _star_snapshot(q: IntegralQuadraticForm):
     """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M,
-    B' as the `_Arrows` index that checked it, partition). q∘M itself is
-    frozen only by `star_realization`, the one caller that returns it.
+    B' as the `_Arrows` index that checked it, partition), or None. q∘M
+    itself is frozen only by `star_realization`.
 
-    Every type-C function on q starts from it, so a pass of them over one
-    form, such as `realize` and then `canonical_c`, runs it once; the last
-    form is all such a pass needs kept. A chase resumes from a copy of its
-    rows, and a graph changed in place from a copy of its index
-    (`_Arrows.copy`), so B' is indexed once per pass. The rows and the index
-    are shared by every caller of the pass: copy them before any change.
+    Only a form of `_type_c_shape` is chased. B', checked against the
+    saturated rows, is connected and unbalanced on m vertices: it certifies
+    q >= 0 and rank m. A chase that fails (NotTypeC, NotCoxRegular, a row
+    that does not match) gives None. Every type-C function on q starts from
+    it, so a pass of them over one form runs it once. The rows and the index
+    are shared by every caller of the pass: copy them before any change
+    (`_Arrows.copy`).
     """
+    if not _type_c_shape(q):
+        return None
     ch = _Chase(q)
     pivot = next(i for i in range(1, q.n + 1) if q.diag[i - 1] == 2)
     if pivot != 1:
         pi = list(range(1, q.n + 1))
         pi[0], pi[pivot - 1] = pi[pivot - 1], pi[0]
         ch.push("perm", tuple(pi))
-    _saturate(ch, 1)
-    B, part = _star_graph(ch.form.rows)
+    try:
+        _saturate(ch, 1)
+        B, part = _star_graph(ch.form.rows)
+    except (NotTypeC, NotCoxRegular):
+        return None
     graph = _Arrows(B)  # the check of B's incidence form, one row at a time
-    assert all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1))
+    if not all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1)):
+        return None
     return tuple(ch.cols), tuple(ch.steps), ch.form.rows, graph, part
 
 
@@ -823,22 +841,25 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
     """A bidirected graph whose incidence form is exactly q.
 
     A connected unit form takes the graph of `_unit_graph`; one with no
-    graph is of type E (`dynkin_type`) and is rejected. Non-unit type-C
-    forms go through the saturated partition and are pulled back with
-    inverse graph transformations, applied in place (`_Arrows`) and frozen
-    once.
+    graph is of type E (`dynkin_type`) and is rejected. A form of type C
+    takes the star graph B' of `_star_snapshot`, pulled back with inverse
+    graph transformations, applied in place (`_Arrows`) and frozen once.
+    Every other form is refused, with the reason read off `analyze`.
     """
     found = _unit_graph(q)
     if found is not None:
         return found[0]
-    rep = analyze(q)
-    if not rep.non_negative:
-        raise NotNonNegative("realize needs a non-negative form")
-    if not rep.connected or not rep.irreducible:
-        raise InvalidInput("realize needs a connected irreducible form")
-    if rep.unit:
-        raise NotIncidenceForm(f"unit forms of type {dynkin_type(q)[0]} are not incidence forms")
-    _, steps, _, star, _ = _checked_star(q, rep)
+    snapshot = _star_snapshot(q)
+    if snapshot is None:
+        rep = analyze(q)
+        if not rep.non_negative:
+            raise NotNonNegative("realize needs a non-negative form")
+        if not rep.connected or not rep.irreducible:
+            raise InvalidInput("realize needs a connected irreducible form")
+        if rep.unit:
+            raise NotIncidenceForm(f"unit forms of type {dynkin_type(q)[0]} are not incidence forms")
+        _not_type_c(q, rep)
+    _, steps, _, star, _ = snapshot
     graph = star.copy()
     for step in reversed(steps):
         graph.push(undo(step))
@@ -1092,7 +1113,7 @@ class _UnitRows:
 # -- canonical reduction of type C (seven steps) ----------------------------
 
 
-def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
+def _directed_star(q: IntegralQuadraticForm):
     """Steps 1-4 shared by both type-C normal forms: returns (chase, r, c1, c2).
 
     After them the graph has the loop as arrow 1, one directed arrow v -> 1
@@ -1100,7 +1121,7 @@ def _directed_star(q: IntegralQuadraticForm, rep: FormAnalysis):
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
     # step 1: the star realization, resumed as a fresh chase on a copy of its rows
-    cols, steps, rows, star, part = _checked_star(q, rep)
+    cols, steps, rows, star, part = _star_snapshot(q) or _not_type_c(q)
     ch = _Chase(q, list(cols), [row[:] for row in rows])
     ch.steps = list(steps)
     ch.graph = star.copy()
@@ -1143,11 +1164,11 @@ def canonical_c(q: IntegralQuadraticForm):
     """G-transformation onto the canonical (c1,c2)-extension of type C.
 
     Returns (T, r, c1, c2) with q∘T equal to the incidence form of the
-    canonical graph; c1 + c2 = crk(q) and c2 = dl(q) - 1. The final equality
-    is asserted, not assumed.
+    canonical graph; c1 + c2 = crk(q) and c2 = dl(q) - 1. The chase starts
+    from the star snapshot, so a form of type C is not analyzed; the final
+    equality and c2, read off q.diag, are asserted, not assumed.
     """
-    rep = analyze(q)
-    ch, r, c1, c2 = _directed_star(q, rep)
+    ch, r, c1, c2 = _directed_star(q)
     # step 5: extras of the multi group become two-tail arrows
     for k in range(1, c1 + 1):
         ch.push("gabrielov", 1, r + k)
@@ -1161,8 +1182,7 @@ def canonical_c(q: IntegralQuadraticForm):
     M = ch.M
     assert ch.form.rows == target_rows
     assert q.compose(M) == target
-    assert c1 + c2 == rep.corank
-    assert c2 == rep.dotted_loops - 1
+    assert c2 == sum(q.diag) - q.n - 1  # the dotted loops sum (q_i - 1), less one
     return GTransform._trusted(M, ch.steps), r, c1, c2
 
 
@@ -1174,7 +1194,7 @@ def dynkin_plus_zero(q: IntegralQuadraticForm, variant: str = "C"):
     """
     if variant not in ("C", "D"):
         raise InvalidInput("variant must be 'C' or 'D'")
-    ch, r, c1, c2 = _directed_star(q, analyze(q))
+    ch, r, c1, c2 = _directed_star(q)
     # step 1': parallel extras become directed loops (rewrite S^+_{r, r+k})
     for k in range(1, c1 + 1):
         ch.push("rewrite", r, r + k, 1)

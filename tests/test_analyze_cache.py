@@ -70,16 +70,17 @@ def test_memory_held_by_analyze_stays_at_64_entries():
 
 def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
     # the first blocks of each benchmark workload, run in-process with a counting
-    # wrapper in every module that binds `analyze`, and one around the unit-graph
-    # search: each distinct form is analyzed once, and searched once, so neither
-    # bound loses a hit on this traffic. Classify analyzes only its type-C forms
-    # (11 a block), so it runs 7 blocks to pass the bound of 64
+    # wrapper in every module that binds `analyze`, and one around each of the
+    # unit-graph search and the star chase: each distinct form is analyzed once,
+    # searched once and chased once, so no bound loses a hit on this traffic.
+    # Classify analyzes no form: its graph forms are typed and realized off their
+    # graphs, the type-C ones (11 a block, 77 in 7 blocks) off their star graphs
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
     lib = workloads.load_library()
-    seen, searched = set(), set()
-    unit_graph = classify._unit_graph
+    seen, searched, chased = set(), set(), set()
+    unit_graph, star_snapshot = classify._unit_graph, classify._star_snapshot
 
     def counting(q):
         seen.add(q)
@@ -89,28 +90,34 @@ def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
         searched.add(q)
         return unit_graph(q)
 
+    def counting_chase(q):
+        chased.add(q)
+        return star_snapshot(q)
+
     for name, module in list(sys.modules.items()):
         if name == "bidiforms" or name.startswith("bidiforms."):
             for attr, value in list(vars(module).items()):
                 if value is analyze:
                     monkeypatch.setattr(module, attr, counting)
     monkeypatch.setattr(classify, "_unit_graph", counting_search)
+    monkeypatch.setattr(classify, "_star_snapshot", counting_chase)
     assert lib.classify.analyze is counting
     distinct = {}
     for workload, blocks in (("classify", 7), ("walk_roots", 2), ("solve_sweep", 2)):
-        analyze.cache_clear()
-        unit_graph.cache_clear()
-        seen.clear()
-        searched.clear()
+        for cached in (analyze, unit_graph, star_snapshot):
+            cached.cache_clear()
+        for counted in (seen, searched, chased):
+            counted.clear()
         for b in range(blocks):
             for op in workloads.block(lib, workload, 7, b):
                 op.run(lib)
         assert analyze.cache_info().misses == len(seen), workload
         assert unit_graph.cache_info().misses == len(searched), workload
+        assert star_snapshot.cache_info().misses == len(chased), workload
         distinct[workload] = len(seen)
-    analyze.cache_clear()
-    unit_graph.cache_clear()
-    assert distinct["classify"] > 64 and distinct["solve_sweep"] > 64 and distinct["walk_roots"] == 0
+    for cached in (analyze, unit_graph, star_snapshot):
+        cached.cache_clear()
+    assert distinct["classify"] == 0 and distinct["solve_sweep"] > 64 and distinct["walk_roots"] == 0
 
 
 def test_ldl_cache_factors_each_core_once(monkeypatch):

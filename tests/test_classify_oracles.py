@@ -54,6 +54,7 @@ from bidiforms.bidigraph import (
     graph_gabrielov,
     loops_graph,
     sign_flip,
+    undo,
 )
 from bidiforms.classify import (
     _row_matches,
@@ -72,7 +73,7 @@ from bidiforms.classify import (
     realize,
     star_realization,
 )
-from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotNonNegative
+from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotNonNegative, NotTypeC
 from bidiforms.exact_linalg import IntMatrix
 from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, _rows_form, analyze, form_adjacency, traverse
@@ -847,6 +848,186 @@ def test_type_c_functions_share_one_star_chase(monkeypatch):
         assert len(calls) == 1, (r, c1, c2)
 
 
+# -- typing and realizing type-C forms off their star graphs -----------------------
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except BidiformsError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _type_c_pass(q):
+    """The value, or the refusal's type and message, of each type-C function on q."""
+    return [_outcome(f, q) for f in (dynkin_type, realize, canonical_c, star_realization)] + [
+        _outcome(dynkin_plus_zero, q, variant) for variant in "CD"]
+
+
+def _reference_type_c_pass(q):
+    """`_type_c_pass` on a form that is not unit, as it ran before the star graph
+    typed and realized type C: each function analyzed q first and walked its
+    refusal ladder, and only a form that the analysis called type C reached the
+    star chase, which then had to succeed. The chase is the same code, so
+    `realize` and `star_realization` are rebuilt from an uncached chase, and the
+    two normal forms come from the library with the checks they made on the
+    analysis, c1 + c2 = crk q and c2 = dl q - 1."""
+    rep = analyze(q)
+    assert not rep.unit
+    type_c = classify._is_type_c(rep, q)
+
+    def typed():
+        if not rep.non_negative:
+            raise NotNonNegative("dynkin_type needs a non-negative form")
+        if not rep.connected:
+            raise InvalidInput("dynkin_type needs a connected form")
+        if not rep.irreducible or not rep.cox_regular:
+            raise InvalidInput("dynkin_type needs a unit form or an irreducible Cox-regular form")
+        if not type_c:
+            raise NotTypeC("non-unit form does not satisfy the type-C conditions")
+        return DynkinType("C", rep.rank), rep.corank
+
+    def star():
+        if not rep.non_negative:
+            raise NotNonNegative("type-C realization needs a non-negative form")
+        if not type_c:
+            raise NotTypeC("form is not of Dynkin type C")
+        found = classify._star_snapshot.__wrapped__(q)
+        assert found is not None
+        return found
+
+    def realized():
+        if not rep.non_negative:
+            raise NotNonNegative("realize needs a non-negative form")
+        if not rep.connected or not rep.irreducible:
+            raise InvalidInput("realize needs a connected irreducible form")
+        _, steps, _, graph, _ = star()
+        graph = graph.copy()
+        for step in reversed(steps):
+            graph.push(undo(step))
+        return graph.freeze()
+
+    def star_realized():
+        cols, steps, rows, graph, part = star()
+        return GTransform(IntMatrix(list(zip(*cols))), steps), _rows_form(rows), graph.freeze(), part
+
+    def canonical():
+        star()
+        T, r, c1, c2 = canonical_c(q)
+        assert c1 + c2 == rep.corank and c2 == rep.dotted_loops - 1
+        return T, r, c1, c2
+
+    def plus_zero(variant):
+        star()
+        return dynkin_plus_zero(q, variant)
+
+    return [_outcome(f) for f in (typed, realized, canonical, star_realized)] + [
+        _outcome(plus_zero, variant) for variant in "CD"]
+
+
+def _passes_the_gate(q):
+    """Whether q is connected, not unit, with every q_i in {1, 2}, fully regular,
+    of content 1 and with q_ij^2 <= 4 q_i q_j."""
+    rep = analyze(q)
+    return (set(q.diag) == {1, 2} and rep.fully_regular and rep.irreducible and rep.connected
+            and all(v * v <= 4 * q.diag[i - 1] * q.diag[j - 1] for (i, j), v in q.off.items()))
+
+
+def _near_type_c_forms(rng, forms):
+    """Yield forms that are not of type C, each with whether it passes the gate
+    of `_star_snapshot`: a form of `forms` with one or two coefficients
+    changed and kept fully regular and not unit, an off-diagonal one by a
+    multiple of q_i q_j or a diagonal one set to 0-3."""
+    while True:
+        q = rng.choice(forms)
+        diag, off = list(q.diag), dict(q.off)
+        for _ in range(rng.randint(1, 2)):
+            if rng.random() < 0.15:
+                diag[rng.randint(1, q.n) - 1] = rng.randint(0, 3)
+            else:
+                i, j = sorted(rng.sample(range(1, q.n + 1), 2))
+                off[(i, j)] = off.get((i, j), 0) + max(1, diag[i - 1] * diag[j - 1]) * rng.choice((-2, -1, 1, 2))
+        p = IntegralQuadraticForm(diag, off)
+        rep = analyze(p)
+        if not rep.unit and rep.fully_regular and not classify._is_type_c(rep, p):
+            yield p, _passes_the_gate(p)
+
+
+def test_type_c_functions_match_the_analysis_path(monkeypatch):
+    # the loop-graph forms of classify seeds 7 and 11, type-C graph forms, forms one or
+    # two coefficients away from type C, and C_1 = [2], content 2, disconnected forms
+    # and forms with q_i = 0: the same values, refusals and messages as the path of
+    # `analyze`, and no AssertionError on a form the chase refuses
+    loops = [op.args[0] for seed in (7, 11) for op in _classify_ops(monkeypatch, seed, range(30))
+             if op.kind == "loops"]
+    graphs = [B.incidence_form() for B in _type_c_graphs(random.Random(7110), 300)]
+    edge = [IntegralQuadraticForm([2]), IntegralQuadraticForm([2, 2], {(1, 2): 4}),
+            IntegralQuadraticForm([4, 2], {(1, 2): 8}), IntegralQuadraticForm([2, 1]),
+            IntegralQuadraticForm([2, 1, 1], {(1, 2): 2}), IntegralQuadraticForm([0, 2, 1], {(2, 3): 2}),
+            IntegralQuadraticForm([2, 0, 1], {(1, 2): 2, (1, 3): 2}), IntegralQuadraticForm([2, 1], {(1, 2): 2})]
+    near = {True: set(), False: set()}  # the refusals of forms that pass the gate, and that do not
+    count = 0
+    for q, gate in _near_type_c_forms(random.Random(3434), loops):
+        got = _type_c_pass(q)
+        assert got == _reference_type_c_pass(q), q
+        assert all(type(x) is tuple and type(x[0]) is str for x in got)
+        near[gate].update(x[0] for x in got)
+        count += gate
+        if count == 4000:
+            break
+    # by the second main theorem a form that passes the gate is of type C exactly when q >= 0
+    assert near == {True: {"NotNonNegative"}, False: {"NotNonNegative", "NotTypeC", "InvalidInput"}}
+    got = []
+    for q in loops + graphs + edge:
+        got.append(_type_c_pass(q))
+        assert got[-1] == _reference_type_c_pass(q), q
+    assert len(loops) == 660
+    for out in got[:-len(edge)]:  # all of type C; variant D needs rank >= 4
+        assert not any(type(x) is tuple and type(x[0]) is str for x in out[:5])
+    kinds = {x[0] for out in got[-len(edge):-1] for x in out}
+    assert kinds == {"NotNonNegative", "NotTypeC", "InvalidInput"}, kinds
+    assert got[-1][0] == (DynkinType("C", 2), 0)
+
+
+def test_a_type_c_pass_runs_no_analysis(monkeypatch):
+    # dynkin_type, realize and canonical_c on a form of type C take it off its star
+    # graph; each of them, and each other type-C function, on a form that the chase
+    # refuses analyzes it once, to word the refusal
+    loops = [op.args[0] for op in _classify_ops(monkeypatch, 7, range(2)) if op.kind == "loops"]
+    loops += [canonical_c_graph(n, n // 4, n // 4).incidence_form() for n in (16, 64)]
+    near = [q for q, gate in itertools.islice(_near_type_c_forms(random.Random(3435), loops), 60) if gate]
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return analyze(q)
+
+    monkeypatch.setattr(classify, "analyze", counting)
+    for q in loops:
+        classify._star_snapshot.cache_clear()
+        dynkin_type(q), realize(q), canonical_c(q)
+    assert calls == []
+    for q in near:
+        for f in (dynkin_type, realize, canonical_c, star_realization, dynkin_plus_zero):
+            classify._star_snapshot.cache_clear()
+            del calls[:]
+            with pytest.raises(NotNonNegative):
+                f(q)
+            assert calls == [q], f.__name__
+    assert len(loops) == 24 and len(near) > 20
+    # q_ij = 4 q_i q_j on one edge keeps the form fully regular but breaks q >= 0 on
+    # {i, j}: the gate refuses it before any chase
+    monkeypatch.setattr(classify, "_saturate", None)
+    for q in loops:
+        (i, j), _ = next(iter(q.off.items()))
+        wide = IntegralQuadraticForm(q.diag, {**q.off, (i, j): 4 * q.diag[i - 1] * q.diag[j - 1]})
+        classify._star_snapshot.cache_clear()
+        del calls[:]
+        with pytest.raises(NotNonNegative):
+            dynkin_type(wide)
+        assert calls == [wide]
+
+
 # -- the Fincke-Pohst enumeration --------------------------------------------------
 
 
@@ -1186,7 +1367,7 @@ def test_trusted_matrices_equal_the_checked_constructor():
     _same_matrix(IntMatrix([[], []]) @ IntMatrix([]), IntMatrix([[], []]))
     for B in _type_c_graphs(rng, 60):
         q = B.incidence_form()
-        ch, *_ = classify._directed_star(q, analyze(q))
+        ch, *_ = classify._directed_star(q)
         _same_matrix(ch.M, IntMatrix(zip(*ch.cols)))
 
 
@@ -1237,9 +1418,11 @@ def _flip_end(B, k, side):
 def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arrow(monkeypatch):
     """B' is built unchecked from normalized ends: it equals the constructor's
     graph. Checked arrow by arrow against the saturated rows it passes; with
-    one arrow flipped it fails, in the snapshot too, and with one end flipped
-    it fails exactly when the incidence form changes. The index is shared by
-    a pass: `realize` and `canonical_c` leave it as it was."""
+    one arrow flipped it fails, in the snapshot too, which then gives None, so
+    `dynkin_type` reaches `analyze` and trips its assert that the analysis
+    does not say C; with one end flipped it fails exactly when the incidence
+    form changes. The index is shared by a pass: `realize` and `canonical_c`
+    leave it as it was."""
     refused = 0
     for B in _type_c_graphs(random.Random(7109), 150):
         q = B.incidence_form()
@@ -1272,8 +1455,11 @@ def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arr
         return sign_flip(B, 2), part
 
     monkeypatch.setattr(classify, "_star_graph", flipped_star_graph)
-    with pytest.raises(AssertionError):
-        classify._star_snapshot.__wrapped__(q)
+    assert classify._star_snapshot.__wrapped__(q) is None
+    classify._star_snapshot.cache_clear()
+    with pytest.raises(AssertionError, match="the analysis says type C"):
+        dynkin_type(q)
+    classify._star_snapshot.cache_clear()
 
 
 def test_row_check_rejects_a_flipped_end_sign():
@@ -1451,7 +1637,6 @@ def test_type_c_pass_thaws_freezes_and_builds_incidence_forms_a_fixed_number_of_
             for f in (canonical_c, realize):
                 classify._canonical_target.cache_clear()
                 classify._star_snapshot.cache_clear()
-                analyze(form)  # outside the count
                 counts.update(dict.fromkeys(("_gram_rows", "freeze", "incidence_form"), 0))
                 f(form)
                 seen.setdefault((f.__name__, form == q), []).append(dict(counts))
