@@ -413,7 +413,7 @@ def _rewrite_ends(ends_i, ends_j, eps):
 
 
 class _Arrows:
-    """A graph changed in place, as `classify._Rows` holds a form: the ends of
+    """A graph changed in place, as `classify._Chase` holds a form: the ends of
     its arrows as a list and, per vertex v an arrow touches, column v of the
     incidence matrix on its arrows (`at[v][k]`, 0 for a directed loop).
 

@@ -13,7 +13,7 @@ The type-C reductions run on one step chase (`_Chase`). Both normal forms
 share steps 1-4 (`_directed_star`); `canonical_c` then adds G-steps and
 `dynkin_plus_zero` loop-stripping rewrites. Every arrow of the star graph B'
 meets vertex 1, so the forms are dense, and a type-C pass keeps one set of
-Gram rows (`_Rows`) from its first thaw to its last check: a Gabrielov or
+Gram rows in its chase from its first thaw to its last check: a Gabrielov or
 rewrite step is row j -= c row i with its column written back, a sign step
 negates a row and column, a perm reorders both in place, and the matrix is a
 list of columns. The graph changes in place too (`bidigraph._Arrows`, each
@@ -27,11 +27,12 @@ arrow through one `_Arrows` index of B', kept too: `_directed_star` resumes
 a chase from a copy of the rows, and it and `realize`'s pull-back change
 copies of the index (`_Arrows.copy`). The target of `canonical_c` and its
 rows are built once per (r, c1, c2) (`_canonical_target`); q∘M = target is
-still checked with `q.compose(M)`. The public updates (`gabrielov_update`,
-`GTransform.then_*`) check their indices, then run the same row update on a
-thawed copy. Every `GTransform` the library builds, or unpickles, skips the
-determinant check: its matrix is a product of elementary steps. The public
-functions take the form alone, and a graph certifies each form they type or
+still checked with `q.compose(M)`. The public steps (`gabrielov_update`,
+`gabrielov`, `GTransform.then_*`) check their indices (`_step`), then take
+one push on a chase thawed from their form (`_checked_push`). Every
+`GTransform` the library builds, or unpickles, skips the determinant check:
+its matrix is a product of elementary steps. The public functions take the
+form alone, and a graph certifies each form they type or
 realize: a connected unit form that is an incidence form, at any rank, takes
 its graph from one realizer search (`_unit_graph`, cached for the last
 form), which certifies q >= 0, the rank and the type A or D; a form of type
@@ -87,13 +88,6 @@ from .qform import (FormAnalysis, IntegralQuadraticForm, _gram_rows, _rows_form,
 # -- elementary transformations on rows and columns ------------------------
 
 
-def _gabrielov_ratio(q: IntegralQuadraticForm, i: int, j: int) -> int:
-    """`_ratio` of a form's q_ij and q_i; InvalidInput unless i, j are distinct variables of q."""
-    if i == j:
-        raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
-    return _ratio(q.coefficient(i, j), q.diag[i - 1], i, j)
-
-
 def _ratio(qij: int, qi: int, i: int, j: int) -> int:
     """qij / qi, or 0 when qi = 0; NotCoxRegular if the quotient is not integral."""
     if qi == 0:
@@ -103,49 +97,78 @@ def _ratio(qij: int, qi: int, i: int, j: int) -> int:
     return qij // qi
 
 
-class _Rows:
-    """A form changed in place, held as its Gram matrix (thawed from q, or
-    given): `rows[i - 1]` lists the G_ik, G_ik = q_ik for k != i, G_ii = 2 q_i.
+class _Chase:
+    """A chain of steps from a form: the product M of their matrices, the
+    steps, the current form q∘M and, once set, a graph B realizing it.
 
-    A step rewrites one row and its column, in O(n), a perm reorders rows and
-    columns in place; no step checks its indices, so the public steps check
-    theirs first. `freeze` wraps the rows in a form without the checks,
-    in O(n^2), kept until the next change. Given rows, q gives only n, and
-    nothing is frozen until `freeze` is called.
+    The form is held as its Gram matrix, thawed from q or given as `rows`:
+    `rows[i - 1]` lists the G_ik, G_ik = q_ik for k != i, G_ii = 2 q_i. M is
+    held as a list of columns, from the columns `cols` of a matrix (by
+    default the identity). A Gabrielov or rewrite step rewrites one row and
+    its column of G and one column of M, in O(n), a sign step negates them,
+    and a perm reorders both in place. No step checks its indices, so the
+    public steps check theirs first (`_step`). M, q and B are built only
+    when read: q wraps the rows in a form without the checks, in O(n^2),
+    kept until the next change (given rows, nothing is frozen until q is
+    read). Once `graph` is set (`bidigraph._Arrows`), each step is applied
+    to it in place too, and a Gabrielov or rewrite step is checked on row j
+    alone (`_row_matches`).
     """
 
-    __slots__ = ("n", "rows", "_q")
+    __slots__ = ("n", "rows", "cols", "steps", "graph", "_q")
 
-    def __init__(self, q: IntegralQuadraticForm, rows=None):
+    def __init__(self, q: IntegralQuadraticForm, cols=None, rows=None):
         self.n = q.n
         self.rows = _gram_rows(q) if rows is None else rows
         self._q = q if rows is None else None
+        if cols is None:
+            cols = [(0,) * j + (1,) + (0,) * (q.n - j - 1) for j in range(q.n)]
+        self.cols = cols
+        self.steps = []
+        self.graph = None
 
-    def freeze(self) -> IntegralQuadraticForm:
+    @property
+    def M(self) -> IntMatrix:
+        return IntMatrix._trusted(tuple(zip(*self.cols)))
+
+    @property
+    def q(self) -> IntegralQuadraticForm:
         if self._q is None:
             self._q = _rows_form(self.rows)
         return self._q
 
-    def permute(self, pi) -> None:
-        """x ↦ x with new variable k the old variable pi(k), pi a permutation."""
-        rows, idx = self.rows, [p - 1 for p in pi]
-        rows[:] = [list(map(row.__getitem__, idx)) for row in map(rows.__getitem__, idx)]
-        self._q = None
-
-    def shear(self, i: int, j: int, c: int) -> None:
-        """x ↦ x with E_j replaced by E_j - c E_i, i != j: G_kj -= c G_ki for k != j,
-        and G_jj += c^2 G_ii - 2c G_ij."""
-        if c:
-            ri, rj = self.rows[i - 1], self.rows[j - 1]
-            new = [a - c * b for a, b in zip(rj, ri)]
-            new[j - 1] = rj[j - 1] + c * (c * ri[i - 1] - 2 * rj[i - 1])
-            self._put(j, new)
-
-    def negate(self, i: int) -> None:
-        """x_i ↦ -x_i: the coefficients at i change sign."""
-        new = [-a for a in self.rows[i - 1]]
-        new[i - 1] = -new[i - 1]
-        self._put(i, new)
+    def push(self, *step):
+        """Apply one tagged step with valid indices. Gabrielov (i, j): E_j is
+        replaced by E_j - c E_i, c = q_ij / q_i, so G_kj -= c G_ki for k != j
+        and G_jj += c^2 G_ii - 2c G_ij, and column j of M -= c column i;
+        rewrite (i, j, eps): the same with c = eps; sign i: row, column and
+        column of M at i are negated, G_ii kept; perm pi: new variable b is
+        the old variable pi(b), and column b of M the old column pi(b)."""
+        tag, rows, cols = step[0], self.rows, self.cols
+        if tag in ("gabrielov", "rewrite"):
+            i, j = step[1], step[2]
+            ri, rj = rows[i - 1], rows[j - 1]
+            c = _ratio(ri[j - 1], ri[i - 1] // 2, i, j) if tag == "gabrielov" else step[3]
+            if c:
+                new = [a - c * b for a, b in zip(rj, ri)]
+                new[j - 1] = rj[j - 1] + c * (c * ri[i - 1] - 2 * rj[i - 1])
+                self._put(j, new)
+                cols[j - 1] = tuple([a - c * b for a, b in zip(cols[j - 1], cols[i - 1])])
+        elif tag == "sign":
+            i = step[1]
+            new = [-a for a in rows[i - 1]]
+            new[i - 1] = -new[i - 1]
+            self._put(i, new)
+            cols[i - 1] = tuple([-a for a in cols[i - 1]])
+        else:
+            idx = [p - 1 for p in step[1]]
+            rows[:] = [list(map(row.__getitem__, idx)) for row in map(rows.__getitem__, idx)]
+            self._q = None
+            cols[:] = [cols[k] for k in idx]
+        self.steps.append(step)
+        if self.graph is not None:
+            self.graph.push(step)
+            assert tag not in ("gabrielov", "rewrite") or _row_matches(self.graph, self, step[2])
 
     def _put(self, j: int, new: list) -> None:
         """Row j of the Gram matrix becomes `new`, and column j with it."""
@@ -156,78 +179,21 @@ class _Rows:
         self._q = None
 
 
-class _Chase:
-    """A chain of steps from a form: the product M of their matrices, the
-    steps, the current form q∘M and, once set, a graph B realizing it.
-
-    The form is held as dense `_Rows` (thawed from q, or given as its Gram
-    `rows`), and M as a list of columns, from the columns `cols` of a matrix
-    (by default the identity): a Gabrielov or rewrite step updates one
-    column, a sign step negates one and a perm reorders them, and the rows,
-    in place. M, q and B are built only when read. Once `graph` is set
-    (`bidigraph._Arrows`), each step is applied to it in place too, and a
-    Gabrielov or rewrite step is checked on row j alone (`_row_matches`).
-    """
-
-    __slots__ = ("cols", "steps", "form", "graph")
-
-    def __init__(self, q: IntegralQuadraticForm, cols=None, rows=None):
-        if cols is None:
-            cols = [(0,) * j + (1,) + (0,) * (q.n - j - 1) for j in range(q.n)]
-        self.cols = cols
-        self.steps = []
-        self.form = _Rows(q, rows)
-        self.graph = None
-
-    @property
-    def M(self) -> IntMatrix:
-        return IntMatrix._trusted(tuple(zip(*self.cols)))
-
-    @property
-    def q(self) -> IntegralQuadraticForm:
-        return self.form.freeze()
-
-    def push(self, *step):
-        """Apply one tagged step with valid indices. Gabrielov (i, j): column j -=
-        (q_ij / q_i) column i; rewrite (i, j, eps): column j -= eps column i;
-        sign i: column i is negated; perm pi: column b becomes the old column pi(b)."""
-        tag, f, cols = step[0], self.form, self.cols
-        if tag in ("gabrielov", "rewrite"):
-            i, j = step[1], step[2]
-            row = f.rows[i - 1]
-            c = _ratio(row[j - 1], row[i - 1] // 2, i, j) if tag == "gabrielov" else step[3]
-            f.shear(i, j, c)
-            if c:
-                cols[j - 1] = tuple([a - c * b for a, b in zip(cols[j - 1], cols[i - 1])])
-        elif tag == "sign":
-            i = step[1]
-            f.negate(i)
-            cols[i - 1] = tuple([-a for a in cols[i - 1]])
-        else:
-            pi = step[1]
-            f.permute(pi)
-            cols[:] = [cols[p - 1] for p in pi]
-        self.steps.append(step)
-        if self.graph is not None:
-            self.graph.push(step)
-            assert tag not in ("gabrielov", "rewrite") or _row_matches(self.graph, self.form, step[2])
-
-
-def _row_matches(B: _Arrows, f: _Rows, j: int) -> bool:
-    """Whether row j of the Gram matrix of f is that of the incidence form of B.
+def _row_matches(B: _Arrows, ch: _Chase, j: int) -> bool:
+    """Whether row j of the chase's Gram matrix is that of the incidence form of B.
 
     Only arrows at an end of arrow j can have a nonzero product with it, so
     the row of B is summed from the incidence entries of the arrows at those
-    ends (`_Arrows.at`), in O(deg), and compared with row j of f as a list.
-    Checked for every j, it is the check that B realizes f.
+    ends (`_Arrows.at`), in O(deg), and compared with row j of ch as a list.
+    Checked for every j, it is the check that B realizes the form.
     """
-    got, at = [0] * f.n, B.at
+    got, at = [0] * ch.n, B.at
     for v in {v for v, _ in B.ends[j - 1]}:  # each end vertex of arrow j once
         c = at[v][j]
         if c:
             for k, s in at[v].items():
                 got[k - 1] += c * s
-    return got == f.rows[j - 1]
+    return got == ch.rows[j - 1]
 
 
 class GTransform:
@@ -249,7 +215,7 @@ class GTransform:
         """The matrix M and steps of a `_Chase` from a unimodular matrix, unchecked.
 
         `_Chase.push` takes only elementary steps (a shear with i != j, a sign
-        step inside 1..n, a permutation that the chase builds or `_then`
+        step inside 1..n, a permutation that the chase builds or `_step`
         checks), so M, their product with it, is unimodular by construction.
         """
         T = object.__new__(cls)
@@ -283,16 +249,11 @@ class GTransform:
         return GTransform._trusted(IntMatrix.identity(n), ())
 
     def _then(self, q_current, step):
-        """The checks of a step before `_Chase.push` takes it: its indices, and
-        for a Gabrielov step the integral ratio on the current form."""
+        """`step` taken on the current form by `_checked_push`, from M."""
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
-        step = _step(step, self.n)
-        if step[0] == "gabrielov":
-            _gabrielov_ratio(q_current, step[1], step[2])
-        ch = _Chase(q_current, list(zip(*self.matrix.entries)))
-        ch.push(*step)
-        return GTransform._trusted(ch.M, self.steps + (step,)), ch.q
+        ch = _checked_push(q_current, step, self.matrix)
+        return GTransform._trusted(ch.M, self.steps + tuple(ch.steps)), ch.q
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
         """Append a Gabrielov step at (i, j) of the current form; returns (T', q')."""
@@ -361,19 +322,25 @@ def _step(step, n: int) -> tuple:
     return (tag, *fields)
 
 
+def _checked_push(q: IntegralQuadraticForm, step, M: IntMatrix | None = None) -> _Chase:
+    """A chase from q, and from M (the identity by default), that has taken
+    one public G-step: its indices checked by `_step`, then, for a Gabrielov
+    step, its integral ratio by the push."""
+    step = _step(step, q.n)
+    ch = _Chase(q, None if M is None else list(zip(*M.entries)))
+    ch.push(*step)
+    return ch
+
+
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
-    i, j = as_int(i), as_int(j)
-    c = _gabrielov_ratio(q, i, j)
-    f = _Rows(q)
-    f.shear(i, j, c)
-    return f.freeze()  # q itself when c = 0 (q_i = 0 or q_ij = 0): T_ij fixes q
+    return _checked_push(q, ("gabrielov", i, j)).q  # q itself when q_i = 0 or q_ij = 0: T_ij fixes q
 
 
 def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
     """Elementary Gabrielov transformation of q at (i, j): returns (q', T)."""
-    T, q2 = GTransform.identity(q.n).then_gabrielov(q, i, j)
-    return q2, T
+    ch = _checked_push(q, ("gabrielov", i, j))
+    return ch.q, GTransform._trusted(ch.M, ch.steps)
 
 
 # -- exact root enumeration for positive forms ------------------------------
@@ -554,7 +521,6 @@ def dynkin_type(q: IntegralQuadraticForm):
         return DynkinType("A" if beta else "D", r), q.n - r
     star = _star_snapshot(q)
     if star is not None:
-        _assert_type_c_bounds(q)
         m = star[4].m  # the vertices of B', its partition's m
         return DynkinType("C", m), q.n - m
     rep = analyze(q)
@@ -572,17 +538,6 @@ def dynkin_type(q: IntegralQuadraticForm):
         )
     assert not _is_type_c(rep, q), "the analysis says type C, but the form has no star graph"
     raise NotTypeC("non-unit form does not satisfy the type-C conditions")
-
-
-def _assert_type_c_bounds(q):
-    for (i, j), v in q.off.items():
-        qi, qj = q.diag[i - 1], q.diag[j - 1]
-        if qi == qj == 2:
-            assert v in (-4, 0, 4)
-        elif {qi, qj} == {1, 2}:
-            assert v in (-2, 0, 2)
-        else:
-            assert -2 <= v <= 2
 
 
 def positive_core(q: IntegralQuadraticForm) -> list[int]:
@@ -690,7 +645,7 @@ def _saturate(ch: _Chase, i0: int) -> None:
     largest i outside S with q_ij != 0. It changes only row and column j,
     and makes q_{i0 j} = -(q_ij / q_i) q_{i0 i} nonzero, so S loses exactly j.
     """
-    rows, n = ch.form.rows, ch.form.n
+    rows, n = ch.rows, ch.n
     diag, pivot = [rows[k][k] for k in range(n)], rows[i0 - 1]  # the pivot row is written, never replaced
     S = [j for j in range(1, n + 1) if j != i0 and not pivot[j - 1]]
     zero = set(S)
@@ -828,13 +783,13 @@ def _star_snapshot(q: IntegralQuadraticForm):
         ch.push("perm", tuple(pi))
     try:
         _saturate(ch, 1)
-        B, part = _star_graph(ch.form.rows)
+        B, part = _star_graph(ch.rows)
     except (NotTypeC, NotCoxRegular):
         return None
     graph = _Arrows(B)  # the check of B's incidence form, one row at a time
-    if not all(_row_matches(graph, ch.form, j) for j in range(1, q.n + 1)):
+    if not all(_row_matches(graph, ch, j) for j in range(1, q.n + 1)):
         return None
-    return tuple(ch.cols), tuple(ch.steps), ch.form.rows, graph, part
+    return tuple(ch.cols), tuple(ch.steps), ch.rows, graph, part
 
 
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
@@ -1180,7 +1135,7 @@ def canonical_c(q: IntegralQuadraticForm):
         ch.push("sign", r + c1 + k)
     target, target_rows = _canonical_target(r, c1, c2)
     M = ch.M
-    assert ch.form.rows == target_rows
+    assert ch.rows == target_rows
     assert q.compose(M) == target
     assert c2 == sum(q.diag) - q.n - 1  # the dotted loops sum (q_i - 1), less one
     return GTransform._trusted(M, ch.steps), r, c1, c2

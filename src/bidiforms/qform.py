@@ -459,10 +459,13 @@ class FormAnalysis:
 def analyze(q: IntegralQuadraticForm) -> FormAnalysis:
     """Structural and regularity report for a form (pure).
 
-    The cache keeps the analyses of the 64 forms used last. It exists so that the
-    functions of one pass over one form share one analysis (`dynkin_type`,
-    `realize` and `canonical_c` on the same q, or the set-up of a `solve`
-    route), and one pass analyzes at most a few forms. A larger bound only
+    The cache keeps the analyses of the 64 forms used last. A form that a
+    graph certifies is typed and realized with no analysis, so the cache
+    serves the callers that read one form twice: the set-up of a `solve`
+    route (`_route`, then `positive_core` on the same q), the refusal ladders
+    (`dynkin_type`, `realize` and the type-C functions on one refused form)
+    and `qf-info` (its report, then a `dynkin_type` that types E or
+    refuses); one pass analyzes at most a few forms. A larger bound only
     keeps forms that are not asked about again: 2048 analyses of type-C forms
     on 200 variables hold about 213 MB, and 617 MB with the forms they are
     keyed on; 64 hold 6.7 and 19 MB.

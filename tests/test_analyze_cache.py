@@ -1,10 +1,14 @@
 """The `analyze` cache holds one pass's working set, and no more.
 
-Its bound is `maxsize=64`: the functions of one pass over one form share one
-analysis (`dynkin_type` -> `realize` -> `canonical_c`, or the set-up of a
-`solve` route), and no operation of the benchmark analyzes more than one
-distinct form. The LDL cache of the solver's core search (`classify._ldl`)
-has the same bound, and loses no hit on the solve_sweep traffic.
+Its bound is `maxsize=64`. A form that a graph certifies is typed and
+realized with no analysis, so the cache serves the callers that read one form
+twice: the set-up of a `solve` route (`_route`, then `positive_core` on the
+same q), the refusal ladders (`dynkin_type`, `realize` and the type-C
+functions on one refused form) and `qf-info` (its report, then a
+`dynkin_type` that types E or refuses). No operation of the benchmark
+analyzes more than one distinct form. The LDL cache of the solver's core
+search (`classify._ldl`) has the same bound, and loses no hit on the
+solve_sweep traffic.
 """
 
 from __future__ import annotations

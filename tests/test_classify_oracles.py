@@ -57,8 +57,8 @@ from bidiforms.bidigraph import (
     undo,
 )
 from bidiforms.classify import (
+    _Chase,
     _row_matches,
-    _Rows,
     canonical_c,
     DynkinType,
     dynkin_plus_zero,
@@ -66,6 +66,7 @@ from bidiforms.classify import (
     dynkin_unit_form,
     first_root_with_value,
     GTransform,
+    gabrielov,
     gabrielov_update,
     pivot_saturate,
     positive_core,
@@ -1016,16 +1017,28 @@ def test_a_type_c_pass_runs_no_analysis(monkeypatch):
             assert calls == [q], f.__name__
     assert len(loops) == 24 and len(near) > 20
     # q_ij = 4 q_i q_j on one edge keeps the form fully regular but breaks q >= 0 on
-    # {i, j}: the gate refuses it before any chase
+    # {i, j}: the gate refuses it before any chase; so does the value of each sign
+    # nearest 0 that is past q_ij^2 <= 4 q_i q_j on each pair of diagonals, where
+    # the gate lets {-4, 0, 4} through on (2, 2), {-2, 0, 2} on (1, 2), -2..2 on (1, 1)
     monkeypatch.setattr(classify, "_saturate", None)
+    past = {(1, 1): 3, (1, 2): 4, (2, 2): 8}
+    tried = dict.fromkeys(((pair, sign) for pair in past for sign in (1, -1)), 0)
     for q in loops:
         (i, j), _ = next(iter(q.off.items()))
-        wide = IntegralQuadraticForm(q.diag, {**q.off, (i, j): 4 * q.diag[i - 1] * q.diag[j - 1]})
-        classify._star_snapshot.cache_clear()
-        del calls[:]
-        with pytest.raises(NotNonNegative):
-            dynkin_type(wide)
-        assert calls == [wide]
+        wides = [IntegralQuadraticForm(q.diag, {**q.off, (i, j): 4 * q.diag[i - 1] * q.diag[j - 1]})]
+        for pair, v in past.items():
+            at = next((ij for ij in itertools.combinations(range(1, q.n + 1), 2)
+                       if tuple(sorted(q.diag[k - 1] for k in ij)) == pair), None)
+            for sign in (1, -1) if at else ():  # a form with one loop has no pair (2, 2)
+                wides.append(IntegralQuadraticForm(q.diag, {**q.off, at: sign * v}))
+                tried[pair, sign] += 1
+        for wide in wides:
+            classify._star_snapshot.cache_clear()
+            del calls[:]
+            with pytest.raises(NotNonNegative):
+                dynkin_type(wide)
+            assert calls == [wide]
+    assert min(tried.values()) > 10, tried
 
 
 # -- the Fincke-Pohst enumeration --------------------------------------------------
@@ -1164,10 +1177,15 @@ def _checked(q):
 
 
 def _reference_gabrielov_update(q, i, j):
-    if q.coefficient(i, i) == 0:
+    qi = q.coefficient(i, i)
+    if qi == 0:
         return q
+    if i == j:
+        raise InvalidInput(f"bad off-diagonal index pair ({i}, {j})")
     qij = q.coefficient(i, j)
-    ratio = classify._gabrielov_ratio(q, i, j)
+    if qij % qi:
+        raise NotCoxRegular(f"q_{i}{j} = {qij} is not divisible by q_{i} = {qi}")
+    ratio = qij // qi
     off = dict(q.off)
     for k in range(1, q.n + 1):
         if k in (i, j):
@@ -1276,22 +1294,22 @@ def test_a_perm_reorders_the_rows_in_place_as_the_permuted_form():
         q = _random_form(rng)
         pi, sigma = (tuple(rng.sample(range(1, q.n + 1), q.n)) for _ in range(2))
         want = q.permuted(pi)
-        f = _Rows(q)
-        f.permute(pi)
-        assert f.rows == _Rows(want).rows
-        _same_form(f.freeze(), want)
-        f = _Rows(q)
-        f.permute(pi)
-        f.permute(sigma)  # two perms rename through both
-        _same_form(f.freeze(), want.permuted(sigma))
+        ch = _Chase(q)
+        ch.push("perm", pi)
+        assert ch.rows == _Chase(want).rows
+        _same_form(ch.q, want)
+        ch = _Chase(q)
+        ch.push("perm", pi)
+        ch.push("perm", sigma)  # two perms rename through both
+        _same_form(ch.q, want.permuted(sigma))
         T, got = GTransform.identity(q.n).then_perm(q, pi)
         _same_form(got, want)
         assert T.matrix == _step_matrix(q, ("perm", pi))
         i = rng.randint(1, q.n)
-        f = _Rows(q)
-        f.negate(i)
-        f.permute(pi)
-        got = f.freeze()
+        ch = _Chase(q)
+        ch.push("sign", i)
+        ch.push("perm", pi)
+        got = ch.q
         assert got == _sign_update(q, i).permuted(pi)
         _same_form(got, _checked(got))
 
@@ -1434,8 +1452,8 @@ def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arr
         assert classify._star_snapshot(q)[3] is graph
         assert graph.ends == list(star.ends) and graph.at == _Arrows(star).at
         _same_graph(star, BidirectedGraph(star.m, star.ends))
-        assert star.incidence_form() == form and _Rows(form).rows == rows
-        f = _Rows(form)
+        assert star.incidence_form() == form and _Chase(form).rows == rows
+        f = _Chase(form)
         assert all(_row_matches(_Arrows(star), f, j) for j in range(1, star.n + 1))
         for k in range(1, star.n + 1):
             wrong = sign_flip(star, k)  # every arrow meets the loop at 1, so its row changes
@@ -1467,15 +1485,15 @@ def test_row_check_rejects_a_flipped_end_sign():
     for B in _type_c_graphs(random.Random(7107), 120):
         q = B.incidence_form()
         for j in range(1, B.n + 1):
-            assert _row_matches(_Arrows(B), _Rows(q), j)
+            assert _row_matches(_Arrows(B), _Chase(q), j)
             diag = list(q.diag)
             diag[j - 1] += 1
-            assert not _row_matches(_Arrows(B), _Rows(IntegralQuadraticForm(diag, q.off)), j)
+            assert not _row_matches(_Arrows(B), _Chase(IntegralQuadraticForm(diag, q.off)), j)
             # only row j of the incidence form can change, so the row check is the full check
             for side in (0, 1):
                 B2 = _flip_end(B, j, side)
                 same = B2.incidence_form() == q
-                assert _row_matches(_Arrows(B2), _Rows(q), j) == same
+                assert _row_matches(_Arrows(B2), _Chase(q), j) == same
                 rejected["j"] += not same
             # an end of another arrow k at a vertex where arrow j has a nonzero entry changes q_jk
             entry = {}
@@ -1484,7 +1502,7 @@ def test_row_check_rejects_a_flipped_end_sign():
             for k in range(1, B.n + 1):
                 for side, (v, _) in enumerate(B.ends[k - 1]):
                     if k != j and entry.get(v):
-                        assert not _row_matches(_Arrows(_flip_end(B, k, side)), _Rows(q), j)
+                        assert not _row_matches(_Arrows(_flip_end(B, k, side)), _Chase(q), j)
                         rejected["k"] += 1
     assert rejected["j"] > 1000 and rejected["k"] > 3000
 
@@ -1529,11 +1547,11 @@ def test_every_chase_step_is_the_composition_with_its_matrix(monkeypatch):
     seen = {"gabrielov": 0, "sign": 0, "perm": 0, "rewrite": 0}
 
     def push_and_compose(self, *step):
-        G = [list(row) for row in self.form.rows]
+        G = [list(row) for row in self.rows]
         before = IntegralQuadraticForm.from_gram(IntMatrix(G))
         frozen = self.q if rng.random() < 0.5 else None  # the next step must leave it as it is
         push(self, *step)
-        after = [list(row) for row in self.form.rows]
+        after = [list(row) for row in self.rows]
         assert after == _congruence(G, _step_matrix(before, step).to_lists()), step
         assert frozen is None or (frozen == before and hash(frozen) == hash(before))
         seen[step[0]] += 1
@@ -1592,6 +1610,53 @@ def test_public_steps_are_the_composition_with_their_matrix():
     assert steps > 2500
 
 
+def test_each_public_step_on_a_form_is_one_checked_push(monkeypatch):
+    """`gabrielov_update`, `gabrielov` and `GTransform.then_*` each take their
+    step as one index check (`_step`) and one `_Chase.push`, which makes the
+    ratio check too: a step that fixes q, one that changes it and one that
+    the push refuses run the same path, with no second update."""
+    counts = {"_step": 0, "push": 0}
+    step, push = classify._step, classify._Chase.push
+
+    def counted_step(*args):
+        counts["_step"] += 1
+        return step(*args)
+
+    def counted_push(self, *args):
+        counts["push"] += 1
+        return push(self, *args)
+
+    monkeypatch.setattr(classify, "_step", counted_step)
+    monkeypatch.setattr(classify._Chase, "push", counted_push)
+    q = canonical_c_graph(5, 1, 1).incidence_form()
+    odd = IntegralQuadraticForm([2, 1, 1], {(1, 2): 1, (2, 3): -1})  # q_12 / q_1 is not integral
+    T = GTransform.identity(q.n)
+    pi = tuple(range(q.n, 0, -1))
+    (i, j), _ = next(iter(q.off.items()))
+    k = next(k for k in range(2, q.n + 1) if (1, k) not in q.off)  # q_1k = 0: the step fixes q
+    takes = {
+        "gabrielov_update": lambda p, i, j: gabrielov_update(p, i, j),
+        "gabrielov": lambda p, i, j: gabrielov(p, i, j),
+        "then_gabrielov": lambda p, i, j: GTransform.identity(p.n).then_gabrielov(p, i, j),
+    }
+    seen = 0
+    for name, take in takes.items():
+        for p, a, b in ((q, i, j), (q, 1, k), (odd, 1, 2)):
+            counts.update(dict.fromkeys(counts, 0))
+            try:
+                take(p, a, b)
+            except NotCoxRegular:
+                assert p is odd
+            assert counts == {"_step": 1, "push": 1}, (name, a, b)
+            seen += 1
+    for name, take in (("then_sign", lambda: T.then_sign(q, 2)), ("then_perm", lambda: T.then_perm(q, pi))):
+        counts.update(dict.fromkeys(counts, 0))
+        take()
+        assert counts == {"_step": 1, "push": 1}, name
+        seen += 1
+    assert seen == 11
+
+
 def test_canonical_c_builds_a_fixed_number_of_forms(monkeypatch):
     """A deterministic work guard: the chase freezes its rows a fixed number
     of times, however many steps it takes. The caches start empty, so the
@@ -1628,8 +1693,13 @@ def test_type_c_pass_thaws_freezes_and_builds_incidence_forms_a_fixed_number_of_
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(classify, "_gram_rows")  # the one thaw
-    counted(classify._Rows, "freeze")
     counted(BidirectedGraph, "incidence_form")
+    freeze = classify._Chase.q.fget  # the lazy freeze, read as ch.q
+
+    def counted_freeze(self):
+        counts["freeze"] += 1
+        return freeze(self)
+    monkeypatch.setattr(classify._Chase, "q", property(counted_freeze))
     seen = {}
     for n in (16, 64):
         q = canonical_c_graph(n, n // 4, n // 4).incidence_form()

@@ -17,7 +17,7 @@ from bidiforms.bidigraph import (
 from bidiforms.classify import (
     DynkinType,
     GTransform,
-    _Rows,
+    _Chase,
     dynkin_plus_zero,
     dynkin_unit_form,
     gabrielov,
@@ -48,9 +48,9 @@ def q_a(r):
 def _sign_update(q, i):
     """q with x_i replaced by -x_i, by the chase's own row update: the off-diagonal
     terms at i change sign."""
-    f = _Rows(q)
-    f.negate(i)
-    return f.freeze()
+    ch = _Chase(q)
+    ch.push("sign", i)
+    return ch.q
 
 
 Q_A3 = q_a(3)
