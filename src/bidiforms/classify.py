@@ -44,10 +44,10 @@ form E.
 Unit forms of type A/D are realized arrow by arrow over incidence rows
 indexed by vertex, by one depth-first search on an explicit stack over the
 rows that fit (`_UnitRows.fitting`): at most four, worked out from the
-products with the placed rows. While the placed rows are balanced and touch
-at most 4 vertices a level tries its rows in lexicographic order; once they
-are rigid, the Whitney-type theorem for line graphs up to switching leaves
-each later arrow at most one, taken as it comes. Positive cores are found by
+products with the placed rows, and every level tries them in lexicographic
+order. Once the placed rows are rigid, the Whitney-type theorem for line
+graphs up to switching leaves each later arrow at most one, so the search
+is polynomial. Positive cores are found by
 a deletion search on an explicit stack that reads the rank of each
 restriction off the radical.
 Forms, graphs and matrices derived here from valid data are built without
@@ -655,8 +655,11 @@ def _saturate(ch: _Chase, i0: int) -> None:
             i = next((i for i in compress(range(n, 0, -1), reversed(row)) if i not in zero), None)
             if i is not None:
                 break
-        else:
-            raise InvalidInput("form is disconnected around the pivot")
+        # Both callers check that q is connected, and a Gabrielov step keeps the Gram
+        # graph connected: an edge k-j vanishes only when G_kj = c G_ki != 0, and then
+        # the edge k-i, which the step leaves alone, and the edge i-j, whose entry
+        # becomes -q_ij != 0, still join k to j. So some j in S meets a row outside S.
+        assert i is not None, "form is disconnected around the pivot"
         ch.push("gabrielov", i, j)
         assert pivot[j - 1]
         S.remove(j)
@@ -882,22 +885,20 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None, o
     first has a placed bigraph neighbour and the placed rows are connected
     on the vertices V' = {1..used} they touch; fresh vertices are used in
     increasing order with their first sign pinned to +1 (switching
-    symmetry). The graph found is the first of a
-    depth-first search on an explicit stack that tries, in lexicographic
-    (u, u2, e, e2) order, every row that fits: its Gram product with every
+    symmetry). The graph found is the first of a depth-first search on an
+    explicit stack with one rule per level: it tries, in lexicographic
+    (u, u2, e, e2) order, every row that fits, whose Gram product with every
     placed row is the one q asks for. In every state of the search
-    `_UnitRows.fitting` yields exactly those rows.
+    `_UnitRows.fitting` returns exactly those rows, sorted.
 
-    While the placed rows are balanced and touch at most 4 vertices, a level
-    takes them sorted (`_UnitRows.candidates`). From the first placement
-    after which they are rigid (unbalanced, or touching 5 vertices or more)
-    each later arrow has at most one row that fits, the Whitney-type theorem
-    for line graphs up to switching, so a level takes them as yielded:
+    The search is polynomial by the Whitney-type theorem for line graphs up
+    to switching: once the placed rows are rigid (unbalanced, or touching 5
+    vertices or more) each later arrow has at most one row that fits.
     - two rows r, r' that fit arrow i have (r - r')·p_j = 0 for every
       placed row p_j;
     - the placed rows, connected on V', span Q^{V'} if they are unbalanced
-      and the switched hyperplane s^⊥ if they are balanced (s the switching
-      signs of `_switched`), so r - r' restricted to V' is 0 or λs;
+      and the switched hyperplane s^⊥ if they are balanced (s their
+      switching signs, `_switched`), so r - r' restricted to V' is 0 or λs;
     - r - r' has at most 4 nonzeros, so λs is impossible once |V'| >= 5;
     - outside V' a row that fits has at most one end, the fresh vertex
       used + 1 with its sign pinned to +1, so r = r'.
@@ -913,12 +914,11 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None, o
     n = q.n
     order = order or traverse(form_adjacency(q), 1)[0]  # the callers have checked that q is connected
     placed = _UnitRows(q, n + 1 if m is None else m, order)
-    # one level per placed arrow: (its rows left, vertices used before it, the
-    # switching signs of the rows placed before it, or None once they are rigid)
-    levels = [(iter((((1, 1), (2, -1)),)), 0, (0, 1))]
+    # one level per placed arrow: (its rows left, vertices used before it)
+    levels = [(iter((((1, 1), (2, -1)),)), 0)]
     while levels:
         k = len(levels) - 1
-        rows, used, signs = levels[-1]
+        rows, used = levels[-1]
         i = order[k]
         if i in placed.rows:  # back from a subtree that failed
             placed.unplace(i)
@@ -930,9 +930,7 @@ def _realize_unit_backtracking(q: IntegralQuadraticForm, m: int | None = None, o
                     return BidirectedGraph._trusted(new_used, tuple(map(placed.rows.__getitem__, range(1, n + 1))))
                 placed.unplace(i)
                 continue
-            new_signs = _switched(signs, ends) if signs and new_used <= 4 else None
-            fitting = placed.fitting if new_signs is None else placed.candidates
-            levels.append((iter(fitting(order[k + 1], new_used)), new_used, new_signs))
+            levels.append((iter(placed.fitting(order[k + 1], new_used)), new_used))
             break
         else:
             levels.pop()
@@ -1010,14 +1008,10 @@ class _UnitRows:
                 return False
         return True
 
-    def candidates(self, i, used):
-        """The rows of `fitting`, sorted in the search order."""
-        return sorted(self.fitting(i, used), key=_row_order)
-
     def fitting(self, i, used):
-        """Yield every row for arrow i that fits, with `used` vertices placed: at
-        most four rows, worked out in O(deg) from the placed rows and each
-        checked by `fits`.
+        """Every row for arrow i that fits, with `used` vertices placed, sorted in
+        the search order (`_row_order`): at most four rows, worked out in
+        O(deg) from the placed rows and each checked by `fits`.
 
         The product c with the first placed neighbour j0 is nonzero and at
         most 2 in absolute value: the search runs on non-negative unit forms,
@@ -1039,10 +1033,9 @@ class _UnitRows:
         (a, sa), (b, sb) = rows[j0]
         if c in (2, -2):
             ends = ((a, c // 2 * sa), (b, c // 2 * sb))
-            if fits(i, ends):
-                yield ends
-            return
-        for x, ex, x2 in ((b, c * sb, a), (a, c * sa, b)):  # the later end first, more often the one
+            return [ends] if fits(i, ends) else []
+        found = []
+        for x, ex, x2 in ((b, c * sb, a), (a, c * sa, b)):
             at_x = self.at[x]
             for k, s in at_x.items():
                 d = prod.get(k, 0) - ex * s
@@ -1059,10 +1052,13 @@ class _UnitRows:
                         break
                 else:
                     ys = ((used + 1, 1),) if used < self.m else ()
-            for y, ey in ys:  # built before the first yield: the search changes `at` between yields
+            for y, ey in ys:
                 ends = ((x, ex), (y, ey)) if x < y else ((y, ey), (x, ex))
                 if fits(i, ends):
-                    yield ends
+                    found.append(ends)
+        if len(found) > 1:  # most levels have one row, which needs no sort
+            found.sort(key=_row_order)
+        return found
 
 
 # -- canonical reduction of type C (seven steps) ----------------------------

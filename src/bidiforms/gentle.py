@@ -164,8 +164,8 @@ def _validate(pres):
     if problems:
         return problems, succ, None
     C = _cartan_matrix(pres, succ[0])
-    if C.det() not in (1, -1):
-        problems.append("Cartan matrix is not unimodular")
+    # no forbidden cycle: the algebra has finite global dimension, so C is invertible over Z
+    assert C.det() in (1, -1), "Cartan matrix is not unimodular"
     return problems, succ, C
 
 

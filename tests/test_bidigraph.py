@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -594,6 +595,38 @@ def test_graphs_and_matrices_pickle_and_copy():
         pickle.loads(pickle.dumps(Forged(IntegralQuadraticForm, ((1, 1), {(1, 1): 2}))))
     with pytest.raises(InvalidInput):
         pickle.loads(pickle.dumps(Forged(GTransform, (IntMatrix([[2]]), ()))))
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: BidirectedGraph(2, [((1, 2), (2, -1))]), InvalidInput, "endpoint signs must be +-1"),
+        (lambda: BidirectedGraph(2, [((0, 1), (2, -1))]), InvalidInput, "vertices are 1-based"),
+        (lambda: BidirectedGraph(0, [((1, 1), (2, -1))]), InvalidInput, "graph needs at least one vertex"),
+        (lambda: BidirectedGraph(2, []), InvalidInput, "graph needs at least one arrow"),
+        (lambda: setattr(B_3V, "m", 4), AttributeError, "BidirectedGraph is immutable"),
+        (lambda: setattr(OrthogonalMatrix.identity(2), "signs", (1, 1)), AttributeError,
+         "OrthogonalMatrix is immutable"),
+        (lambda: OrthogonalMatrix((1, 2), (1, 2)), InvalidInput, "signs must be +-1"),
+        (lambda: OrthogonalMatrix((1, 1), (1, 1)), InvalidInput, "perm must be a permutation of 1..m"),
+        (lambda: OrthogonalMatrix.from_matrix(IntMatrix([[1, 0]])), InvalidInput,
+         "orthogonal matrix must be square"),
+        (lambda: OrthogonalMatrix.from_matrix(IntMatrix([[2, 0], [0, 1]])), InvalidInput,
+         "not a signed permutation matrix"),
+        (lambda: OrthogonalMatrix.from_matrix(IntMatrix([[1, 0], [1, 0]])), InvalidInput,
+         "not a signed permutation matrix"),  # one nonzero per row, but two in a column
+        (lambda: switch(B_3V, OrthogonalMatrix.identity(2)), InvalidInput, "switching matrix size mismatch"),
+        (lambda: endpoint_rewrite(B_3V, 1, 2, 2), InvalidInput, "eps must be +-1"),
+        (lambda: endpoint_rewrite(B_3V, 1, 1, 1), InvalidInput, "endpoint rewrite needs two distinct arrows"),
+        (lambda: canonical_a(0, 0), InvalidInput, "canonical_a requires r >= 1, c >= 0"),
+        (lambda: canonical_d(2, 0), InvalidInput, "canonical_d requires r >= 3, c >= 0"),
+        (lambda: loops_graph(0, 0, 0), InvalidInput, "loops_graph requires p, s, t >= 0 with p+s+t >= 1"),
+    ],
+)
+def test_graphs_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import inspect
 import json
 import random
+import re
 
 import pytest
 
@@ -34,6 +35,7 @@ from bidiforms.errors import (
     NotCoxRegular,
     NotIncidenceForm,
     NotNonNegative,
+    NotPositive,
     NotTypeC,
 )
 from bidiforms.exact_linalg import IntMatrix
@@ -616,6 +618,33 @@ def test_gtransform_rejects_non_unimodular_matrices():
         GTransform(IntMatrix([[1, 1], [1, 1]]), [("sign", 1)])
     with pytest.raises(InvalidInput, match="square"):
         GTransform.from_json_dict({"matrix": [[1, 0]], "steps": [{"op": "sign", "i": 1}]})
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: setattr(GTransform.identity(2), "matrix", None), AttributeError, "GTransform is immutable"),
+        (lambda: GTransform.from_json_dict({"matrix": [[1]], "steps": [{"op": "swap"}]}), InvalidInput,
+         "unknown step op 'swap'"),
+        (lambda: GTransform.from_json_dict({"steps": []}), InvalidInput, "malformed GTransform JSON: 'matrix'"),
+        (lambda: positive_core(IntegralQuadraticForm([1, 1], {(1, 2): 3})), NotNonNegative,
+         "positive_core needs a non-negative form"),
+        (lambda: positive_core(IntegralQuadraticForm([1, 1])), InvalidInput, "positive_core needs a connected form"),
+        (lambda: positive_core(zero_form(1)), InvalidInput, "positive_core needs a form of positive rank"),
+        (lambda: pivot_saturate(IntegralQuadraticForm([1, 1]), 1), InvalidInput,
+         "pivot_saturate needs a connected form"),
+        (lambda: pivot_saturate(IntegralQuadraticForm([2, 2], {(1, 2): 1}), 1), InvalidInput,
+         "pivot_saturate needs a Cox-regular form"),
+        (lambda: first_root_with_value(IntegralQuadraticForm([1, 1], {(1, 2): -2}), 1), NotPositive,
+         "Gram matrix is not positive definite"),
+        (lambda: dynkin_plus_zero(Q_ALGO, "B"), InvalidInput, "variant must be 'C' or 'D'"),
+        (lambda: dynkin_unit_form("B", 3), InvalidInput, "no Dynkin unit form B_3"),
+    ],
+)
+def test_classify_refusals_name_their_condition(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 def test_a_pickled_gtransform_rebuilds_without_the_determinant(monkeypatch):

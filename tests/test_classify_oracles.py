@@ -361,19 +361,21 @@ def test_realizer_and_core_match_the_recursive_searches(monkeypatch):
     forms = _seeded_forms(7101, 2000)
     coranks = set()
     realized = cores = e_cores = 0
-    generate = classify._UnitRows.candidates
+    generate = classify._UnitRows.fitting
     nodes = []
 
     def checked(placed, i, used):
         # at every node with a choice the rows drop no row that fits, and keep its place
         got = generate(placed, i, used)
+        if _rigid(placed, used):
+            return got
         want = list(_reference_candidates(placed, i, used))
         assert set(got) <= set(want)
         assert [c for c in got if placed.fits(i, c)] == [c for c in want if placed.fits(i, c)]
         nodes.append((len(got), len(want)))
         return got
 
-    monkeypatch.setattr(classify._UnitRows, "candidates", checked)  # called only in the search prefix
+    monkeypatch.setattr(classify._UnitRows, "fitting", checked)
     for family, q in forms:
         rep = analyze(q)
         coranks.add(rep.corank)
@@ -451,8 +453,8 @@ def _rigid(placed, used):
 
 
 def test_rigid_placed_rows_leave_at_most_one_fitting_row():
-    # the lemma behind taking the rows as generated, at every node of the search over
-    # the rows generated before: once the placed rows are unbalanced or touch 5
+    # the lemma that bounds the search, at every node of the search over the rows
+    # generated before: once the placed rows are unbalanced or touch 5
     # vertices, at most one row fits
     seen = {"rigid": 0, "rigid and one row fits": 0, "prefix": 0, "prefix and two rows fit": 0}
 
@@ -506,14 +508,16 @@ def test_realizer_matches_the_stack_search_at_scale():
 
 def test_fitting_yields_exactly_the_rows_that_fit(monkeypatch):
     # the one rule of the realizer, at every node of its search, with a choice or
-    # rigid: `fitting` yields, once each, the rows generated before whose products
-    # with the placed rows are the ones q asks for, and at most one once they are rigid
+    # rigid: `fitting` returns, once each and sorted, the rows generated before whose
+    # products with the placed rows are the ones q asks for, and at most one once they
+    # are rigid
     fitting = classify._UnitRows.fitting
     seen = {"choice": 0, "rigid": 0, "rigid and one row fits": 0, "choice and two rows fit": 0}
 
     def checked(placed, i, used):
-        got = list(fitting(placed, i, used))
+        got = fitting(placed, i, used)
         assert sorted(got) == sorted(_fitting_rows(q, placed, i, used)), (q, placed.rows, i)
+        assert got == sorted(got, key=classify._row_order)
         if _rigid(placed, used):
             assert len(got) <= 1
             seen["rigid"] += 1
@@ -521,7 +525,7 @@ def test_fitting_yields_exactly_the_rows_that_fit(monkeypatch):
         else:
             seen["choice"] += 1
             seen["choice and two rows fit"] += len(got) > 1
-        return iter(got)
+        return got
 
     rng = random.Random(7110)
     forms = _unit_a_d_forms(random.Random(2001))
@@ -536,21 +540,22 @@ def test_fitting_yields_exactly_the_rows_that_fit(monkeypatch):
 
 
 def test_prefix_search_visits_a_bounded_number_of_nodes(monkeypatch):
-    # the search runs on a stack only until the placed rows are rigid, whatever n; an
+    # the search has a choice only until the placed rows are rigid, whatever n; an
     # arrow parallel to a placed one (product +-2) has one row, and its node no choice
-    generate = classify._UnitRows.candidates
+    generate = classify._UnitRows.fitting
     form, nodes = {}, []
 
     def counted(placed, i, used):
         q = form["q"]
-        nodes.append(all(q.coefficient(i, j) not in (2, -2) for j in placed.rows))
+        if not _rigid(placed, used):
+            nodes.append(all(q.coefficient(i, j) not in (2, -2) for j in placed.rows))
         return generate(placed, i, used)
 
     rng = random.Random(7111)
     forms = _unit_a_d_forms(random.Random(2002))
     forms += [_scaled_unit_form(rng, family, n, corank) for n in (60, 200) for corank in (0, 20, 60)
               for family in "AD" if 2 * corank < n]
-    monkeypatch.setattr(classify._UnitRows, "candidates", counted)  # after `dynkin_type` typed the forms
+    monkeypatch.setattr(classify._UnitRows, "fitting", counted)  # after `dynkin_type` typed the forms
     most = {}
     for q, m in forms:
         form["q"], nodes[:] = q, []
@@ -1760,8 +1765,8 @@ def test_positive_core_of_a_large_corank_three_form_without_recursion():
     assert len(X) == 60 and sub.corank == 0 and sub.connected and sub.rank == rep.rank
 
 
-@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_switched", "_UnitRows.candidates",
-                                  "_UnitRows.fitting", "_UnitRows.fits", "_greedy_core"])
+@pytest.mark.parametrize("name", ["_realize_unit_backtracking", "_switched", "_UnitRows.fitting",
+                                  "_UnitRows.fits", "_greedy_core"])
 def test_searches_hold_no_recursive_function(name):
     obj = classify
     for part in name.split("."):

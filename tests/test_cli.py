@@ -286,6 +286,12 @@ def test_verify_missing_bundle():
     assert run(["verify", "no/such/dir"]) == 2
 
 
+def test_verify_only_filter_that_matches_no_check(capsys):
+    assert run(["verify", FIX, "--only", "no-such-check"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: no verify check matches 'no-such-check'\n"
+
+
 def test_verify_missing_fixture_file(tmp_path):
     # a present bundle directory with an absent file is malformed input
     with open(f"{FIX}/three_vertex_graph.json") as fh:

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 from math import gcd
 
@@ -458,3 +459,19 @@ def test_kernel_matches_the_full_hermite_reduction():
 def test_intmatrix_refuses_non_integers(rows):
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         IntMatrix(rows)
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: setattr(IntMatrix([[1]]), "rows", 2), AttributeError, "IntMatrix is immutable"),
+        (lambda: IntMatrix([[1, 2], [3]]), InvalidInput, "ragged rows"),
+        (lambda: IntMatrix([[1, 2]]) @ IntMatrix([[1, 2]]), InvalidInput, "matrix size mismatch"),
+        (lambda: IntMatrix([[1, 2]]).matvec((1,)), InvalidInput, "vector size mismatch"),
+        (lambda: IntMatrix([[1, 2]]).det(), InvalidInput, "determinant of non-square matrix"),
+    ],
+)
+def test_intmatrix_refuses_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error

@@ -2,6 +2,7 @@ import ast
 import copy
 import pickle
 import random
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -469,6 +470,23 @@ def test_exact_inverse_over_the_integers():
 def test_presentations_refuse_non_integers(build):
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: setattr(A2_QUIVER, "m", 3), AttributeError, "GentlePresentation is immutable"),
+        (lambda: GentlePresentation(0, [], []), InvalidInput, "quiver needs at least one vertex"),
+        (lambda: GentlePresentation(2, [("a", 1, 2), ("a", 2, 1)], []), InvalidInput,
+         "arrow names must be unique"),
+        (lambda: GentlePresentation(2, [("a", 1, 3)], []), InvalidInput, "arrow a endpoint out of range"),
+        (lambda: A2_QUIVER.src("b"), InvalidInput, "unknown arrow 'b'"),
+    ],
+)
+def test_presentations_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -492,6 +493,33 @@ def test_forms_and_vectors_refuse_non_integers(build):
     # int() would truncate 1.9 to 1 and read "1" as 1; the JSON readers refuse both too
     with pytest.raises(InvalidInput, match="expected an integer, got"):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: setattr(Q_A3, "n", 4), AttributeError, "IntegralQuadraticForm is immutable"),
+        (lambda: setattr(bigraph_of(Q_A3), "n", 4), AttributeError, "Bigraph is immutable"),
+        (lambda: IntegralQuadraticForm([]), InvalidInput, "a form needs at least one variable"),
+        (lambda: zero_form(0), InvalidInput, "zero form needs at least one variable"),
+        (lambda: IntegralQuadraticForm.from_gram(IntMatrix([[2, 1], [0, 2]])), InvalidInput,
+         "Gram matrix must be symmetric"),
+        (lambda: IntegralQuadraticForm.from_gram(IntMatrix([[1]])), InvalidInput,
+         "Gram matrix must have even diagonal"),
+        (lambda: IntegralQuadraticForm.from_gram(IntMatrix([])), InvalidInput,
+         "a form needs at least one variable"),
+        (lambda: Q_A3.permuted([1, 1, 2]), InvalidInput, "not a permutation of 1..n"),
+        (lambda: IntegralQuadraticForm.from_json_dict({"n": 2, "diag": [1, 1], "off": [[2, 1, -1]]}),
+         InvalidInput, "off entries must have i < j"),
+        (lambda: Bigraph(0, {}), InvalidInput, "bigraph needs at least one vertex"),
+        (lambda: Bigraph(2, {(1, 3): (1, -1)}), InvalidInput, "edge endpoint out of range"),
+        (lambda: Bigraph(2, {(1, 2): (-1, -1)}), InvalidInput, "edge multiplicity must be >= 0 with sign +-1"),
+    ],
+)
+def test_forms_and_bigraphs_refuse_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 @pytest.mark.parametrize(

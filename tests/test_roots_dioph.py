@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from fractions import Fraction
 from itertools import islice, product
@@ -114,6 +115,21 @@ def test_companion_rejects_radical_vector():
     B = canonical_a(2, 1)  # corank 1
     with pytest.raises(RadicalRoot):
         companion(B, (1, 1, 1))  # radical direction of the cycle quiver
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: companion(B_3V, (3, 0, 0)), InvalidInput, "vector is not an incidence root"),  # q = 9
+        (lambda: walk_polarization(B_3V, Walk(canonical_a(2, 0), 1), Walk(B_3V, 1)), InvalidInput,
+         "walks must live on the given graph"),
+        (lambda: four_squares(-1), InvalidInput, "four_squares needs d >= 0"),
+    ],
+)
+def test_roots_dioph_refuses_malformed_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 def test_root_system_tree():

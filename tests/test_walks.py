@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import product
 
 import pytest
@@ -150,6 +151,20 @@ def test_power_laws():
         for k in (2, 3):
             assert wp.power(k).inc() == tuple(k * c for c in wp.inc())
         hits += 1
+
+
+def test_power_is_one_walk_equal_to_repeated_compose(monkeypatch):
+    w = Walk.parse_text(B_3V, "3 2 2 1 1 3 2 2 3")
+    for base, sign in ((w, 1), (w.inverse(), -1)):
+        composed = Walk(B_3V, w.start)
+        for k in range(6):
+            assert w.power(sign * k) == composed and w.power(sign * k).vertices == composed.vertices
+            composed = composed.compose(base)
+    # the steps are inferred once, not once per factor
+    calls = []
+    infer = walks._infer_vertices
+    monkeypatch.setattr(walks, "_infer_vertices", lambda *args: calls.append(args) or infer(*args))
+    assert w.power(10_000).length == 10_000 * w.length and len(calls) == 1
 
 
 def test_reduce_preserves_inc():
@@ -625,6 +640,31 @@ def test_roots_positive_evaluates_no_form(monkeypatch):
         for B, count in ((canonical_a(n, 0), n * n + n + 1), (canonical_c(n, 0, 0), 2 * n * n + 1),
                          (BidirectedGraph(n, cycle), 2 * n * n + 1)):
             assert len(roots_positive(B).vectors) == count
+
+
+_DISCONNECTED = BidirectedGraph(4, [((1, 1), (2, -1)), ((3, 1), (4, -1))])
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: setattr(Walk(B_3V, 1), "start", 2), AttributeError, "Walk is immutable"),
+        (lambda: Walk(B_3V, 4), InvalidInput, "walk start vertex out of range"),
+        (lambda: Walk(B_3V, 1).compose(Walk(B_4V, 1)), InvalidInput, "walks live on different graphs"),
+        (lambda: Walk(B_3V, 1).compose(Walk(B_3V, 2)), InvalidInput, "walks are not composable"),
+        (lambda: Walk.parse_text(B_3V, "1 1 2").power(2), InvalidInput, "powers are defined for closed walks"),
+        (lambda: Walk.parse_text(B_3V, "1 1"), InvalidInput, "walk text must alternate vertices and arrows"),
+        (lambda: Walk.parse_text(B_3V, "1 x 2"), InvalidInput,
+         "bad walk token: invalid literal for int() with base 10: 'x'"),
+        (lambda: walk_root_cover(_DISCONNECTED, 1), InvalidInput, "walk_root_cover needs a connected graph"),
+        (lambda: roots_positive(_DISCONNECTED), InvalidInput, "roots_positive needs a connected graph"),
+        (lambda: roots_positive(canonical_a(2, 2)), NotPositive, "graph is neither a tree nor a 1-tree"),
+    ],
+)
+def test_walks_refuse_misuse(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as refused:
+        build()
+    assert type(refused.value) is error
 
 
 @pytest.mark.parametrize(
