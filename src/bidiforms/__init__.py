@@ -73,7 +73,6 @@ from .walks import (
     brute_force_roots,
     roots_positive,
     theorem_c_roots,
-    trivial_walk,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -626,13 +626,13 @@ def pivot_saturate(q: IntegralQuadraticForm, i0: int):
     inversions then fix the signs. Diagonal coefficients are untouched.
     """
     i0 = as_int(i0)
+    if not 1 <= i0 <= q.n:
+        raise InvalidInput(f"index out of range: ({i0}, {i0})")
     rep = analyze(q)
     if not rep.connected:
         raise InvalidInput("pivot_saturate needs a connected form")
-    if not rep.cox_regular:
+    if not rep.cox_regular:  # so q_i0 > 0
         raise InvalidInput("pivot_saturate needs a Cox-regular form")
-    if q.coefficient(i0, i0) == 0:
-        raise InvalidInput("pivot variable must have a nonzero diagonal")
     ch = _Chase(q)
     _saturate(ch, i0)
     return ch.q, GTransform._trusted(ch.M, ch.steps)

@@ -9,8 +9,11 @@ closed walks 0-roots and negative closed walks certain 2-roots.
 The root enumerators never build `Walk` objects in their loops:
 
 - `theorem_c_roots` and `walk_root_cover` share one BFS over walk states
-  (vertex, sign, inc), each packed into a single int and expanded a level
-  at a time (`_WalkStates`);
+  (start, vertex, sign, inc), each packed into a single int and expanded a
+  level at a time (`_WalkStates`). The start is part of the state, so one
+  search runs from any set of starts, and one table reads the root class
+  of a state off its start, vertex and sign: `walk_root_cover` runs one
+  search from every vertex per call, `theorem_c_roots` one per start;
 - `roots_positive` forms each root from the (inc, sigma) of two tree walks
   to a root vertex, by inc(w1 w2) = inc(w1) + sigma(w1) inc(w2) and
   inc(w^-1) = -sigma(w) inc(w), and checks its value through the incidence
@@ -154,10 +157,6 @@ class Walk:
         return walk
 
 
-def trivial_walk(graph: BidirectedGraph, v: int) -> Walk:
-    return Walk(graph, v)
-
-
 def _d(graph, v, arrow, inverse):
     """d(v, arrow): the end sign of the arrow at v, one of its ends, which every
     caller reads off the graph; +-1 by `inverse` on a directed loop."""
@@ -212,18 +211,21 @@ def brute_force_roots(q: IntegralQuadraticForm, d: int, bound: int) -> RootSet:
 
 
 class _WalkStates:
-    """Walk states (v, sign, inc) with |inc_i| <= prune, each packed into one int.
+    """Walk states (start, v, sign, inc) with |inc_i| <= prune, each packed into one int.
 
-    A state is low + 2m * key, where low = 2(v - 1) + [sign < 0] and
-    key = sum_i (inc_i + prune) * base^i with base = 2 prune + 1, so the key
-    of -inc is mirror - key with mirror = 2 * zero. Root sets are
-    sign-closed, so they keep one key per {x, -x}, the one at or below zero,
-    and decode it to both. `moves[low]` lists (weight, edge, delta) per step
-    out of that (vertex, sign): the step moves digit s // weight % base of
-    state s by one, is pruned when the digit already sits at `edge`, and
-    leads to s + delta; `deltas[low]` holds the deltas alone. inc of a
-    one-step extension is inc + sign * d(v, a) * E_a, which only depends on
-    the state.
+    A state is low + 2m (start - 1) + span * key, where low = 2(v - 1) +
+    [sign < 0], span = 2m^2 and key = sum_i (inc_i + prune) * base^i with
+    base = 2 prune + 1, so the key of -inc is mirror - key with
+    mirror = 2 * zero. No step changes the start digit, so walks from
+    different starts never share a state. `kind[s % span]` is the d of the
+    roots that state s yields: 0 for a positive closed walk, 2 for a negative
+    closed walk and 1 for an open walk. Root sets are sign-closed, so they
+    keep one key per {x, -x}, the one at or below zero, and decode it to
+    both. `moves[low]` lists (weight, edge, delta) per step out of that
+    (vertex, sign): the step moves digit s // weight % base of state s by
+    one, is pruned when the digit already sits at `edge`, and leads to
+    s + delta; `deltas[low]` holds the deltas alone. inc of a one-step
+    extension is inc + sign * d(v, a) * E_a, which only depends on the state.
     """
 
     def __init__(self, B: BidirectedGraph, prune: int):
@@ -231,6 +233,9 @@ class _WalkStates:
         self.n = n
         self.prune = prune
         self.m2 = m2 = 2 * B.m
+        self.span = span = m2 * B.m
+        # r = s % span is low + m2 (start - 1): r % m2 >> 1 is v - 1 and r // m2 is start - 1
+        self.kind = [1 if r % m2 >> 1 != r // m2 else 2 * (r & 1) for r in range(span)]
         self.base = base = 2 * prune + 1
         self.zero = sum(prune * base**i for i in range(n))
         self.mirror = 2 * self.zero
@@ -244,7 +249,7 @@ class _WalkStates:
                 steps = [(u, u, _d(B, u, a, False))]
             else:
                 steps = [(u, u2, _d(B, u, a, False)), (u2, u, _d(B, u2, a, False))]
-            weight = m2 * base ** (a - 1)
+            weight = span * base ** (a - 1)
             for v, w, d in steps:
                 for sign in (1, -1):
                     low = 2 * (v - 1) + (sign < 0)
@@ -253,19 +258,17 @@ class _WalkStates:
                     moves[low].append((weight, 2 * prune if step > 0 else 0, to - low + step * weight))
         self.deltas = [tuple(delta for _, _, delta in steps) for steps in moves]
 
-    def start(self, v: int) -> int:
-        """The trivial walk at v."""
-        return 2 * (v - 1) + self.m2 * self.zero
+    def levels(self, starts, length_cap: int):
+        """The BFS levels of the walks from the vertices `starts`, up to `length_cap` steps.
 
-    def levels(self, start: int, length_cap: int):
-        """The BFS levels of the walks from `start`, up to `length_cap` steps, as sets of states.
-
-        Every step is undone by one step (the same arrow back, or the other
-        direction of a directed loop), and the undoing step passes the
-        prune, so the neighbours of a level lie in the level before it, in
-        it, or in the next one. Two levels therefore tell new states from
-        seen ones, and only two are kept: each level adds its candidates
-        unchecked and then drops the two levels from them in bulk.
+        Each level is a set of states; level 0 holds the trivial walk of
+        every start. Every step is undone by one step (the same arrow back,
+        or the other direction of a directed loop), and the undoing step
+        passes the prune, so the neighbours of a level lie in the level
+        before it, in it, or in the next one, all from the same start. Two
+        levels therefore tell new states from seen ones, and only two are
+        kept: each level adds its candidates unchecked and then drops the
+        two levels from them in bulk.
 
         A state of level j has |inc_i| <= j, so while j < prune no digit can
         sit at an edge and every step is taken without the prune test (with
@@ -273,7 +276,8 @@ class _WalkStates:
         From j = prune on each step is tested.
         """
         moves, deltas, m2, base = self.moves, self.deltas, self.m2, self.base
-        before, level = set(), {self.start(start)}
+        trivial = self.span * self.zero
+        before, level = set(), {(2 + m2) * (v - 1) + trivial for v in starts}
         yield level
         for j in range(length_cap):
             if j < self.prune:
@@ -315,7 +319,7 @@ def theorem_c_roots(B: BidirectedGraph, d: int, length_cap: int) -> RootSet:
 
     d=0: positive closed walks; d=1: open walks; d=2: negative closed walks
     (the walk-generated subset of the 2-roots). Enumeration is a BFS over
-    (vertex, sign, inc) states up to `length_cap` steps. A negative
+    walk states up to `length_cap` steps, one start at a time. A negative
     `length_cap` is refused. A balanced graph has no negative closed walk.
     """
     d, length_cap = as_int(d), as_int(length_cap)
@@ -328,20 +332,15 @@ def theorem_c_roots(B: BidirectedGraph, d: int, length_cap: int) -> RootSet:
     if d == 2 and balance(B).beta:
         return RootSet(2, frozenset())
     states = _WalkStates(B, length_cap)  # no walk within the cap leaves the window
-    m2, zero, mirror = states.m2, states.zero, states.mirror
+    span, kind, zero, mirror = states.span, states.kind, states.zero, states.mirror
     keys = set()  # one per {x, -x}
     # an open walk w from vertex m is, reversed, one from its end, with
-    # inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out
-    last = B.m - (d == 1)
-    for start in range(1, last + 1):
-        home = 2 * (start - 1) + (d == 2)  # closed walks of sign +1 for d = 0, -1 for d = 2
-        for level in states.levels(start, length_cap):
-            if d == 1:  # open walks end away from start
-                keys.update([k if (k := s // m2) <= zero else mirror - k
-                             for s in level if s % m2 >> 1 != start - 1])
-            else:
-                keys.update([k if (k := s // m2) <= zero else mirror - k
-                             for s in level if s % m2 == home])
+    # inc(w^-1) = -sigma(w) inc(w); the result is sign-closed, so m is left out.
+    # A search per start keeps the levels of only one start in memory.
+    for start in range(1, B.m - (d == 1) + 1):
+        for level in states.levels((start,), length_cap):
+            keys.update([k if (k := s // span) <= zero else mirror - k
+                         for s in level if kind[s % span] == d])
     # I^tr inc(w) = e_start - sigma(w) e_end is not 0 for an open or a negative closed walk
     assert d == 0 or zero not in keys
     return RootSet(d, states.sign_closed_vectors(keys))
@@ -351,13 +350,13 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     """Adaptive oracle helper: walk roots by class until the boxed 0- and
     1-roots of the incidence form are covered.
 
-    Returns ({0: ..., 1: ..., 2: ...}, complete). One BFS over walk states
-    per start vertex, all run level by level in lockstep; coverage checks
-    start at n + m steps, and the search gives up at the hard cap
+    Returns ({0: ..., 1: ..., 2: ...}, complete). One BFS over the walk
+    states from every start vertex, a level at a time; coverage checks start
+    at n + m steps, and the search gives up at the hard cap
     max(4*n*bound, n + m). Coordinates are pruned at bound + 1; the
     inductive walk construction reaches every boxed root without its
-    partial sums ever leaving that window. Each start classifies a state by
-    a table low -> key set, and the sets keep one key per {x, -x}.
+    partial sums ever leaving that window. A state's key goes to the set of
+    its class, `_WalkStates.kind`, and the sets keep one key per {x, -x}.
     """
     if not B.is_connected():
         raise InvalidInput("walk_root_cover needs a connected graph")
@@ -370,25 +369,16 @@ def walk_root_cover(B: BidirectedGraph, bound: int) -> tuple[dict, bool]:
     want1 = states.keys(brute_force_roots(q, 1, bound).vectors)
     first_check = B.n + B.m
     hard = max(4 * B.n * bound, first_check)
-    m2, zero, mirror = states.m2, states.zero, states.mirror
-    sets = {0: {zero}, 1: set(), 2: set()}
-    runs = []
-    for start in range(1, B.m + 1):
-        levels = states.levels(start, hard)
-        next(levels)  # the trivial walk, a 0-root already in sets[0]
-        table = [sets[1]] * m2  # open walks
-        table[2 * (start - 1)], table[2 * start - 1] = sets[0], sets[2]  # closed, by sign
-        runs.append((table, levels))
-    for level in range(1, hard + 1):
-        alive = False
-        for table, levels in runs:
-            for s in next(levels, ()):
-                alive = True
-                key = s // m2
-                table[s % m2].add(key if key <= zero else mirror - key)
-        if not alive or level >= first_check and want0 <= sets[0] and want1 <= sets[1]:
+    span, zero, mirror = states.span, states.zero, states.mirror
+    sets = {0: set(), 1: set(), 2: set()}
+    table = [sets[d] for d in states.kind]
+    for j, level in enumerate(states.levels(range(1, B.m + 1), hard)):
+        for s in level:
+            key = s // span
+            table[s % span].add(key if key <= zero else mirror - key)
+        if j >= first_check and want0 <= sets[0] and want1 <= sets[1]:
             break
-    del runs  # the tables hold the key sets too
+    del table  # it holds the key sets too
     # I^tr inc(w) = e_start - sigma(w) e_end is not 0 for an open or a negative closed walk
     assert zero not in sets[1] and zero not in sets[2]
     covered = want0 <= sets[0] and want1 <= sets[1]

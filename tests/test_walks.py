@@ -16,7 +16,6 @@ from bidiforms.walks import (
     brute_force_roots,
     roots_positive,
     theorem_c_roots,
-    trivial_walk,
     walk_root_cover,
 )
 from tests.test_bidigraph import B_3V, B_4V, Q_A3, random_connected
@@ -33,7 +32,7 @@ def test_inc_worked_example_walk():
 
 
 def test_inc_trivial_walk_is_zero():
-    assert trivial_walk(B_3V, 2).inc() == (0, 0, 0)
+    assert Walk(B_3V, 2).inc() == (0, 0, 0)
 
 
 def test_inc_one_vertex_basis():
@@ -77,7 +76,7 @@ def test_inc_intertwining_identity():
 
 
 def random_walk(rng, B, max_len=6, start=None):
-    w = trivial_walk(B, start or rng.randint(1, B.m))
+    w = Walk(B, start or rng.randint(1, B.m))
     for _ in range(rng.randint(0, max_len)):
         v = w.end
         options = []
@@ -116,7 +115,7 @@ def test_inverse_inc_law():
         B = random_connected(rng)
         w = random_walk(rng, B)
         assert w.inverse().inc() == tuple(-w.sigma() * c for c in w.inc())
-    assert trivial_walk(B_3V, 1).inverse().inc() == (0, 0, 0)
+    assert Walk(B_3V, 1).inverse().inc() == (0, 0, 0)
 
 
 def test_conjugation_law():
@@ -403,12 +402,18 @@ def _reference_cover(B, bound):
 
 
 def _unpacked(states, s):
-    low, key = divmod(s, states.m2)[::-1]
+    """(start, vertex, sign, inc) of the packed state s."""
+    key, rest = divmod(s, states.span)
+    start, low = divmod(rest, states.m2)
     x = []
     for _ in range(states.n):
         key, digit = divmod(key, states.base)
         x.append(digit - states.prune)
-    return (low // 2 + 1, -1 if low % 2 else 1, tuple(x))
+    return (start + 1, low // 2 + 1, -1 if low % 2 else 1, tuple(x))
+
+
+def _tagged(start, levels):
+    return [{(start, *state) for state in level} for level in levels]
 
 
 def test_walk_state_levels_match_reference_bfs():
@@ -420,8 +425,8 @@ def test_walk_state_levels_match_reference_bfs():
         cap, prune = rng.randint(0, 6), rng.randint(0, 3)
         states = _WalkStates(B, prune)
         for start in range(1, B.m + 1):
-            got = [{_unpacked(states, s) for s in level} for level in states.levels(start, cap)]
-            assert got == [set(level) for level in _reference_states(B, start, cap, prune)]
+            got = [{_unpacked(states, s) for s in level} for level in states.levels((start,), cap)]
+            assert got == _tagged(start, _reference_states(B, start, cap, prune))
 
 
 def _with_two_regimes(rng):
@@ -435,16 +440,24 @@ def _with_two_regimes(rng):
 
 
 def test_walk_state_levels_match_reference_bfs_in_both_regimes():
-    # below j = prune the steps are taken untested, from j = prune on each is tested
+    # below j = prune the steps are taken untested, from j = prune on each is tested;
+    # a search from every start holds, level by level, the union of the searches per start
     rng = random.Random(4513)
     for B in _with_two_regimes(rng):
         cap = rng.randint(2, 6)
         for prune in (cap + rng.randint(1, 2), cap, rng.randint(1, cap - 1), 0):
             states = _WalkStates(B, prune)
+            union = []
             for start in range(1, B.m + 1):
-                got = [{_unpacked(states, s) for s in level} for level in states.levels(start, cap)]
-                want = [set(level) for level in _reference_states(B, start, cap, prune)]
+                got = [{_unpacked(states, s) for s in level} for level in states.levels((start,), cap)]
+                want = _tagged(start, _reference_states(B, start, cap, prune))
                 assert got == want, (B, prune)
+                union += [set() for _ in want[len(union):]]
+                for j, level in enumerate(want):
+                    union[j] |= level
+            got = [{_unpacked(states, s) for s in level}
+                   for level in states.levels(range(1, B.m + 1), cap)]
+            assert got == union, (B, prune)
 
 
 def test_walk_root_cover_matches_the_reference_at_the_workload_bound():
@@ -487,14 +500,14 @@ def test_walk_roots_match_tuple_state_reference():
 def _all_starts_theorem_c(B, d, length_cap):
     """`theorem_c_roots` with a BFS from every start vertex, the last one included."""
     states = _WalkStates(B, length_cap)
-    m2, keys = states.m2, set()
+    m2, span, keys = states.m2, states.span, set()
     for start in range(1, B.m + 1):
         home = 2 * (start - 1) + (d == 2)
-        for level in states.levels(start, length_cap):
+        for level in states.levels((start,), length_cap):
             if d == 1:
-                keys.update(s // m2 for s in level if s % m2 >> 1 != start - 1)
+                keys.update(s // span for s in level if s % m2 >> 1 != start - 1)
             else:
-                keys.update(s // m2 for s in level if s % m2 == home)
+                keys.update(s // span for s in level if s % m2 == home)
     if d != 0:
         keys.discard(states.zero)
     return states.sign_closed_vectors(keys)
@@ -672,7 +685,6 @@ def test_walks_refuse_misuse(build, error, message):
     [
         lambda: Walk(B_3V, 1.0),
         lambda: Walk(B_3V, 1, [(1.0, False)]),
-        lambda: trivial_walk(B_3V, 2.0),
     ],
 )
 def test_walks_refuse_non_integers(build):
