@@ -420,13 +420,13 @@ class _Arrows:
     A Gabrielov, sign or rewrite step changes one arrow, and the index at its
     at most four ends; a perm reorders the ends and renames the arrows in the
     index, in place. `freeze` wraps the ends in a `BidirectedGraph` without
-    the checks, kept until the next change.
+    the checks.
     """
 
-    __slots__ = ("m", "ends", "at", "_B")
+    __slots__ = ("m", "ends", "at")
 
     def __init__(self, B: BidirectedGraph):
-        self.m, self.ends, self.at, self._B = B.m, list(B.ends), {}, B
+        self.m, self.ends, self.at = B.m, list(B.ends), {}
         for k, ends in enumerate(B.ends, start=1):
             self._enter(k, ends)
 
@@ -435,18 +435,8 @@ class _Arrows:
             at = self.at.setdefault(v, {})
             at[k] = at.get(k, 0) + e
 
-    def copy(self) -> "_Arrows":
-        """An independent copy, changed in place apart from this one: the ends
-        list and one map per vertex are copied, not indexed again."""
-        new = object.__new__(_Arrows)
-        new.m, new.ends, new._B = self.m, list(self.ends), self._B
-        new.at = {v: dict(arrows) for v, arrows in self.at.items()}
-        return new
-
     def freeze(self) -> BidirectedGraph:
-        if self._B is None:
-            self._B = BidirectedGraph._trusted(self.m, tuple(self.ends))
-        return self._B
+        return BidirectedGraph._trusted(self.m, tuple(self.ends))
 
     def push(self, t) -> None:
         """Apply a tagged step in place: ("gabrielov", i, j), ("sign", i),
@@ -456,7 +446,6 @@ class _Arrows:
             renamed = dict(zip(t[1], range(1, len(ends) + 1)))
             ends[:] = [ends[p - 1] for p in t[1]]
             self.at = {v: {renamed[i]: s for i, s in arrows.items()} for v, arrows in self.at.items()}
-            self._B = None
             return
         if tag == "sign":
             j = t[1]
@@ -471,7 +460,6 @@ class _Arrows:
                 self.at[v].pop(j, None)
             self._enter(j, new)
             ends[j - 1] = new
-            self._B = None
 
 
 def undo(t):

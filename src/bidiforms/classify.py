@@ -23,13 +23,14 @@ as a check of the whole incidence form. The star realization that starts
 every type-C function is built once per form and kept, with its saturated
 rows, for the last form (`_star_snapshot`): one pass over the rows writes
 the partition and B' (`_star_graph`), which is checked against them arrow by
-arrow through one `_Arrows` index of B', kept too: `_directed_star` resumes
-a chase from a copy of the rows, and it and `realize`'s pull-back change
-copies of the index (`_Arrows.copy`). The target of `canonical_c` and its
-rows are built once per (r, c1, c2) (`_canonical_target`); q∘M = target is
-still checked with `q.compose(M)`. The public steps (`gabrielov_update`,
-`gabrielov`, `GTransform.then_*`) check their indices (`_step`), then take
-one push on a chase thawed from their form (`_checked_push`). Every
+arrow through an `_Arrows` index of B'. The snapshot holds values only (the
+rows as tuples, B' frozen): `_directed_star` thaws the rows into a chase of
+its own, and it and `realize`'s pull-back each index B' anew. The target of
+`canonical_c` and its rows, as tuples, are built once per (r, c1, c2)
+(`_canonical_target`); q∘M = target is still checked with `q.compose(M)`.
+The public steps (`gabrielov_update`, `gabrielov`, `GTransform.then_*`)
+check their indices (`_step`), then take one push on a chase thawed from
+their form and from the columns they return (`_checked_push`). Every
 `GTransform` the library builds, or unpickles, skips the determinant check:
 its matrix is a product of elementary steps. The public functions take the
 form alone, and a graph certifies each form they type or
@@ -252,7 +253,7 @@ class GTransform:
         """`step` taken on the current form by `_checked_push`, from M."""
         if q_current.n != self.n:
             raise InvalidInput(f"a form on {q_current.n} variables for a transform of size {self.n}")
-        ch = _checked_push(q_current, step, self.matrix)
+        ch = _checked_push(q_current, step, list(zip(*self.matrix.entries)))
         return GTransform._trusted(ch.M, self.steps + tuple(ch.steps)), ch.q
 
     def then_gabrielov(self, q_current: IntegralQuadraticForm, i: int, j: int):
@@ -322,19 +323,20 @@ def _step(step, n: int) -> tuple:
     return (tag, *fields)
 
 
-def _checked_push(q: IntegralQuadraticForm, step, M: IntMatrix | None = None) -> _Chase:
-    """A chase from q, and from M (the identity by default), that has taken
-    one public G-step: its indices checked by `_step`, then, for a Gabrielov
-    step, its integral ratio by the push."""
+def _checked_push(q: IntegralQuadraticForm, step, cols=None) -> _Chase:
+    """A chase from q, and from the columns `cols` of a matrix (the identity
+    by default), that has taken one public G-step: its indices checked by
+    `_step`, then, for a Gabrielov step, its integral ratio by the push."""
     step = _step(step, q.n)
-    ch = _Chase(q, None if M is None else list(zip(*M.entries)))
+    ch = _Chase(q, cols)
     ch.push(*step)
     return ch
 
 
 def gabrielov_update(q: IntegralQuadraticForm, i: int, j: int) -> IntegralQuadraticForm:
     """Coefficients of q' = q∘T_ij: diagonal fixed, column j updated, q'_ij = -q_ij."""
-    return _checked_push(q, ("gabrielov", i, j)).q  # q itself when q_i = 0 or q_ij = 0: T_ij fixes q
+    # no matrix is returned, so the chase carries n empty columns, which every push keeps empty
+    return _checked_push(q, ("gabrielov", i, j), [()] * q.n).q  # q itself when q_i = 0 or q_ij = 0
 
 
 def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
@@ -748,9 +750,9 @@ def star_realization(q: IntegralQuadraticForm):
     B' consists of two-head loops at vertex 1, directed arrows v -> 1 and
     two-head arrows v -- 1, according to the saturated partition.
     """
-    cols, steps, rows, graph, part = _star_snapshot(q) or _not_type_c(q)
+    cols, steps, rows, star, part = _star_snapshot(q) or _not_type_c(q)
     T = GTransform._trusted(IntMatrix._trusted(tuple(zip(*cols))), steps)
-    return T, _rows_form(rows), graph.freeze(), part
+    return T, _rows_form(rows), star, part
 
 
 def _not_type_c(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
@@ -764,17 +766,16 @@ def _not_type_c(q: IntegralQuadraticForm, rep: FormAnalysis | None = None):
 
 @lru_cache(maxsize=1)
 def _star_snapshot(q: IntegralQuadraticForm):
-    """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M,
-    B' as the `_Arrows` index that checked it, partition), or None. q∘M
-    itself is frozen only by `star_realization`.
+    """The star chase of a type-C form: (columns of M, steps, Gram rows of q∘M
+    as tuples, B' as the frozen graph that the row check ran on, partition),
+    or None. q∘M itself is frozen only by `star_realization`.
 
     Only a form of `_type_c_shape` is chased. B', checked against the
     saturated rows, is connected and unbalanced on m vertices: it certifies
     q >= 0 and rank m. A chase that fails (NotTypeC, NotCoxRegular, a row
     that does not match) gives None. Every type-C function on q starts from
-    it, so a pass of them over one form runs it once. The rows and the index
-    are shared by every caller of the pass: copy them before any change
-    (`_Arrows.copy`).
+    it, so a pass of them over one form runs it once; it holds no state
+    that a caller can change.
     """
     if not _type_c_shape(q):
         return None
@@ -792,7 +793,7 @@ def _star_snapshot(q: IntegralQuadraticForm):
     graph = _Arrows(B)  # the check of B's incidence form, one row at a time
     if not all(_row_matches(graph, ch, j) for j in range(1, q.n + 1)):
         return None
-    return tuple(ch.cols), tuple(ch.steps), ch.rows, graph, part
+    return tuple(ch.cols), tuple(ch.steps), tuple(map(tuple, ch.rows)), B, part
 
 
 def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
@@ -818,7 +819,7 @@ def realize(q: IntegralQuadraticForm) -> BidirectedGraph:
             raise NotIncidenceForm(f"unit forms of type {dynkin_type(q)[0]} are not incidence forms")
         _not_type_c(q, rep)
     _, steps, _, star, _ = snapshot
-    graph = star.copy()
+    graph = _Arrows(star)
     for step in reversed(steps):
         graph.push(undo(step))
     B = graph.freeze()
@@ -1071,11 +1072,11 @@ def _directed_star(q: IntegralQuadraticForm):
     for each vertex v >= 3 as arrows 2..r-1, the c1 + 1 parallel arrows
     2 -> 1 as arrows r..r+c1, then the c2 extra two-head loops.
     """
-    # step 1: the star realization, resumed as a fresh chase on a copy of its rows
+    # step 1: the star realization, resumed as a fresh chase on its thawed rows
     cols, steps, rows, star, part = _star_snapshot(q) or _not_type_c(q)
-    ch = _Chase(q, list(cols), [row[:] for row in rows])
+    ch = _Chase(q, list(cols), [list(row) for row in rows])
     ch.steps = list(steps)
-    ch.graph = star.copy()
+    ch.graph = _Arrows(star)
     loop_arrow = part.u2[0]
     # step 2: turn every two-head arrow v--1 into a directed arrow v->1
     for _, minus in part.groups:
@@ -1106,9 +1107,9 @@ def _directed_star(q: IntegralQuadraticForm):
 
 @lru_cache(maxsize=64)
 def _canonical_target(r: int, c1: int, c2: int):
-    """The incidence form of C_r^{c1,c2} and its Gram rows, only ever compared."""
+    """The incidence form of C_r^{c1,c2} and its Gram rows as tuples, only ever compared."""
     target = canonical_c_graph(r, c1, c2).incidence_form()
-    return target, _gram_rows(target)
+    return target, tuple(map(tuple, _gram_rows(target)))
 
 
 def canonical_c(q: IntegralQuadraticForm):
@@ -1131,7 +1132,7 @@ def canonical_c(q: IntegralQuadraticForm):
         ch.push("sign", r + c1 + k)
     target, target_rows = _canonical_target(r, c1, c2)
     M = ch.M
-    assert ch.rows == target_rows
+    assert tuple(map(tuple, ch.rows)) == target_rows
     assert q.compose(M) == target
     assert c2 == sum(q.diag) - q.n - 1  # the dotted loops sum (q_i - 1), less one
     return GTransform._trusted(M, ch.steps), r, c1, c2

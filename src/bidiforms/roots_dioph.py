@@ -64,7 +64,13 @@ class ReflectionReport:
 
 
 def companion(B: BidirectedGraph, x) -> ReflectionReport:
-    """Orthogonal O^x with I(B)^tr s_x = O^x I(B)^tr for an incidence root x."""
+    """Orthogonal O^x with I(B)^tr s_x = O^x I(B)^tr for an incidence root x.
+
+    O^x = I - 2 alpha alpha^tr / |alpha|^2 for alpha = I(B)^tr x; an alpha of
+    norm 4 with four entries +-1 gives no integral O^x and is refused.
+    `integral` tests each 2 q(e_k, x) / q(x, x), with q(x, x) = |alpha|^2
+    and q(e_k, x) read off the ends of arrow k.
+    """
     x = int_tuple(x)
     I = B.incidence_matrix()
     alpha = I.transpose().matvec(x)
@@ -75,13 +81,12 @@ def companion(B: BidirectedGraph, x) -> ReflectionReport:
         raise InvalidInput("vector is not an incidence root")
     m = B.m
     steps = [[divmod(2 * alpha[r] * alpha[c], norm2) for c in range(m)] for r in range(m)]
-    assert all(rest == 0 for row in steps for _, rest in row)
+    if any(rest for row in steps for _, rest in row):  # norm 4 from four entries +-1
+        raise InvalidInput("vector is not an incidence root")
     O = IntMatrix([[int(r == c) - steps[r][c][0] for c in range(m)] for r in range(m)])
     assert (O @ O.transpose()) == IntMatrix.identity(m)
-    q = B.incidence_form()
-    qxx = q.polarize(x, x)
-    basis = [tuple(1 if t == k else 0 for t in range(q.n)) for k in range(q.n)]
-    integral = all((2 * q.polarize(e, x)) % qxx == 0 for e in basis)
+    integral = all(2 * (e * alpha[u - 1] + e2 * alpha[u2 - 1]) % norm2 == 0
+                   for (u, e), (u2, e2) in B.ends)
     return ReflectionReport(tuple(x), O, integral)
 
 

@@ -907,15 +907,15 @@ def _reference_type_c_pass(q):
             raise NotNonNegative("realize needs a non-negative form")
         if not rep.connected or not rep.irreducible:
             raise InvalidInput("realize needs a connected irreducible form")
-        _, steps, _, graph, _ = star()
-        graph = graph.copy()
+        _, steps, _, B, _ = star()
+        graph = _Arrows(B)
         for step in reversed(steps):
             graph.push(undo(step))
         return graph.freeze()
 
     def star_realized():
-        cols, steps, rows, graph, part = star()
-        return GTransform(IntMatrix(list(zip(*cols))), steps), _rows_form(rows), graph.freeze(), part
+        cols, steps, rows, B, part = star()
+        return GTransform(IntMatrix(list(zip(*cols))), steps), _rows_form(rows), B, part
 
     def canonical():
         star()
@@ -1044,6 +1044,51 @@ def test_a_type_c_pass_runs_no_analysis(monkeypatch):
                 dynkin_type(wide)
             assert calls == [wide]
     assert min(tried.values()) > 10, tried
+
+
+_TYPE_C_FUNCTIONS = {
+    "dynkin_type": dynkin_type, "realize": realize, "star_realization": star_realization,
+    "canonical_c": canonical_c, "plus_zero_C": lambda q: dynkin_plus_zero(q, "C"),
+    "plus_zero_D": lambda q: dynkin_plus_zero(q, "D"), "positive_core": positive_core}
+
+
+def _clear_type_c_caches():
+    for cached in (classify._star_snapshot, classify._unit_graph, classify._canonical_target, analyze):
+        cached.cache_clear()
+
+
+def test_star_snapshot_holds_values():
+    """The snapshot a type-C pass shares holds values only: its columns, steps and
+    Gram rows are tuples of tuples and B' a frozen graph, which `star_realization`
+    returns as it is; the rows of `_canonical_target` are tuples too."""
+    for B in _scrambled_type_c_graphs(random.Random(1405)):
+        q = B.incidence_form()
+        _clear_type_c_caches()
+        cols, steps, rows, star, part = classify._star_snapshot(q)
+        for field in (cols, steps, rows):
+            assert type(field) is tuple and all(type(x) is tuple for x in field)
+        assert type(star) is BidirectedGraph and star.incidence_form() == _rows_form(rows)
+        assert star_realization(q)[2] is star
+        target_rows = classify._canonical_target(*canonical_c(q)[1:])[1]
+        assert type(target_rows) is tuple and all(type(row) is tuple for row in target_rows)
+
+
+def test_type_c_functions_agree_in_any_order(monkeypatch):
+    """Each type-C function, run after the others in two different orders, so that
+    it reads the caches they filled, returns what it returns on cleared caches."""
+    forms = [B.incidence_form() for B in _scrambled_type_c_graphs(random.Random(1406))]
+    forms += [op.args[0] for op in _classify_ops(monkeypatch, 7, range(2)) if op.kind == "loops"][:8]
+    names = list(_TYPE_C_FUNCTIONS)
+    for q in forms:
+        fresh = {}
+        for name, f in _TYPE_C_FUNCTIONS.items():
+            _clear_type_c_caches()
+            fresh[name] = _outcome(f, q)
+        for order in (names, names[::-1]):
+            _clear_type_c_caches()
+            for name in order:
+                assert _outcome(_TYPE_C_FUNCTIONS[name], q) == fresh[name], (name, order, q)
+    assert len(forms) == 15
 
 
 # -- the Fincke-Pohst enumeration --------------------------------------------------
@@ -1444,20 +1489,18 @@ def test_star_graph_is_the_checked_graph_and_its_row_check_refuses_a_flipped_arr
     one arrow flipped it fails, in the snapshot too, which then gives None, so
     `dynkin_type` reaches `analyze` and trips its assert that the analysis
     does not say C; with one end flipped it fails exactly when the incidence
-    form changes. The index is shared by a pass: `realize` and `canonical_c`
-    leave it as it was."""
+    form changes. A pass shares the snapshot: `realize` and `canonical_c`
+    leave it cached as it was."""
     refused = 0
     for B in _type_c_graphs(random.Random(7109), 150):
         q = B.incidence_form()
-        _, _, rows, graph, _ = classify._star_snapshot(q)
+        snapshot = classify._star_snapshot(q)
+        _, _, rows, star, _ = snapshot
         form = _rows_form(rows)
-        star = graph.freeze()
-        assert graph.at == _Arrows(star).at  # the index that checked B' is B''s
         realize(q), canonical_c(q)
-        assert classify._star_snapshot(q)[3] is graph
-        assert graph.ends == list(star.ends) and graph.at == _Arrows(star).at
+        assert classify._star_snapshot(q) is snapshot
         _same_graph(star, BidirectedGraph(star.m, star.ends))
-        assert star.incidence_form() == form and _Chase(form).rows == rows
+        assert star.incidence_form() == form and tuple(map(tuple, _Chase(form).rows)) == rows
         f = _Chase(form)
         assert all(_row_matches(_Arrows(star), f, j) for j in range(1, star.n + 1))
         for k in range(1, star.n + 1):

@@ -121,6 +121,11 @@ def test_companion_rejects_radical_vector():
     "build, error, message",
     [
         (lambda: companion(B_3V, (3, 0, 0)), InvalidInput, "vector is not an incidence root"),  # q = 9
+        # q = 2 with four image entries +-1: the norm passes, but there is no integer companion
+        pytest.param(lambda: companion(canonical_a(4, 0), (1, 0, 1, 0)), InvalidInput,
+                     "vector is not an incidence root", id="companion-path-four-unit-entries"),
+        pytest.param(lambda: companion(BidirectedGraph(4, [((1, 1), (2, -1)), ((3, 1), (4, -1))]), (1, 1)),
+                     InvalidInput, "vector is not an incidence root", id="companion-two-arrows-four-unit-entries"),
         (lambda: walk_polarization(B_3V, Walk(canonical_a(2, 0), 1), Walk(B_3V, 1)), InvalidInput,
          "walks must live on the given graph"),
         (lambda: four_squares(-1), InvalidInput, "four_squares needs d >= 0"),
