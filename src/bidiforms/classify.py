@@ -5,7 +5,8 @@ typing of unit forms (A/D off their graphs, E by the determinant of q on
 Z^n / rad q), the type-C test, realization of forms as incidence forms, the
 canonical (c1,c2)-extension reduction and the Dynkin-plus-zero
 Z-equivalences. One Fincke-Pohst enumeration on an explicit stack lists the
-x with q(x) = d of a positive form: the solver takes its first hit
+x with q(x) = d of a positive form, over the LDL factor that
+`exact_linalg._bareiss` leaves (`_ldl`): the solver takes its first hit
 (`first_root_with_value`), and the exact root sets (`positive_roots_by_value`,
 `one_root_count`) are kept as an independent oracle for the typing.
 
@@ -81,7 +82,7 @@ from .errors import (
     int_tuple,
     json_int,
 )
-from .exact_linalg import IntMatrix
+from .exact_linalg import IntMatrix, _bareiss
 from .qform import (FormAnalysis, IntegralQuadraticForm, _gram_rows, _rows_form, analyze, form_adjacency,
                     traverse, zero_form)
 
@@ -349,32 +350,23 @@ def gabrielov(q: IntegralQuadraticForm, i: int, j: int):
 
 
 @lru_cache(maxsize=64)
-def _ldl(G: IntMatrix):
-    """Exact LDL data of a positive-definite Gram matrix: x^tr G x = sum d_i (x_i + sum_j u_ij x_j)^2.
+def _ldl(q: IntegralQuadraticForm):
+    """Exact LDL data of a positive form: x^tr G x = sum d_i (x_i + sum_j u_ij x_j)^2.
 
-    The cache holds the factors of the last 64 matrices. `solve` asks for the
-    positive core of a form at each of its requests, and a core seldom comes
-    back once its form's requests are done: a solve_sweep block of seed 7
-    meets 19 distinct cores, and 2 of the 152 met in 8 blocks are met again.
-    So hits and misses are the same at 64 as at 512 (5,930 / 150 over 8
-    blocks, 8,895 / 225 over 12), and 12 blocks leave about 0.6 MB less held
-    (tracemalloc, 2.58 -> 2.01 MB).
+    Read off the rows of `exact_linalg._bareiss` on G, which swaps no row once
+    `analyze` has found q positive definite. The cache holds the factors of
+    the last 64 forms. `solve` asks for the positive core of a form at each
+    request, and a core seldom comes back once its form's requests are done
+    (2 of the 152 met in 8 solve_sweep blocks of seed 7): 64 entries hit as
+    often as 512 (5,930 / 150 over 8 blocks) and hold about 0.6 MB less.
     """
-    n = G.rows
-    A = [[Fraction(x) for x in row] for row in G.entries]
-    d = [Fraction(0)] * n
-    u = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        d[i] = A[i][i]
-        if d[i] <= 0:
-            raise NotPositive("Gram matrix is not positive definite")
-        for j in range(i + 1, n):
-            u[i][j] = A[i][j] / d[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                A[k][l] -= A[i][k] * A[i][l] / d[i]
-                A[l][k] = A[k][l]
-    return tuple(d), tuple(tuple(row) for row in u)
+    rep = analyze(q)
+    if not rep.non_negative or rep.corank:
+        raise NotPositive("Gram matrix is not positive definite")
+    a, n = _bareiss(_gram_rows(q))[2], q.n
+    d = tuple(Fraction(a[k][k], a[k - 1][k - 1] if k else 1) for k in range(n))
+    u = tuple(tuple(Fraction(a[k][j], a[k][k]) if j > k else Fraction(0) for j in range(n)) for k in range(n))
+    return d, u
 
 
 def _fincke_pohst(q: IntegralQuadraticForm, d: int):
@@ -387,7 +379,7 @@ def _fincke_pohst(q: IntegralQuadraticForm, d: int):
     r^2, and takes -s_0 + r, then -s_0 - r. One candidate iterator per level
     on an explicit stack.
     """
-    dd, u = _ldl(q.gram())
+    dd, u = _ldl(q)
     n = q.n
     x = [0] * n
     left = [Fraction(2 * d)] * n  # left[i]: what levels i..0 must make up
@@ -430,6 +422,9 @@ def _fincke_pohst(q: IntegralQuadraticForm, d: int):
 
 def positive_roots_by_value(q: IntegralQuadraticForm, dmax: int) -> dict:
     """All x with 1 <= q(x) <= dmax for a positive form: {d: frozenset of vectors}."""
+    if (dmax := as_int(dmax)) < 0:
+        raise InvalidInput("positive_roots_by_value needs dmax >= 0")
+    _ldl(q)  # refuses a form that is not positive, at dmax = 0 too
     return {v: frozenset(_fincke_pohst(q, v)) for v in range(1, dmax + 1)}
 
 
@@ -440,7 +435,10 @@ def one_root_count(q: IntegralQuadraticForm) -> int:
 
 def first_root_with_value(q: IntegralQuadraticForm, d: int):
     """Some x with q(x) = d for a positive form, or None: the first the enumeration meets."""
+    if (d := as_int(d)) < 0:
+        raise InvalidInput("first_root_with_value needs d >= 0")
     if d == 0:
+        _ldl(q)  # refuses a form that is not positive, as every d >= 1 does
         return (0,) * q.n
     return next(_fincke_pohst(q, d), None)
 
@@ -578,9 +576,9 @@ def _greedy_core(q, rep):
 
     q is PSD, so q^X has kernel {z in the radical : z_d = 0 for d in D}, D the
     deleted set: q^X keeps rank r iff the rows at D of the radical basis are
-    linearly independent, which each node of the search tests by their
-    (Bareiss) rank, and has corank 0 once |D| = crk q. Connectivity is
-    checked with `traverse` on X; no restriction is analyzed.
+    linearly independent, and has corank 0 once |D| = crk q. One Bareiss
+    elimination per node gives their rank and, at a leaf, their determinant.
+    Connectivity is checked with `traverse` on X; no restriction is analyzed.
     At a leaf the rows at D must be unimodular: then Z^X maps onto
     Z^n / rad q, so q^X is Z-equivalent to the positive part of q and has
     its Dynkin type (by Barot and de la Peña such an X exists). A leaf
@@ -601,17 +599,18 @@ def _greedy_core(q, rep):
     while levels:
         X, deleted, rest = levels[-1]
         for v in rest:
-            rows = IntMatrix._trusted(deleted + (radical_rows[v],))
-            if rows.rank() < rows.rows:
+            rows = deleted + (radical_rows[v],)
+            rank, det, _ = _bareiss(rows)
+            if rank < len(rows):
                 continue
             Y = X - {v}
             if not connected(Y):
                 continue
-            if rows.rows == c:
-                if abs(rows.det()) == 1:
+            if len(rows) == c:  # c x c of full rank: det is its determinant
+                if abs(det) == 1:
                     return sorted(Y)
                 continue
-            levels.append((Y, rows.entries, iter(sorted(Y))))
+            levels.append((Y, rows, iter(sorted(Y))))
             break
         else:
             levels.pop()

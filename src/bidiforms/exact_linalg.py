@@ -3,10 +3,11 @@
 Everything here works over arbitrary-precision integers: eliminations are
 fraction-free (Bareiss, Math. Comp. 22, 1968), so every division is exact and
 no `fractions.Fraction` or floating point is used. One sparse elimination
-gives every rank and integer kernel: the PSD test `psd_pivots` runs on
-sparse rows, and `psd_radical` reads the radical of a PSD matrix off the rows
-it leaves. Any other integer matrix M has the kernel of the PSD matrix
-M^tr M (`column_gram`), so its rank and kernel come from the same two steps.
+gives the PSD test and every integer kernel: `psd_pivots` runs on sparse
+rows, and `psd_radical` reads the radical of a PSD matrix off the rows it
+leaves; any other integer matrix M has the rank and kernel of the PSD matrix
+M^tr M (`column_gram`). One dense elimination, `_bareiss`, gives determinants,
+`IntMatrix` ranks and the LDL factor of a positive-definite matrix.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class IntMatrix:
         """Exact determinant via fraction-free Bareiss elimination."""
         if self.rows != self.cols:
             raise InvalidInput("determinant of non-square matrix")
-        rank, last = _bareiss(self.entries)
+        rank, last, _ = _bareiss(self.entries)
         return last if rank == self.rows else 0
 
     def rank(self) -> int:
@@ -126,13 +127,16 @@ def _dot(u, v) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
-def _bareiss(rows) -> tuple[int, int]:
-    """(rank, sign * last pivot) of the integer rows `rows` by fraction-free
-    (Bareiss) row elimination, sign being that of the row swaps.
+def _bareiss(rows) -> tuple[int, int, list]:
+    """(rank, sign * last pivot, reduced rows) of the integer rows `rows` by
+    fraction-free (Bareiss) row elimination, sign being that of the row swaps.
 
     Each entry below a pivot becomes a minor of the original rows, so every
     division is exact. A column without a pivot is skipped; a square matrix
     of full rank skips none, and its signed last pivot is its determinant.
+    A positive-definite matrix swaps no row, and from its pivot on, row k
+    (from 0) is delta_k = a_(k-1)(k-1) times that of Gaussian elimination
+    (delta_0 = 1): d_k = a_kk / delta_k and u_kj = a_kj / a_kk in its LDL.
     """
     a = [list(r) for r in rows]
     m = len(a)
@@ -155,7 +159,7 @@ def _bareiss(rows) -> tuple[int, int]:
                 row[j] = (p * row[j] - f * prow[j]) // prev
         prev = p
         rank += 1
-    return rank, sign * prev
+    return rank, sign * prev, a
 
 
 def psd_rank(G: IntMatrix) -> tuple[bool, int]:

@@ -60,16 +60,14 @@ def reflect(q: IntegralQuadraticForm, x, y):
 class ReflectionReport:
     root: tuple
     companion: IntMatrix
-    integral: bool
 
 
 def companion(B: BidirectedGraph, x) -> ReflectionReport:
     """Orthogonal O^x with I(B)^tr s_x = O^x I(B)^tr for an incidence root x.
 
     O^x = I - 2 alpha alpha^tr / |alpha|^2 for alpha = I(B)^tr x; an alpha of
-    norm 4 with four entries +-1 gives no integral O^x and is refused.
-    `integral` tests each 2 q(e_k, x) / q(x, x), with q(x, x) = |alpha|^2
-    and q(e_k, x) read off the ends of arrow k.
+    norm 4 with four entries +-1 gives no integral O^x and is refused. An
+    accepted alpha has norm 2, or norm 4 with one entry +-2, so s_x is integral.
     """
     x = int_tuple(x)
     I = B.incidence_matrix()
@@ -85,9 +83,7 @@ def companion(B: BidirectedGraph, x) -> ReflectionReport:
         raise InvalidInput("vector is not an incidence root")
     O = IntMatrix([[int(r == c) - steps[r][c][0] for c in range(m)] for r in range(m)])
     assert (O @ O.transpose()) == IntMatrix.identity(m)
-    integral = all(2 * (e * alpha[u - 1] + e2 * alpha[u2 - 1]) % norm2 == 0
-                   for (u, e), (u2, e2) in B.ends)
-    return ReflectionReport(tuple(x), O, integral)
+    return ReflectionReport(tuple(x), O)
 
 
 @dataclass(frozen=True)

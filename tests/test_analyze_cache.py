@@ -7,8 +7,8 @@ same q), the refusal ladders (`dynkin_type`, `realize` and the type-C
 functions on one refused form) and `qf-info` (its report, then a
 `dynkin_type` that types E or refuses). No operation of the benchmark
 analyzes more than one distinct form. The LDL cache of the solver's core
-search (`classify._ldl`) has the same bound, and loses no hit on the
-solve_sweep traffic.
+search (`classify._ldl`, keyed by the core form) has the same bound, and
+loses no hit on the solve_sweep traffic.
 """
 
 from __future__ import annotations
@@ -125,17 +125,17 @@ def test_bench_traffic_analyzes_no_form_twice(monkeypatch):
 
 
 def test_ldl_cache_factors_each_core_once(monkeypatch):
-    # the first two solve_sweep blocks: every Gram matrix of a positive core that the
-    # core search factors is factored once, within a bound of 64 entries
+    # the first two solve_sweep blocks: every positive core form that the core search
+    # factors is factored once, within a bound of 64 entries
     monkeypatch.syspath_prepend(str(BENCH))
     import workloads
 
     lib = workloads.load_library()
     ldl, cores = classify._ldl, set()
 
-    def counting(G):
-        cores.add(G)
-        return ldl(G)
+    def counting(q):
+        cores.add(q)
+        return ldl(q)
 
     monkeypatch.setattr(classify, "_ldl", counting)
     ldl.cache_clear()

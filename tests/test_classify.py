@@ -637,6 +637,15 @@ def test_gtransform_rejects_non_unimodular_matrices():
          "pivot_saturate needs a Cox-regular form"),
         (lambda: first_root_with_value(IntegralQuadraticForm([1, 1], {(1, 2): -2}), 1), NotPositive,
          "Gram matrix is not positive definite"),
+        # the target is an int >= 0, and a form that is not positive is refused at every target
+        (lambda: first_root_with_value(q_a(3), -1), InvalidInput, "first_root_with_value needs d >= 0"),
+        (lambda: first_root_with_value(q_a(3), 1.5), InvalidInput, "expected an integer, got 1.5"),
+        (lambda: first_root_with_value(IntegralQuadraticForm([1, 1], {(1, 2): -2}), 0), NotPositive,
+         "Gram matrix is not positive definite"),
+        (lambda: positive_roots_by_value(q_a(3), 1.0), InvalidInput, "expected an integer, got 1.0"),
+        (lambda: positive_roots_by_value(q_a(3), -1), InvalidInput, "positive_roots_by_value needs dmax >= 0"),
+        (lambda: positive_roots_by_value(IntegralQuadraticForm([1, 1], {(1, 2): -2}), 0), NotPositive,
+         "Gram matrix is not positive definite"),
         (lambda: dynkin_plus_zero(Q_ALGO, "B"), InvalidInput, "variant must be 'C' or 'D'"),
         (lambda: dynkin_unit_form("B", 3), InvalidInput, "no Dynkin unit form B_3"),
     ],

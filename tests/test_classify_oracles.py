@@ -7,7 +7,9 @@ checked against the recursive versions they replaced, kept below as the
 references, on seeded connected unit forms of types A, D and E with corank 0
 to 4, scrambled by Gabrielov steps. So is the Fincke-Pohst enumeration behind
 `positive_roots_by_value` and `first_root_with_value`, against the two
-recursive searches it replaced. The realizer is also checked against the stack
+recursive searches it replaced; they read the dense `Fraction` elimination
+that the LDL factor read off `_bareiss` replaced (`_reference_ldl`), and the
+factor is checked against it. The realizer is also checked against the stack
 search over the rows generated before, on those forms, the bench generators'
 and scrambled A_n / D_n forms with n up to 200 and corank up to 60; the
 rigidity lemma behind its taking the rows as generated is checked on that
@@ -74,8 +76,8 @@ from bidiforms.classify import (
     realize,
     star_realization,
 )
-from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotNonNegative, NotTypeC
-from bidiforms.exact_linalg import IntMatrix
+from bidiforms.errors import BidiformsError, InvalidInput, NotCoxRegular, NotNonNegative, NotPositive, NotTypeC
+from bidiforms.exact_linalg import IntMatrix, _bareiss
 from bidiforms.gentle import GentlePresentation, euler_pipeline
 from bidiforms.qform import IntegralQuadraticForm, _rows_form, analyze, form_adjacency, traverse
 from tests.test_exact_linalg import _reference_integer_kernel
@@ -219,11 +221,31 @@ def _reference_greedy_core(q, rep):
     return search(frozenset(range(1, q.n + 1)))
 
 
+def _reference_ldl(G):
+    """LDL data of a positive-definite Gram matrix by dense elimination over
+    `Fraction`s, with a pivot test at each step: x^tr G x = sum d_i (x_i + sum_j u_ij x_j)^2."""
+    n = G.rows
+    A = [[Fraction(x) for x in row] for row in G.entries]
+    d = [Fraction(0)] * n
+    u = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        d[i] = A[i][i]
+        if d[i] <= 0:
+            raise NotPositive("Gram matrix is not positive definite")
+        for j in range(i + 1, n):
+            u[i][j] = A[i][j] / d[i]
+        for k in range(i + 1, n):
+            for l in range(k, n):
+                A[k][l] -= A[i][k] * A[i][l] / d[i]
+                A[l][k] = A[k][l]
+    return tuple(d), tuple(tuple(row) for row in u)
+
+
 def _reference_positive_roots_by_value(q, dmax):
     """Recursive enumeration of x^tr G x <= 2 dmax: each level scans a window
     widened by one around the exact interval and keeps the terms that fit."""
     G = q.gram()
-    d, u = classify._ldl(G)
+    d, u = _reference_ldl(G)
     n = q.n
     out = {v: set() for v in range(1, dmax + 1)}
     budget = Fraction(2 * dmax)
@@ -257,7 +279,7 @@ def _reference_first_root_with_value(q, d):
     the first term that overshoots; the last coordinate by a perfect square."""
     if d == 0:
         return (0,) * q.n
-    dd, u = classify._ldl(q.gram())
+    dd, u = _reference_ldl(q.gram())
     n = q.n
     x = [0] * n
 
@@ -1141,6 +1163,46 @@ def test_first_root_matches_the_recursive_search():
             assert x == _reference_first_root_with_value(q, d), (q, d)
             found += x is not None
     assert found > 600  # A_1..A_3 miss some values; a form of rank >= 4 misses none
+
+
+def _random_positive_forms(seed, count):
+    """`count` positive-definite forms, as many on each of 1..8 variables, with
+    diagonal 1..4 and off-diagonal coefficients in -3..3, by rejection."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = 1 + len(out) % 8
+        diag = [rng.randint(1, 4) for _ in range(n)]
+        off = {(i, j): rng.randint(-3, 3) for i in range(1, n + 1) for j in range(i + 1, n + 1) if rng.random() < 0.4}
+        q = IntegralQuadraticForm(diag, off)
+        rep = analyze(q)
+        if rep.non_negative and rep.corank == 0:
+            out.append(q)
+    return out
+
+
+def test_ldl_read_off_bareiss_is_the_fraction_elimination():
+    # d and u read off the integer rows of `_bareiss` are the Fractions of the dense
+    # Fraction elimination they replaced
+    forms = [dynkin_unit_form("A", r) for r in range(1, 11)]
+    forms += [dynkin_unit_form("D", r) for r in range(4, 11)]
+    forms += [dynkin_unit_form("E", r) for r in (6, 7, 8)]
+    for r in range(2, 11):
+        for c1, c2 in ((0, 0), (1, 0), (0, 1), (2, 1)):
+            q = canonical_c_graph(r, c1, c2).incidence_form()
+            forms.append(q.restrict(positive_core(q)))
+    forms += _random_positive_forms(7109, 240)
+    for q in forms:
+        assert classify._ldl(q) == _reference_ldl(q.gram()), q
+    # x1 x2 + x3 x4: Bareiss swaps rows 1, 2 and rows 3, 4, and every pivot is 1 with
+    # sign +1, so a factor read off its rows without the PSD test would accept it
+    hyperbolic = IntegralQuadraticForm([0, 0, 0, 0], {(1, 2): 1, (3, 4): 1})
+    rank, det, rows = _bareiss(hyperbolic.gram().entries)
+    assert rank == 4 and det == 1 and all(rows[k][k] == 1 for k in range(4))
+    for refuse in (classify._ldl, lambda q: _reference_ldl(q.gram()), lambda q: first_root_with_value(q, 0),
+                   lambda q: first_root_with_value(q, 5), lambda q: positive_roots_by_value(q, 0)):
+        with pytest.raises(NotPositive, match="^Gram matrix is not positive definite$"):
+            refuse(hyperbolic)
 
 
 def test_fincke_pohst_runs_without_recursion():
